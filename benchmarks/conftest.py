@@ -73,8 +73,6 @@ def run_and_report(benchmark, harness, **kwargs):
         "batch_queries": delta.batch_queries,
         "qgram_candidates": delta.qgram_candidates,
         "qgram_filtered": delta.qgram_filtered,
-        "kernel_batches": delta.kernel_batches,
-        "kernel_evaluations": delta.kernel_evaluations,
         # per-stage wall-clock attributed by the repro_stage_seconds_total
         # counter ("<backend>.<stage>" keys), diffed around the harness run
         "stage_seconds": {
@@ -109,7 +107,6 @@ def pytest_sessionfinish(session, exitstatus):
             "cache_hits",
             "qgram_candidates",
             "qgram_filtered",
-            "kernel_evaluations",
         )
     }
     totals["wall_seconds"] = round(totals["wall_seconds"], 4)

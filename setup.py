@@ -8,9 +8,8 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.2.0",
+    version="2.0.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    install_requires=["numpy"],
 )

@@ -14,7 +14,6 @@ applies the classic minimality principle the paper describes in its
 introduction; it is used by the ablation benchmarks.
 """
 
-from repro.baselines.detectors import ErrorDetector, PerfectDetector, ViolationDetector
 from repro.baselines.factor_graph import (
     CellFactorGraph,
     FactorGraphRepairer,
@@ -25,9 +24,6 @@ from repro.baselines.holoclean import HoloCleanBaseline, HoloCleanConfig, HoloCl
 from repro.baselines.minimal_repair import MinimalityRepairer, MinimalRepairReport
 
 __all__ = [
-    "ErrorDetector",
-    "PerfectDetector",
-    "ViolationDetector",
     "CellFactorGraph",
     "RepairCandidate",
     "FactorGraphRepairer",

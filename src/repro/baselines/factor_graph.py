@@ -460,7 +460,7 @@ class FactorGraphRepairer:
         ``detector`` defaults like the HoloClean baseline: perfect detection
         when a ground truth is supplied, violation-based detection otherwise.
         """
-        from repro.baselines.detectors import PerfectDetector, ViolationDetector
+        from repro.detect.builtin import PerfectDetector, ViolationDetector
 
         timings = TimingBreakdown()
         if detector is None:

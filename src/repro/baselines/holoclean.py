@@ -5,7 +5,7 @@ time: an external detector marks noisy cells, a statistical model is trained
 on the clean partition, and every noisy cell is assigned its most probable
 candidate value.  The paper runs it with a 100 %-accuracy detector so only
 repair quality is compared; :class:`HoloCleanBaseline` defaults to the same
-setting via :class:`~repro.baselines.detectors.PerfectDetector` when a ground
+setting via :class:`~repro.detect.PerfectDetector` when a ground
 truth is supplied.
 
 Two properties of the original system — both discussed in Section 7.2 of the
@@ -24,7 +24,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.baselines.detectors import ErrorDetector, PerfectDetector, ViolationDetector
+from repro.detect.base import Detector
+from repro.detect.builtin import PerfectDetector, ViolationDetector
 from repro.baselines.factor_graph import CellFactorGraph
 from repro.constraints.rules import Rule
 from repro.core.report import CleaningReport
@@ -105,7 +106,7 @@ class HoloCleanBaseline:
         dirty: Table,
         rules: Sequence[Rule],
         ground_truth: Optional[GroundTruth] = None,
-        detector: Optional[ErrorDetector] = None,
+        detector: Optional[Detector] = None,
     ) -> HoloCleanReport:
         """Run detection, training and repair on ``dirty``.
 

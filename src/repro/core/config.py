@@ -51,13 +51,6 @@ class MLNCleanConfig:
     remove_duplicates: bool = True
     #: collect per-stage component metrics when a ground truth is available
     instrument: bool = True
-    #: memoise pair distances in the shared :class:`repro.perf.DistanceEngine`
-    #: (exact-only cache: disabling it never changes any cleaning decision,
-    #: it only re-computes distances from scratch)
-    distance_cache: bool = True
-    #: flush-on-full bound for the pair cache (``None`` = unbounded); a full
-    #: cache is cleared wholesale rather than evicted entry-wise
-    distance_cache_entries: Optional[int] = None
     #: gram length of the q-gram candidate filter (HoloClean analog:
     #: ``domain_prune_thresh``'s gram side); pruning stays exact at any q —
     #: the filter only orders and lower-bounds candidates.  ``1`` (the
@@ -73,13 +66,6 @@ class MLNCleanConfig:
     #: candidates a batch query may consider, applied in input order before
     #: ordering.  ``None`` (default) = exact semantics
     max_candidates: Optional[int] = None
-    #: batch evaluation backend: ``"auto"`` (default — the vectorized numpy
-    #: kernel when numpy is importable, the zero-dep scalar fast path
-    #: otherwise), ``"numpy"`` (kernel required: raises without the ``fast``
-    #: extra) or ``"python"`` (force the scalar path).  Results are
-    #: bit-identical across backends; only speed and the
-    #: ``raw_evaluations`` / ``kernel_evaluations`` counter split differ
-    distance_kernel: str = "auto"
     #: opt-in observability: run under a fresh :class:`repro.obs.Tracer`
     #: even when the caller activated none (an already-ambient tracer is
     #: reused).  Purely observational — listed in
@@ -94,18 +80,12 @@ class MLNCleanConfig:
             raise ValueError("fscr_exhaustive_limit must be >= 1")
         if self.fscr_minimality_bias < 0:
             raise ValueError("fscr_minimality_bias must be >= 0")
-        if self.distance_cache_entries is not None and self.distance_cache_entries < 1:
-            raise ValueError("distance_cache_entries must be >= 1 (or None)")
         if self.qgram_size < 1:
             raise ValueError("qgram_size must be >= 1")
         if self.pruning_topk is not None and self.pruning_topk < 1:
             raise ValueError("pruning_topk must be >= 1 (or None for exact)")
         if self.max_candidates is not None and self.max_candidates < 1:
             raise ValueError("max_candidates must be >= 1 (or None for exact)")
-        if self.distance_kernel not in ("python", "numpy", "auto"):
-            raise ValueError(
-                "distance_kernel must be one of 'python', 'numpy', 'auto'"
-            )
         # Fail fast on unknown metric names instead of deep inside Stage I.
         get_metric(self.distance_metric)
 
@@ -131,6 +111,8 @@ class MLNCleanConfig:
         One engine is built per cleaning run and shared by every stage
         (``track_values=True`` additionally reference-counts values so the
         streaming cleaner can invalidate cache entries of evicted tuples).
+        The engine always memoises pair distances; the memo holds only exact
+        values and true lower bounds, so it never changes a decision.
         """
         return DistanceEngine.from_config(self, track_values=track_values)
 
@@ -141,18 +123,3 @@ class MLNCleanConfig:
     def with_metric(self, distance_metric: str) -> "MLNCleanConfig":
         """A copy with a different distance metric (used by Table 5)."""
         return replace(self, distance_metric=distance_metric)
-
-    @classmethod
-    def for_dataset(cls, dataset: str, **overrides) -> "MLNCleanConfig":
-        """The per-dataset defaults used by the paper's experiments.
-
-        The paper fixes τ = 1 on CAR and τ = 10 on HAI (Section 7.3.1) after
-        the threshold study; TPC-H follows HAI.  The values live with the
-        workload registrations (each generator declares its
-        ``recommended_threshold``), so this just delegates to
-        :func:`repro.workloads.registry.recommended_config`.  Unknown names
-        fall back to the global defaults with a warning.
-        """
-        from repro.workloads.registry import recommended_config
-
-        return recommended_config(dataset, **overrides)

@@ -5,9 +5,7 @@ any repair runs.  HoloClean treats it as a first-class pluggable phase
 (null/violation/fixed detectors unioned into one dirty-cell set); this module
 ports that shape:
 
-* :class:`Detector` — the protocol (``detect(table, rules) -> set[Cell]``),
-  identical to the historical ``baselines.detectors.ErrorDetector`` ABC so
-  existing detector subclasses keep working unchanged.
+* :class:`Detector` — the protocol (``detect(table, rules) -> set[Cell]``).
 * :class:`DirtyCells` — the union result of a detector stack, with
   per-detector provenance and precision/recall against an injected-error
   ledger.

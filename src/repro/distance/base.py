@@ -28,8 +28,8 @@ class DistanceMetric(ABC):
     #: distances (true for the Levenshtein family); enables the shared
     #: fast-path preprocessing of :class:`repro.perf.DistanceEngine`
     affix_safe: bool = False
-    #: whether the banded early-exit search of
-    #: :meth:`repro.perf.DistanceEngine.bounded_distance` computes this
+    #: whether the banded early-exit search the
+    #: :class:`repro.perf.DistanceEngine` runs under a cutoff computes this
     #: metric exactly (only plain Levenshtein)
     supports_banded: bool = False
     #: how many bound-destroying edit operations one q-gram mismatch may

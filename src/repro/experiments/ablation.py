@@ -307,7 +307,6 @@ def render_ablation_pruning(artifact: RunArtifact) -> ExperimentResult:
                 "f1": cell.metrics["f1"],
                 "distance_calls": cell.perf.get("distance_calls", 0),
                 "raw_evaluations": cell.perf.get("raw_evaluations", 0),
-                "kernel_evaluations": cell.perf.get("kernel_evaluations", 0),
                 "qgram_filtered": cell.perf.get("qgram_filtered", 0),
             }
         )
@@ -322,10 +321,9 @@ def ablation_pruning(
 ) -> ExperimentResult:
     """Exact defaults vs the approximating pruning knobs, F1 + budget.
 
-    The exact variants (kernel and python backend) must produce identical
-    F1 — only their ``raw_evaluations`` / ``kernel_evaluations`` split
-    differs; the ``pruning_topk`` / ``max_candidates`` rows trade repair
-    quality for a smaller distance budget.
+    The exact defaults give the paper's F1; the ``pruning_topk`` /
+    ``max_candidates`` rows trade repair quality for a smaller distance
+    budget.
     """
     spec = replace(
         load_spec("pruning_ablation"),

@@ -8,9 +8,8 @@ the blocks, groups and tuples holding detected cells).  Both modes run the
 know which cells to compare — so the two rows score repairs over one cell
 set:
 
-* ``raw_evaluations`` — exact metric evaluations of the cleaning run by
-  either distance backend, scalar or vectorized kernel (detection
-  excluded); the scoped run must do measurably less,
+* ``raw_evaluations`` — exact metric evaluations of the cleaning run
+  (detection excluded); the scoped run must do measurably less,
 * ``repair_acc_detected`` — among the detected cells the injector actually
   corrupted, the fraction repaired to the ledger's clean value,
 * ``repairs_digest`` — SHA-256 over the repaired values of every detected
@@ -108,7 +107,7 @@ def detect_scoping(
             "recall": round(accuracy.recall, 4) if accuracy else 0.0,
             "f1": round(accuracy.f1, 4) if accuracy else 0.0,
             "runtime_s": round(wall_seconds, 4),
-            "raw_evaluations": delta.exact_evaluations,
+            "raw_evaluations": delta.raw_evaluations,
             "distance_calls": delta.calls,
             "detected_cells": detected.count,
             "repair_acc_detected": round(fixed / len(truly_dirty), 4)

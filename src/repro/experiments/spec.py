@@ -445,7 +445,6 @@ class ExperimentRunner:
             "wall_seconds": round(wall_seconds, 4),
             "distance_calls": delta.calls,
             "raw_evaluations": delta.raw_evaluations,
-            "kernel_evaluations": delta.kernel_evaluations,
             "qgram_candidates": delta.qgram_candidates,
             "qgram_filtered": delta.qgram_filtered,
             "cache_hit_rate": round(delta.hit_rate, 4),

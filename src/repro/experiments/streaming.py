@@ -48,6 +48,7 @@ from repro.experiments.spec import ExperimentRunner, RunArtifact, load_spec
 from repro.streaming.cleaner import StreamingMLNClean
 from repro.streaming.delta import DeltaBatch, Update
 from repro.streaming.source import WorkloadStreamSource
+from repro.workloads.registry import recommended_config
 
 
 def _replay_grid_key(cell) -> tuple:
@@ -163,7 +164,7 @@ def streaming_incremental(
         seed=seed,
     )
     if config is None:
-        config = MLNCleanConfig.for_dataset(dataset)
+        config = recommended_config(dataset)
     engine = StreamingMLNClean(source.rules, source.schema, config=config)
     naive = MLNClean(config)
     rng = random.Random(seed)

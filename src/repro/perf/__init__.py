@@ -1,7 +1,9 @@
 """Performance subsystem: the shared distance engine and parallel Stage I.
 
 :mod:`repro.perf.engine` provides the cached / pruned / early-exit
-:class:`DistanceEngine` every stage runs its string distances through;
+:class:`DistanceEngine` every stage runs its string distances through, with
+one scalar exact-or-prune evaluation path behind its batch candidate-set API
+and the q-gram lower bounds of :mod:`repro.perf.qgram` ordering candidates;
 :mod:`repro.perf.parallel` fans independent Stage-I blocks out to worker
 processes for the batch backend's opt-in ``parallelism=N`` mode.
 
@@ -16,15 +18,12 @@ from repro.perf.engine import (
     global_distance_stats,
     reset_global_distance_stats,
 )
-from repro.perf.kernel import HAVE_NUMPY, BatchLevenshteinKernel
 from repro.perf.qgram import QGramIndex, ValueProfile, build_profile
 from repro.perf.stats import LatencyWindow
 
 __all__ = [
-    "BatchLevenshteinKernel",
     "DistanceEngine",
     "DistanceStats",
-    "HAVE_NUMPY",
     "LatencyWindow",
     "QGramIndex",
     "ValueProfile",

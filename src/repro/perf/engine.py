@@ -12,17 +12,20 @@ micro-batches and partitions.  :class:`DistanceEngine` wraps any registered
   decision),
 * **algorithmic fast paths** for the edit-distance family: common
   prefix/suffix stripping, the length-difference lower bound, and a banded
-  early-exit :meth:`bounded_distance` that abandons the matrix once the
-  cutoff is provably exceeded,
-* a cutoff-accumulating :meth:`values_distance` that short-circuits a tuple
-  distance as soon as the per-attribute running sum exceeds the cutoff.
+  early-exit search that abandons the matrix once the cutoff is provably
+  exceeded,
+* a **batch candidate-set API** (:meth:`~DistanceEngine.nearest`,
+  :meth:`~DistanceEngine.pairwise`, :meth:`~DistanceEngine.topk`) that
+  visits candidates in q-gram lower-bound order and scans them best-so-far
+  with cutoff-accumulating tuple distances, which stop as soon as the
+  per-attribute running sum exceeds the cutoff.
 
-Contract of the bounded calls: ``bounded_distance(l, r, c)`` (and
-``values_distance(..., cutoff=c)``) returns the **exact** distance whenever
-it is ``≤ c``; otherwise it returns *some* value ``> c`` (a valid lower
-bound).  Callers doing best-so-far searches therefore get bit-identical
-results to exhaustive evaluation: candidates at or below the running best are
-measured exactly (including ties), candidates that cannot win are skipped.
+Every candidate is settled by one scalar exact-or-prune evaluation: it
+returns the **exact** distance whenever that is ``≤`` the running cutoff,
+otherwise *some* value ``> cutoff`` (a valid lower bound).  Best-so-far
+searches therefore get bit-identical results to exhaustive evaluation:
+candidates at or below the running best are measured exactly (including
+ties), candidates that cannot win are skipped.
 
 Statistics are strictly **engine-local** on the hot path: every counter
 increment touches only ``self.stats``, so concurrent engines (the service's
@@ -39,7 +42,6 @@ from __future__ import annotations
 
 import math
 import threading
-import warnings
 import weakref
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
@@ -51,7 +53,6 @@ from repro.distance.fastpath import (
     strip_common_affixes,
     trivial_edit_distance,
 )
-from repro.perf.kernel import HAVE_NUMPY, BatchLevenshteinKernel
 from repro.perf.qgram import (
     QGramIndex,
     bound_from_shared,
@@ -64,33 +65,13 @@ from repro.perf.qgram import (
 #: flush can never change a result — it only costs recomputation
 _DERIVED_CACHE_LIMIT = 1 << 16
 
-#: smallest candidate batch worth shipping to the numpy kernel (below this
-#: the per-call numpy overhead beats the scalar loop it replaces)
-_KERNEL_MIN_BATCH = 2
-
-#: candidates evaluated per kernel dispatch; the running cutoff re-tightens
-#: between chunks, so a smaller chunk prunes more but dispatches more often
-_KERNEL_CHUNK = 32
-
-#: candidates in the first kernel dispatch of a scan that starts without a
-#: cutoff: small, so the best-so-far limit is established before committing
-#: a full-width chunk to exact evaluation (the candidates are visited in
-#: lower-bound order, so the seed chunk almost always contains the winner)
-_KERNEL_SEED_CHUNK = 4
-
-_SCALAR_DEPRECATION_HINT = (
-    "use the batch candidate-set API instead (DistanceEngine.nearest / "
-    "pairwise / topk); see the README section 'Migrating to the batch "
-    "distance API'"
-)
-
 
 @dataclass
 class DistanceStats:
     """Counters of one engine (or of the whole process, for the global copy)."""
 
     #: pair-distance requests (exact and bounded, incl. those from
-    #: :meth:`DistanceEngine.values_distance`)
+    #: value-tuple distances)
     calls: int = 0
     #: requests answered from the exact-pair cache
     cache_hits: int = 0
@@ -110,8 +91,6 @@ class DistanceStats:
     value_calls: int = 0
     #: value-tuple requests short-circuited before the last attribute
     value_short_circuits: int = 0
-    #: cache flushes forced by the ``max_entries`` bound
-    cache_evictions: int = 0
     #: cache entries dropped by value invalidation (streaming eviction)
     invalidated_pairs: int = 0
     #: batch candidate-set queries (``nearest`` / ``pairwise`` / ``topk``)
@@ -121,12 +100,6 @@ class DistanceStats:
     #: candidates batch queries never evaluated exactly: q-gram lower bound
     #: above the running cutoff, or dropped by the approximation caps
     qgram_filtered: int = 0
-    #: candidate chunks dispatched to the vectorized kernel
-    kernel_batches: int = 0
-    #: exact distances settled by the vectorized kernel (the batch analog of
-    #: ``raw_evaluations``, which counts only pure-python runs of the
-    #: wrapped metric's ``O(m·n)`` dynamic program)
-    kernel_evaluations: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -134,17 +107,6 @@ class DistanceStats:
         if self.calls == 0:
             return 0.0
         return self.cache_hits / self.calls
-
-    @property
-    def exact_evaluations(self) -> int:
-        """Exact metric evaluations by either backend (scalar or kernel).
-
-        The backend-neutral measure of distance work actually performed —
-        use this when comparing *how much* a strategy evaluates, and the
-        ``raw_evaluations`` / ``kernel_evaluations`` split when the scalar
-        vs vectorized routing itself is under test.
-        """
-        return self.raw_evaluations + self.kernel_evaluations
 
     def merge(self, other: "DistanceStats") -> "DistanceStats":
         merged = DistanceStats()
@@ -269,40 +231,30 @@ class DistanceEngine:
 
     One engine is shared by every stage of a cleaning run (batch pipeline,
     distributed driver, or the streaming engine, where it additionally
-    persists across micro-batches).  All results are exact — the cache stores
-    only exact distances, and bounded calls return exact values whenever the
-    distance is within the cutoff — so enabling or disabling the engine's
-    cache never changes a cleaning decision.
+    persists across micro-batches).  All results are exact — the pair memo
+    stores only exact distances and true lower bounds, and bounded
+    evaluations return exact values whenever the distance is within the
+    cutoff — so memoisation never changes a cleaning decision.
     """
 
     def __init__(
         self,
         metric: DistanceMetric,
-        cache: bool = True,
-        max_entries: Optional[int] = None,
         track_values: bool = False,
         qgram_size: int = 2,
         pruning_topk: Optional[int] = None,
         max_candidates: Optional[int] = None,
-        kernel: str = "python",
     ):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1 (or None for unbounded)")
         if qgram_size < 1:
             raise ValueError("qgram_size must be >= 1")
         if pruning_topk is not None and pruning_topk < 1:
             raise ValueError("pruning_topk must be >= 1 (or None for exact)")
         if max_candidates is not None and max_candidates < 1:
             raise ValueError("max_candidates must be >= 1 (or None for exact)")
-        if kernel not in ("python", "numpy", "auto"):
-            raise ValueError("kernel must be one of 'python', 'numpy', 'auto'")
         self.metric = metric
-        self.cache_enabled = cache
-        self.max_entries = max_entries
         self.qgram_size = qgram_size
         self.pruning_topk = pruning_topk
         self.max_candidates = max_candidates
-        self.kernel_mode = kernel
         #: reference-count values so streaming eviction can invalidate
         #: (i.e. drop) exactly the cache entries of values that left the
         #: retained window
@@ -318,22 +270,12 @@ class DistanceEngine:
         self._qgram_profiles: dict = {}
         self._refcounts: dict = {}
         self._pairs_by_value: dict = {}
-        self._scalar_warned: set = set()
         self._affix_safe = bool(getattr(metric, "affix_safe", False))
         self._banded = bool(getattr(metric, "supports_banded", False))
         #: bound-destroying edit operations per q-gram (``None`` disables the
         #: count filter for this metric — batch queries fall back to the
         #: plain ordered scan, which is still bit-identical)
         self._qgram_ops = getattr(metric, "qgram_edit_ops", None)
-        self._kernel = None
-        if kernel != "python" and self._banded:
-            if HAVE_NUMPY:
-                self._kernel = BatchLevenshteinKernel()
-            elif kernel == "numpy":
-                raise RuntimeError(
-                    "distance_kernel='numpy' needs numpy; install the "
-                    "optional extra: pip install repro[fast]"
-                )
         _register_engine(self)
 
     @classmethod
@@ -341,13 +283,10 @@ class DistanceEngine:
         """An engine honouring an :class:`~repro.core.config.MLNCleanConfig`."""
         return cls(
             config.metric(),
-            cache=config.distance_cache,
-            max_entries=config.distance_cache_entries,
             track_values=track_values,
-            qgram_size=getattr(config, "qgram_size", 2),
-            pruning_topk=getattr(config, "pruning_topk", None),
-            max_candidates=getattr(config, "max_candidates", None),
-            kernel=getattr(config, "distance_kernel", "python"),
+            qgram_size=config.qgram_size,
+            pruning_topk=config.pruning_topk,
+            max_candidates=config.max_candidates,
         )
 
     @property
@@ -389,45 +328,12 @@ class DistanceEngine:
     def cache_size(self) -> int:
         return len(self._exact)
 
-    def _pair_key(self, left: str, right: str):
-        left = self._interned.setdefault(left, left)
-        right = self._interned.setdefault(right, right)
-        return (left, right) if left <= right else (right, left)
-
     @staticmethod
     def _exact_key(left: str, right: str):
         """Pair key for already-interned strings (no pool probes)."""
         return (left, right) if left <= right else (right, left)
 
-    def _warn_scalar(self, method: str) -> None:
-        if method in self._scalar_warned:
-            return
-        self._scalar_warned.add(method)
-        warnings.warn(
-            f"DistanceEngine.{method} with a cutoff is a deprecated scalar "
-            f"entry point; {_SCALAR_DEPRECATION_HINT}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def _flush_if_full(self) -> None:
-        """Wholesale flush once exact + lower-bound entries hit the bound.
-
-        Both dictionaries count toward ``max_entries`` — prune-heavy
-        workloads populate the lower-bound side almost exclusively, and a
-        bound that ignored it would not actually bound memory.
-        """
-        if (
-            self.max_entries is not None
-            and len(self._exact) + len(self._lower) >= self.max_entries
-        ):
-            self._exact.clear()
-            self._lower.clear()
-            self._pairs_by_value.clear()
-            self.stats.cache_evictions += 1
-
     def _store_exact(self, key, value: float) -> None:
-        self._flush_if_full()
         self._exact[key] = value
         self._lower.pop(key, None)
         if self.track_values:
@@ -437,8 +343,6 @@ class DistanceEngine:
     def _store_lower(self, key, bound: float) -> None:
         known = self._lower.get(key)
         if known is None or bound > known:
-            if known is None:
-                self._flush_if_full()
             self._lower[key] = bound
             if self.track_values:
                 self._pairs_by_value.setdefault(key[0], set()).add(key)
@@ -492,20 +396,11 @@ class DistanceEngine:
     # ------------------------------------------------------------------
     def distance(self, left: str, right: str) -> float:
         """Exact distance, served from the cache when possible."""
-        self.stats.calls += 1
         if left == right:
+            self.stats.calls += 1
             self.stats.trivial += 1
             return 0.0
-        if not self.cache_enabled:
-            return self._compute(left, right)
-        key = self._pair_key(left, right)
-        cached = self._exact.get(key)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return cached
-        result = self._compute(left, right)
-        self._store_exact(key, result)
-        return result
+        return self._distance_canonical(self.intern(left), self.intern(right))
 
     def _distance_canonical(self, left: str, right: str) -> float:
         """:meth:`distance` for already-interned strings (batch hot path)."""
@@ -513,8 +408,6 @@ class DistanceEngine:
         if left == right:
             self.stats.trivial += 1
             return 0.0
-        if not self.cache_enabled:
-            return self._compute(left, right)
         key = self._exact_key(left, right)
         cached = self._exact.get(key)
         if cached is not None:
@@ -535,63 +428,40 @@ class DistanceEngine:
         self.stats.raw_evaluations += 1
         return self.metric.distance(left, right)
 
-    def bounded_distance(self, left: str, right: str, cutoff: float) -> float:
-        """Exact distance when it is ``≤ cutoff``; else some value ``> cutoff``.
+    def _bounded(self, left: str, right: str, cutoff: float) -> float:
+        """Exact distance of interned strings when ``≤ cutoff``; else a bound.
 
-        The not-exact return value is a true lower bound of the distance, so
-        best-so-far searches can prune on it; it must not be used as a
-        distance.
-
-        .. deprecated:: 1.9
-            Scalar best-so-far loops belong behind the batch candidate-set
-            API (:meth:`nearest` / :meth:`pairwise` / :meth:`topk`), which
-            adds q-gram pruning and kernel routing on top of the same
-            exact-or-prune contract.  This shim stays for one release.
+        The not-exact return value is a true lower bound ``> cutoff`` of the
+        distance, so best-so-far searches can prune on it; it must not be
+        used as a distance.
         """
-        self._warn_scalar("bounded_distance")
-        return self._bounded(left, right, cutoff, canonical=False)
-
-    def _bounded(
-        self, left: str, right: str, cutoff: float, canonical: bool
-    ) -> float:
-        """The bounded-distance body; ``canonical`` skips the intern pool."""
         if cutoff == math.inf:
-            if canonical:
-                return self._distance_canonical(left, right)
-            return self.distance(left, right)
+            return self._distance_canonical(left, right)
         self.stats.calls += 1
         if left == right:
             self.stats.trivial += 1
             return 0.0
-        key = None
-        if self.cache_enabled:
-            key = (
-                self._exact_key(left, right)
-                if canonical
-                else self._pair_key(left, right)
-            )
-            cached = self._exact.get(key)
-            if cached is not None:
-                self.stats.cache_hits += 1
-                return cached
-            bound = self._lower.get(key)
-            if bound is not None and bound > cutoff:
-                self.stats.lower_bound_hits += 1
-                self.stats.cache_hits += 1
-                return bound
+        key = self._exact_key(left, right)
+        cached = self._exact.get(key)
+        if cached is not None:
+            self.stats.cache_hits += 1
+            return cached
+        bound = self._lower.get(key)
+        if bound is not None and bound > cutoff:
+            self.stats.lower_bound_hits += 1
+            self.stats.cache_hits += 1
+            return bound
         if self._affix_safe:
             stripped_left, stripped_right = strip_common_affixes(left, right)
             trivial = trivial_edit_distance(stripped_left, stripped_right)
             if trivial is not None:
                 self.stats.trivial += 1
-                if key is not None:
-                    self._store_exact(key, trivial)
+                self._store_exact(key, trivial)
                 return trivial
             length_gap = abs(len(stripped_left) - len(stripped_right))
             if length_gap > cutoff:
                 self.stats.length_prunes += 1
-                if key is not None:
-                    self._store_lower(key, float(length_gap))
+                self._store_lower(key, float(length_gap))
                 return float(length_gap)
             if self._banded and cutoff >= 0.0:
                 radius = int(cutoff)  # distances are integral: d <= cutoff iff d <= floor(cutoff)
@@ -600,70 +470,34 @@ class DistanceEngine:
                 )
                 if exact:
                     self.stats.raw_evaluations += 1
-                    if key is not None:
-                        self._store_exact(key, value)
-                    return value
-                self.stats.band_prunes += 1
-                if key is not None:
+                    self._store_exact(key, value)
+                else:
+                    self.stats.band_prunes += 1
                     self._store_lower(key, value)
                 return value
         result = self._compute(left, right)
-        if key is not None:
-            self._store_exact(key, result)
+        self._store_exact(key, result)
         return result
 
     # ------------------------------------------------------------------
     # value tuples (pieces of data)
     # ------------------------------------------------------------------
     def values_distance(
-        self,
-        left: "Sequence[str]",
-        right: "Sequence[str]",
-        cutoff: Optional[float] = None,
+        self, left: "Sequence[str]", right: "Sequence[str]"
     ) -> float:
-        """Sum of per-position distances, optionally cutoff-accumulating.
+        """Sum of per-position distances.
 
-        Without a cutoff this equals
-        :meth:`repro.distance.base.DistanceMetric.values_distance` bit for
-        bit (same per-pair values, same left-to-right summation order).  With
-        a cutoff, the exact sum is returned whenever it is ``≤ cutoff``;
-        otherwise the accumulation stops at the first attribute that pushes a
-        lower bound of the sum past the cutoff and some value ``> cutoff``
-        comes back.
-
-        .. deprecated:: 1.9
-            The *cutoff* form is a scalar best-so-far entry point; use the
-            batch candidate-set API (:meth:`nearest` / :meth:`pairwise` /
-            :meth:`topk`) instead.  The exact (no-cutoff) form stays.
+        Equals :meth:`repro.distance.base.DistanceMetric.values_distance` bit
+        for bit (same per-pair values, same left-to-right summation order),
+        so an engine can stand in for a metric (the distributed partitioner
+        takes either).
         """
-        if cutoff is not None and cutoff != math.inf:
-            self._warn_scalar("values_distance")
-        return self._values_distance(left, right, cutoff, canonical=False)
-
-    def _values_distance(
-        self,
-        left: "Sequence[str]",
-        right: "Sequence[str]",
-        cutoff: Optional[float],
-        canonical: bool,
-    ) -> float:
         if len(left) != len(right):
             raise ValueError("value tuples must have the same length")
         self.stats.value_calls += 1
-        if cutoff is None or cutoff == math.inf:
-            pair = self._distance_canonical if canonical else self.distance
-            total = 0.0
-            for left_value, right_value in zip(left, right):
-                total += pair(left_value, right_value)
-            return total
         total = 0.0
-        last = len(left) - 1
-        for position, (left_value, right_value) in enumerate(zip(left, right)):
-            total += self._bounded(left_value, right_value, cutoff - total, canonical)
-            if total > cutoff:
-                if position < last:
-                    self.stats.value_short_circuits += 1
-                return total
+        for left_value, right_value in zip(left, right):
+            total += self.distance(left_value, right_value)
         return total
 
     def _values_bounded(
@@ -674,12 +508,24 @@ class DistanceEngine:
     ) -> float:
         """Cutoff-accumulating tuple distance over interned tuples.
 
-        This is the batch scan's inner evaluation: the tuples were interned
-        once at candidate-set entry, so pair keys are built without per-value
-        pool probes (the fix for the per-call re-interning the old scalar
-        path paid on every cutoff accumulation).
+        The exact sum whenever it is ``≤ cutoff``; otherwise the
+        accumulation stops at the first attribute that pushes a lower bound
+        of the sum past the cutoff, and some value ``> cutoff`` comes back.
+        The tuples were interned once at candidate-set entry, so pair keys
+        are built without per-value pool probes.
         """
-        return self._values_distance(left, right, cutoff, canonical=True)
+        if len(left) != len(right):
+            raise ValueError("value tuples must have the same length")
+        self.stats.value_calls += 1
+        total = 0.0
+        last = len(left) - 1
+        for position, (left_value, right_value) in enumerate(zip(left, right)):
+            total += self._bounded(left_value, right_value, cutoff - total)
+            if total > cutoff:
+                if position < last:
+                    self.stats.value_short_circuits += 1
+                return total
+        return total
 
     # ------------------------------------------------------------------
     # batch candidate-set API
@@ -688,8 +534,7 @@ class DistanceEngine:
     # set* instead of issuing scalar best-so-far calls, and the engine owns
     # the visit order (q-gram lower bounds ascending), the pruning (skip a
     # candidate only when its lower bound strictly exceeds the running
-    # cutoff) and the evaluation backend (scalar fast path or the numpy
-    # kernel).  With the default knobs every result is bit-identical to the
+    # cutoff).  With the default knobs every result is bit-identical to the
     # brute-force scalar loop: any candidate whose exact distance ties the
     # final best is always measured exactly, because the running cutoff never
     # drops below the final best and pruning is strict.  ``pruning_topk`` /
@@ -760,146 +605,23 @@ class DistanceEngine:
         Returns ``(best_position, best_distance)`` with the smallest-position
         tie-break; ``(None, inf)`` when nothing is within the cutoff.
         """
-        stats = self.stats
         best_index: Optional[int] = None
         best = math.inf
         limit = cutoff
-        use_kernel = self._kernel is not None and len(order) >= _KERNEL_MIN_BATCH
-        total = len(order)
-        position = 0
-        while position < total:
-            bound, candidate = order[position]
+        for position, (bound, candidate) in enumerate(order):
             if bound > limit:
-                stats.qgram_filtered += total - position
+                self.stats.qgram_filtered += len(order) - position
                 break
-            if not use_kernel:
-                position += 1
-                value = self._values_bounded(query, cands[candidate], limit)
-                if value <= limit and (
-                    value < best
-                    or (value == best and (best_index is None or candidate < best_index))
-                ):
-                    best = value
-                    best_index = candidate
-                    if best < limit:
-                        limit = best
-                continue
-            chunk = []
-            chunk_cap = _KERNEL_SEED_CHUNK if limit == math.inf else _KERNEL_CHUNK
-            while position < total and len(chunk) < chunk_cap:
-                bound, candidate = order[position]
-                if bound > limit:
-                    break
-                chunk.append(candidate)
-                position += 1
-            totals = self._values_batch(query, [cands[c] for c in chunk], limit)
-            for candidate, value in zip(chunk, totals):
-                if value <= limit and (
-                    value < best
-                    or (value == best and (best_index is None or candidate < best_index))
-                ):
-                    best = value
-                    best_index = candidate
-                    if best < limit:
-                        limit = best
+            value = self._values_bounded(query, cands[candidate], limit)
+            if value <= limit and (
+                value < best
+                or (value == best and (best_index is None or candidate < best_index))
+            ):
+                best = value
+                best_index = candidate
+                if best < limit:
+                    limit = best
         return best_index, best
-
-    def _values_batch(
-        self,
-        query: "tuple[str, ...]",
-        rights: "list[tuple[str, ...]]",
-        limit: float,
-    ) -> "list[float]":
-        """Kernel-backed :meth:`_values_bounded` over a candidate chunk.
-
-        Per candidate the return value honours the exact-or-prune contract
-        against ``limit``: exact whenever it is ``≤ limit``, otherwise a true
-        lower bound ``> limit``.  The pair cache is consulted before and fed
-        after every kernel dispatch, so kernel results are indistinguishable
-        from scalar ones to the rest of the engine.
-        """
-        stats = self.stats
-        count = len(rights)
-        stats.value_calls += count
-        totals = [0.0] * count
-        alive = list(range(count))
-        positions = len(query)
-        last = positions - 1
-        cache_enabled = self.cache_enabled
-        for attr in range(positions):
-            query_value = query[attr]
-            pending_slots: "list[int]" = []
-            pending_rights: "list[str]" = []
-            pending_cutoffs: "list[float]" = []
-            survivors: "list[int]" = []
-            for slot in alive:
-                right_value = rights[slot][attr]
-                stats.calls += 1
-                if query_value == right_value:
-                    stats.trivial += 1
-                    survivors.append(slot)
-                    continue
-                remaining = limit - totals[slot]
-                key = None
-                if cache_enabled:
-                    key = self._exact_key(query_value, right_value)
-                    cached = self._exact.get(key)
-                    if cached is not None:
-                        stats.cache_hits += 1
-                        totals[slot] += cached
-                        if totals[slot] <= limit:
-                            survivors.append(slot)
-                        elif attr < last:
-                            stats.value_short_circuits += 1
-                        continue
-                    bound = self._lower.get(key)
-                    if bound is not None and bound > remaining:
-                        stats.lower_bound_hits += 1
-                        stats.cache_hits += 1
-                        totals[slot] += bound
-                        if attr < last:
-                            stats.value_short_circuits += 1
-                        continue
-                length_gap = abs(len(query_value) - len(right_value))
-                if length_gap > remaining:
-                    stats.length_prunes += 1
-                    if key is not None:
-                        self._store_lower(key, float(length_gap))
-                    totals[slot] += float(length_gap)
-                    if attr < last:
-                        stats.value_short_circuits += 1
-                    continue
-                pending_slots.append(slot)
-                pending_rights.append(right_value)
-                pending_cutoffs.append(remaining)
-            if pending_slots:
-                stats.kernel_batches += 1
-                outcomes = self._kernel.batch_bounded(
-                    query_value, pending_rights, pending_cutoffs
-                )
-                for slot, right_value, (value, exact) in zip(
-                    pending_slots, pending_rights, outcomes
-                ):
-                    if cache_enabled:
-                        key = self._exact_key(query_value, right_value)
-                        if exact:
-                            self._store_exact(key, value)
-                        else:
-                            self._store_lower(key, value)
-                    if exact:
-                        stats.kernel_evaluations += 1
-                    else:
-                        stats.band_prunes += 1
-                    totals[slot] += value
-                    if totals[slot] <= limit:
-                        survivors.append(slot)
-                    elif attr < last:
-                        stats.value_short_circuits += 1
-                survivors.sort()
-            alive = survivors
-            if not alive:
-                break
-        return totals
 
     def _capped_candidates(
         self, cands: "list[tuple[str, ...]]"
@@ -1042,19 +764,17 @@ class DistanceEngine:
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
-    def absorb_stats(self, stats: DistanceStats, mirror_global: bool = True) -> None:
+    def absorb_stats(self, stats: DistanceStats) -> None:
         """Fold counters measured elsewhere (e.g. a worker process) in.
 
         Worker processes keep their own engines; their counters are shipped
         back with the results and folded into the driver's engine — which is
         all it takes for :func:`global_distance_stats` to see the forked
         work, because the global view is derived from engine-local counters.
-        ``mirror_global`` is kept for API compatibility; the in-process
-        fallback of the parallel path passes ``False`` together with empty
-        stats objects (its counters already live in this engine), so the
-        fold is a no-op there either way.
+        The in-process fallback of the parallel path hands back empty stats
+        objects (its counters already live in this engine), so folding them
+        is a no-op.
         """
-        del mirror_global  # the derived global view makes the flag moot
         self.stats.iadd(stats)
 
     def reset_stats(self) -> None:
@@ -1069,6 +789,6 @@ class DistanceEngine:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"DistanceEngine({self.metric.name!r}, cache={self.cache_enabled}, "
-            f"entries={len(self._exact)}, hit_rate={self.stats.hit_rate:.3f})"
+            f"DistanceEngine({self.metric.name!r}, entries={len(self._exact)}, "
+            f"hit_rate={self.stats.hit_rate:.3f})"
         )

@@ -169,4 +169,4 @@ class ParallelStageOne:
         context.outcomes["rsc"] = rsc_total
         if context.engine is not None:
             for result in results:
-                context.engine.absorb_stats(result.stats, mirror_global=pooled)
+                context.engine.absorb_stats(result.stats)

@@ -33,7 +33,6 @@ from repro.streaming.delta import (
 )
 from repro.streaming.incremental_index import IncrementalMLNIndex
 from repro.streaming.source import (
-    SampleHospitalWorkloadGenerator,
     StreamBatch,
     TableStreamSource,
     WorkloadStreamSource,
@@ -57,5 +56,4 @@ __all__ = [
     "StreamBatch",
     "TableStreamSource",
     "WorkloadStreamSource",
-    "SampleHospitalWorkloadGenerator",
 ]

@@ -30,7 +30,6 @@ from repro.errors.injector import ErrorSpec
 from repro.streaming.delta import DeltaBatch
 from repro.workloads.base import Workload, WorkloadInstance
 from repro.workloads.registry import get_workload_generator
-from repro.workloads.sample import SampleHospitalWorkloadGenerator
 
 
 @dataclass
@@ -143,11 +142,8 @@ class WorkloadStreamSource:
         return len(self._table_source)
 
 
-#: re-exported for backward compatibility — the generator now lives with the
-#: other workloads in :mod:`repro.workloads.sample`
 __all__ = [
     "StreamBatch",
     "TableStreamSource",
     "WorkloadStreamSource",
-    "SampleHospitalWorkloadGenerator",
 ]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.detectors import (
+from repro.detect.builtin import (
     PerfectDetector,
     UnionDetector,
     ViolationDetector,

@@ -5,15 +5,13 @@ The load-bearing properties of the sub-quadratic distance core:
 * every batch query is *bit-identical* to the brute-force scalar loop it
   replaces, for every registered metric (the q-gram count filter only
   orders and lower-bounds candidates, it never approximates),
-* the vectorized numpy kernel and the pure-python fallback return the same
-  results — on property-level queries and on whole cleaning runs over every
-  registered workload and every execution backend,
+* the gram length of the count filter never changes a whole cleaning run,
+  on every registered workload and every execution backend,
 * the approximation knobs (``pruning_topk``, ``max_candidates``) default to
   exact semantics and validate their domains,
 * the per-block q-gram indexes are maintained incrementally by the delta
   hooks, and the pipeline records the ``stage:qgram-index`` span,
-* the scalar entry points (``bounded_distance``, ``values_distance`` with a
-  cutoff) warn exactly once per engine with ``DeprecationWarning``.
+* a cleaning run raises no ``DeprecationWarning``.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from repro.core.pipeline import MLNClean
 from repro.distance import get_metric
 from repro.errors.injector import ErrorSpec
 from repro.experiments.harness import session_for_instance
-from repro.perf import DistanceEngine, HAVE_NUMPY, QGramIndex, build_profile
+from repro.perf import DistanceEngine, QGramIndex, build_profile
 from repro.perf.qgram import lower_bound
 from repro.workloads.registry import available_workloads, get_workload_generator
 
@@ -185,40 +183,12 @@ def test_qgram_lower_bound_never_exceeds_levenshtein(left, right, q):
 
 
 # ----------------------------------------------------------------------
-# kernel ≡ python
+# the count filter is exact at any gram length, end to end
 # ----------------------------------------------------------------------
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-
-
-@needs_numpy
-@given(query=value_tuples, data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_kernel_and_python_scans_are_bit_identical(query, data):
-    width = len(query)
-    candidates = data.draw(
-        st.lists(
-            st.lists(short_text, min_size=width, max_size=width).map(tuple),
-            min_size=2,
-            max_size=12,
-        )
-    )
-    cutoff = data.draw(st.sampled_from([math.inf, 1.0, 3.0]))
-    metric = get_metric("levenshtein")
-    scalar = DistanceEngine(metric, kernel="python")
-    vector = DistanceEngine(metric, kernel="numpy")
-    assert vector._kernel is not None
-    assert scalar.nearest(query, candidates, cutoff) == vector.nearest(
-        query, candidates, cutoff
-    )
-    assert scalar.pairwise(candidates) == vector.pairwise(candidates)
-    assert scalar.topk(query, candidates, 3) == vector.topk(query, candidates, 3)
-
-
-@needs_numpy
 @pytest.mark.parametrize("workload_name", available_workloads())
 @pytest.mark.parametrize("backend", ["batch", "distributed", "streaming"])
-def test_kernel_run_equals_python_run_on_every_workload(workload_name, backend):
-    """Whole cleaning runs are byte-identical across distance backends."""
+def test_qgram_size_never_changes_a_run_on_every_workload(workload_name, backend):
+    """Whole cleaning runs are byte-identical at q=1 (default) and q=3."""
     from dataclasses import replace
 
     from repro.workloads.registry import recommended_config
@@ -226,8 +196,8 @@ def test_kernel_run_equals_python_run_on_every_workload(workload_name, backend):
     instance = small_instance(workload_name, tuples=60)
     base = recommended_config(instance.name)
     reports = {}
-    for kernel in ("python", "numpy"):
-        config = replace(base, distance_kernel=kernel)
+    for q in (1, 3):
+        config = replace(base, qgram_size=q)
         if backend == "streaming":
             from repro.streaming import DeltaBatch, StreamingMLNClean
 
@@ -235,38 +205,14 @@ def test_kernel_run_equals_python_run_on_every_workload(workload_name, backend):
                 instance.rules, schema=instance.dirty.attributes, config=config
             )
             cleaner.apply_batch(DeltaBatch.from_table(instance.dirty))
-            reports[kernel] = cleaner.cleaned
+            reports[q] = cleaner.cleaned
         else:
             options = {"workers": 2} if backend == "distributed" else {}
             session = session_for_instance(
                 instance, config=config, backend=backend, **options
             )
-            reports[kernel] = session.run().cleaned
-    assert tables_equal(reports["python"], reports["numpy"])
-
-
-def test_kernel_mode_numpy_requires_numpy(monkeypatch):
-    import repro.perf.engine as engine_module
-
-    monkeypatch.setattr(engine_module, "HAVE_NUMPY", False)
-    with pytest.raises(RuntimeError, match=r"repro\[fast\]"):
-        DistanceEngine(get_metric("levenshtein"), kernel="numpy")
-    # "auto" degrades to the scalar path instead of raising
-    engine = DistanceEngine(get_metric("levenshtein"), kernel="auto")
-    assert engine._kernel is None
-
-
-def test_kernel_counters_split_raw_from_kernel_evaluations():
-    if not HAVE_NUMPY:
-        pytest.skip("numpy not installed")
-    values = [(f"value{i:02d}",) for i in range(20)]
-    engine = DistanceEngine(get_metric("levenshtein"), kernel="numpy")
-    engine.nearest(("value99",), values)
-    assert engine.stats.batch_queries == 1
-    assert engine.stats.qgram_candidates == len(values)
-    assert engine.stats.kernel_batches > 0
-    assert engine.stats.kernel_evaluations > 0
-    assert engine.stats.exact_evaluations >= engine.stats.kernel_evaluations
+            reports[q] = session.run().cleaned
+    assert tables_equal(reports[1], reports[3])
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +250,7 @@ def test_pruning_topk_keeps_the_most_promising_bounds():
         {"qgram_size": 0},
         {"pruning_topk": 0},
         {"max_candidates": 0},
-        {"distance_kernel": "simd"},
+        {"pruning_topk": -1},
     ],
 )
 def test_config_validates_pruning_knobs(kwargs):
@@ -318,7 +264,7 @@ def test_config_validates_pruning_knobs(kwargs):
         {"qgram_size": 0},
         {"pruning_topk": 0},
         {"max_candidates": 0},
-        {"kernel": "simd"},
+        {"pruning_topk": -1},
     ],
 )
 def test_engine_validates_pruning_knobs(kwargs):
@@ -369,29 +315,8 @@ def test_pipeline_records_the_qgram_index_stage(sample_table, sample_rules):
 
 
 # ----------------------------------------------------------------------
-# scalar deprecation shims
+# no deprecation warnings
 # ----------------------------------------------------------------------
-def test_bounded_distance_warns_once_per_engine():
-    engine = DistanceEngine(get_metric("levenshtein"))
-    with pytest.warns(DeprecationWarning, match="batch candidate-set API"):
-        value = engine.bounded_distance("kitten", "sitting", 5.0)
-    assert value == 3.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert engine.bounded_distance("kitten", "sitting", 5.0) == 3.0
-
-
-def test_values_distance_warns_only_with_a_finite_cutoff():
-    engine = DistanceEngine(get_metric("levenshtein"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        # no cutoff: still the supported exact entry point
-        assert engine.values_distance(("ab", "cd"), ("ab", "ce")) == 1.0
-        assert engine.distance("ab", "ba") == 2.0
-    with pytest.warns(DeprecationWarning, match="batch candidate-set API"):
-        engine.values_distance(("ab", "cd"), ("ab", "ce"), cutoff=4.0)
-
-
 def test_pipeline_runs_free_of_deprecation_warnings(sample_table, sample_rules):
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)

@@ -8,6 +8,7 @@ from repro.core.config import MLNCleanConfig
 from repro.core.index import DataPiece, Group, MLNIndex
 from repro.dataset.table import Table
 from repro.errors.injector import ErrorInjector, ErrorSpec
+from repro.workloads.registry import recommended_config
 
 
 def test_index_one_block_per_rule(sample_table, sample_rules):
@@ -98,11 +99,11 @@ def test_config_validation():
 
 
 def test_config_for_dataset_thresholds():
-    assert MLNCleanConfig.for_dataset("car").abnormal_threshold == 1
-    assert MLNCleanConfig.for_dataset("HAI").abnormal_threshold == 10
-    assert MLNCleanConfig.for_dataset("tpch").abnormal_threshold == 2
-    assert MLNCleanConfig.for_dataset("hospital-sample").abnormal_threshold == 1
-    overridden = MLNCleanConfig.for_dataset("hai", distance_metric="cosine")
+    assert recommended_config("car").abnormal_threshold == 1
+    assert recommended_config("HAI").abnormal_threshold == 10
+    assert recommended_config("tpch").abnormal_threshold == 2
+    assert recommended_config("hospital-sample").abnormal_threshold == 1
+    overridden = recommended_config("hai", distance_metric="cosine")
     assert overridden.distance_metric == "cosine"
 
 
@@ -110,7 +111,7 @@ def test_config_for_unknown_dataset_warns():
     # the per-dataset τ table lives in the workload registry now; unknown
     # names fall back to the defaults loudly instead of silently
     with pytest.warns(UserWarning, match="no workload registered"):
-        config = MLNCleanConfig.for_dataset("unknown")
+        config = recommended_config("unknown")
     assert config.abnormal_threshold == 1
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro import MLNClean, MLNCleanConfig
 from repro.constraints.violations import is_consistent
 from repro.dataset.sample import sample_hospital_clean_table
+from repro.workloads.registry import recommended_config
 
 
 def test_pipeline_reproduces_paper_example(
@@ -78,7 +79,7 @@ def test_pipeline_on_hai_workload(hai_instance):
     """MLNClean fixes a substantial share of the injected errors on HAI."""
     from repro.constraints.violations import detect_violations
 
-    config = MLNCleanConfig.for_dataset("hai")
+    config = recommended_config("hai")
     report = MLNClean(config).clean(
         hai_instance.dirty, hai_instance.rules, hai_instance.ground_truth
     )
@@ -91,7 +92,7 @@ def test_pipeline_on_hai_workload(hai_instance):
 
 
 def test_pipeline_on_car_workload(car_instance):
-    config = MLNCleanConfig.for_dataset("car")
+    config = recommended_config("car")
     report = MLNClean(config).clean(
         car_instance.dirty, car_instance.rules, car_instance.ground_truth
     )
@@ -102,7 +103,7 @@ def test_pipeline_on_car_workload(car_instance):
 
 def test_pipeline_clean_input_stays_clean(hai_workload):
     """Cleaning an already-clean table must not corrupt it."""
-    config = MLNCleanConfig.for_dataset("hai")
+    config = recommended_config("hai")
     clean = hai_workload.clean
     report = MLNClean(config).clean(clean, hai_workload.rules)
     changed = clean.diff_cells(report.repaired)

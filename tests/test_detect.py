@@ -701,21 +701,3 @@ def test_detector_ablation_spec_runs_with_detection_metrics():
     assert perfect.metrics["detect_recall"] == 1.0
     assert "detect_precision" not in plain.metrics
     assert perfect.metrics["f1"] == plain.metrics["f1"]
-
-
-# ----------------------------------------------------------------------
-# back-compat shim
-# ----------------------------------------------------------------------
-def test_baselines_detectors_shim_reexports():
-    from repro.baselines.detectors import (
-        ErrorDetector,
-        PerfectDetector as ShimPerfect,
-        UnionDetector as ShimUnion,
-        ViolationDetector as ShimViolation,
-    )
-    from repro.detect.base import Detector
-
-    assert ErrorDetector is Detector
-    assert ShimPerfect is PerfectDetector
-    assert ShimUnion is UnionDetector
-    assert ShimViolation is ViolationDetector

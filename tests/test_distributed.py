@@ -9,6 +9,7 @@ from repro.distributed.driver import DistributedMLNClean
 from repro.distributed.executor import SimulatedCluster
 from repro.distributed.partition import DataPartitioner, hash_partition
 from repro.distributed.weights import GlobalWeightStore, fuse_weights
+from repro.workloads.registry import recommended_config
 
 
 def toy_table(rows: int = 40) -> Table:
@@ -139,7 +140,7 @@ def test_distributed_single_worker_matches_standalone(sample_table, sample_rules
 
 
 def test_distributed_on_workload(hai_instance):
-    config = MLNCleanConfig.for_dataset("hai")
+    config = recommended_config("hai")
     report = DistributedMLNClean(workers=2, config=config).clean(
         hai_instance.dirty, hai_instance.rules, hai_instance.ground_truth
     )

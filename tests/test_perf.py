@@ -2,10 +2,10 @@
 
 The load-bearing properties:
 
-* ``bounded_distance(l, r, c)`` equals the exact distance whenever that
-  distance is ``≤ c`` (and exceeds ``c`` otherwise) — this is what makes the
-  best-so-far searches in AGP and RSC bit-identical to exhaustive scans,
-* cache-enabled and cache-disabled runs produce identical cleaned tables,
+* a query with cutoff ``c`` measures a candidate exactly whenever its
+  distance is ``≤ c`` and otherwise leaves at most a true lower bound ``> c``
+  behind — this is what makes the best-so-far searches in AGP and RSC
+  bit-identical to exhaustive scans,
 * ``parallelism=2`` batch output equals serial output (table + F1) on every
   registered workload,
 * re-cleaning an unchanged block through a shared engine re-runs no raw
@@ -15,10 +15,15 @@ The load-bearing properties:
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.core.config import MLNCleanConfig
 from repro.core.index import MLNIndex
 from repro.core.pipeline import MLNClean
@@ -97,14 +102,20 @@ def test_levenshtein_fastpath_matches_full_dp(left, right):
 
 @given(short_text, short_text, cutoffs)
 def test_bounded_distance_exact_iff_within_cutoff(left, right, cutoff):
-    engine = DistanceEngine(LevenshteinDistance(), cache=False)
+    # qgram_size=1 keeps the count filter weak, so most pairs reach the
+    # banded exact-or-prune evaluation instead of being filtered up front
+    engine = DistanceEngine(LevenshteinDistance(), qgram_size=1)
     exact = LevenshteinDistance().distance(left, right)
-    bounded = engine.bounded_distance(left, right, cutoff)
+    position, distance = engine.nearest((left,), [(right,)], cutoff)
     if exact <= cutoff:
-        assert bounded == exact
+        assert (position, distance) == (0, exact)
     else:
-        assert bounded > cutoff
-        assert bounded <= exact  # the not-exact value is a true lower bound
+        assert (position, distance) == (None, math.inf)
+        # a pruned pair leaves at most a true lower bound in the memo ...
+        for bound in engine._lower.values():
+            assert cutoff < bound <= exact
+    # ... which is never served as a distance
+    assert engine.nearest((left,), [(right,)]) == (0, exact)
 
 
 @given(short_text, short_text, st.integers(min_value=0, max_value=10))
@@ -121,15 +132,17 @@ def test_bounded_levenshtein_helper_contract(left, right, radius):
 
 
 def test_bounded_distance_caches_exact_and_lower_bounds():
-    engine = DistanceEngine(LevenshteinDistance())
-    assert engine.bounded_distance("kitten", "sitting", 1.0) > 1.0
+    # equal unigram bags: the q=1 count filter cannot dismiss the pair, so
+    # the banded search has to
+    engine = DistanceEngine(LevenshteinDistance(), qgram_size=1)
+    assert engine.nearest(("abcd",), [("dcba",)], 1.0) == (None, math.inf)
     assert engine.stats.band_prunes + engine.stats.length_prunes == 1
     # the lower bound answers a repeat of the too-tight query from cache ...
-    assert engine.bounded_distance("kitten", "sitting", 1.0) > 1.0
+    assert engine.nearest(("abcd",), [("dcba",)], 1.0) == (None, math.inf)
     assert engine.stats.lower_bound_hits == 1
     # ... but a wider cutoff recomputes and gets the exact value
-    assert engine.bounded_distance("kitten", "sitting", 5.0) == 3.0
-    assert engine.distance("kitten", "sitting") == 3.0
+    assert engine.nearest(("abcd",), [("dcba",)], 5.0) == (0, 4.0)
+    assert engine.distance("abcd", "dcba") == 4.0
     assert engine.stats.cache_hits >= 2
 
 
@@ -148,14 +161,24 @@ def test_values_distance_matches_metric_bit_for_bit():
 
 
 def test_values_distance_cutoff_short_circuits_exactly():
-    engine = DistanceEngine(LevenshteinDistance())
-    left = ("AAAA", "BBBB", "CCCC")
-    right = ("AXAA", "BXBB", "CXCC")  # true per-pair distance 1 each
-    assert engine.values_distance(left, right, cutoff=3.0) == 3.0
-    assert engine.values_distance(left, right, cutoff=2.0) > 2.0
+    # transpositions: distance 2 per pair, but equal unigram bags, so the
+    # q=1 count filter lets the candidate through to the evaluation
+    left = ("ABCD", "EFGH", "IJKL")
+    right = ("BACD", "FEGH", "JIKL")
+    engine = DistanceEngine(LevenshteinDistance(), qgram_size=1)
+    assert engine.nearest(left, [right], 6.0) == (0, 6.0)
+    assert engine.stats.value_short_circuits == 0
+    # the running sum passes a 1.5 cutoff on the first attribute: the
+    # remaining two are never evaluated
+    engine = DistanceEngine(LevenshteinDistance(), qgram_size=1)
+    assert engine.nearest(left, [right], 1.5) == (None, math.inf)
+    assert engine.stats.value_short_circuits == 1
+    assert engine.stats.calls == 1
     # mismatched tuple lengths are rejected like the metric rejects them
     with pytest.raises(ValueError):
         engine.values_distance(("a",), ("a", "b"))
+    with pytest.raises(ValueError):
+        engine.nearest(("a",), [("a", "b")])
 
 
 def test_cache_hit_statistics_and_symmetry():
@@ -173,28 +196,6 @@ def test_interning_returns_canonical_instances():
     second = engine.intern("DOTH" + "AN")
     assert first is second
     assert engine.intern_values(["A", "B"]) == ("A", "B")
-
-
-def test_max_entries_flushes_wholesale():
-    engine = DistanceEngine(LevenshteinDistance(), max_entries=2)
-    engine.distance("a", "bb")
-    engine.distance("a", "ccc")
-    engine.distance("a", "dddd")  # exceeds the bound: cache flushed first
-    assert engine.stats.cache_evictions == 1
-    assert engine.cache_size() == 1
-    with pytest.raises(ValueError):
-        DistanceEngine(LevenshteinDistance(), max_entries=0)
-
-
-def test_max_entries_also_bounds_the_lower_bound_cache():
-    # Prune-heavy workloads populate the lower-bound side almost
-    # exclusively; the bound must count those entries too.
-    engine = DistanceEngine(LevenshteinDistance(), max_entries=2)
-    engine.bounded_distance("aaaa", "zzzz", 0.0)   # lower bound stored
-    engine.bounded_distance("bbbb", "yyyy", 0.0)
-    engine.bounded_distance("cccc", "xxxx", 0.0)   # hits the bound: flush
-    assert engine.stats.cache_evictions == 1
-    assert len(engine._lower) == 1 and engine.cache_size() == 0
 
 
 def test_release_invalidates_only_dead_values():
@@ -225,21 +226,8 @@ def test_stats_merge_diff_and_absorb():
 
 
 # ----------------------------------------------------------------------
-# equivalence: cache on/off, parallel vs serial
+# equivalence: parallel vs serial
 # ----------------------------------------------------------------------
-def test_cache_enabled_run_is_bit_identical_to_disabled_on_hospital_sample():
-    instance = small_instance("hospital-sample", tuples=60)
-    reports = {}
-    for cached in (True, False):
-        config = MLNCleanConfig(abnormal_threshold=1, distance_cache=cached)
-        reports[cached] = session_for_instance(instance, config=config).run()
-    assert tables_equal(reports[True].cleaned, reports[False].cleaned)
-    assert tables_equal(reports[True].repaired, reports[False].repaired)
-    assert reports[True].f1 == reports[False].f1
-    assert reports[True].details.distance["cache_hits"] > 0
-    assert reports[False].details.distance["cache_hits"] == 0
-
-
 @pytest.mark.parametrize("workload_name", sorted(available_workloads()))
 def test_parallel_two_equals_serial_on_every_workload(workload_name):
     instance = small_instance(workload_name, tuples=80)
@@ -375,13 +363,16 @@ def test_window_eviction_invalidates_cache_entries():
 # config knobs
 # ----------------------------------------------------------------------
 def test_config_engine_honours_cache_knobs():
-    config = MLNCleanConfig(distance_cache=False, distance_cache_entries=None)
-    engine = config.engine()
-    assert engine.cache_enabled is False
-    bounded = MLNCleanConfig(distance_cache_entries=128).engine(track_values=True)
-    assert bounded.max_entries == 128 and bounded.track_values is True
-    with pytest.raises(ValueError):
-        MLNCleanConfig(distance_cache_entries=0)
+    # the pair memo is unconditional; value tracking (streaming eviction)
+    # is the one cache setting left
+    engine = MLNCleanConfig().engine(track_values=True)
+    assert engine.track_values is True
+    engine.distance("DOTHAN", "BOAZ")
+    engine.distance("BOAZ", "DOTHAN")
+    assert engine.stats.cache_hits == 1
+    for removed in ("distance_cache", "distance_cache_entries", "distance_kernel"):
+        with pytest.raises(TypeError, match=removed):
+            MLNCleanConfig(**{removed: None})
 
 
 @settings(deadline=None)
@@ -395,4 +386,30 @@ def test_engine_distance_equals_metric_distance(left, right):
 
 def test_bounded_distance_with_infinite_cutoff_is_exact():
     engine = DistanceEngine(LevenshteinDistance())
-    assert engine.bounded_distance("kitten", "sitting", math.inf) == 3.0
+    assert engine.nearest(("kitten",), [("sitting",)], math.inf) == (0, 3.0)
+    assert engine.pairwise([("kitten",), ("sitting",)]) == [(1, 3.0), (0, 3.0)]
+    assert engine.stats.raw_evaluations == 1  # the pair is measured once
+
+
+def test_cleaning_imports_no_numpy():
+    """The core is zero-dependency: a whole cleaning run never loads numpy."""
+    script = (
+        "import sys\n"
+        "from repro import MLNClean, MLNCleanConfig\n"
+        "from repro.dataset.sample import sample_hospital_rules, sample_hospital_table\n"
+        "MLNClean(MLNCleanConfig()).clean(sample_hospital_table(), sample_hospital_rules())\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    source_root = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (source_root, env.get("PYTHONPATH")) if path
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr

@@ -657,6 +657,18 @@ def test_http_bad_cleaner_options_are_400(client):
     assert "bogus_knob" in excinfo.value.payload["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "knob", ["distance_kernel", "distance_cache", "distance_cache_entries"]
+)
+def test_http_removed_config_knob_is_400_naming_the_field(client, knob):
+    with pytest.raises(ServiceError) as excinfo:
+        client.clean(workload="hospital-sample", tuples=12, config={knob: "numpy"})
+    assert excinfo.value.status == 400
+    message = excinfo.value.payload["error"]["message"]
+    assert "bad config overrides" in message
+    assert knob in message
+
+
 def test_http_apply_time_delta_errors_are_400(client):
     with pytest.raises(ServiceError) as excinfo:
         client.deltas(

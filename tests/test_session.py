@@ -444,4 +444,3 @@ def test_registered_workload_declares_its_config():
 
     register_workload("tiny-tau-test", TinyGenerator)
     assert recommended_config("tiny-tau-test").abnormal_threshold == 33
-    assert MLNCleanConfig.for_dataset("tiny-tau-test").abnormal_threshold == 33

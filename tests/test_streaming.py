@@ -19,7 +19,6 @@ from repro.streaming import (
     DeltaBatch,
     IncrementalMLNIndex,
     Insert,
-    SampleHospitalWorkloadGenerator,
     SlidingWindow,
     StreamingMLNClean,
     TableStreamSource,
@@ -30,8 +29,10 @@ from repro.streaming import (
 from repro.workloads.registry import (
     available_workloads,
     get_workload_generator,
+    recommended_config,
     register_workload,
 )
+from repro.workloads.sample import SampleHospitalWorkloadGenerator
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +130,7 @@ def test_replay_equivalence_on_injected_workload():
     source = WorkloadStreamSource(
         "hai", tuples=120, batch_size=40, error_spec=ErrorSpec(error_rate=0.06)
     )
-    config = MLNCleanConfig.for_dataset("hai")
+    config = recommended_config("hai")
     batch_report = MLNClean(config).clean(
         source.dirty.copy(), source.rules, source.ground_truth
     )
@@ -147,7 +148,7 @@ def test_updates_and_deletes_stay_equivalent():
     source = WorkloadStreamSource(
         "hai", tuples=100, batch_size=100, error_spec=ErrorSpec(error_rate=0.05)
     )
-    config = MLNCleanConfig.for_dataset("hai")
+    config = recommended_config("hai")
     engine = StreamingMLNClean(source.rules, source.schema, config=config)
     engine.consume(source)
     victim, gone = engine.dirty.tids[3], engine.dirty.tids[7]
@@ -339,7 +340,7 @@ def test_delta_json_codec_round_trip(sample_table):
 
 def test_engine_evicts_expired_tuples_through_delta_path():
     source = WorkloadStreamSource("hai", tuples=90, batch_size=30)
-    config = MLNCleanConfig.for_dataset("hai")
+    config = recommended_config("hai")
     engine = StreamingMLNClean(
         source.rules, source.schema, config=config, window=SlidingWindow(size=45)
     )
