@@ -199,7 +199,7 @@ class AbnormalGroupProcessor:
 
         One batch :meth:`~repro.perf.DistanceEngine.nearest` query over the
         live normal groups' representatives: the engine owns the visit order
-        (q-gram lower bounds ascending, fed by the block's inverted index),
+        (unigram lower bounds ascending, from the engine's cached profiles),
         the best-so-far cutoff and the prune decisions.  ``normal_keys`` is
         sorted, so the engine's smallest-position tie-break is exactly the
         smallest-key tie-break of the scalar loop it replaces — the selected
@@ -218,9 +218,7 @@ class AbnormalGroupProcessor:
             candidates.append(group.representative().values)
         if not candidates:
             return None
-        best_position, _ = self.engine.nearest(
-            abnormal_repr.values, candidates, index=block.qgram_index
-        )
+        best_position, _ = self.engine.nearest(abnormal_repr.values, candidates)
         if best_position is None:
             return None
         return live_keys[best_position]

@@ -51,15 +51,8 @@ class MLNCleanConfig:
     remove_duplicates: bool = True
     #: collect per-stage component metrics when a ground truth is available
     instrument: bool = True
-    #: gram length of the q-gram candidate filter (HoloClean analog:
-    #: ``domain_prune_thresh``'s gram side); pruning stays exact at any q —
-    #: the filter only orders and lower-bounds candidates.  ``1`` (the
-    #: default) is the positional bag-distance bound, which measured
-    #: near-optimal on the paper's workloads: one edit destroys at most one
-    #: unigram, so the bound's divisor is 1 instead of q
-    qgram_size: int = 1
     #: approximation knob (HoloClean analog: ``pruning_topk``): per batch
-    #: query keep only the k candidates with the smallest q-gram lower
+    #: query keep only the k candidates with the smallest unigram lower
     #: bounds.  ``None`` (default) = exact semantics
     pruning_topk: Optional[int] = None
     #: approximation knob (HoloClean analog: ``max_domain``): hard cap on the
@@ -80,8 +73,6 @@ class MLNCleanConfig:
             raise ValueError("fscr_exhaustive_limit must be >= 1")
         if self.fscr_minimality_bias < 0:
             raise ValueError("fscr_minimality_bias must be >= 0")
-        if self.qgram_size < 1:
-            raise ValueError("qgram_size must be >= 1")
         if self.pruning_topk is not None and self.pruning_topk < 1:
             raise ValueError("pruning_topk must be >= 1 (or None for exact)")
         if self.max_candidates is not None and self.max_candidates < 1:

@@ -8,17 +8,20 @@ tuple restricted to the rule's attributes, so a tuple contributes at most one
 every tuple.
 
 Index construction is lines 1-13 of Algorithm 1 and costs
-``O(|B| × |T|)``.
+``O(|B| × |T|)``.  Blocks hold only their groups and γs: the distance
+searches of Stage I bound candidates from the distance engine's own cached
+value profiles (:mod:`repro.perf.qgram`), so the index keeps no auxiliary
+search structure to maintain under deltas.
 """
 
 from __future__ import annotations
 
+import warnings
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import Optional
 
 from repro.constraints.rules import Rule
 from repro.dataset.table import Table
-from repro.perf.qgram import QGramIndex
 
 
 class DataPiece:
@@ -179,24 +182,6 @@ class Block:
         self.rule = rule
         #: groups keyed by reason-part values
         self.groups: dict[tuple[str, ...], Group] = {}
-        #: optional q-gram candidate index over the block's γ values; built
-        #: once via :meth:`enable_qgram_index` and maintained incrementally
-        #: by :meth:`add_tuple` / :meth:`remove_tuple` (the streaming delta
-        #: hooks), so batch queries can count-filter candidates without a
-        #: rebuild.  Cleaning mutations bypass these hooks on purpose: stale
-        #: postings are harmless because every query is restricted to an
-        #: explicit live candidate set (see :class:`repro.perf.qgram.QGramIndex`).
-        self.qgram_index: Optional[QGramIndex] = None
-
-    def enable_qgram_index(self, q: int) -> QGramIndex:
-        """Build (or rebuild with a different ``q``) the block's q-gram index."""
-        if self.qgram_index is None or self.qgram_index.q != q:
-            index = QGramIndex(q)
-            for group in self.groups.values():
-                for piece in group.pieces.values():
-                    index.add(piece.values)
-            self.qgram_index = index
-        return self.qgram_index
 
     @property
     def name(self) -> str:
@@ -236,8 +221,6 @@ class Block:
         if piece is None:
             piece = DataPiece(self.rule, reason_values, result_values)
             group.pieces[piece.key] = piece
-            if self.qgram_index is not None:
-                self.qgram_index.add(piece.values)
         piece.add_tuple(tid)
         return piece
 
@@ -272,11 +255,8 @@ class Block:
         if group is None:
             return None
         piece = group.remove_tuple(tid, key)
-        if piece is not None:
-            if piece.support == 0 and self.qgram_index is not None:
-                self.qgram_index.discard(piece.values)
-            if not group.pieces:
-                del self.groups[key[0]]
+        if piece is not None and not group.pieces:
+            del self.groups[key[0]]
         return piece
 
     def update_tuple(
@@ -348,10 +328,20 @@ class MLNIndex:
     def block(self, rule_name: str) -> Block:
         return self.blocks[rule_name]
 
-    def enable_qgram(self, q: int) -> None:
-        """Build the per-block q-gram candidate indexes (see the blocks)."""
-        for block in self.blocks.values():
-            block.enable_qgram_index(q)
+    def enable_qgram(self, q: int = 1) -> None:
+        """Deprecated no-op: blocks keep no q-gram index since 3.0.
+
+        Batch distance queries bound their candidates from the engine's
+        cached unigram profiles, so there is nothing to build.  The method
+        remains only because the perf benchmark's layer tracer
+        (``benchmarks/perf/layers.py``) hooks it by name; it goes with that
+        hook at the benchmark's next change.
+        """
+        warnings.warn(
+            "MLNIndex.enable_qgram is a no-op since 3.0 (blocks keep no q-gram index)",
+            DeprecationWarning,
+            stacklevel=2,
+        )
 
     # ------------------------------------------------------------------
     # incremental maintenance hooks (used by repro.streaming)

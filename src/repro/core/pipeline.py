@@ -153,22 +153,8 @@ class MLNClean:
 
             # Pre-processing: MLN index construction (lines 1-13 of Alg. 1).
             with stage_scope(timings, "batch", "index") as index_span:
-                index = MLNIndex.build(dirty, rules)
-                context.blocks = index.block_list
+                context.blocks = MLNIndex.build(dirty, rules).block_list
                 index_span.set(blocks=len(context.blocks))
-
-            # Candidate-pruning support: per-block q-gram indexes for the
-            # engine's batch API (skipped for metrics without a valid gram
-            # bound, where batch queries scan plainly anyway).
-            if context.engine.supports_qgram:
-                with stage_scope(timings, "batch", "qgram-index") as qgram_span:
-                    index.enable_qgram(context.engine.qgram_size)
-                    qgram_span.set(
-                        values=sum(
-                            len(block.qgram_index or ())
-                            for block in context.blocks
-                        )
-                    )
 
             # The stage sequence (Stage I lines 14-17, Stage II line 18 +
             # dedup).

@@ -32,8 +32,8 @@ class DistanceMetric(ABC):
     #: :class:`repro.perf.DistanceEngine` runs under a cutoff computes this
     #: metric exactly (only plain Levenshtein)
     supports_banded: bool = False
-    #: how many bound-destroying edit operations one q-gram mismatch may
-    #: correspond to for this metric, or ``None`` when the q-gram count
+    #: how many bound-destroying edit operations one unigram mismatch may
+    #: correspond to for this metric, or ``None`` when the unigram count
     #: filter of :mod:`repro.perf.qgram` is not a valid lower bound (which
     #: disables candidate pruning — batch queries fall back to a plain
     #: ordered scan).  ``1`` for Levenshtein; ``2`` for restricted Damerau,

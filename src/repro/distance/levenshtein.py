@@ -26,7 +26,7 @@ class LevenshteinDistance(DistanceMetric):
     affix_safe = True
     #: the banded bounded search of repro.perf computes this metric exactly
     supports_banded = True
-    #: one edit operation destroys at most q positional q-grams
+    #: one edit operation destroys at most one positional unigram
     qgram_edit_ops = 1
 
     def distance(self, left: str, right: str) -> float:
@@ -71,7 +71,7 @@ class DamerauLevenshteinDistance(DistanceMetric):
     affix_safe = True
     #: the Levenshtein gram bound applies through d_lev <= 2 * d_damerau
     #: (a transposition is two substitutions to plain Levenshtein), so one
-    #: restricted-Damerau operation may destroy up to 2q grams
+    #: restricted-Damerau operation may destroy up to 2 unigrams
     qgram_edit_ops = 2
 
     def distance(self, left: str, right: str) -> float:

@@ -289,7 +289,7 @@ class DistributedMLNClean:
         self,
         dirty: Table,
         rules: Sequence[Rule],
-        engine: Optional[DistanceEngine] = None,
+        engine: DistanceEngine,
     ) -> DataPartitioner:
         """Algorithm-3 partitioner measuring distance on the rule attributes.
 
@@ -305,9 +305,7 @@ class DistributedMLNClean:
                     attributes.append(attribute)
         return DataPartitioner(
             parts=self.workers,
-            # the engine duck-types as a metric (values_distance) and caches
-            # the centroid comparisons the heap maintenance keeps re-asking
-            metric=engine if engine is not None else self.config.metric(),
+            engine=engine,
             sample_attributes=attributes or None,
         )
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.dataset.table import Table
-from repro.distance.base import DistanceMetric, get_metric
+from repro.distance.base import get_metric
+from repro.perf.engine import DistanceEngine
 
 
 @dataclass
@@ -66,19 +67,25 @@ class PartitionResult:
 
 
 class DataPartitioner:
-    """Partitions a table into ``k`` capacity-bounded parts (Algorithm 3)."""
+    """Partitions a table into ``k`` capacity-bounded parts (Algorithm 3).
+
+    Tuple-to-centroid distances go through a :class:`DistanceEngine`: the
+    distributed driver passes the run's shared engine, which caches the
+    centroid comparisons the heap maintenance keeps re-asking; without one
+    the partitioner builds its own Levenshtein engine.
+    """
 
     def __init__(
         self,
         parts: int,
-        metric: Optional[DistanceMetric] = None,
+        engine: Optional[DistanceEngine] = None,
         seed: int = 13,
         sample_attributes: Optional[Sequence[str]] = None,
     ):
         if parts < 1:
             raise ValueError("the number of parts must be >= 1")
         self.parts = parts
-        self.metric = metric or get_metric("levenshtein")
+        self.engine = engine or DistanceEngine(get_metric("levenshtein"))
         self.seed = seed
         #: attributes used in the tuple distance (all attributes by default);
         #: restricting them speeds up partitioning of wide tables
@@ -109,7 +116,7 @@ class DataPartitioner:
         remaining = [tid for tid in tids if tid not in set(centroid_tids)]
         for tid in remaining:
             distances = [
-                self.metric.values_distance(values[tid], centroids[index])
+                self.engine.values_distance(values[tid], centroids[index])
                 for index in range(parts)
             ]
             closest = min(range(parts), key=lambda index: distances[index])
@@ -160,23 +167,12 @@ class DataPartitioner:
             # All parts are at capacity (can only happen through rounding on
             # the very last tuple); relax the bound for the closest part.
             open_parts = [p.index for p in partitions]
-        nearest = getattr(self.metric, "nearest", None)
-        if nearest is not None:
-            # A DistanceEngine: one batch query with best-so-far pruning
-            # (the smallest-position tie-break equals min()'s first-minimal
-            # pick because open_parts is ascending).
-            offset, distance = nearest(
-                values[tid], [centroids[index] for index in open_parts]
-            )
-            best = open_parts[offset]
-        else:
-            best = min(
-                open_parts,
-                key=lambda index: self.metric.values_distance(
-                    values[tid], centroids[index]
-                ),
-            )
-            distance = self.metric.values_distance(values[tid], centroids[best])
+        # One batch query with best-so-far pruning; open_parts ascends, so the
+        # smallest-position tie-break picks the lowest-numbered closest part.
+        offset, distance = self.engine.nearest(
+            values[tid], [centroids[index] for index in open_parts]
+        )
+        best = open_parts[offset]
         self._insert(partitions[best], heaps[best], tid, distance)
 
 

@@ -3,7 +3,8 @@
 :mod:`repro.perf.engine` provides the cached / pruned / early-exit
 :class:`DistanceEngine` every stage runs its string distances through, with
 one scalar exact-or-prune evaluation path behind its batch candidate-set API
-and the q-gram lower bounds of :mod:`repro.perf.qgram` ordering candidates;
+and the positional unigram lower bounds of :mod:`repro.perf.qgram` (computed
+from each value tuple's cached profile) ordering candidates;
 :mod:`repro.perf.parallel` fans independent Stage-I blocks out to worker
 processes for the batch backend's opt-in ``parallelism=N`` mode.
 
@@ -18,14 +19,13 @@ from repro.perf.engine import (
     global_distance_stats,
     reset_global_distance_stats,
 )
-from repro.perf.qgram import QGramIndex, ValueProfile, build_profile
+from repro.perf.qgram import ValueProfile, build_profile
 from repro.perf.stats import LatencyWindow
 
 __all__ = [
     "DistanceEngine",
     "DistanceStats",
     "LatencyWindow",
-    "QGramIndex",
     "ValueProfile",
     "build_profile",
     "global_distance_stats",

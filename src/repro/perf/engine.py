@@ -16,9 +16,11 @@ micro-batches and partitions.  :class:`DistanceEngine` wraps any registered
   exceeded,
 * a **batch candidate-set API** (:meth:`~DistanceEngine.nearest`,
   :meth:`~DistanceEngine.pairwise`, :meth:`~DistanceEngine.topk`) that
-  visits candidates in q-gram lower-bound order and scans them best-so-far
-  with cutoff-accumulating tuple distances, which stop as soon as the
-  per-attribute running sum exceeds the cutoff.
+  visits candidates in ascending order of a positional unigram lower bound
+  (:mod:`repro.perf.qgram`, computed from each value tuple's cached
+  profile) and scans them best-so-far with cutoff-accumulating tuple
+  distances, which stop as soon as the per-attribute running sum exceeds
+  the cutoff.
 
 Every candidate is settled by one scalar exact-or-prune evaluation: it
 returns the **exact** distance whenever that is ``≤`` the running cutoff,
@@ -53,15 +55,10 @@ from repro.distance.fastpath import (
     strip_common_affixes,
     trivial_edit_distance,
 )
-from repro.perf.qgram import (
-    QGramIndex,
-    bound_from_shared,
-    build_profile,
-    lower_bound,
-)
+from repro.perf.qgram import build_profile, lower_bound
 
 #: flush bound of the per-engine derived caches (value-tuple interning and
-#: q-gram profiles); both are pure functions of their key, so a wholesale
+#: unigram profiles); both are pure functions of their key, so a wholesale
 #: flush can never change a result — it only costs recomputation
 _DERIVED_CACHE_LIMIT = 1 << 16
 
@@ -97,7 +94,7 @@ class DistanceStats:
     batch_queries: int = 0
     #: candidates considered by batch queries (before any filtering)
     qgram_candidates: int = 0
-    #: candidates batch queries never evaluated exactly: q-gram lower bound
+    #: candidates batch queries never evaluated exactly: unigram lower bound
     #: above the running cutoff, or dropped by the approximation caps
     qgram_filtered: int = 0
 
@@ -241,18 +238,14 @@ class DistanceEngine:
         self,
         metric: DistanceMetric,
         track_values: bool = False,
-        qgram_size: int = 2,
         pruning_topk: Optional[int] = None,
         max_candidates: Optional[int] = None,
     ):
-        if qgram_size < 1:
-            raise ValueError("qgram_size must be >= 1")
         if pruning_topk is not None and pruning_topk < 1:
             raise ValueError("pruning_topk must be >= 1 (or None for exact)")
         if max_candidates is not None and max_candidates < 1:
             raise ValueError("max_candidates must be >= 1 (or None for exact)")
         self.metric = metric
-        self.qgram_size = qgram_size
         self.pruning_topk = pruning_topk
         self.max_candidates = max_candidates
         #: reference-count values so streaming eviction can invalidate
@@ -267,13 +260,13 @@ class DistanceEngine:
         self._lower: dict = {}
         self._interned: dict = {}
         self._interned_tuples: dict = {}
-        self._qgram_profiles: dict = {}
+        self._profiles: dict = {}
         self._refcounts: dict = {}
         self._pairs_by_value: dict = {}
         self._affix_safe = bool(getattr(metric, "affix_safe", False))
         self._banded = bool(getattr(metric, "supports_banded", False))
-        #: bound-destroying edit operations per q-gram (``None`` disables the
-        #: count filter for this metric — batch queries fall back to the
+        #: bound-destroying edit operations per unigram (``None`` disables
+        #: the count filter for this metric — batch queries fall back to the
         #: plain ordered scan, which is still bit-identical)
         self._qgram_ops = getattr(metric, "qgram_edit_ops", None)
         _register_engine(self)
@@ -284,15 +277,9 @@ class DistanceEngine:
         return cls(
             config.metric(),
             track_values=track_values,
-            qgram_size=config.qgram_size,
             pruning_topk=config.pruning_topk,
             max_candidates=config.max_candidates,
         )
-
-    @property
-    def supports_qgram(self) -> bool:
-        """Whether the wrapped metric admits the q-gram count filter."""
-        return self._qgram_ops is not None
 
     # ------------------------------------------------------------------
     # interning and cache plumbing
@@ -488,9 +475,8 @@ class DistanceEngine:
         """Sum of per-position distances.
 
         Equals :meth:`repro.distance.base.DistanceMetric.values_distance` bit
-        for bit (same per-pair values, same left-to-right summation order),
-        so an engine can stand in for a metric (the distributed partitioner
-        takes either).
+        for bit (same per-pair values, same left-to-right summation order);
+        the distributed partitioner ranks centroids with it.
         """
         if len(left) != len(right):
             raise ValueError("value tuples must have the same length")
@@ -532,7 +518,7 @@ class DistanceEngine:
     #
     # The batch-first surface of the engine: callers hand over a *candidate
     # set* instead of issuing scalar best-so-far calls, and the engine owns
-    # the visit order (q-gram lower bounds ascending), the pruning (skip a
+    # the visit order (unigram lower bounds ascending), the pruning (skip a
     # candidate only when its lower bound strictly exceeds the running
     # cutoff).  With the default knobs every result is bit-identical to the
     # brute-force scalar loop: any candidate whose exact distance ties the
@@ -542,54 +528,34 @@ class DistanceEngine:
     # query may evaluate.
     # ------------------------------------------------------------------
     def _profile(self, values: "tuple[str, ...]"):
-        """The (cached) positional q-gram profile of an interned tuple."""
-        profile = self._qgram_profiles.get(values)
+        """The (cached) positional unigram profile of an interned tuple."""
+        profile = self._profiles.get(values)
         if profile is None:
-            if len(self._qgram_profiles) >= _DERIVED_CACHE_LIMIT:
-                self._qgram_profiles.clear()
-            profile = build_profile(values, self.qgram_size)
-            self._qgram_profiles[values] = profile
+            if len(self._profiles) >= _DERIVED_CACHE_LIMIT:
+                self._profiles.clear()
+            profile = build_profile(values)
+            self._profiles[values] = profile
         return profile
 
     def _candidate_order(
         self,
         query: "tuple[str, ...]",
         cands: "list[tuple[str, ...]]",
-        index: "Optional[QGramIndex]",
     ) -> "list[tuple[float, int]]":
         """``(lower_bound, candidate_position)`` in evaluation order.
 
         With a metric that admits the count filter the list is sorted by
         ``(bound, position)`` ascending; otherwise bounds are all zero and
         the input order is kept (a plain ordered scan — still bit-identical).
-        A block's :class:`~repro.perf.qgram.QGramIndex` answers the shared
-        counts from its postings when supplied and built with the same ``q``;
-        candidates missing from it (or any candidates, without an index) fall
-        back to direct profile intersections.
         """
         ops = self._qgram_ops
         if ops is None:
             return [(0.0, position) for position in range(len(cands))]
-        q = self.qgram_size
-        if index is not None and index.q == q:
-            query_profile = index.profile(query) or self._profile(query)
-            shared = index.shared_counts(query_profile, set(cands))
-            order = []
-            for position, cand in enumerate(cands):
-                cand_profile = index.profile(cand)
-                if cand_profile is None:
-                    bound = lower_bound(query_profile, self._profile(cand), q, ops)
-                else:
-                    bound = bound_from_shared(
-                        query_profile, cand_profile, shared.get(cand, 0), q, ops
-                    )
-                order.append((bound, position))
-        else:
-            query_profile = self._profile(query)
-            order = [
-                (lower_bound(query_profile, self._profile(cand), q, ops), position)
-                for position, cand in enumerate(cands)
-            ]
+        query_profile = self._profile(query)
+        order = [
+            (lower_bound(query_profile, self._profile(cand), ops), position)
+            for position, cand in enumerate(cands)
+        ]
         order.sort()
         return order
 
@@ -646,8 +612,6 @@ class DistanceEngine:
         query: "Sequence[str]",
         candidates: "Sequence[Sequence[str]]",
         cutoff: float = math.inf,
-        *,
-        index: "Optional[QGramIndex]" = None,
     ) -> "tuple[Optional[int], float]":
         """The candidate nearest to ``query`` within ``cutoff``.
 
@@ -663,14 +627,11 @@ class DistanceEngine:
         if not cands:
             return None, math.inf
         cands = self._capped_candidates(cands)
-        order = self._capped_order(self._candidate_order(query, cands, index))
+        order = self._capped_order(self._candidate_order(query, cands))
         return self._scan_nearest(query, cands, order, cutoff)
 
     def pairwise(
-        self,
-        values: "Sequence[Sequence[str]]",
-        *,
-        index: "Optional[QGramIndex]" = None,
+        self, values: "Sequence[Sequence[str]]"
     ) -> "list[tuple[Optional[int], float]]":
         """Per item: ``(position_of_nearest_other_item, min_distance)``.
 
@@ -689,17 +650,13 @@ class DistanceEngine:
         ops = self._qgram_ops
         bounds = None
         if ops is not None:
-            q = self.qgram_size
-            if index is not None and index.q == q:
-                profiles = [index.profile(item) or self._profile(item) for item in items]
-            else:
-                profiles = [self._profile(item) for item in items]
+            profiles = [self._profile(item) for item in items]
             bounds = [[0.0] * count for _ in range(count)]
             for i in range(count):
                 for j in range(i + 1, count):
                     if items[i] is items[j]:
                         continue
-                    value = lower_bound(profiles[i], profiles[j], q, ops)
+                    value = lower_bound(profiles[i], profiles[j], ops)
                     bounds[i][j] = value
                     bounds[j][i] = value
         results: "list[tuple[Optional[int], float]]" = []
@@ -723,8 +680,6 @@ class DistanceEngine:
         candidates: "Sequence[Sequence[str]]",
         k: int,
         cutoff: float = math.inf,
-        *,
-        index: "Optional[QGramIndex]" = None,
     ) -> "list[tuple[int, float]]":
         """The ``k`` candidates nearest to ``query``, within ``cutoff``.
 
@@ -742,7 +697,7 @@ class DistanceEngine:
         if not cands:
             return []
         cands = self._capped_candidates(cands)
-        order = self._capped_order(self._candidate_order(query, cands, index))
+        order = self._capped_order(self._candidate_order(query, cands))
         selected: "list[tuple[float, int]]" = []
         limit = cutoff
         total = len(order)

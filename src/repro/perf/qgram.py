@@ -1,31 +1,28 @@
-"""Q-gram candidate filtering for the batch distance API.
+"""The positional unigram lower bound of the batch distance API.
 
-The count-filtering bound (Gravano et al., approximate string joins): two
-strings within edit distance ``k`` share at least
+The count-filtering bound (Gravano et al., approximate string joins) at
+gram length 1, i.e. the bag distance: one edit operation destroys at most
+one character occurrence, so two strings sharing ``S`` characters (counted
+as a multiset intersection) satisfy
 
-    max(|x|, |y|) - q + 1 - k*q
-
-positional ``q``-grams, because one edit operation can destroy at most ``q``
-grams.  Rearranged, the number of shared grams ``S`` yields a lower bound of
-the edit distance,
-
-    ed(x, y) >= ceil((G - S) / q)      with G = max gram count of the pair,
+    ed(x, y) >= max(|x|, |y|) - S,
 
 which combines with the length-difference bound ``|len(x) - len(y)|``.  For
 value *tuples* (the γs of the MLN index) the per-attribute bounds add up:
-grams are tagged with their attribute position so grams of different
-attributes never count as shared, and the aggregate bound
+characters are tagged with their attribute position so characters of
+different attributes never count as shared, and the aggregate bound
 
-    values_distance(x, y) >= max(Σ_p |Δlen_p|, ceil((Σ_p G_p - Σ_p S_p) / q))
+    values_distance(x, y) >= max(Σ_p |Δlen_p|, ceil((Σ_p max_len_p - Σ_p S_p) / ops))
 
 is a valid lower bound of the per-position sum (each summand bounds its
 position's distance from below).
 
-Metrics declare how many bound-destroying grams one edit operation is worth
-via :attr:`repro.distance.base.DistanceMetric.qgram_edit_ops` — ``1`` for
-plain Levenshtein, ``2`` for restricted Damerau (a transposition is two
+Metrics declare how many bound-destroying edit operations one of their
+operations is worth via
+:attr:`repro.distance.base.DistanceMetric.qgram_edit_ops` — ``1`` for plain
+Levenshtein, ``2`` for restricted Damerau (a transposition is two
 substitutions to Levenshtein, whose bound is the one actually applied) and
-``None`` for metrics without a valid gram bound (cosine, jaccard), which
+``None`` for metrics without a valid bound (cosine, jaccard), which
 disables filtering entirely.
 
 Everything here returns **lower bounds only**; the exact-or-prune discipline
@@ -37,11 +34,10 @@ cutoff — exactly the pairs whose exact distance could never win.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Optional
 
 
 class ValueProfile:
-    """The positional q-gram profile of one value tuple."""
+    """The positional unigram profile of one value tuple."""
 
     __slots__ = ("values", "grams", "lengths")
 
@@ -59,161 +55,40 @@ class ValueProfile:
         return f"ValueProfile({self.values!r}, grams={len(self.grams)})"
 
 
-def build_profile(values: "Sequence[str]", q: int) -> ValueProfile:
-    """The positional q-gram profile of ``values``.
+def build_profile(values: "Sequence[str]") -> ValueProfile:
+    """The positional unigram profile of ``values``.
 
-    Grams are keyed ``(position, gram)`` so attributes never share grams;
-    strings shorter than ``q`` contribute no grams (their bound falls back
-    to the length difference alone, which keeps it trivially valid).
+    Characters are keyed ``(position, character)`` so attributes never
+    share them.
     """
     grams: "dict[tuple[int, str], int]" = {}
     for position, value in enumerate(values):
-        count = len(value) - q + 1
-        for start in range(count):
-            key = (position, value[start : start + q])
+        for character in value:
+            key = (position, character)
             grams[key] = grams.get(key, 0) + 1
     return ValueProfile(tuple(values), grams, tuple(len(v) for v in values))
 
 
-def shared_grams(left: ValueProfile, right: ValueProfile) -> int:
-    """Σ over grams of ``min(count_left, count_right)`` (positional)."""
-    if len(right.grams) < len(left.grams):
-        left, right = right, left
-    other = right.grams
-    shared = 0
-    for key, count in left.grams.items():
-        partner = other.get(key)
-        if partner:
-            shared += count if count < partner else partner
-    return shared
-
-
-def _length_and_gram_caps(
-    left: ValueProfile, right: ValueProfile, q: int
-) -> "tuple[int, int]":
-    """``(Σ|Δlen_p|, Σ max-gram-count_p)`` of the pair."""
+def lower_bound(left: ValueProfile, right: ValueProfile, edit_ops: int) -> float:
+    """A lower bound of ``values_distance(left.values, right.values)``."""
     length_bound = 0
     gram_cap = 0
     for len_left, len_right in zip(left.lengths, right.lengths):
         bigger = len_left if len_left >= len_right else len_right
         length_bound += bigger - (len_left + len_right - bigger)
-        grams = bigger - q + 1
-        if grams > 0:
-            gram_cap += grams
-    return length_bound, gram_cap
-
-
-def bound_from_shared(
-    left: ValueProfile,
-    right: ValueProfile,
-    shared: int,
-    q: int,
-    edit_ops: int,
-) -> float:
-    """The pair's lower bound given its shared-gram count."""
-    length_bound, gram_cap = _length_and_gram_caps(left, right, q)
+        gram_cap += bigger
+    # the positional multiset intersection, walked from the smaller profile
+    small, large = left.grams, right.grams
+    if len(large) < len(small):
+        small, large = large, small
+    shared = 0
+    for key, count in small.items():
+        partner = large.get(key)
+        if partner:
+            shared += count if count < partner else partner
     bound = length_bound
     if gram_cap > shared:
-        divisor = q * edit_ops
-        gram_bound = (gram_cap - shared + divisor - 1) // divisor
+        gram_bound = (gram_cap - shared + edit_ops - 1) // edit_ops
         if gram_bound > bound:
             bound = gram_bound
     return float(bound)
-
-
-def lower_bound(
-    left: ValueProfile, right: ValueProfile, q: int, edit_ops: int
-) -> float:
-    """A lower bound of ``values_distance(left.values, right.values)``."""
-    return bound_from_shared(left, right, shared_grams(left, right), q, edit_ops)
-
-
-class QGramIndex:
-    """A positional q-gram inverted index over the value tuples of one block.
-
-    Built once at index time and maintained incrementally: the MLN index's
-    delta hooks call :meth:`add` / :meth:`discard` as γs are created and
-    destroyed, so a streaming run never rebuilds postings from scratch.
-
-    Cleaning mutations (AGP merges, RSC rewrites) intentionally do **not**
-    maintain the index — they bypass the block's tuple hooks — so postings
-    may contain values whose γ is gone.  That staleness is harmless by
-    construction: every query is restricted to an explicitly supplied live
-    candidate set, and extra postings entries outside it are skipped.  No
-    cleaning mutation ever *creates* values, so live candidates are always
-    present.
-    """
-
-    __slots__ = ("q", "profiles", "postings", "_refs")
-
-    def __init__(self, q: int):
-        if q < 1:
-            raise ValueError("qgram_size must be >= 1")
-        self.q = q
-        #: values tuple → its profile (one per distinct tuple, refcounted)
-        self.profiles: "dict[tuple[str, ...], ValueProfile]" = {}
-        #: (position, gram) → {values tuple: gram count}
-        self.postings: "dict[tuple[int, str], dict[tuple[str, ...], int]]" = {}
-        self._refs: "dict[tuple[str, ...], int]" = {}
-
-    def __len__(self) -> int:
-        return len(self.profiles)
-
-    def add(self, values: "tuple[str, ...]") -> None:
-        """Register one value tuple (refcounted: duplicate adds are cheap)."""
-        count = self._refs.get(values)
-        if count is not None:
-            self._refs[values] = count + 1
-            return
-        self._refs[values] = 1
-        profile = build_profile(values, self.q)
-        self.profiles[values] = profile
-        for key, gram_count in profile.grams.items():
-            bucket = self.postings.get(key)
-            if bucket is None:
-                bucket = {}
-                self.postings[key] = bucket
-            bucket[values] = gram_count
-
-    def discard(self, values: "tuple[str, ...]") -> None:
-        """Drop one reference to a value tuple, unindexing the last one."""
-        count = self._refs.get(values)
-        if count is None:
-            return
-        if count > 1:
-            self._refs[values] = count - 1
-            return
-        del self._refs[values]
-        profile = self.profiles.pop(values)
-        for key in profile.grams:
-            bucket = self.postings.get(key)
-            if bucket is not None:
-                bucket.pop(values, None)
-                if not bucket:
-                    del self.postings[key]
-
-    def profile(self, values: "tuple[str, ...]") -> Optional[ValueProfile]:
-        return self.profiles.get(values)
-
-    def shared_counts(
-        self,
-        query: ValueProfile,
-        candidates: "set[tuple[str, ...]]",
-    ) -> "dict[tuple[str, ...], int]":
-        """Shared-gram counts of ``query`` against the given live candidates.
-
-        Walks the postings of the query's grams only, so candidates sharing
-        no gram with the query are never touched (they simply stay at an
-        implicit count of zero).
-        """
-        shared: "dict[tuple[str, ...], int]" = {}
-        postings = self.postings
-        for key, count in query.grams.items():
-            bucket = postings.get(key)
-            if not bucket:
-                continue
-            for values, partner in bucket.items():
-                if values in candidates:
-                    step = count if count < partner else partner
-                    shared[values] = shared.get(values, 0) + step
-        return shared

@@ -162,10 +162,6 @@ class StreamingMLNClean:
         # values, so window eviction invalidates exactly the cache entries of
         # values that left the stream.
         self._engine = self.config.engine(track_values=True)
-        if self._engine.supports_qgram:
-            # Built empty here, then maintained by the delta hooks — the
-            # streaming analog of the batch pipeline's qgram-index stage.
-            self._index.enable_qgram(self._engine.qgram_size)
         self._agp = AbnormalGroupProcessor(self.config, engine=self._engine)
         self._rsc = ReliabilityScoreCleaner(self.config, engine=self._engine)
         self._fscr = FusionScoreResolver(self.config, engine=self._engine)

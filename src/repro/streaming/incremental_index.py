@@ -123,17 +123,6 @@ class IncrementalMLNIndex:
     def statistics(self) -> dict[str, dict[str, int]]:
         return self._index.statistics()
 
-    def enable_qgram(self, q: int) -> None:
-        """Build the per-block q-gram indexes; delta ops maintain them.
-
-        The streaming delta hooks all bottom out in
-        :meth:`repro.core.index.Block.add_tuple` /
-        :meth:`~repro.core.index.Block.remove_tuple`, which register and
-        unregister γ values, so the postings stay current across
-        micro-batches without ever rebuilding.
-        """
-        self._index.enable_qgram(q)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Incremental{self._index!r}"
 
@@ -150,11 +139,6 @@ class IncrementalMLNIndex:
         """
         source = self._index.block(rule_name)
         clone = Block(source.rule)
-        # The clone shares the source block's q-gram index: cleaning the
-        # clone never registers values (its groups are filled directly, not
-        # via add_tuple), and queries against a superset of live values are
-        # safe by the index's staleness contract.
-        clone.qgram_index = source.qgram_index
         groups = sorted(source.groups.values(), key=_group_first_tid)
         for group in groups:
             new_group = Group(group.key)

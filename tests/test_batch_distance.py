@@ -3,14 +3,12 @@
 The load-bearing properties of the sub-quadratic distance core:
 
 * every batch query is *bit-identical* to the brute-force scalar loop it
-  replaces, for every registered metric (the q-gram count filter only
+  replaces, for every registered metric (the unigram count filter only
   orders and lower-bounds candidates, it never approximates),
-* the gram length of the count filter never changes a whole cleaning run,
-  on every registered workload and every execution backend,
+* the count filter never changes a whole cleaning run against the plain
+  ordered scan, on every registered workload and every execution backend,
 * the approximation knobs (``pruning_topk``, ``max_candidates``) default to
   exact semantics and validate their domains,
-* the per-block q-gram indexes are maintained incrementally by the delta
-  hooks, and the pipeline records the ``stage:qgram-index`` span,
 * a cleaning run raises no ``DeprecationWarning``.
 """
 
@@ -23,14 +21,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import MLNCleanConfig
-from repro.core.index import MLNIndex
 from repro.core.pipeline import MLNClean
-from repro.distance import get_metric
+from repro.distance import base as distance_base, get_metric
+from repro.distance.levenshtein import LevenshteinDistance
 from repro.errors.injector import ErrorSpec
 from repro.experiments.harness import session_for_instance
-from repro.perf import DistanceEngine, QGramIndex, build_profile
+from repro.perf import DistanceEngine, build_profile, global_distance_stats
 from repro.perf.qgram import lower_bound
-from repro.workloads.registry import available_workloads, get_workload_generator
+from repro.workloads.registry import (
+    available_workloads,
+    get_workload_generator,
+    recommended_config,
+)
 
 METRICS = ("levenshtein", "damerau", "cosine", "jaccard")
 
@@ -142,62 +144,43 @@ def test_topk_equals_brute_force(metric_name, query, data):
     assert got == [(position, value) for value, position in ranked]
 
 
-@given(query=value_tuples, data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_nearest_honours_a_block_qgram_index(query, data):
-    """An explicit (possibly stale-superset) index never changes the result."""
-    metric = get_metric("levenshtein")
-    width = len(query)
-    candidates = data.draw(
-        st.lists(
-            st.lists(short_text, min_size=width, max_size=width).map(tuple),
-            max_size=8,
-        )
-    )
-    extras = data.draw(
-        st.lists(
-            st.lists(short_text, min_size=width, max_size=width).map(tuple),
-            max_size=3,
-        )
-    )
-    index = QGramIndex(q=1)
-    for candidate in candidates + extras:  # extras: stale superset is safe
-        index.add(candidate)
-    engine = DistanceEngine(metric)
-    assert engine.nearest(query, candidates, index=index) == engine.nearest(
-        query, candidates
-    )
-
-
 # ----------------------------------------------------------------------
-# q-gram lower bound soundness
+# unigram lower bound soundness
 # ----------------------------------------------------------------------
-@given(left=short_text, right=short_text, q=st.integers(min_value=1, max_value=3))
+@given(left=short_text, right=short_text)
 @settings(max_examples=150, deadline=None)
-def test_qgram_lower_bound_never_exceeds_levenshtein(left, right, q):
+def test_qgram_lower_bound_never_exceeds_levenshtein(left, right):
     metric = get_metric("levenshtein")
     bound = lower_bound(
-        build_profile((left,), q), build_profile((right,), q), q, metric.qgram_edit_ops
+        build_profile((left,)), build_profile((right,)), metric.qgram_edit_ops
     )
     assert bound <= metric.distance(left, right)
 
 
 # ----------------------------------------------------------------------
-# the count filter is exact at any gram length, end to end
+# the count filter is exact, end to end
 # ----------------------------------------------------------------------
+class UnfilteredLevenshtein(LevenshteinDistance):
+    """Levenshtein without a gram bound: batch queries scan in input order."""
+
+    qgram_edit_ops = None
+
+
 @pytest.mark.parametrize("workload_name", available_workloads())
 @pytest.mark.parametrize("backend", ["batch", "distributed", "streaming"])
-def test_qgram_size_never_changes_a_run_on_every_workload(workload_name, backend):
-    """Whole cleaning runs are byte-identical at q=1 (default) and q=3."""
+def test_count_filter_never_changes_a_run_on_every_workload(
+    workload_name, backend, monkeypatch
+):
+    """Whole cleaning runs are byte-identical with and without the filter."""
     from dataclasses import replace
 
-    from repro.workloads.registry import recommended_config
-
+    monkeypatch.setitem(distance_base._REGISTRY, "unfiltered", UnfilteredLevenshtein)
     instance = small_instance(workload_name, tuples=60)
     base = recommended_config(instance.name)
-    reports = {}
-    for q in (1, 3):
-        config = replace(base, qgram_size=q)
+    reports, filtered = {}, {}
+    for metric in ("levenshtein", "unfiltered"):
+        config = replace(base, distance_metric=metric)
+        before = global_distance_stats()
         if backend == "streaming":
             from repro.streaming import DeltaBatch, StreamingMLNClean
 
@@ -205,14 +188,17 @@ def test_qgram_size_never_changes_a_run_on_every_workload(workload_name, backend
                 instance.rules, schema=instance.dirty.attributes, config=config
             )
             cleaner.apply_batch(DeltaBatch.from_table(instance.dirty))
-            reports[q] = cleaner.cleaned
+            reports[metric] = cleaner.cleaned
         else:
             options = {"workers": 2} if backend == "distributed" else {}
             session = session_for_instance(
                 instance, config=config, backend=backend, **options
             )
-            reports[q] = session.run().cleaned
-    assert tables_equal(reports[1], reports[3])
+            reports[metric] = session.run().cleaned
+        filtered[metric] = global_distance_stats().diff(before).qgram_filtered
+    # the filter did prune on this run, and the plain scan never does
+    assert filtered["levenshtein"] > 0 and filtered["unfiltered"] == 0
+    assert tables_equal(reports["levenshtein"], reports["unfiltered"])
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +233,7 @@ def test_pruning_topk_keeps_the_most_promising_bounds():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"qgram_size": 0},
+        {"max_candidates": -1},
         {"pruning_topk": 0},
         {"max_candidates": 0},
         {"pruning_topk": -1},
@@ -261,7 +247,7 @@ def test_config_validates_pruning_knobs(kwargs):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"qgram_size": 0},
+        {"max_candidates": -1},
         {"pruning_topk": 0},
         {"max_candidates": 0},
         {"pruning_topk": -1},
@@ -274,44 +260,9 @@ def test_engine_validates_pruning_knobs(kwargs):
 
 def test_pruning_knobs_are_fingerprint_covered():
     base = MLNCleanConfig()
-    assert "qgram_size" in base.identity_dict()
+    assert "qgram_size" not in base.identity_dict()
     assert base.identity_dict() != MLNCleanConfig(pruning_topk=3).identity_dict()
     assert base.identity_dict() != MLNCleanConfig(max_candidates=9).identity_dict()
-
-
-# ----------------------------------------------------------------------
-# incremental q-gram index maintenance
-# ----------------------------------------------------------------------
-def test_block_qgram_index_tracks_adds_and_removes(sample_table, sample_rules):
-    index = MLNIndex.build(sample_table, sample_rules)
-    index.enable_qgram(1)
-    block = index.block_list[0]
-    qgram = block.qgram_index
-    assert qgram is not None and len(qgram) > 0
-    row = {attr: "zzzz" for attr in sample_table.attributes}
-    before = len(qgram)
-    piece = block.add_tuple(987654, row)
-    assert piece is not None
-    assert len(qgram) == before + 1
-    assert qgram.profile(piece.values) is not None
-    block.remove_tuple(987654, row)
-    assert len(qgram) == before
-    assert qgram.profile(piece.values) is None
-
-
-def test_qgram_index_refcounts_duplicate_values():
-    index = QGramIndex(q=2)
-    index.add(("abcd",))
-    index.add(("abcd",))
-    index.discard(("abcd",))
-    assert index.profile(("abcd",)) is not None  # still one live holder
-    index.discard(("abcd",))
-    assert index.profile(("abcd",)) is None
-
-
-def test_pipeline_records_the_qgram_index_stage(sample_table, sample_rules):
-    report = MLNClean(config=MLNCleanConfig()).clean(sample_table, sample_rules)
-    assert "qgram-index" in report.timings.as_dict()
 
 
 # ----------------------------------------------------------------------

@@ -102,9 +102,10 @@ def test_levenshtein_fastpath_matches_full_dp(left, right):
 
 @given(short_text, short_text, cutoffs)
 def test_bounded_distance_exact_iff_within_cutoff(left, right, cutoff):
-    # qgram_size=1 keeps the count filter weak, so most pairs reach the
-    # banded exact-or-prune evaluation instead of being filtered up front
-    engine = DistanceEngine(LevenshteinDistance(), qgram_size=1)
+    # the unigram count filter is weak on single short strings, so most
+    # pairs reach the banded exact-or-prune evaluation instead of being
+    # filtered up front
+    engine = DistanceEngine(LevenshteinDistance())
     exact = LevenshteinDistance().distance(left, right)
     position, distance = engine.nearest((left,), [(right,)], cutoff)
     if exact <= cutoff:
@@ -132,9 +133,9 @@ def test_bounded_levenshtein_helper_contract(left, right, radius):
 
 
 def test_bounded_distance_caches_exact_and_lower_bounds():
-    # equal unigram bags: the q=1 count filter cannot dismiss the pair, so
-    # the banded search has to
-    engine = DistanceEngine(LevenshteinDistance(), qgram_size=1)
+    # equal unigram bags: the count filter cannot dismiss the pair, so the
+    # banded search has to
+    engine = DistanceEngine(LevenshteinDistance())
     assert engine.nearest(("abcd",), [("dcba",)], 1.0) == (None, math.inf)
     assert engine.stats.band_prunes + engine.stats.length_prunes == 1
     # the lower bound answers a repeat of the too-tight query from cache ...
@@ -162,15 +163,15 @@ def test_values_distance_matches_metric_bit_for_bit():
 
 def test_values_distance_cutoff_short_circuits_exactly():
     # transpositions: distance 2 per pair, but equal unigram bags, so the
-    # q=1 count filter lets the candidate through to the evaluation
+    # count filter lets the candidate through to the evaluation
     left = ("ABCD", "EFGH", "IJKL")
     right = ("BACD", "FEGH", "JIKL")
-    engine = DistanceEngine(LevenshteinDistance(), qgram_size=1)
+    engine = DistanceEngine(LevenshteinDistance())
     assert engine.nearest(left, [right], 6.0) == (0, 6.0)
     assert engine.stats.value_short_circuits == 0
     # the running sum passes a 1.5 cutoff on the first attribute: the
     # remaining two are never evaluated
-    engine = DistanceEngine(LevenshteinDistance(), qgram_size=1)
+    engine = DistanceEngine(LevenshteinDistance())
     assert engine.nearest(left, [right], 1.5) == (None, math.inf)
     assert engine.stats.value_short_circuits == 1
     assert engine.stats.calls == 1
@@ -370,7 +371,8 @@ def test_config_engine_honours_cache_knobs():
     engine.distance("DOTHAN", "BOAZ")
     engine.distance("BOAZ", "DOTHAN")
     assert engine.stats.cache_hits == 1
-    for removed in ("distance_cache", "distance_cache_entries", "distance_kernel"):
+    # every removed config field fails loudly, naming itself
+    for removed in ("distance_cache", "distance_cache_entries", "distance_kernel", "qgram_size"):
         with pytest.raises(TypeError, match=removed):
             MLNCleanConfig(**{removed: None})
 

@@ -658,7 +658,7 @@ def test_http_bad_cleaner_options_are_400(client):
 
 
 @pytest.mark.parametrize(
-    "knob", ["distance_kernel", "distance_cache", "distance_cache_entries"]
+    "knob", ["distance_kernel", "distance_cache", "distance_cache_entries", "qgram_size"]
 )
 def test_http_removed_config_knob_is_400_naming_the_field(client, knob):
     with pytest.raises(ServiceError) as excinfo:
