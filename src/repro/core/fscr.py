@@ -18,6 +18,16 @@ order when the number of versions is small (``fscr_exhaustive_limit``) and
 otherwise tries each version as the starting point followed by the remaining
 versions in decreasing weight order — the factorial search of the paper,
 bounded for large rule sets.
+
+The order search reads only a tuple's data versions, never its row, so one
+:meth:`FusionScoreResolver.resolve` memoizes it per *version signature* (the
+γ values and weight of every version, in block order): each merge order's
+surviving assignment, weight product and substitution count, plus the
+attributes found in conflict.  The minimality factor is the one term that
+reads the tuple's current row; it is applied per tuple to the memoized
+attempts, in order-search order with a strict ``>`` tie-break, so the chosen
+fusion equals a per-tuple search.  Each γ's ``(attribute, value)`` pairs are
+built once per resolve, and conflicts are plain ``dict.get`` comparisons.
 """
 
 from __future__ import annotations
@@ -31,7 +41,6 @@ from repro.core.config import MLNCleanConfig
 from repro.core.index import Block, DataPiece
 from repro.dataset.table import Cell, Table
 from repro.metrics.component import StageCounts
-from repro.perf.engine import DistanceEngine
 
 CleanLookup = Callable[[int], dict[str, str]]
 
@@ -70,26 +79,31 @@ class FSCROutcome:
     fusions: dict[int, TupleFusion] = field(default_factory=dict)
     failed_tuples: list[int] = field(default_factory=list)
     counts: StageCounts = field(default_factory=StageCounts)
-    #: tuples whose fusion was served from the per-resolve signature memo
-    #: (tuples with identical data versions and identical current values
-    #: fuse identically, so the order search runs once per signature)
+    #: tuples whose merge-order search was served from the per-resolve memo,
+    #: which is keyed on the tuple's data versions only (tuples with the same
+    #: γ values and weights per block share one order search; each still
+    #: applies the minimality factor against its own row)
     memo_hits: int = 0
+
+
+#: one merge order's surviving fusion: (assignment, weight product,
+#: substitutions) — the f-score before the minimality factor
+_Attempt = tuple[dict[str, str], float, int]
+
+
+class _PairCache(dict):
+    """γ → its ``(attribute, value)`` pairs, built once per :meth:`resolve`."""
+
+    def __missing__(self, piece: DataPiece) -> tuple[tuple[str, str], ...]:
+        pairs = self[piece] = tuple(piece.as_assignment().items())
+        return pairs
 
 
 class FusionScoreResolver:
     """Derives the unified clean table from the per-block data versions."""
 
-    def __init__(
-        self,
-        config: Optional[MLNCleanConfig] = None,
-        engine: Optional[DistanceEngine] = None,
-    ):
+    def __init__(self, config: Optional[MLNCleanConfig] = None):
         self.config = config or MLNCleanConfig()
-        #: shared distance engine of the run; FSCR computes no distances, but
-        #: interning fusion-signature strings in the engine's pool keeps the
-        #: memo keys below cheap to hash and equal-by-identity across the
-        #: many tuples that share the same data versions
-        self.engine: Optional[DistanceEngine] = engine
 
     # ------------------------------------------------------------------
     # public API
@@ -110,31 +124,34 @@ class FusionScoreResolver:
         outcome = FSCROutcome(repaired=repaired)
         tid_versions = self._versions_by_tid(blocks, set(dirty.tids))
         block_candidates = self._candidates_by_block(blocks)
+        pairs = _PairCache()
 
-        # Fusion depends only on the tuple's data versions (γ values and
-        # weights per block, in block order) and its current row values — not
-        # on the tuple id.  Duplicate entities share both, so the order
-        # search runs once per distinct signature and its outcome is replayed
-        # for every other tuple carrying it.
-        memo: dict[object, Optional[tuple[dict[str, str], float, frozenset, int]]] = {}
+        # The order search depends only on the tuple's data versions (γ
+        # values and weights per block, in block order), so it runs once per
+        # distinct version signature.  Only the minimality factor reads the
+        # tuple's own row; it is applied per tuple to the memoized attempts.
+        memo: dict[tuple, Optional[tuple[list[_Attempt], frozenset]]] = {}
         for tid in dirty.tids:
-            versions = tid_versions.get(tid, [])
+            versions = tid_versions.get(tid)
             if not versions:
                 continue
-            current_values = dirty.row(tid).as_dict()
-            signature = self._fusion_signature(versions, current_values)
+            signature = tuple(
+                (block.name, piece.values, piece.weight) for block, piece in versions
+            )
             if signature in memo:
                 outcome.memo_hits += 1
                 cached = memo[signature]
             else:
-                cached = self._fuse_signature(
-                    versions, block_candidates, current_values
+                cached = memo[signature] = self._fuse_signature(
+                    versions, block_candidates, pairs
                 )
-                memo[signature] = cached
             if cached is None:
                 outcome.failed_tuples.append(tid)
                 continue
-            assignment, f_score, conflicted, substitutions = cached
+            attempts, conflicted = cached
+            (assignment, _, substitutions), f_score = self._best_attempt(
+                attempts, dirty.row(tid).as_dict()
+            )
             fusion = TupleFusion(
                 tid=tid,
                 assignment=dict(assignment),
@@ -150,25 +167,6 @@ class FusionScoreResolver:
             self._instrument(outcome, dirty, repaired, clean_lookup, dirty_cells)
         return outcome
 
-    def _fusion_signature(
-        self,
-        versions: list[tuple[Block, DataPiece]],
-        current_values: dict[str, str],
-    ) -> tuple:
-        """A hashable identity of everything a fusion decision depends on."""
-        values = tuple(current_values.values())
-        if self.engine is not None:
-            # One memoized tuple-intern probe instead of re-interning every
-            # value on every signature (the tuples recur per micro-batch).
-            values = self.engine.intern_values(values)
-        return (
-            tuple(
-                (block.name, piece.values, piece.weight)
-                for block, piece in versions
-            ),
-            values,
-        )
-
     # ------------------------------------------------------------------
     # fusion search
     # ------------------------------------------------------------------
@@ -176,28 +174,48 @@ class FusionScoreResolver:
         self,
         versions: list[tuple[Block, DataPiece]],
         block_candidates: dict[str, list[DataPiece]],
-        current_values: dict[str, str],
-    ) -> Optional[tuple[dict[str, str], float, frozenset, int]]:
-        """The best fusion of one version signature (Algorithm 2).
+        pairs: _PairCache,
+    ) -> Optional[tuple[list[_Attempt], frozenset]]:
+        """Every surviving merge order of one version signature (Algorithm 2).
 
-        Returns ``(assignment, f_score, conflicted_attributes,
-        substitutions)`` — everything a :class:`TupleFusion` needs except the
-        tuple id — or ``None`` when every merge order fails.
+        Returns the attempts in order-search order plus the attributes any
+        order found in conflict, or ``None`` when every merge order fails.
         """
         conflicted_attributes: set[str] = set()
-        best: Optional[tuple[dict[str, str], float, int]] = None
+        attempts: list[_Attempt] = []
         for order in self._merge_orders(versions):
             attempt = self._try_order(
-                order, block_candidates, conflicted_attributes, current_values
+                order, block_candidates, conflicted_attributes, pairs
             )
-            if attempt is None:
-                continue
-            if best is None or attempt[1] > best[1]:
-                best = attempt
-        if best is None:
+            if attempt is not None:
+                attempts.append(attempt)
+        if not attempts:
             return None
-        assignment, f_score, substitutions = best
-        return assignment, f_score, frozenset(conflicted_attributes), substitutions
+        return attempts, frozenset(conflicted_attributes)
+
+    def _best_attempt(
+        self, attempts: list[_Attempt], current_values: dict[str, str]
+    ) -> tuple[_Attempt, float]:
+        """The first attempt with the highest f-score for one tuple's row."""
+        bias = self.config.fscr_minimality_bias
+        best, best_score = attempts[0], 0.0
+        for index, attempt in enumerate(attempts):
+            assignment, f_score, _ = attempt
+            # Minimality factor: fusions that rewrite fewer of the tuple's
+            # values are preferred when the weight products are comparable
+            # (the paper's cleaning criteria combine statistical evidence with
+            # the principle of minimality; this extension is one of the
+            # departures listed in ROADMAP item 4).
+            if bias > 0.0:
+                changes = sum(
+                    1
+                    for attribute, value in assignment.items()
+                    if current_values.get(attribute) != value
+                )
+                f_score *= math.exp(-bias * changes)
+            if index == 0 or f_score > best_score:
+                best, best_score = attempt, f_score
+        return best, best_score
 
     def _merge_orders(
         self, versions: list[tuple[Block, DataPiece]]
@@ -217,68 +235,34 @@ class FusionScoreResolver:
             orders.append([leader, *rest])
         return orders
 
+    @staticmethod
     def _try_order(
-        self,
         order: list[tuple[Block, DataPiece]],
         block_candidates: dict[str, list[DataPiece]],
         conflicted_attributes: set[str],
-        current_values: dict[str, str],
-    ) -> Optional[tuple[dict[str, str], float, int]]:
+        pairs: _PairCache,
+    ) -> Optional[_Attempt]:
         """Fuse the versions in one specific order; ``None`` when it fails."""
         assignment: dict[str, str] = {}
-        f_score = 1.0
+        product = 1.0
         substitutions = 0
-        for block, piece in order:
-            candidate = piece
-            conflicts = self._conflicts(assignment, candidate.as_assignment())
+        for block, candidate in order:
+            candidate_pairs = pairs[candidate]
+            conflicts = [a for a, v in candidate_pairs if assignment.get(a, v) != v]
             if conflicts:
                 conflicted_attributes.update(conflicts)
-                candidate = self._find_substitute(
-                    assignment, block_candidates[block.name]
-                )
-                if candidate is None:
+                # the highest-weight γ of the block that agrees with the fusion
+                for candidate in block_candidates[block.name]:
+                    candidate_pairs = pairs[candidate]
+                    if all(assignment.get(a, v) == v for a, v in candidate_pairs):
+                        break
+                else:
                     return None
                 substitutions += 1
-            assignment.update(
-                {
-                    attribute: value
-                    for attribute, value in candidate.as_assignment().items()
-                    if attribute not in assignment
-                }
-            )
-            f_score *= _weight_factor(candidate.weight)
-        # Minimality factor: fusions that rewrite fewer of the tuple's values
-        # are preferred when the weight products are comparable (the paper's
-        # cleaning criteria combine statistical evidence with the principle of
-        # minimality; see DESIGN.md for the rationale of this extension).
-        if self.config.fscr_minimality_bias > 0.0:
-            changes = sum(
-                1
-                for attribute, value in assignment.items()
-                if current_values.get(attribute) != value
-            )
-            f_score *= math.exp(-self.config.fscr_minimality_bias * changes)
-        return assignment, f_score, substitutions
-
-    @staticmethod
-    def _conflicts(
-        assignment: dict[str, str], candidate: dict[str, str]
-    ) -> list[str]:
-        """Shared attributes on which the fusion and the candidate disagree."""
-        return [
-            attribute
-            for attribute, value in candidate.items()
-            if attribute in assignment and assignment[attribute] != value
-        ]
-
-    def _find_substitute(
-        self, assignment: dict[str, str], candidates: list[DataPiece]
-    ) -> Optional[DataPiece]:
-        """The highest-weight γ of the block that agrees with the fusion."""
-        for candidate in candidates:
-            if not self._conflicts(assignment, candidate.as_assignment()):
-                return candidate
-        return None
+            for attribute, value in candidate_pairs:
+                assignment.setdefault(attribute, value)
+            product *= _weight_factor(candidate.weight)
+        return assignment, product, substitutions
 
     # ------------------------------------------------------------------
     # precomputed lookups

@@ -132,9 +132,7 @@ class ReliabilityScoreCleaner:
             for piece in pieces
         }
         group_counts = {
-            "|".join(group.key): {
-                piece.key: piece.support for piece in group.gammas
-            }
+            group.key: {piece.key: piece.support for piece in group.gammas}
             for group in block.group_list
         }
         learned = learn_group_weights(group_counts, priors, self.config.weight_learning)

@@ -161,8 +161,6 @@ class FSCRStage:
         self._resolver = FusionScoreResolver(config)
 
     def run(self, context: StageContext) -> None:
-        if context.engine is not None:
-            self._resolver.engine = context.engine
         scope = context.scope
         if scope is None:
             outcome = self._resolver.resolve(

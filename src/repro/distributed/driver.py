@@ -251,7 +251,7 @@ class DistributedMLNClean:
             all_blocks = [
                 block for output in clean_outputs for block in output.blocks
             ]
-            fscr = FusionScoreResolver(self.config, engine=engine)
+            fscr = FusionScoreResolver(self.config)
             fscr_outcome = fscr.resolve(dirty, all_blocks)
             repaired = fscr_outcome.repaired
             repaired.name = f"{dirty.name}-distributed"

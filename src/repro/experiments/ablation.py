@@ -1,4 +1,4 @@
-"""Ablation studies of the design choices DESIGN.md calls out.
+"""Ablation studies of the departures from the paper listed in ROADMAP item 4.
 
 These go beyond the paper's own evaluation:
 

@@ -22,12 +22,20 @@ whose gradient and diagonal Hessian have closed forms; the learner performs
 damped diagonal-Newton updates exactly in the spirit of Tuffy's learner.  The
 learned weights preserve the property MLNClean relies on (Eq. 3): better
 supported, more consistent γs receive larger weights.
+
+The iteration runs over index arrays: each γ key gets a position once, each
+group becomes ``(key positions, counts, total)``, and weights, gradient and
+Hessian are plain lists.  The softmax normaliser is the builtin ``sum()``
+over the group's keys in insertion order — the same float summation as a
+per-group dict softmax (``sum()`` of floats is compensated from Python 3.12,
+so a hand-written accumulation loop would not be), which keeps the learned
+weights bit-stable across Python versions and refactors.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.mln.grounding import GroundClause
@@ -63,23 +71,20 @@ def prior_weights(groundings: Sequence[GroundClause]) -> dict[GroundClause, floa
 
 
 def learn_group_weights(
-    group_counts: Mapping[str, Mapping[tuple, int]],
+    group_counts: Mapping[Hashable, Mapping[tuple, int]],
     priors: Mapping[tuple, float],
     config: WeightLearningConfig | None = None,
 ) -> dict[tuple, float]:
     """Learn one weight per γ key from grouped support counts.
 
-    ``group_counts`` maps a group identifier to ``{γ key: tuple count}``;
-    ``priors`` maps γ keys to their Eq.-4 prior.  Returns the learned weight
-    per γ key.  This is the low-level entry point used by the
+    ``group_counts`` maps a group identifier (any hashable, e.g. the group's
+    reason-value tuple) to ``{γ key: tuple count}``; ``priors`` maps γ keys to
+    their Eq.-4 prior.  Returns the learned weight per γ key, in first-seen
+    key order.  This is the low-level entry point used by the
     :class:`DiagonalNewtonLearner`.
     """
     config = config or WeightLearningConfig()
-    keys: list[tuple] = []
-    for counts in group_counts.values():
-        for key in counts:
-            if key not in keys:
-                keys.append(key)
+    keys = dict.fromkeys(key for counts in group_counts.values() for key in counts)
     if not keys:
         return {}
 
@@ -98,7 +103,7 @@ def learn_group_weights(
 
 
 def _key_disjoint_components(
-    group_counts: Mapping[str, Mapping[tuple, int]],
+    group_counts: Mapping[Hashable, Mapping[tuple, int]],
 ) -> list[list[Mapping[tuple, int]]]:
     """Partition the groups into components connected by shared γ keys."""
     components: list[list[Mapping[tuple, int]]] = []
@@ -131,35 +136,50 @@ def _learn_component(
     config: WeightLearningConfig,
 ) -> dict[tuple, float]:
     """Damped diagonal-Newton iteration over one key-connected component."""
-    keys: list[tuple] = []
+    position: dict[tuple, int] = {}
+    groups: list[tuple[list[int], list[int], int]] = []
     for counts in component:
-        for key in counts:
-            if key not in keys:
-                keys.append(key)
-    weights = {key: float(priors.get(key, 0.0)) for key in keys}
+        indices = [position.setdefault(key, len(position)) for key in counts]
+        groups.append((indices, list(counts.values()), sum(counts.values())))
+    keys = list(position)
+    prior = [priors.get(key, 0.0) for key in keys]
+    weights = [float(value) for value in prior]
+    strength = config.prior_strength
+    damping = config.damping
+    max_step = config.max_step
+    max_weight = config.max_weight
 
     for _ in range(config.max_iterations):
-        gradient = {key: 0.0 for key in keys}
-        hessian = {key: 0.0 for key in keys}
-        for counts in component:
-            total = sum(counts.values())
-            probabilities = _softmax({k: weights[k] for k in counts})
-            for key in counts:
-                p = probabilities[key]
-                gradient[key] += counts[key] - total * p
-                hessian[key] += total * p * (1.0 - p)
+        gradient = [0.0] * len(keys)
+        hessian = [0.0] * len(keys)
+        for indices, counts, total in groups:
+            scores = [weights[i] for i in indices]
+            peak = max(scores)
+            exponentials = [math.exp(score - peak) for score in scores]
+            normaliser = sum(exponentials)
+            for i, count, exponential in zip(indices, counts, exponentials):
+                p = exponential / normaliser
+                gradient[i] += count - total * p
+                hessian[i] += total * p * (1.0 - p)
         largest_change = 0.0
-        for key in keys:
-            prior = priors.get(key, 0.0)
-            grad = gradient[key] - config.prior_strength * (weights[key] - prior)
-            hess = hessian[key] + config.prior_strength + config.damping
-            step = _clip(grad / hess, config.max_step)
-            new_weight = _clip(weights[key] + step, config.max_weight)
-            largest_change = max(largest_change, abs(new_weight - weights[key]))
-            weights[key] = new_weight
+        for i, weight in enumerate(weights):
+            grad = gradient[i] - strength * (weight - prior[i])
+            hess = hessian[i] + strength + damping
+            # each clip is max(-bound, min(bound, x)) spelled as the exact
+            # comparisons those builtins make
+            step = grad / hess
+            step = step if step < max_step else max_step
+            step = step if step > -max_step else -max_step
+            new_weight = weight + step
+            new_weight = new_weight if new_weight < max_weight else max_weight
+            new_weight = new_weight if new_weight > -max_weight else -max_weight
+            change = abs(new_weight - weight)
+            if change > largest_change:
+                largest_change = change
+            weights[i] = new_weight
         if largest_change < config.tolerance:
             break
-    return weights
+    return dict(zip(keys, weights))
 
 
 class DiagonalNewtonLearner:
@@ -182,24 +202,14 @@ class DiagonalNewtonLearner:
             return {}
         priors_by_clause = prior_weights(groundings)
         by_key = {g.key: g for g in groundings}
-        group_counts: dict[str, dict[tuple, int]] = {}
+        group_counts: dict[tuple, dict[tuple, int]] = {}
         for grounding in groundings:
-            group_id = "|".join(grounding.reason_values)
-            group_counts.setdefault(group_id, {})[grounding.key] = grounding.support
+            group_counts.setdefault(grounding.reason_values, {})[
+                grounding.key
+            ] = grounding.support
         priors = {g.key: priors_by_clause[g] for g in groundings}
         learned = learn_group_weights(group_counts, priors, self.config)
         weights = {by_key[key]: weight for key, weight in learned.items()}
         for grounding, weight in weights.items():
             grounding.clause.weight = weight
         return weights
-
-
-def _softmax(scores: Mapping[tuple, float]) -> dict[tuple, float]:
-    peak = max(scores.values())
-    exponentials = {key: math.exp(value - peak) for key, value in scores.items()}
-    total = sum(exponentials.values())
-    return {key: value / total for key, value in exponentials.items()}
-
-
-def _clip(value: float, bound: float) -> float:
-    return max(-bound, min(bound, value))

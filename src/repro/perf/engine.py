@@ -297,9 +297,8 @@ class DistanceEngine:
         """The canonical ``tuple[str, ...]`` of a value sequence.
 
         Memoized per tuple content: repeated interning of the same γ values
-        (every AGP probe, every RSC pair, every fusion signature) is one dict
-        probe instead of a per-value re-intern — intern once, pass the tuple
-        through.
+        (every AGP probe, every RSC pair) is one dict probe instead of a
+        per-value re-intern — intern once, pass the tuple through.
         """
         values = tuple(values)
         canonical = self._interned_tuples.get(values)

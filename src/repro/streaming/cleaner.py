@@ -164,7 +164,7 @@ class StreamingMLNClean:
         self._engine = self.config.engine(track_values=True)
         self._agp = AbnormalGroupProcessor(self.config, engine=self._engine)
         self._rsc = ReliabilityScoreCleaner(self.config, engine=self._engine)
-        self._fscr = FusionScoreResolver(self.config, engine=self._engine)
+        self._fscr = FusionScoreResolver(self.config)
 
         #: post-Stage-I state of every block, in rule order (FSCR consumes it)
         self._stage1: dict[str, Block] = {rule.name: Block(rule) for rule in self.rules}

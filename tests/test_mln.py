@@ -160,6 +160,55 @@ def test_learn_group_weights_empty():
     assert learn_group_weights({}, {}) == {}
 
 
+def _two_group_table(second=("x", "y|z")):
+    """``A,B ⇒ C`` over groups ('x|y', 'z') and ``second``, with equal counts.
+
+    With the default ``second`` both groups' reason values join to ``x|y|z``.
+    """
+    from repro.dataset.table import Table
+
+    rows = [("x|y", "z", "1")] * 2 + [("x|y", "z", "2")]
+    rows += [(*second, "3")] * 2 + [(*second, "4")]
+    table = Table.from_records(
+        [{"A": a, "B": b, "C": c} for a, b, c in rows], attributes=["A", "B", "C"]
+    )
+    return table, FunctionalDependency(["A", "B"], ["C"])
+
+
+def _learner_weights_by_group(table, fd):
+    weights = DiagonalNewtonLearner().learn(ground_rule(fd, table))
+    by_group = {}
+    for grounding, weight in weights.items():
+        by_group.setdefault(grounding.reason_values, {})[grounding.support] = weight
+    return by_group
+
+
+def _rsc_weights_by_group(table, fd):
+    from repro.core.index import MLNIndex
+    from repro.core.rsc import ReliabilityScoreCleaner
+
+    block = MLNIndex.build(table, [fd]).block_list[0]
+    ReliabilityScoreCleaner().learn_block_weights(block)
+    return {
+        group.key: {piece.support: piece.weight for piece in group.gammas}
+        for group in block.group_list
+    }
+
+
+@pytest.mark.parametrize(
+    "weights_by_group", [_learner_weights_by_group, _rsc_weights_by_group]
+)
+def test_groups_whose_keys_join_alike_keep_their_weights(weights_by_group):
+    colliding = weights_by_group(*_two_group_table())
+    assert set(colliding) == {("x|y", "z"), ("x", "y|z")}
+    # same counts and priors, so the same weights
+    assert colliding[("x|y", "z")] == colliding[("x", "y|z")]
+    assert colliding[("x|y", "z")][2] > colliding[("x|y", "z")][1]
+    # and the same weights as when the other group's values do not collide
+    apart = weights_by_group(*_two_group_table(second=("p", "q")))
+    assert colliding[("x|y", "z")] == apart[("x|y", "z")]
+
+
 def test_learner_converges_no_oscillation():
     # A very skewed group used to make the undamped Newton step oscillate and
     # give the majority γ a large negative weight; the damped learner must

@@ -1,0 +1,437 @@
+"""FSCR and MLN weight learning against test-local reference implementations.
+
+The reference code below is the straightforward form of the two loops: a
+per-tuple merge-order search that rebuilds each γ's assignment dict on every
+visit, and a diagonal-Newton learner over dict softmaxes.  The production
+code memoizes the order search per version signature and runs the learner
+over index arrays; both must produce exactly (``==``, not approximately) the
+same weights, fusions, f-scores and failed tuples on every generated input.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from collections.abc import Mapping
+from dataclasses import replace
+from typing import Optional
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.constraints.rules import FunctionalDependency
+from repro.core.agp import AbnormalGroupProcessor
+from repro.core.config import MLNCleanConfig
+from repro.core.fscr import FusionScoreResolver
+from repro.core.index import Block, DataPiece, MLNIndex
+from repro.core.rsc import ReliabilityScoreCleaner
+from repro.dataset.table import Table
+from repro.errors.injector import ErrorSpec
+from repro.mln.weights import WeightLearningConfig, learn_group_weights
+from repro.workloads.registry import get_workload_generator, recommended_config
+
+
+# ----------------------------------------------------------------------
+# reference FSCR: a per-tuple search with no memo and no cached pairs
+# ----------------------------------------------------------------------
+def _weight_factor(weight: float) -> float:
+    return math.exp(min(weight, 30.0))
+
+
+class ReferenceResolver:
+    def __init__(self, config: MLNCleanConfig):
+        self.config = config
+
+    def resolve(self, dirty: Table, blocks: list[Block]):
+        """``{tid: (assignment, f_score, conflicted, substitutions)}`` and the failed tids."""
+        tid_versions = FusionScoreResolver._versions_by_tid(blocks, set(dirty.tids))
+        block_candidates = FusionScoreResolver._candidates_by_block(blocks)
+        fusions, failed = {}, []
+        for tid in dirty.tids:
+            versions = tid_versions.get(tid, [])
+            if not versions:
+                continue
+            fused = self._fuse_signature(
+                versions, block_candidates, dirty.row(tid).as_dict()
+            )
+            if fused is None:
+                failed.append(tid)
+            else:
+                fusions[tid] = fused
+        return fusions, failed
+
+    def _fuse_signature(
+        self,
+        versions: list[tuple[Block, DataPiece]],
+        block_candidates: dict[str, list[DataPiece]],
+        current_values: dict[str, str],
+    ) -> Optional[tuple[dict[str, str], float, frozenset, int]]:
+        conflicted_attributes: set[str] = set()
+        best: Optional[tuple[dict[str, str], float, int]] = None
+        for order in self._merge_orders(versions):
+            attempt = self._try_order(
+                order, block_candidates, conflicted_attributes, current_values
+            )
+            if attempt is None:
+                continue
+            if best is None or attempt[1] > best[1]:
+                best = attempt
+        if best is None:
+            return None
+        assignment, f_score, substitutions = best
+        return assignment, f_score, frozenset(conflicted_attributes), substitutions
+
+    def _merge_orders(
+        self, versions: list[tuple[Block, DataPiece]]
+    ) -> list[list[tuple[Block, DataPiece]]]:
+        if len(versions) <= self.config.fscr_exhaustive_limit:
+            return [list(order) for order in itertools.permutations(versions)]
+        orders: list[list[tuple[Block, DataPiece]]] = []
+        for index, leader in enumerate(versions):
+            rest = versions[:index] + versions[index + 1 :]
+            rest.sort(key=lambda item: item[1].weight, reverse=True)
+            orders.append([leader, *rest])
+        return orders
+
+    def _try_order(
+        self,
+        order: list[tuple[Block, DataPiece]],
+        block_candidates: dict[str, list[DataPiece]],
+        conflicted_attributes: set[str],
+        current_values: dict[str, str],
+    ) -> Optional[tuple[dict[str, str], float, int]]:
+        assignment: dict[str, str] = {}
+        f_score = 1.0
+        substitutions = 0
+        for block, piece in order:
+            candidate = piece
+            conflicts = self._conflicts(assignment, candidate.as_assignment())
+            if conflicts:
+                conflicted_attributes.update(conflicts)
+                candidate = self._find_substitute(
+                    assignment, block_candidates[block.name]
+                )
+                if candidate is None:
+                    return None
+                substitutions += 1
+            assignment.update(
+                {
+                    attribute: value
+                    for attribute, value in candidate.as_assignment().items()
+                    if attribute not in assignment
+                }
+            )
+            f_score *= _weight_factor(candidate.weight)
+        if self.config.fscr_minimality_bias > 0.0:
+            changes = sum(
+                1
+                for attribute, value in assignment.items()
+                if current_values.get(attribute) != value
+            )
+            f_score *= math.exp(-self.config.fscr_minimality_bias * changes)
+        return assignment, f_score, substitutions
+
+    @staticmethod
+    def _conflicts(
+        assignment: dict[str, str], candidate: dict[str, str]
+    ) -> list[str]:
+        return [
+            attribute
+            for attribute, value in candidate.items()
+            if attribute in assignment and assignment[attribute] != value
+        ]
+
+    def _find_substitute(
+        self, assignment: dict[str, str], candidates: list[DataPiece]
+    ) -> Optional[DataPiece]:
+        for candidate in candidates:
+            if not self._conflicts(assignment, candidate.as_assignment()):
+                return candidate
+        return None
+
+
+# ----------------------------------------------------------------------
+# reference weight learning: dict softmaxes and list-membership dedup
+# ----------------------------------------------------------------------
+def reference_learn_group_weights(
+    group_counts: Mapping[object, Mapping[tuple, int]],
+    priors: Mapping[tuple, float],
+    config: WeightLearningConfig,
+) -> dict[tuple, float]:
+    keys: list[tuple] = []
+    for counts in group_counts.values():
+        for key in counts:
+            if key not in keys:
+                keys.append(key)
+    if not keys:
+        return {}
+    weights: dict[tuple, float] = {}
+    for component in _reference_components(group_counts):
+        weights.update(_learn_component(component, priors, config))
+    return {key: weights[key] for key in keys}
+
+
+def _reference_components(group_counts):
+    components: list[list[Mapping[tuple, int]]] = []
+    component_of_key: dict[tuple, int] = {}
+    for counts in group_counts.values():
+        if not counts:
+            continue
+        touched = sorted({component_of_key[k] for k in counts if k in component_of_key})
+        if not touched:
+            index = len(components)
+            components.append([counts])
+        else:
+            index = touched[0]
+            components[index].append(counts)
+            for other in touched[1:]:
+                for moved in components[other]:
+                    components[index].append(moved)
+                    for key in moved:
+                        component_of_key[key] = index
+                components[other] = []
+        for key in counts:
+            component_of_key[key] = index
+    return [component for component in components if component]
+
+
+def _learn_component(
+    component: list[Mapping[tuple, int]],
+    priors: Mapping[tuple, float],
+    config: WeightLearningConfig,
+) -> dict[tuple, float]:
+    keys: list[tuple] = []
+    for counts in component:
+        for key in counts:
+            if key not in keys:
+                keys.append(key)
+    weights = {key: float(priors.get(key, 0.0)) for key in keys}
+
+    for _ in range(config.max_iterations):
+        gradient = {key: 0.0 for key in keys}
+        hessian = {key: 0.0 for key in keys}
+        for counts in component:
+            total = sum(counts.values())
+            probabilities = _softmax({k: weights[k] for k in counts})
+            for key in counts:
+                p = probabilities[key]
+                gradient[key] += counts[key] - total * p
+                hessian[key] += total * p * (1.0 - p)
+        largest_change = 0.0
+        for key in keys:
+            prior = priors.get(key, 0.0)
+            grad = gradient[key] - config.prior_strength * (weights[key] - prior)
+            hess = hessian[key] + config.prior_strength + config.damping
+            step = _clip(grad / hess, config.max_step)
+            new_weight = _clip(weights[key] + step, config.max_weight)
+            largest_change = max(largest_change, abs(new_weight - weights[key]))
+            weights[key] = new_weight
+        if largest_change < config.tolerance:
+            break
+    return weights
+
+
+def _softmax(scores: Mapping[tuple, float]) -> dict[tuple, float]:
+    peak = max(scores.values())
+    exponentials = {key: math.exp(value - peak) for key, value in scores.items()}
+    total = sum(exponentials.values())
+    return {key: value / total for key, value in exponentials.items()}
+
+
+def _clip(value: float, bound: float) -> float:
+    return max(-bound, min(bound, value))
+
+
+# ----------------------------------------------------------------------
+# comparison helpers
+# ----------------------------------------------------------------------
+def assert_fscr_matches_reference(config: MLNCleanConfig, table: Table, blocks):
+    """Production and reference agree exactly; returns the production outcome."""
+    outcome = FusionScoreResolver(config).resolve(table, blocks)
+    expected, expected_failed = ReferenceResolver(config).resolve(table, blocks)
+    assert outcome.failed_tuples == expected_failed
+    assert list(outcome.fusions) == list(expected)
+    for tid, (assignment, f_score, conflicted, substitutions) in expected.items():
+        fusion = outcome.fusions[tid]
+        assert fusion.tid == tid
+        assert list(fusion.assignment.items()) == list(assignment.items())
+        assert fusion.f_score == f_score
+        assert fusion.conflicted_attributes == conflicted
+        assert fusion.substitutions == substitutions
+        for attribute, value in assignment.items():
+            assert outcome.repaired.value(tid, attribute) == value
+    return outcome
+
+
+ATTRIBUTES = ["A", "B", "C", "D", "E"]
+DOMAIN = ["a", "b", "c"]
+#: few distinct weights, so weight products tie often
+WEIGHTS = [-1.0, 0.0, 0.5, 2.0]
+
+
+@st.composite
+def fusion_inputs(draw):
+    """A small table, 1-6 FD blocks whose γs may disagree with the row, and weights.
+
+    Each tuple's γ in a block is either its own values or a redrawn value
+    tuple, which is what Stage I leaves behind after rewriting γs: versions
+    of one tuple that conflict on shared attributes, and blocks whose pools
+    may hold no agreeing substitute.
+    """
+    n_tuples = draw(st.integers(min_value=1, max_value=6))
+    cell = st.sampled_from(DOMAIN)
+    rows = [
+        {attribute: draw(cell) for attribute in ATTRIBUTES} for _ in range(n_tuples)
+    ]
+    table = Table.from_records(rows, attributes=ATTRIBUTES)
+    n_rules = draw(st.integers(min_value=1, max_value=6))
+    blocks = []
+    for number in range(n_rules):
+        attributes = draw(
+            st.lists(st.sampled_from(ATTRIBUTES), min_size=2, max_size=3, unique=True)
+        )
+        rule = FunctionalDependency(attributes[:-1], attributes[-1:], name=f"r{number}")
+        block = Block(rule)
+        for tid, row in zip(table.tids, rows):
+            values = dict(row)
+            if draw(st.booleans()):
+                for attribute in attributes:
+                    values[attribute] = draw(cell)
+            block.add_tuple(tid, values)
+        for piece in block.pieces:
+            piece.weight = draw(st.sampled_from(WEIGHTS))
+        blocks.append(block)
+    config = MLNCleanConfig(
+        fscr_exhaustive_limit=draw(st.integers(min_value=1, max_value=4)),
+        fscr_minimality_bias=draw(st.sampled_from([0.0, 0.5, 1.0])),
+    )
+    return config, table, blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(fusion_inputs())
+def test_fscr_equals_reference_on_generated_blocks(inputs):
+    assert_fscr_matches_reference(*inputs)
+
+
+def _conflict_blocks():
+    """Two tuples whose block-r1 versions disagree with their block-r0 ones."""
+    table = Table.from_records(
+        [{"A": "a", "B": "b", "C": "c"}, {"A": "a", "B": "b", "C": "c"}]
+    )
+    r0 = Block(FunctionalDependency(["A"], ["B"], name="r0"))
+    r1 = Block(FunctionalDependency(["B"], ["C"], name="r1"))
+    r0.add_tuple(0, {"A": "a", "B": "b"})
+    r0.add_tuple(1, {"A": "a", "B": "b"})
+    r1.add_tuple(0, {"B": "x", "C": "c"})
+    r1.add_tuple(1, {"B": "b", "C": "y"})
+    return table, r0, r1
+
+
+@pytest.mark.parametrize("bias", [0.0, 1.0])
+@pytest.mark.parametrize("limit", [1, 5])
+def test_fscr_failed_substitution_equals_reference(bias, limit):
+    """r1's pool holds no γ with B = b, so tuple 0 fails in either order."""
+    table, r0, r1 = _conflict_blocks()
+    r1.groups.pop(("b",))
+    r0.pieces[0].weight, r1.pieces[0].weight = 1.0, 2.0
+    config = MLNCleanConfig(fscr_exhaustive_limit=limit, fscr_minimality_bias=bias)
+    outcome = assert_fscr_matches_reference(config, table, [r0, r1])
+    assert outcome.failed_tuples == [0]
+
+
+@pytest.mark.parametrize("bias", [0.0, 1.0])
+@pytest.mark.parametrize("limit", [1, 5])
+def test_fscr_substitution_and_tied_products_equal_reference(bias, limit):
+    """Tuple 0 needs a substitute; equal weights tie every order's product."""
+    table, r0, r1 = _conflict_blocks()
+    for piece in r0.pieces + r1.pieces:
+        piece.weight = 0.5
+    config = MLNCleanConfig(fscr_exhaustive_limit=limit, fscr_minimality_bias=bias)
+    outcome = assert_fscr_matches_reference(config, table, [r0, r1])
+    assert not outcome.failed_tuples
+    assert outcome.fusions[0].substitutions == 1
+    assert outcome.fusions[0].conflicted_attributes == {"B"}
+    assert outcome.fusions[1].substitutions == 0
+
+
+@pytest.mark.parametrize(
+    "n_rules,overrides",
+    [(7, {}), (7, {"fscr_minimality_bias": 0.0}), (4, {})],
+    ids=["greedy", "no-minimality", "exhaustive"],
+)
+def test_fscr_equals_reference_after_stage_one_on_hai(n_rules, overrides):
+    """All 7 HAI rules give 7 versions per tuple (greedy, above the default
+    limit of 5); the first 4 rules give at most 4 (exhaustive)."""
+    workload = get_workload_generator("hai", tuples=60, seed=7).build()
+    instance = workload.make_instance(ErrorSpec(error_rate=0.15, seed=13))
+    config = replace(recommended_config("hai"), abnormal_threshold=1, **overrides)
+    index = MLNIndex.build(instance.dirty, instance.rules[:n_rules])
+    AbnormalGroupProcessor(config).process_index(index.block_list)
+    ReliabilityScoreCleaner(config).clean_index(index.block_list)
+    outcome = assert_fscr_matches_reference(config, instance.dirty, index.block_list)
+    assert sum(fusion.substitutions for fusion in outcome.fusions.values()) > 0
+
+
+# ----------------------------------------------------------------------
+# weight learning
+# ----------------------------------------------------------------------
+KEYS = [(("k",), (str(number),)) for number in range(6)]
+
+
+@st.composite
+def weight_inputs(draw):
+    """Groups over a small shared key pool (so components merge) and a config."""
+    group_counts = {}
+    for number in range(draw(st.integers(min_value=0, max_value=5))):
+        keys = draw(st.lists(st.sampled_from(KEYS), max_size=4, unique=True))
+        group_counts[("g", str(number))] = {
+            key: draw(st.integers(min_value=1, max_value=60)) for key in keys
+        }
+    priors = {
+        key: draw(st.floats(min_value=0.0, max_value=1.0))
+        for key in KEYS
+        if draw(st.booleans())
+    }
+    config = WeightLearningConfig(
+        max_iterations=draw(st.integers(min_value=1, max_value=60)),
+        prior_strength=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        damping=draw(st.sampled_from([1e-3, 0.1])),
+        max_weight=draw(st.sampled_from([0.5, 3.0, 25.0])),
+        max_step=draw(st.sampled_from([0.1, 2.0])),
+    )
+    return group_counts, priors, config
+
+
+@settings(max_examples=200, deadline=None)
+@given(weight_inputs())
+def test_learned_weights_equal_reference(inputs):
+    group_counts, priors, config = inputs
+    learned = learn_group_weights(group_counts, priors, config)
+    expected = reference_learn_group_weights(group_counts, priors, config)
+    assert list(learned.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("workload_name", ["hai", "car"])
+def test_block_weights_equal_reference_on_workloads(workload_name):
+    workload = get_workload_generator(workload_name, tuples=120, seed=7).build()
+    instance = workload.make_instance(ErrorSpec(error_rate=0.15, seed=13))
+    config = recommended_config(workload_name)
+    index = MLNIndex.build(instance.dirty, instance.rules)
+    AbnormalGroupProcessor(config).process_index(index.block_list)
+    rsc = ReliabilityScoreCleaner(config)
+    for block in index.block_list:
+        rsc.learn_block_weights(block)
+        pieces = block.pieces
+        total = sum(piece.support for piece in pieces)
+        expected = reference_learn_group_weights(
+            {
+                group.key: {piece.key: piece.support for piece in group.gammas}
+                for group in block.group_list
+            },
+            {piece.key: piece.support / total for piece in pieces},
+            config.weight_learning,
+        )
+        assert [piece.weight for piece in pieces] == [
+            expected[piece.key] for piece in pieces
+        ]
