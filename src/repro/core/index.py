@@ -303,6 +303,22 @@ class Block:
         return f"Block({self.name!r}, groups={len(self.groups)})"
 
 
+def check_rule_attributes(rules: Iterable[Rule], attributes: Iterable[str]) -> None:
+    """Raise ``ValueError`` if a rule names an attribute outside ``attributes``.
+
+    Checked once per index build (or stream), before any tuple is indexed,
+    so an empty table rejects such a rule just like a populated one.
+    """
+    known = set(attributes)
+    for rule in rules:
+        missing = [a for a in rule.attributes if a not in known]
+        if missing:
+            raise ValueError(
+                f"rule {rule.name!r} ({rule}) names attributes missing from "
+                f"the table: {', '.join(missing)}"
+            )
+
+
 class MLNIndex:
     """The two-layer index over a dirty table for a rule set."""
 
@@ -312,6 +328,7 @@ class MLNIndex:
     @classmethod
     def build(cls, table: Table, rules: Sequence[Rule]) -> "MLNIndex":
         """Construct the index (lines 1-13 of Algorithm 1)."""
+        check_rule_attributes(rules, table.attributes)
         blocks: dict[str, Block] = {}
         for rule in rules:
             blocks[rule.name] = Block(rule)

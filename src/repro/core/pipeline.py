@@ -35,7 +35,7 @@ from repro.constraints.rules import Rule
 from repro.core.config import MLNCleanConfig
 from repro.core.index import MLNIndex
 from repro.core.report import CleaningReport
-from repro.core.stages import DEFAULT_STAGES, StageContext, build_stages
+from repro.core.stages import StageContext, build_stages
 from repro.dataset.table import Table
 from repro.detect.run import CleaningScope, run_detection
 from repro.errors.groundtruth import GroundTruth
@@ -58,13 +58,6 @@ class MLNClean:
     ``None`` keeps the paper's AGP → RSC → FSCR → dedup sequence, with the
     dedup stage honouring ``config.remove_duplicates``.
 
-    ``parallelism=N`` (N > 1) cleans the independent Stage-I blocks in N
-    worker processes and merges their outcomes deterministically — the
-    cleaned table, F1 and stage outcomes are bit-identical to a serial run;
-    only wall-clock changes.  Parallel Stage I requires the default stage
-    order (custom sequences may interleave Stage-I stages with stages that
-    observe cross-block state, so they stay serial).
-
     ``detectors`` is an optional error-detection stack (detector specs, see
     :mod:`repro.detect`) run before the index build.  The result scopes the
     run to the detected-dirty cells — Stage I only enumerates blocks
@@ -78,24 +71,10 @@ class MLNClean:
         self,
         config: Optional[MLNCleanConfig] = None,
         stages: Optional[Sequence[str]] = None,
-        parallelism: int = 1,
         detectors: Optional[Sequence] = None,
     ):
-        if parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
-        if parallelism > 1 and stages is not None:
-            raise ValueError(
-                "parallel Stage I requires the default stage order; "
-                "drop the custom stages or run with parallelism=1"
-            )
-        if parallelism > 1 and detectors is not None:
-            raise ValueError(
-                "dirty-cell-scoped cleaning is serial-only; "
-                "drop the detectors or run with parallelism=1"
-            )
         self.config = config or MLNCleanConfig()
         self.stages = list(stages) if stages is not None else None
-        self.parallelism = parallelism
         self.detectors = list(detectors) if detectors is not None else None
 
     def clean(
@@ -133,7 +112,6 @@ class MLNClean:
             backend="batch",
             tuples=len(dirty),
             rules=len(rules),
-            parallelism=self.parallelism,
         ):
             # The optional detection phase (before the index: detectors read
             # only the table and the rules).  Exact-or-prune: a detection
@@ -158,7 +136,7 @@ class MLNClean:
 
             # The stage sequence (Stage I lines 14-17, Stage II line 18 +
             # dedup).
-            for stage in self._build_stage_sequence():
+            for stage in build_stages(self.stages, self.config):
                 with stage_scope(timings, "batch", stage.name):
                     stage.run(context)
 
@@ -185,7 +163,6 @@ class MLNClean:
             details=PerfDetails(
                 timings=timings.as_dict(),
                 distance=context.engine.stats.as_dict(),
-                parallelism=self.parallelism,
                 detection=self._detection_details(context),
             ),
         )
@@ -201,28 +178,6 @@ class MLNClean:
             payload["scoped_blocks"] = context.scope.selected_block_names()
             payload["affected_tuples"] = len(context.scope.tids)
         return payload
-
-    def _build_stage_sequence(self):
-        """The stage instances of this run.
-
-        Serial runs use the registered stages verbatim; ``parallelism>1``
-        fuses the leading ``agp`` + ``rsc`` pair into one process-parallel
-        Stage-I step and keeps Stage II (fscr, dedup) serial.
-        """
-        if self.parallelism <= 1:
-            return build_stages(self.stages, self.config)
-        from repro.perf.parallel import ParallelStageOne
-
-        stage_two = [
-            name
-            for name in DEFAULT_STAGES
-            if name not in ("agp", "rsc")
-            and (name != "dedup" or self.config.remove_duplicates)
-        ]
-        return [
-            ParallelStageOne(self.config, self.parallelism),
-            *build_stages(stage_two, self.config),
-        ]
 
     def clean_table(self, dirty: Table, rules: Sequence[Rule]) -> Table:
         """Convenience wrapper returning only the cleaned table."""

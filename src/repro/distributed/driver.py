@@ -30,7 +30,7 @@ from repro.core.agp import AbnormalGroupProcessor, AGPOutcome
 from repro.core.config import MLNCleanConfig
 from repro.core.dedup import DeduplicationResult, remove_duplicates
 from repro.core.fscr import FusionScoreResolver
-from repro.core.index import Block, MLNIndex
+from repro.core.index import Block, MLNIndex, check_rule_attributes
 from repro.core.report import CleaningReport
 from repro.core.rsc import ReliabilityScoreCleaner, RSCOutcome
 from repro.dataset.table import Table
@@ -48,12 +48,11 @@ def merge_stage_outcomes(
     agp_outcomes: Iterable[AGPOutcome],
     rsc_outcomes: Iterable[RSCOutcome],
 ) -> tuple[AGPOutcome, RSCOutcome]:
-    """Deterministically fold per-worker / per-block Stage-I outcomes.
+    """Deterministically fold per-worker Stage-I outcomes.
 
-    The fold order is the iteration order of the inputs, which callers keep
-    at partition order (distributed driver) or block order (the batch
-    backend's ``parallelism=N`` mode), so merged ``StageCounts``, merge lists
-    and repair lists are identical to what a serial run accumulates.
+    The fold order is the iteration order of the inputs, which the driver
+    keeps at partition order, so merged ``StageCounts``, merge lists and
+    repair lists come out the same on every run.
     """
     agp_total = AGPOutcome()
     for outcome in agp_outcomes:
@@ -195,6 +194,7 @@ class DistributedMLNClean:
         """Run the distributed pipeline on ``dirty``."""
         if not rules:
             raise ValueError("distributed MLNClean needs at least one rule")
+        check_rule_attributes(rules, dirty.attributes)
         with ensure_tracer(self.config.trace), span(
             "driver.clean", workers=self.workers, tuples=len(dirty)
         ):

@@ -95,16 +95,14 @@ class PerfDetails:
     Attached to :attr:`repro.core.report.CleaningReport.details` by the
     batch pipeline: wall-clock per pipeline stage plus the shared
     :class:`~repro.perf.DistanceEngine` counters (pair-distance calls, cache
-    hit rate, raw metric evaluations, prune counts), and the Stage-I worker
-    fan-out width of ``parallelism=N`` runs.
+    hit rate, raw metric evaluations, prune counts), and the detection
+    drill-down when a detector stack ran.
     """
 
     #: per-stage wall-clock seconds (a ``TimingBreakdown.as_dict()``)
     timings: dict[str, float] = field(default_factory=dict)
     #: the distance engine's counters (a ``DistanceStats.as_dict()``)
     distance: dict[str, object] = field(default_factory=dict)
-    #: Stage-I worker processes of the run (1 = serial)
-    parallelism: int = 1
     #: detection drill-down when a detector stack ran (a
     #: ``DirtyCells.to_json_dict()`` plus scope info), ``None`` otherwise
     detection: Optional[dict] = None
@@ -113,7 +111,6 @@ class PerfDetails:
         payload: dict[str, object] = {
             "timings": dict(self.timings),
             "distance": dict(self.distance),
-            "parallelism": self.parallelism,
         }
         if self.detection is not None:
             payload["detection"] = dict(self.detection)
@@ -134,6 +131,5 @@ class PerfDetails:
         raw = self.distance.get("raw_evaluations", 0)
         return (
             f"{total:.3f}s over {len(self.timings)} stages | "
-            f"distance calls {calls} (raw {raw}, hit rate {hit_rate}) | "
-            f"parallelism {self.parallelism}"
+            f"distance calls {calls} (raw {raw}, hit rate {hit_rate})"
         )

@@ -1,16 +1,11 @@
-"""Performance subsystem: the shared distance engine and parallel Stage I.
+"""Performance subsystem: the shared distance engine and its helpers.
 
 :mod:`repro.perf.engine` provides the cached / pruned / early-exit
 :class:`DistanceEngine` every stage runs its string distances through, with
 one scalar exact-or-prune evaluation path behind its batch candidate-set API
 and the positional unigram lower bounds of :mod:`repro.perf.qgram` (computed
 from each value tuple's cached profile) ordering candidates;
-:mod:`repro.perf.parallel` fans independent Stage-I blocks out to worker
-processes for the batch backend's opt-in ``parallelism=N`` mode.
-
-``repro.perf.parallel`` is intentionally not imported here: it depends on the
-core stage processors (which themselves build engines), so importing it from
-the package root would be circular.  Import it explicitly where needed.
+:mod:`repro.perf.stats` holds the latency window the service reports from.
 """
 
 from repro.perf.engine import (

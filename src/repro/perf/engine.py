@@ -105,16 +105,6 @@ class DistanceStats:
             return 0.0
         return self.cache_hits / self.calls
 
-    def merge(self, other: "DistanceStats") -> "DistanceStats":
-        merged = DistanceStats()
-        for field in fields(DistanceStats):
-            setattr(
-                merged,
-                field.name,
-                getattr(self, field.name) + getattr(other, field.name),
-            )
-        return merged
-
     def iadd(self, other: "DistanceStats") -> "DistanceStats":
         """In-place add (keeps the object identity the live registry holds)."""
         for field in fields(DistanceStats):
@@ -140,9 +130,6 @@ class DistanceStats:
                 getattr(self, field.name) - getattr(earlier, field.name),
             )
         return delta
-
-    def copy(self) -> "DistanceStats":
-        return DistanceStats().merge(self)
 
     def as_dict(self) -> dict:
         out = {field.name: getattr(self, field.name) for field in fields(DistanceStats)}
@@ -194,7 +181,7 @@ def _register_engine(engine: "DistanceEngine") -> None:
 
 def _raw_totals() -> DistanceStats:
     """Retired + live counters; the caller holds ``_ACCUM_LOCK``."""
-    totals = _RETIRED.copy()
+    totals = DistanceStats().iadd(_RETIRED)
     for stats in _LIVE.values():
         totals.iadd(stats)
     return totals
@@ -718,19 +705,6 @@ class DistanceEngine:
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
-    def absorb_stats(self, stats: DistanceStats) -> None:
-        """Fold counters measured elsewhere (e.g. a worker process) in.
-
-        Worker processes keep their own engines; their counters are shipped
-        back with the results and folded into the driver's engine — which is
-        all it takes for :func:`global_distance_stats` to see the forked
-        work, because the global view is derived from engine-local counters.
-        The in-process fallback of the parallel path hands back empty stats
-        objects (its counters already live in this engine), so folding them
-        is a no-op.
-        """
-        self.stats.iadd(stats)
-
     def reset_stats(self) -> None:
         """Zero the engine-local counters, preserving the global totals.
 

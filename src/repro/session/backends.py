@@ -68,32 +68,22 @@ class ExecutionBackend(Protocol):
 class BatchBackend:
     """The stand-alone Algorithm-1 pipeline (the paper's primary setting).
 
-    ``parallelism=N`` (opt-in, default serial) cleans the independent
-    Stage-I blocks in N worker processes; output is bit-identical to the
-    serial run — blocks share no Stage-I state and the per-block outcomes
-    are merged deterministically in block order.
+    Every block runs Stage I in turn in this process through one shared
+    distance engine; partitioned execution is the distributed backend's job.
     """
 
     name = "batch"
 
-    def __init__(self, parallelism: int = 1):
-        if parallelism < 1:
-            raise ValueError("the batch backend needs parallelism >= 1")
-        self.parallelism = parallelism
+    def __init__(self) -> None:
+        """No options; an unknown keyword fails with a ``TypeError`` naming it."""
 
     def run(self, request: CleaningRequest) -> CleaningReport:
-        if self.parallelism > 1 and request.detectors is not None:
-            raise ValueError(
-                "dirty-cell-scoped cleaning is serial-only: drop the "
-                "detectors or run the batch backend with parallelism=1"
-            )
         cleaner = MLNClean(
             request.config,
             stages=request.stages,
-            parallelism=self.parallelism,
             detectors=request.detectors,
         )
-        with span("backend:batch", parallelism=self.parallelism):
+        with span("backend:batch"):
             report = cleaner.clean(
                 request.dirty, request.rules, request.ground_truth
             )

@@ -425,8 +425,8 @@ class CleaningSession:
         the same algorithm under the same configuration — which is exactly
         the identity :class:`repro.service.pool.SessionPool` shards warm
         sessions by.  Execution-only knobs that are proven output-invariant
-        (batch ``parallelism``, distributed ``workers``, streaming replay
-        ``batch_size``) deliberately do not participate.
+        (distributed ``workers``, streaming replay ``batch_size``)
+        deliberately do not participate.
 
         Algorithm-specific options of non-MLNClean cleaners (e.g. HoloClean
         training epochs) are not visible from the session; callers routing

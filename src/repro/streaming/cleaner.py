@@ -42,7 +42,7 @@ from repro.core.agp import AbnormalGroupProcessor, AGPOutcome
 from repro.core.config import MLNCleanConfig
 from repro.core.dedup import DeduplicationResult, remove_duplicates
 from repro.core.fscr import FSCROutcome, FusionScoreResolver, TupleFusion
-from repro.core.index import Block
+from repro.core.index import Block, check_rule_attributes
 from repro.core.report import CleaningReport
 from repro.core.rsc import ReliabilityScoreCleaner, RSCOutcome
 from repro.dataset.schema import Schema
@@ -141,6 +141,7 @@ class StreamingMLNClean:
             raise ValueError("StreamingMLNClean needs at least one integrity constraint")
         self.rules = list(rules)
         self.schema = schema if isinstance(schema, Schema) else Schema(schema)
+        check_rule_attributes(self.rules, self.schema)
         self.config = config or MLNCleanConfig()
         self.window = window
         # Incremental re-detection: per tick, only the dirtied rules /

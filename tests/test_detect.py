@@ -428,18 +428,6 @@ def test_scoped_report_carries_detection_provenance():
     assert report.details.detected_cells == detection["count"]
 
 
-def test_parallel_batch_rejects_detectors():
-    instance = hospital_instance()
-    request = CleaningRequest(
-        dirty=instance.dirty,
-        rules=instance.rules,
-        config=recommended_config("hospital-sample"),
-        detectors=["violation"],
-    )
-    with pytest.raises(ValueError, match="serial-only"):
-        get_backend("batch", parallelism=2).run(request)
-
-
 def test_distributed_rejects_scoping_but_allows_all_cells():
     instance = hospital_instance()
     request = CleaningRequest(

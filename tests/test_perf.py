@@ -1,4 +1,4 @@
-"""The perf subsystem: distance engine, fast paths, parallel Stage I.
+"""The perf subsystem: distance engine, fast paths, report surfacing.
 
 The load-bearing properties:
 
@@ -6,8 +6,6 @@ The load-bearing properties:
   distance is ``≤ c`` and otherwise leaves at most a true lower bound ``> c``
   behind — this is what makes the best-so-far searches in AGP and RSC
   bit-identical to exhaustive scans,
-* ``parallelism=2`` batch output equals serial output (table + F1) on every
-  registered workload,
 * re-cleaning an unchanged block through a shared engine re-runs no raw
   metric evaluations (the streaming-replay regression).
 """
@@ -38,14 +36,13 @@ from repro.distance.fastpath import (
     strip_common_affixes,
     trivial_edit_distance,
 )
-from repro.distributed.driver import merge_stage_outcomes
 from repro.errors.injector import ErrorSpec
 from repro.experiments.harness import session_for_instance
 from repro.metrics.timing import PerfDetails
-from repro.perf import DistanceEngine, DistanceStats, global_distance_stats
-from repro.perf.parallel import clean_blocks_parallel
+from repro.perf import DistanceEngine, DistanceStats
+from repro.session import CleaningSession, get_backend
 from repro.streaming import DeltaBatch, StreamingMLNClean, TumblingWindow
-from repro.workloads.registry import available_workloads, get_workload_generator
+from repro.workloads.registry import get_workload_generator
 
 short_text = st.text(
     alphabet=st.characters(min_codepoint=48, max_codepoint=122), max_size=12
@@ -213,73 +210,13 @@ def test_release_invalidates_only_dead_values():
     assert engine.cache_size() == 1
 
 
-def test_stats_merge_diff_and_absorb():
+def test_stats_iadd_and_diff():
     stats = DistanceStats(calls=10, cache_hits=4)
     other = DistanceStats(calls=5, cache_hits=1)
-    merged = stats.merge(other)
+    merged = DistanceStats().iadd(stats).iadd(other)
     assert (merged.calls, merged.cache_hits) == (15, 5)
+    assert (stats.calls, other.calls) == (10, 5)  # the operands are untouched
     assert merged.diff(other).calls == 10
-    engine = DistanceEngine(LevenshteinDistance())
-    before = global_distance_stats()
-    engine.absorb_stats(other)
-    assert engine.stats.calls == 5
-    assert global_distance_stats().diff(before).calls == 5
-
-
-# ----------------------------------------------------------------------
-# equivalence: parallel vs serial
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("workload_name", sorted(available_workloads()))
-def test_parallel_two_equals_serial_on_every_workload(workload_name):
-    instance = small_instance(workload_name, tuples=80)
-    serial = session_for_instance(instance, backend="batch").run()
-    parallel = session_for_instance(
-        instance, backend="batch", parallelism=2
-    ).run()
-    assert tables_equal(serial.cleaned, parallel.cleaned)
-    assert tables_equal(serial.repaired, parallel.repaired)
-    assert serial.f1 == parallel.f1
-    # merged stage outcomes match the serial fold
-    assert vars(serial.agp.counts) == vars(parallel.agp.counts)
-    assert vars(serial.rsc.counts) == vars(parallel.rsc.counts)
-    assert len(serial.rsc.repairs) == len(parallel.rsc.repairs)
-    assert parallel.details.parallelism == 2
-
-
-def test_parallel_stage_one_rejects_custom_stage_orders():
-    with pytest.raises(ValueError, match="default stage order"):
-        MLNClean(stages=["agp", "fscr"], parallelism=2)
-    with pytest.raises(ValueError):
-        MLNClean(parallelism=0)
-
-
-def test_clean_blocks_parallel_in_process_reuses_shared_engine(
-    sample_table, sample_rules
-):
-    config = MLNCleanConfig(abnormal_threshold=1)
-    blocks = MLNIndex.build(sample_table, sample_rules).block_list
-    shared = DistanceEngine.from_config(config)
-    results, pooled = clean_blocks_parallel(
-        blocks, config, None, parallelism=1, engine=shared
-    )
-    assert pooled is False
-    assert shared.stats.calls > 0  # the fallback went through the shared cache
-    # per-result stats stay empty so a later fold cannot double count
-    assert all(result.stats.calls == 0 for result in results)
-
-
-def test_clean_blocks_parallel_preserves_block_order(sample_table, sample_rules):
-    config = MLNCleanConfig(abnormal_threshold=1)
-    blocks = MLNIndex.build(sample_table, sample_rules).block_list
-    results, pooled = clean_blocks_parallel(blocks, config, None, parallelism=2)
-    assert [result.block.name for result in results] == [b.name for b in blocks]
-    agp, rsc = merge_stage_outcomes(
-        (result.agp for result in results), (result.rsc for result in results)
-    )
-    assert agp.detected_abnormal_groups == sum(
-        result.agp.detected_abnormal_groups for result in results
-    )
-    assert rsc.cleaned_groups == sum(result.rsc.cleaned_groups for result in results)
 
 
 # ----------------------------------------------------------------------
@@ -293,7 +230,7 @@ def test_batch_report_surfaces_perf_details():
     assert set(details.timings) >= {"index", "agp", "rsc", "fscr"}
     assert details.distance["calls"] > 0
     assert "hit rate" in details.describe()
-    assert details.as_dict()["parallelism"] == 1
+    assert "parallelism" not in details.as_dict()
 
 
 def test_distributed_report_carries_stage_outcomes_and_stats():
@@ -375,6 +312,13 @@ def test_config_engine_honours_cache_knobs():
     for removed in ("distance_cache", "distance_cache_entries", "distance_kernel", "qgram_size"):
         with pytest.raises(TypeError, match=removed):
             MLNCleanConfig(**{removed: None})
+    # so does the removed process-parallel Stage-I option, at every entry point
+    with pytest.raises(TypeError, match="parallelism"):
+        MLNClean(parallelism=2)
+    with pytest.raises(TypeError, match="parallelism"):
+        get_backend("batch", parallelism=2)
+    with pytest.raises(TypeError, match="parallelism"):
+        CleaningSession.builder().with_backend("batch", parallelism=2).build()
 
 
 @settings(deadline=None)

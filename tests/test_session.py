@@ -281,6 +281,26 @@ def test_backends_reject_custom_stage_orders():
             session.run()
 
 
+@pytest.mark.parametrize(
+    "records",
+    [[], [{"A": "1", "B": "x"}, {"A": "1", "B": "y"}]],
+    ids=["empty", "populated"],
+)
+@pytest.mark.parametrize("backend", ["batch", "distributed", "streaming"])
+def test_rule_naming_a_missing_attribute_is_rejected(backend, records):
+    table = Table.from_records(records, attributes=["A", "B"])
+    session = (
+        CleaningSession.builder()
+        .with_rules(FunctionalDependency(["A"], ["Z", "B", "Y"], name="r-missing"))
+        .with_config(abnormal_threshold=1)
+        .with_backend(backend)
+        .build()
+    )
+    session.load_table(table)
+    with pytest.raises(ValueError, match=r"'r-missing' .* missing from the table: Z, Y$"):
+        session.run()
+
+
 # ----------------------------------------------------------------------
 # stages
 # ----------------------------------------------------------------------
