@@ -38,25 +38,6 @@ class GroupMerge:
     gamma_count: int
     tuple_count: int
 
-    def as_json_dict(self) -> dict:
-        return {
-            "block": self.block_name,
-            "abnormal": list(self.abnormal_key),
-            "target": list(self.target_key),
-            "gammas": self.gamma_count,
-            "tuples": self.tuple_count,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GroupMerge":
-        return cls(
-            block_name=str(data["block"]),
-            abnormal_key=tuple(str(v) for v in data["abnormal"]),
-            target_key=tuple(str(v) for v in data["target"]),
-            gamma_count=int(data["gammas"]),
-            tuple_count=int(data["tuples"]),
-        )
-
 
 @dataclass
 class AGPOutcome:
@@ -75,26 +56,6 @@ class AGPOutcome:
         self.detected_abnormal_gammas += other.detected_abnormal_gammas
         self.skipped_without_target += other.skipped_without_target
         self.counts = self.counts.merge(other.counts)
-
-    def as_json_dict(self) -> dict:
-        """JSON-safe round-trip payload (cluster snapshots persist these)."""
-        return {
-            "merges": [merge.as_json_dict() for merge in self.merges],
-            "detected_abnormal_groups": self.detected_abnormal_groups,
-            "detected_abnormal_gammas": self.detected_abnormal_gammas,
-            "skipped_without_target": self.skipped_without_target,
-            "counts": self.counts.as_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "AGPOutcome":
-        return cls(
-            merges=[GroupMerge.from_json_dict(m) for m in data["merges"]],
-            detected_abnormal_groups=int(data["detected_abnormal_groups"]),
-            detected_abnormal_gammas=int(data["detected_abnormal_gammas"]),
-            skipped_without_target=int(data["skipped_without_target"]),
-            counts=StageCounts.from_dict(data["counts"]),
-        )
 
 
 class AbnormalGroupProcessor:

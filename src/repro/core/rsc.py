@@ -43,25 +43,6 @@ class GammaRepair:
     repaired_values: tuple[str, ...]
     tids: list[int]
 
-    def as_json_dict(self) -> dict:
-        return {
-            "block": self.block_name,
-            "group": list(self.group_key),
-            "original": list(self.original_values),
-            "repaired": list(self.repaired_values),
-            "tids": list(self.tids),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GammaRepair":
-        return cls(
-            block_name=str(data["block"]),
-            group_key=tuple(str(v) for v in data["group"]),
-            original_values=tuple(str(v) for v in data["original"]),
-            repaired_values=tuple(str(v) for v in data["repaired"]),
-            tids=[int(tid) for tid in data["tids"]],
-        )
-
 
 @dataclass
 class RSCOutcome:
@@ -77,24 +58,6 @@ class RSCOutcome:
         self.cleaned_groups += other.cleaned_groups
         self.skipped_groups += other.skipped_groups
         self.counts = self.counts.merge(other.counts)
-
-    def as_json_dict(self) -> dict:
-        """JSON-safe round-trip payload (cluster snapshots persist these)."""
-        return {
-            "repairs": [repair.as_json_dict() for repair in self.repairs],
-            "cleaned_groups": self.cleaned_groups,
-            "skipped_groups": self.skipped_groups,
-            "counts": self.counts.as_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RSCOutcome":
-        return cls(
-            repairs=[GammaRepair.from_json_dict(r) for r in data["repairs"]],
-            cleaned_groups=int(data["cleaned_groups"]),
-            skipped_groups=int(data["skipped_groups"]),
-            counts=StageCounts.from_dict(data["counts"]),
-        )
 
 
 class ReliabilityScoreCleaner:

@@ -17,6 +17,11 @@ from repro.dataset.domain import Domain
 from repro.dataset.schema import Schema
 
 
+def cell_text(value: object) -> str:
+    """A cell's stored text: ``None`` is the empty cell, as in a CSV file."""
+    return "" if value is None else str(value)
+
+
 @dataclass(frozen=True)
 class Cell:
     """Address of a single attribute value: tuple id + attribute name."""
@@ -107,7 +112,7 @@ class Table:
             tid = self._next_tid
         elif tid in self._rows:
             raise ValueError(f"tuple id {tid} already present")
-        row = Row(tid, {a: str(values[a]) for a in self.schema})
+        row = Row(tid, {a: cell_text(values[a]) for a in self.schema})
         self._rows[tid] = row
         self._next_tid = max(self._next_tid, tid + 1)
         return row
@@ -159,12 +164,6 @@ class Table:
         """Rows in insertion order."""
         return list(self._rows.values())
 
-    def reserve_tids(self, next_tid: int) -> None:
-        """Advance the tid allocator so ids below ``next_tid`` are never
-        auto-assigned again (snapshot restore re-arms the allocator of a
-        table whose highest-id rows were already evicted)."""
-        self._next_tid = max(self._next_tid, int(next_tid))
-
     @property
     def attributes(self) -> list[str]:
         """Attribute names of the schema."""
@@ -189,7 +188,7 @@ class Table:
         """Overwrite one cell."""
         if attribute not in self.schema:
             raise KeyError(f"attribute {attribute!r} not in schema")
-        self._rows[tid].set(attribute, str(value))
+        self._rows[tid].set(attribute, cell_text(value))
 
     def set_cell(self, cell: Cell, value: str) -> None:
         self.set_value(cell.tid, cell.attribute, value)

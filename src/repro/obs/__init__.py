@@ -74,28 +74,6 @@ RUNS_TOTAL = REGISTRY.counter(
     ("backend",),
 )
 
-#: latency of the WAL fsync that gates every delta acknowledgement — the
-#: durability tax of the cluster's write path (buckets sized for fsync:
-#: sub-millisecond on NVMe through tens of milliseconds on shared disks)
-WAL_FSYNC_SECONDS = REGISTRY.histogram(
-    "repro_wal_fsync_seconds",
-    "wall-clock seconds per write-ahead-log append + fsync",
-    buckets=(0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1.0),
-)
-
-#: deltas replayed from WAL tails during shard recovery
-RECOVERY_REPLAYED_DELTAS = REGISTRY.counter(
-    "repro_recovery_replayed_deltas_total",
-    "deltas replayed from write-ahead-log tails during shard recovery",
-)
-
-#: shard recoveries performed, by how the state came back
-RECOVERY_RUNS = REGISTRY.counter(
-    "repro_recovery_runs_total",
-    "shard recoveries, by source of the recovered state",
-    ("source",),
-)
-
 #: cells flagged dirty by each detector of a detection stack
 DETECTOR_CELLS = REGISTRY.counter(
     "repro_detector_cells_total",
@@ -145,18 +123,6 @@ def stage_scope(timings, backend: str, stage: str, **attrs):
         STAGE_SECONDS.labels(backend=backend, stage=stage).inc(elapsed)
 
 
-def stage_seconds_snapshot() -> "dict[str, float]":
-    """``{"<backend>.<stage>": seconds}`` from the default registry.
-
-    Benchmarks diff two snapshots around a harness run to attribute
-    wall-clock to stages (``BENCH_perf.json``'s ``stage_seconds``).
-    """
-    out: "dict[str, float]" = {}
-    for labels, child in STAGE_SECONDS.samples():
-        out[f"{labels['backend']}.{labels['stage']}"] = child.value
-    return out
-
-
 @REGISTRY.register_collector
 def _distance_collector():
     """Expose the process-global distance-engine counters at scrape time.
@@ -198,12 +164,9 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
-    "RECOVERY_REPLAYED_DELTAS",
-    "RECOVERY_RUNS",
     "REGISTRY",
     "RUNS_TOTAL",
     "STAGE_SECONDS",
-    "WAL_FSYNC_SECONDS",
     "Span",
     "Tracer",
     "current_tracer",
@@ -217,7 +180,6 @@ __all__ = [
     "render_tree",
     "span",
     "stage_scope",
-    "stage_seconds_snapshot",
     "to_chrome",
     "tracing_active",
     "use_tracer",

@@ -60,9 +60,8 @@ class ServiceClient:
     """Blocking JSON client for one service endpoint.
 
     ``retries`` (opt-in, default 0) makes the client ride out transient
-    unavailability: 503 responses (overload, draining, a cluster rebalance
-    in flight) and connection failures (a worker restarting after a crash)
-    are retried with bounded exponential backoff — ``backoff * 2**attempt``
+    unavailability: 503 responses (overload, draining, an exhausted session
+    pool) and connection failures (a service restarting) are retried with bounded exponential backoff — ``backoff * 2**attempt``
     capped at ``max_backoff``, floored at the server's ``Retry-After`` hint
     when one was sent, plus up to ``jitter`` fractional randomization so a
     herd of clients does not retry in lockstep.  400s and genuine 500s are
@@ -110,8 +109,7 @@ class ServiceClient:
         on the backoff schedule documented on the class; the final attempt's
         error propagates unchanged.  ``deadline`` is an end-to-end budget in
         seconds for the *whole* call, retries included: each attempt sends
-        the remaining budget as ``X-Repro-Deadline`` (the router and worker
-        subtract their own elapsed time from it), and once it is spent the
+        the remaining budget as ``X-Repro-Deadline``, and once it is spent the
         client raises a local 504 instead of retrying further.
         """
         started = time.monotonic() if deadline is not None else 0.0
@@ -230,9 +228,9 @@ class ServiceClient:
         """``POST /deltas``; ``deltas`` is a list of op-tagged dicts.
 
         ``idempotency_key`` makes at-least-once retries exactly-once: the
-        shard remembers applied keys (durably, in its WAL/snapshots), so a
-        batch re-sent after a lost acknowledgement is deduplicated instead
-        of applied twice.  When the client is configured with ``retries``
+        shard remembers its last 512 applied keys in memory, so a batch
+        re-sent after a lost acknowledgement is deduplicated instead of
+        applied twice (a service restart forgets the keys).  When the client is configured with ``retries``
         and no key is given, one is generated — the payload is built once,
         so every retry of this call re-sends the *same* key.
         """

@@ -27,7 +27,7 @@ from typing import Optional, Union
 from repro.constraints.rules import Rule
 from repro.core.config import MLNCleanConfig
 from repro.core.report import CleaningReport
-from repro.dataset.table import Cell, Table
+from repro.dataset.table import Cell, Table, cell_text
 from repro.errors.groundtruth import ErrorType, GroundTruth, InjectedError
 from repro.registry import unknown_name
 from repro.service.errors import BadRequestError
@@ -112,10 +112,11 @@ class DeltaRequestSpec:
     detectors: Optional[list] = None
     #: include the post-tick cleaned table in the job result
     include_table: bool = True
-    #: client-generated request id for exactly-once application: a key the
-    #: shard has already applied (in memory, in its WAL, or in a snapshot)
-    #: is answered from the memo instead of re-applied, so retries after a
-    #: lost ack cannot double-apply.  Not part of the shard identity.
+    #: client-generated request id for exactly-once application: a key
+    #: among the last :attr:`~repro.service.pool.Shard.MAX_APPLIED_KEYS` the
+    #: shard applied is answered from its in-memory memo instead of
+    #: re-applied, so retries after a lost ack cannot double-apply (a
+    #: restart forgets the memo).  Not part of the shard identity.
     idempotency_key: Optional[str] = None
 
     #: delta streams run the incremental MLNClean engine only
@@ -209,7 +210,7 @@ def _decode_table(payload: dict) -> Optional[Table]:
     if not isinstance(raw, list) or not all(isinstance(r, dict) for r in raw):
         raise BadRequestError("'table' must be a list of {attribute: value} records")
     try:
-        return load_table([{str(k): str(v) for k, v in r.items()} for r in raw])
+        return load_table([{str(k): cell_text(v) for k, v in r.items()} for r in raw])
     except (KeyError, ValueError) as exc:
         raise BadRequestError(f"unloadable table records: {exc}") from exc
 
@@ -319,71 +320,6 @@ def decode_delta_request(payload: object) -> DeltaRequestSpec:
     )
     spec.validate()
     return spec
-
-
-def delta_routing_payload(spec: DeltaRequestSpec) -> dict:
-    """The wire-shape *stream identity* of a delta spec, without its deltas.
-
-    The cluster worker persists this next to each shard's WAL so a restart
-    can rebuild the shard's session — rules, config overrides, window — and
-    re-attach its durable state before any traffic arrives.  Round-trips
-    through :func:`decode_delta_routing`.  Only wire-expressible specs are
-    supported; an in-process spec carrying a full ``config`` object must
-    route through ``config_overrides`` instead.
-    """
-    if spec.config is not None:
-        raise ValueError(
-            "delta specs with an inline MLNCleanConfig are not wire-expressible; "
-            "use config_overrides"
-        )
-    payload: dict = {"seed": spec.seed}
-    if spec.workload is not None:
-        payload["workload"] = spec.workload
-        if spec.tuples is not None:
-            payload["tuples"] = spec.tuples
-    else:
-        from repro.constraints.parser import rules_to_strings
-
-        payload["rules"] = rules_to_strings(spec.rules or [])
-        payload["schema"] = list(spec.schema or [])
-    if spec.config_overrides:
-        payload["config"] = dict(spec.config_overrides)
-    if spec.window is not None:
-        payload["window"] = normalize_window_spec(spec.window)
-    if spec.detectors is not None:
-        if not all(isinstance(d, (str, dict)) for d in spec.detectors):
-            raise ValueError(
-                "delta specs with detector instances are not wire-expressible; "
-                "use detector names or {'name': ..., 'options': ...} specs"
-            )
-        payload["detectors"] = [
-            d if isinstance(d, str) else dict(d) for d in spec.detectors
-        ]
-    return payload
-
-
-def decode_delta_routing(payload: object) -> DeltaRequestSpec:
-    """A :func:`delta_routing_payload` document → a routable (empty) spec.
-
-    The spec carries no deltas and skips delta validation — it exists so
-    ``SessionPool.route`` can rebuild the shard it identifies.
-    """
-    data = _require_dict(payload, "the routing payload")
-    schema = data.get("schema")
-    if schema is not None and (
-        not isinstance(schema, list) or not all(isinstance(a, str) for a in schema)
-    ):
-        raise BadRequestError("'schema' must be a list of attribute names")
-    return DeltaRequestSpec(
-        workload=data.get("workload"),
-        tuples=_number(data, "tuples", int, None),
-        seed=_number(data, "seed", int, 7),
-        rules=_decode_rules(data),
-        schema=schema,
-        config_overrides=_decode_overrides(data),
-        window=data.get("window"),
-        detectors=_decode_detectors(data),
-    )
 
 
 # ----------------------------------------------------------------------

@@ -35,35 +35,15 @@ class ServiceOverloadedError(RuntimeError):
 
 
 class ServiceDrainingError(RuntimeError):
-    """The service is draining for shutdown or handoff (HTTP 503).
+    """The service is draining for shutdown (HTTP 503).
 
-    New submissions are refused while queued jobs finish and shard state is
-    checkpointed; a retrying client (``ServiceClient(retries=...)``) rides
-    it out, landing on the restarted worker or the shard's new owner.
+    New submissions are refused while queued jobs finish; a retrying client
+    (``ServiceClient(retries=...)``) rides it out, landing on the restarted
+    service.
     """
 
     def __init__(self) -> None:
         super().__init__("service is draining; retry later")
-
-
-class ShardDegradedError(RuntimeError):
-    """The shard's durable store is failing writes; shedding deltas (HTTP 503).
-
-    A WAL append or fsync error flips the shard into ``durability=degraded``
-    instead of crashing the worker: the in-memory state that outran the log
-    is discarded (nothing unacknowledged survives), delta writes answer 503
-    + ``Retry-After`` while the disk is sick, and a periodic probe lets the
-    first tick after ``retry_after`` seconds re-attach and recover from the
-    durable state — writes succeeding again clears the mode.
-    """
-
-    def __init__(self, fingerprint: str, retry_after: float = 1.0):
-        super().__init__(
-            f"shard {fingerprint[:10]} is in durability=degraded (its "
-            f"write-ahead log is failing writes); retry in {retry_after:g}s"
-        )
-        self.fingerprint = fingerprint
-        self.retry_after = retry_after
 
 
 class PoolExhaustedError(RuntimeError):

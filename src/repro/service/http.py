@@ -82,15 +82,9 @@ def _failure_status(error_kind: Optional[str]) -> int:
     """Map a failed job's ``error_kind`` to its HTTP status.
 
     ``bad_request`` is the client's fault (400), ``deadline`` means its
-    budget ran out (504), ``unavailable`` is retryable shedding — degraded
-    durability (503 + Retry-After); everything else, including quarantined
-    ``poison`` jobs, is a server-side 500.
+    budget ran out (504); everything else is a server-side 500.
     """
-    return {
-        "bad_request": 400,
-        "deadline": 504,
-        "unavailable": 503,
-    }.get(error_kind, 500)
+    return {"bad_request": 400, "deadline": 504}.get(error_kind, 500)
 
 
 class ServiceHTTPServer:
@@ -218,9 +212,6 @@ class ServiceHTTPServer:
         self, method: str, path: str, body: bytes, headers: Optional[dict] = None
     ):
         headers = headers or {}
-        extra = await self._dispatch_extra(method, path.split("?", 1)[0], body, headers)
-        if extra is not None:
-            return extra
         path = path.split("?", 1)[0]
         if path == "/healthz" and method == "GET":
             return 200, self.service.healthz(), {}
@@ -238,13 +229,6 @@ class ServiceHTTPServer:
                 return 405, _error_payload("method_not_allowed", f"{path} is POST-only"), {}
             return await self._submit(path, body, headers)
         return 404, _error_payload("not_found", f"no route {method} {path}"), {}
-
-    async def _dispatch_extra(
-        self, method: str, path: str, body: bytes, headers: dict
-    ):
-        """Subclass hook for additional routes (the cluster worker's
-        ``/cluster/*`` endpoints); None means "not mine"."""
-        return None
 
     async def _submit(self, path: str, body: bytes, headers: Optional[dict] = None):
         try:
@@ -303,12 +287,10 @@ class ServiceHTTPServer:
             return 200, {"job": job.as_json_dict()}, {}
         if job.status is JobStatus.FAILED:
             # apply-time validation failures (e.g. a delta targeting an
-            # unknown tuple) are the client's fault; 504/503 mark deadline
-            # and shedding outcomes retryable clients understand; 500 stays
-            # reserved for genuine bugs, per the errors.py taxonomy
-            status = _failure_status(job.error_kind)
-            extra = {"Retry-After": "1"} if status == 503 else {}
-            return status, {"job": job.as_json_dict()}, extra
+            # unknown tuple) are the client's fault; 504 marks a spent
+            # deadline; 500 stays reserved for genuine bugs, per the
+            # errors.py taxonomy
+            return _failure_status(job.error_kind), {"job": job.as_json_dict()}, {}
         return 202, {"job": job.as_json_dict(include_result=False)}, {}
 
 
@@ -323,23 +305,18 @@ async def serve(
     host: str = "127.0.0.1",
     port: int = 8080,
     config: Optional[ServiceConfig] = None,
-    service: Optional[CleaningService] = None,
-    http_server: Optional[ServiceHTTPServer] = None,
     drain_timeout: float = 30.0,
 ) -> None:
     """Run a service + front end until SIGTERM/SIGINT, then drain and exit.
 
     Graceful shutdown: the first signal flips the service into draining
     (new submissions answer 503), queued jobs run to completion (bounded by
-    ``drain_timeout``), shard state is checkpointed — the cluster worker's
-    durability layer flushes its WALs and writes final snapshots here —
-    and only then does the coroutine return, letting the process exit 0.
-    A second signal skips the drain.  ``service`` / ``http_server`` let the
-    cluster worker reuse this loop with its own subclasses.
+    ``drain_timeout``), and only then does the coroutine return, letting
+    the process exit 0.
     """
-    service = service or CleaningService(config)
+    service = CleaningService(config)
     await service.start()
-    http = http_server or ServiceHTTPServer(service, host, port)
+    http = ServiceHTTPServer(service, host, port)
     await http.start()
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()

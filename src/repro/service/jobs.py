@@ -57,11 +57,12 @@ class Job:
     #: the live report, for in-process callers (never serialized)
     report: Optional[CleaningReport] = None
     error: Optional[str] = None
-    #: who caused a failure: "bad_request" (the client's deltas/inputs) or
-    #: "internal" (a genuine bug) — decides the front end's 400 vs 500
+    #: who caused a failure: "bad_request" (the client's deltas/inputs),
+    #: "deadline" (the request's budget ran out before it executed) or
+    #: "internal" (a genuine bug) — decides the front end's 400 / 504 / 500
     error_kind: Optional[str] = None
-    #: caller-supplied correlation id (the cluster router's request id),
-    #: echoed back so spans stitch across processes
+    #: caller-supplied correlation id (``X-Repro-Request-Id``), echoed back
+    #: and set on the job's root span
     request_id: Optional[str] = None
     #: absolute ``time.monotonic()`` deadline from the request's budget
     #: (``X-Repro-Deadline``); queued work past it is rejected with a 504

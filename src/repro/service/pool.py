@@ -82,34 +82,24 @@ class Shard:
         self.ticks = 0
         self.coalesced_requests = 0
         self.session_reuses = 0
-        #: idempotency key → memoized result of its first application (None
-        #: for keys re-registered from a WAL/snapshot replay, whose demuxed
-        #: result is gone — retries then get a duplicate acknowledgement);
-        #: bounded LRU so adversarial key churn cannot grow the shard
-        self.applied_keys: "OrderedDict[str, Optional[dict]]" = OrderedDict()
+        #: idempotency key → memoized result of its first application;
+        #: in memory only (a restart forgets it) and a bounded LRU, so
+        #: adversarial key churn cannot grow the shard
+        self.applied_keys: "OrderedDict[str, dict]" = OrderedDict()
 
     #: applied keys remembered per shard before the oldest are forgotten
     MAX_APPLIED_KEYS = 512
 
-    def remember_key(self, key: str, result: Optional[dict]) -> None:
+    def remember_key(self, key: str, result: dict) -> None:
         """Memoize one applied request so its retries dedupe."""
         self.applied_keys[key] = result
         self.applied_keys.move_to_end(key)
         while len(self.applied_keys) > self.MAX_APPLIED_KEYS:
             self.applied_keys.popitem(last=False)
 
-    def forget_key(self, key: str) -> None:
-        """Un-register a key whose tick turned out not to be durable."""
-        self.applied_keys.pop(key, None)
-
     def replayed_result(self, key: str) -> dict:
-        """The dedupe answer for an already-applied key."""
-        memo = self.applied_keys.get(key)
-        if memo is not None:
-            return memo
-        # the key came back through recovery; its original demuxed result
-        # did not survive the crash, but the state did — acknowledge that
-        return {"kind": "deltas", "duplicate": True, "idempotency_key": key}
+        """The dedupe answer for an already-applied key: its original ack."""
+        return self.applied_keys[key]
 
     def stream_engine(self, schema: list) -> StreamingMLNClean:
         """The shard's streaming engine, created on first delta tick."""
@@ -295,25 +285,6 @@ class SessionPool:
             return list(spec.schema)
         generator = get_workload_generator(spec.workload, tuples=1, seed=spec.seed)
         return generator.build().clean.attributes
-
-    # ------------------------------------------------------------------
-    # eviction (shard handoff)
-    # ------------------------------------------------------------------
-    def evict(self, key: ShardKey) -> bool:
-        """Drop one shard and its routing memo entries (cluster handoff).
-
-        The caller is responsible for having drained the shard first; the
-        pool only forgets it, so the next request with this identity builds
-        a fresh shard (possibly on another worker, recovered from its
-        snapshot + WAL).
-        """
-        with self._lock:
-            removed = self._shards.pop(key, None) is not None
-            if removed:
-                stale = [m for m, k in self._route_memo.items() if k == key]
-                for memo_key in stale:
-                    del self._route_memo[memo_key]
-        return removed
 
     # ------------------------------------------------------------------
     # introspection

@@ -24,11 +24,8 @@ depth, per-shard throughput and the process-global
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import json
-import logging
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -36,7 +33,6 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 from repro.core.report import table_to_json_dict
-from repro.faults import INJECTOR
 from repro.obs import (
     REGISTRY,
     MetricsRegistry,
@@ -53,31 +49,12 @@ from repro.service.codec import (
     DeltaRequestSpec,
     report_signature,
 )
-from repro.service.errors import (
-    ServiceDrainingError,
-    ServiceOverloadedError,
-    ShardDegradedError,
-)
+from repro.service.errors import ServiceDrainingError, ServiceOverloadedError
 from repro.service.jobs import Job, JobStore
 from repro.service.pool import SessionPool, Shard
 
 #: what a request spec may be
 RequestSpec = Union[CleanRequestSpec, DeltaRequestSpec]
-
-log = logging.getLogger("repro.service")
-
-
-class DurabilityError(RuntimeError):
-    """A durability hook could not make an applied tick durable.
-
-    Raised by ``log_tick`` implementations when the WAL write/fsync fails:
-    the tick's in-memory effect must NOT be acknowledged (nothing
-    unacknowledged may survive a crash, and nothing acknowledged may be
-    lost).  The service responds by discarding the shard's in-memory stream
-    — the durable state on disk is the only truth — and failing the folded
-    jobs with ``error_kind="unavailable"`` so clients retry.
-    """
-
 
 @dataclass
 class ServiceConfig:
@@ -102,18 +79,12 @@ class ServiceConfig:
     #: (the ``--trace-dir`` flag of ``python -m repro.service serve``);
     #: setting it implies ``trace``
     trace_dir: Optional[str] = None
-    #: times one idempotency-keyed request may crash its shard's apply path
-    #: before it is quarantined (further attempts fail fast instead of
-    #: repeatedly taking the shard down)
-    poison_threshold: int = 3
 
     def __post_init__(self) -> None:
         if self.max_pending < 1:
             raise ValueError("the service needs max_pending >= 1")
         if self.executor_workers < 1:
             raise ValueError("the service needs executor_workers >= 1")
-        if self.poison_threshold < 1:
-            raise ValueError("the service needs poison_threshold >= 1")
 
 
 class _ShardRuntime:
@@ -123,9 +94,6 @@ class _ShardRuntime:
         self.shard = shard
         self.queue: asyncio.Queue = asyncio.Queue()
         self.task: Optional[asyncio.Task] = None
-        #: jobs dequeued by the worker and not yet finalized (the queue
-        #: alone cannot tell "idle" from "mid-tick"; shard handoff needs to)
-        self.inflight = 0
 
 
 class CleaningService:
@@ -142,18 +110,6 @@ class CleaningService:
         self._started_at: Optional[float] = None
         self._running = False
         self._draining = False
-        #: optional durability hooks (duck-typed; the cluster's
-        #: :class:`repro.cluster.ShardDurability` is the one implementation):
-        #: ``attach(shard, engine, spec)`` right after a shard's streaming
-        #: engine is created (recovery replays into it there),
-        #: ``log_tick(shard, batch, report)`` after a successful apply and
-        #: *before* the jobs are acknowledged, ``checkpoint(shard)`` on
-        #: drain/handoff.  None = the single-process service, no durability.
-        self.durability = None
-        #: poison-job tracking (event-loop-side, bounded): crash counts per
-        #: poison key, and keys parked after ``poison_threshold`` crashes
-        self._poison_counts: "OrderedDict[str, int]" = OrderedDict()
-        self._quarantined: "OrderedDict[str, str]" = OrderedDict()
         #: service-scoped instruments (one registry per instance, so two
         #: services in one process do not mix their job counters); the
         #: process-wide :data:`repro.obs.REGISTRY` is appended at scrape time
@@ -229,13 +185,12 @@ class CleaningService:
             self._executor = None
 
     async def drain(self, timeout: Optional[float] = 30.0) -> None:
-        """Graceful quiesce: refuse new work, finish queued jobs, checkpoint.
+        """Graceful quiesce: refuse new work and finish queued jobs.
 
         After this returns every queued job has finished (or ``timeout``
-        expired), and — when a durability layer is attached — every live
-        streaming shard has flushed its WAL and written a final snapshot.
-        Drain is one-way: the service stays started but keeps refusing new
-        submissions; call :meth:`stop` afterwards to tear it down.
+        expired).  Drain is one-way: the service stays started but keeps
+        refusing new submissions; call :meth:`stop` afterwards to tear it
+        down.
         """
         if not self._running:
             return
@@ -245,50 +200,6 @@ class CleaningService:
             if deadline is not None and time.monotonic() >= deadline:
                 break
             await asyncio.sleep(0.02)
-        if self.durability is not None:
-            loop = asyncio.get_running_loop()
-            for runtime in list(self._runtimes.values()):
-                if runtime.shard.stream is not None:
-                    await loop.run_in_executor(
-                        self._executor,
-                        partial(self.durability.checkpoint, runtime.shard),
-                    )
-
-    async def release_shard(self, fingerprint: str) -> bool:
-        """Drain one shard and evict it (the cluster's handoff primitive).
-
-        Waits until the shard's queue is empty and no job of it is in
-        flight, checkpoints its state (WAL flush + final snapshot when a
-        durability layer is attached), cancels its worker task and drops it
-        from the pool.  The next request routed here rebuilds the shard
-        from scratch — on another worker, recovery rebuilds it from the
-        shared snapshot + WAL.  Returns False when no such shard is live.
-        """
-        runtime = None
-        for candidate in self._runtimes.values():
-            if candidate.shard.key.fingerprint == fingerprint:
-                runtime = candidate
-                break
-        if runtime is None:
-            return False
-        while not runtime.queue.empty() or runtime.inflight:
-            await asyncio.sleep(0.02)
-        if runtime.task is not None:
-            runtime.task.cancel()
-            try:
-                await runtime.task
-            except asyncio.CancelledError:
-                pass
-        if self.durability is not None and runtime.shard.stream is not None:
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(
-                self._executor, partial(self.durability.checkpoint, runtime.shard)
-            )
-        if self.durability is not None:
-            self.durability.detach(runtime.shard)
-        self._runtimes.pop(runtime.shard.key, None)
-        self.pool.evict(runtime.shard.key)
-        return True
 
     async def __aenter__(self) -> "CleaningService":
         return await self.start()
@@ -313,16 +224,16 @@ class CleaningService:
         """Route and enqueue one request; returns its :class:`Job` handle.
 
         Raises :class:`ServiceOverloadedError` when the bounded queue is
-        full, :class:`ServiceDrainingError` while a graceful shutdown or
-        shard handoff is in progress, and ``KeyError`` (with the registry
-        name listing) for unknown workload / cleaner names — all *before*
-        anything is enqueued.  ``request_id`` is an optional caller-supplied
-        correlation id (the cluster router's ``X-Repro-Request-Id``); it is
-        attached to the job and its root span so one request's spans can be
-        stitched across the router and worker processes.  ``budget`` is the
-        request's remaining deadline in seconds (``X-Repro-Deadline``): work
-        still queued when it expires is failed with ``error_kind="deadline"``
-        instead of executing for a caller that already gave up.
+        full, :class:`ServiceDrainingError` while a graceful shutdown is in
+        progress, and ``KeyError`` (with the registry name listing) for
+        unknown workload / cleaner names — all *before* anything is
+        enqueued.  ``request_id`` is an optional caller-supplied correlation
+        id (the ``X-Repro-Request-Id`` header); it is attached to the job and
+        its root span so a caller can find its request's trace.  ``budget``
+        is the request's remaining deadline in seconds
+        (``X-Repro-Deadline``): work still queued when it expires is failed
+        with ``error_kind="deadline"`` instead of executing for a caller that
+        already gave up.
         """
         if not self._running:
             raise RuntimeError("the service is not running; call start() first")
@@ -398,10 +309,6 @@ class CleaningService:
                 "depth_per_shard": depths,
             },
             "jobs": self.jobs.counts(),
-            "poison": {
-                "tracked": len(self._poison_counts),
-                "quarantined": len(self._quarantined),
-            },
             "latency": self.latency.as_dict(),
             "coalescing": {
                 "ticks": sum(s["ticks"] for s in shard_stats),
@@ -485,24 +392,16 @@ class CleaningService:
                     items.append(runtime.queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
-            runtime.inflight = len(items)
-            try:
-                delta_items = [
-                    (job, spec)
-                    for job, spec in items
-                    if isinstance(spec, DeltaRequestSpec)
-                ]
-                clean_items = [
-                    (job, spec)
-                    for job, spec in items
-                    if isinstance(spec, CleanRequestSpec)
-                ]
-                if delta_items:
-                    await self._run_tick(runtime.shard, delta_items)
-                for job, spec in clean_items:
-                    await self._run_clean(runtime.shard, job, spec)
-            finally:
-                runtime.inflight = 0
+            delta_items = [
+                (job, spec) for job, spec in items if isinstance(spec, DeltaRequestSpec)
+            ]
+            clean_items = [
+                (job, spec) for job, spec in items if isinstance(spec, CleanRequestSpec)
+            ]
+            if delta_items:
+                await self._run_tick(runtime.shard, delta_items)
+            for job, spec in clean_items:
+                await self._run_clean(runtime.shard, job, spec)
 
     def _traced(
         self, parent: Optional[Span], name: str, attrs: dict, fn: Callable
@@ -567,26 +466,14 @@ class CleaningService:
 
     async def _run_tick(self, shard: Shard, items: list) -> None:
         # Loop-side triage before any executor time is spent: requests whose
-        # deadline already passed get a structured "deadline" failure, and
-        # quarantined poison keys fail fast instead of crashing the shard
-        # again.  Only what survives is dispatched as the coalesced tick.
+        # deadline already passed get a structured "deadline" failure; only
+        # what survives is dispatched as the coalesced tick.
         live = []
         for job, spec in items:
             if job.expired():
                 job.fail("deadline exceeded before execution", kind="deadline")
                 self._finalize(job)
                 continue
-            if self._quarantined:
-                key = self._poison_key(spec)
-                if key in self._quarantined:
-                    job.fail(
-                        "request quarantined as a poison job (crashed its "
-                        f"shard {self.config.poison_threshold} times): "
-                        f"{self._quarantined[key]}",
-                        kind="poison",
-                    )
-                    self._finalize(job)
-                    continue
             live.append((job, spec))
         if not live:
             return
@@ -616,10 +503,6 @@ class CleaningService:
         loop = asyncio.get_running_loop()
         try:
             results = await loop.run_in_executor(self._executor, work)
-        except ShardDegradedError as exc:
-            # the shard's durable store is shedding writes; clients retry
-            for job in jobs:
-                job.fail(str(exc), kind="unavailable")
         except Exception as exc:  # noqa: BLE001 - job isolation boundary
             message = f"{type(exc).__name__}: {exc}"
             for job in jobs:
@@ -627,9 +510,6 @@ class CleaningService:
         else:
             for job, result in zip(jobs, results):
                 if "error" in result:
-                    poison_key = result.pop("poison_key", None)
-                    if poison_key is not None:
-                        self._record_poison(poison_key, result["error"])
                     job.fail(result["error"], kind=result.get("error_kind", "internal"))
                 else:
                     job.finish(result)
@@ -642,9 +522,8 @@ class CleaningService:
 
         Requests carrying an ``idempotency_key`` the shard already applied
         are answered from the shard's memo (a byte-identical replay of the
-        original ack, or a structured duplicate ack after a restart) without
-        touching the engine — the exactly-once half of the client's
-        at-least-once retries.  Only fresh requests reach
+        original ack) without touching the engine — the exactly-once half of
+        the client's at-least-once retries.  Only fresh requests reach
         :meth:`_apply_specs`.
         """
         results: list = [None] * len(specs)
@@ -666,16 +545,9 @@ class CleaningService:
             for (index, _spec), result in zip(fresh, applied):
                 results[index] = result
         for index, first_index in aliases:
-            first = results[first_index]
-            if "error" in first:
-                # the original attempt failed, so nothing was applied; the
-                # duplicate reports the same failure (minus poison blame —
-                # one crash is one strike, not one per folded copy)
-                results[index] = {
-                    k: v for k, v in first.items() if k != "poison_key"
-                }
-            else:
-                results[index] = shard.replayed_result(specs[index].idempotency_key)
+            # the same key twice in one tick: the copy gets the first one's
+            # answer — its ack, or its failure (then nothing was applied)
+            results[index] = results[first_index]
         return results
 
     def _apply_specs(self, shard: Shard, specs: list) -> list:
@@ -684,32 +556,14 @@ class CleaningService:
         If the *combined* batch fails validation (e.g. two requests deleting
         the same tuple), fall back to applying each request as its own batch
         so only the offending requests fail — validation happens before any
-        mutation, so the fallback starts from untouched state.  A
-        *non*-validation crash discards the in-memory stream (the durable
-        state is the only truth) and re-runs per request so exactly the
-        poisonous ones are blamed.
+        mutation, so the fallback starts from untouched state.  Any other
+        exception propagates: the whole tick fails as an internal error.
         """
-        if self.durability is not None:
-            ensure = getattr(self.durability, "ensure_writable", None)
-            if ensure is not None:
-                # raises ShardDegradedError while the shard's WAL is sick
-                ensure(shard)
         engine = self._ensure_engine(shard, specs[0])
         plan = plan_tick([spec.deltas for spec in specs])
         try:
-            if INJECTOR.active:
-                INJECTOR.crash("service.apply", shard=shard.key.fingerprint)
             batch_report = engine.apply_batch(plan.batch)
         except (KeyError, ValueError):
-            return self._execute_per_request(shard, specs)
-        except ShardDegradedError:
-            raise
-        except Exception:  # noqa: BLE001 - poison isolation boundary
-            if self.durability is None:
-                # no durable state to recover from: keep the historical
-                # behavior (the whole tick fails as an internal error)
-                raise
-            self._shed_stream(shard)
             return self._execute_per_request(shard, specs)
         results = [
             self._delta_result(
@@ -721,78 +575,26 @@ class CleaningService:
             )
             for index, spec in enumerate(specs)
         ]
-        keys = [spec.idempotency_key for spec in specs if spec.idempotency_key]
         for spec, result in zip(specs, results):
             if spec.idempotency_key:
                 shard.remember_key(spec.idempotency_key, result)
-        if self.durability is not None:
-            try:
-                # fsynced before any folded job is acknowledged: an acked
-                # delta batch survives kill -9 (and carries its request keys
-                # so replay re-arms the duplicate filter)
-                if keys:
-                    self.durability.log_tick(
-                        shard, plan.batch, batch_report, keys=keys
-                    )
-                else:
-                    self.durability.log_tick(shard, plan.batch, batch_report)
-            except DurabilityError as exc:
-                for key in keys:
-                    shard.forget_key(key)
-                self._shed_stream(shard)
-                return [
-                    {"error": str(exc), "error_kind": "unavailable"}
-                    for _ in specs
-                ]
         shard.ticks += 1
         shard.coalesced_requests += len(specs)
         return results
 
     def _ensure_engine(self, shard: Shard, spec: DeltaRequestSpec):
-        """Return the shard's live stream engine, creating + recovering it."""
+        """Return the shard's live stream engine, creating it on first use."""
         if shard.stream is not None:
             return shard.stream
         # the schema lookup can build a (1-tuple) workload instance, so
         # resolve it only for the tick that actually creates the engine
-        engine = shard.stream_engine(self.pool.schema_for(spec))
-        if self.durability is not None:
-            try:
-                # recovery happens inside attach: snapshot restore + WAL
-                # tail replay into the freshly created engine
-                self.durability.attach(shard, engine, spec)
-            except Exception:
-                # leave no half-recovered engine behind; the next tick
-                # recreates one and re-attempts recovery
-                shard.stream = None
-                raise
-        return engine
-
-    def _shed_stream(self, shard: Shard) -> None:
-        """Discard a shard's in-memory stream; the durable state is truth.
-
-        Used when an apply crashed mid-tick (the engine may be
-        half-mutated) or the WAL refused a write (in-memory state outran
-        the log).  The next tick recreates the engine and recovery replays
-        the snapshot + WAL tail into it.
-        """
-        shard.stream = None
-        if self.durability is not None:
-            self.durability.detach(shard)
+        return shard.stream_engine(self.pool.schema_for(spec))
 
     def _execute_per_request(self, shard: Shard, specs: list) -> list:
         results = []
-        ensure = (
-            getattr(self.durability, "ensure_writable", None)
-            if self.durability is not None
-            else None
-        )
         for spec in specs:
             try:
-                if ensure is not None:
-                    ensure(shard)
                 engine = self._ensure_engine(shard, spec)
-                if INJECTOR.active:
-                    INJECTOR.crash("service.apply", shard=shard.key.fingerprint)
                 report = engine.apply_batch(spec.deltas)
             except (KeyError, ValueError) as exc:
                 # validation rejected the request's deltas before mutating
@@ -804,16 +606,6 @@ class CleaningService:
                     }
                 )
                 continue
-            except ShardDegradedError as exc:
-                results.append({"error": str(exc), "error_kind": "unavailable"})
-                continue
-            except Exception as exc:  # noqa: BLE001 - poison isolation
-                if self.durability is None:
-                    raise
-                self._shed_stream(shard)
-                results.append(self._poison_result(spec, exc))
-                continue
-            key = spec.idempotency_key
             result = self._delta_result(
                 engine,
                 report,
@@ -821,65 +613,12 @@ class CleaningService:
                 deltas=len(spec.deltas),
                 include_table=spec.include_table,
             )
-            if key:
-                shard.remember_key(key, result)
-            if self.durability is not None:
-                try:
-                    # each surviving request became its own engine tick, so
-                    # it gets its own WAL record — replay retraces this path
-                    if key:
-                        self.durability.log_tick(
-                            shard, spec.deltas, report, keys=[key]
-                        )
-                    else:
-                        self.durability.log_tick(shard, spec.deltas, report)
-                except DurabilityError as exc:
-                    if key:
-                        shard.forget_key(key)
-                    self._shed_stream(shard)
-                    results.append(
-                        {"error": str(exc), "error_kind": "unavailable"}
-                    )
-                    continue
+            if spec.idempotency_key:
+                shard.remember_key(spec.idempotency_key, result)
             shard.ticks += 1
             shard.coalesced_requests += 1
             results.append(result)
         return results
-
-    def _poison_key(self, spec: DeltaRequestSpec) -> str:
-        """Stable identity of a delta request for poison-crash accounting."""
-        if getattr(spec, "idempotency_key", None):
-            return spec.idempotency_key
-        blob = json.dumps(
-            spec.deltas.to_json_list(), sort_keys=True, separators=(",", ":")
-        )
-        return "sha:" + hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
-
-    def _poison_result(self, spec: DeltaRequestSpec, exc: BaseException) -> dict:
-        return {
-            "error": f"{type(exc).__name__}: {exc}",
-            "error_kind": "internal",
-            "poison_key": self._poison_key(spec),
-        }
-
-    #: distinct poison keys tracked before the oldest counts are dropped
-    MAX_POISON_TRACKED = 256
-
-    def _record_poison(self, key: str, error: str) -> None:
-        """Loop-side: count one shard-crashing attempt; park repeat offenders."""
-        count = self._poison_counts.get(key, 0) + 1
-        self._poison_counts[key] = count
-        self._poison_counts.move_to_end(key)
-        while len(self._poison_counts) > self.MAX_POISON_TRACKED:
-            self._poison_counts.popitem(last=False)
-        if count >= self.config.poison_threshold and key not in self._quarantined:
-            log.warning(
-                "quarantining poison request %s after %d shard crashes: %s",
-                key, count, error,
-            )
-            self._quarantined[key] = error
-            while len(self._quarantined) > self.MAX_POISON_TRACKED:
-                self._quarantined.popitem(last=False)
 
     @staticmethod
     def _delta_result(

@@ -445,43 +445,12 @@ class CleaningSession:
         }
         if self.detectors:
             # only when a stack is set, so detector-free sessions keep their
-            # historic fingerprints (and snapshots stay restorable)
+            # historic fingerprints
             from repro.detect.base import detector_specs_identity
 
             payload["detectors"] = detector_specs_identity(self.detectors)
         blob = json.dumps(payload, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-    # ------------------------------------------------------------------
-    # durable snapshots
-    # ------------------------------------------------------------------
-    def snapshot_envelope(self, state: dict) -> dict:
-        """Wrap backend/engine state in an identity-stamped envelope.
-
-        The envelope pins the session :meth:`fingerprint` so a snapshot can
-        only ever be restored into a session that would run the exact same
-        algorithm — the cluster's durability layer persists these and
-        refuses mismatched restores via :meth:`check_snapshot`.
-        """
-        return {"fingerprint": self.fingerprint(), "state": state}
-
-    def check_snapshot(self, envelope: dict) -> dict:
-        """Validate an envelope against this session and return its state.
-
-        Raises ``ValueError`` when the snapshot was taken by a session with
-        a different fingerprint (different rules, config, cleaner or window
-        policy) — restoring it would silently change cleaning behaviour.
-        """
-        fingerprint = envelope.get("fingerprint")
-        if fingerprint != self.fingerprint():
-            raise ValueError(
-                f"snapshot fingerprint {fingerprint!r} does not match this "
-                f"session's {self.fingerprint()!r}"
-            )
-        state = envelope.get("state")
-        if not isinstance(state, dict):
-            raise ValueError("snapshot envelope has no state payload")
-        return state
 
     # ------------------------------------------------------------------
     # loading

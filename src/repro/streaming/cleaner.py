@@ -46,8 +46,8 @@ from repro.core.index import Block, check_rule_attributes
 from repro.core.report import CleaningReport
 from repro.core.rsc import ReliabilityScoreCleaner, RSCOutcome
 from repro.dataset.schema import Schema
-from repro.dataset.table import Cell, Table
-from repro.errors.groundtruth import ErrorType, GroundTruth, InjectedError
+from repro.dataset.table import Table
+from repro.errors.groundtruth import GroundTruth
 from repro.metrics.accuracy import RepairAccuracy, evaluate_repair
 from repro.metrics.timing import TimingBreakdown
 from repro.obs import ensure_tracer, span, stage_scope
@@ -399,98 +399,6 @@ class StreamingMLNClean:
             backend="streaming",
             details=self,
         )
-
-    # ------------------------------------------------------------------
-    # state snapshot / restore
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """A JSON-safe snapshot from which :meth:`restore_state` rebuilds
-        an equivalent engine.
-
-        Only the *path-dependent* state is serialized: the retained dirty
-        rows (in arrival order), the window bookkeeping, tid allocators,
-        the batch counter, the cumulative Stage-I outcome accumulators and
-        the streamed ground-truth ledger.  Everything else — index, block
-        versions, fusions, the repaired/cleaned tables, the distance cache
-        — is content-deterministic (the affected-set tracking is exact, see
-        the module docstring) and is re-derived by replaying the retained
-        rows through the normal apply path on restore.
-        """
-        return {
-            "format": 1,
-            "schema": list(self.schema),
-            "batches": self._batches,
-            "next_tid": self._dirty.next_tid,
-            "rows": [[row.tid, [row[a] for a in self.schema]] for row in self._dirty],
-            "window": None if self.window is None else self.window.state_dict(),
-            "agp_total": self._agp_total.as_json_dict(),
-            "rsc_total": self._rsc_total.as_json_dict(),
-            "ground_truth": [
-                {
-                    "tid": error.cell.tid,
-                    "attribute": error.cell.attribute,
-                    "clean": error.clean_value,
-                    "dirty": error.dirty_value,
-                    "type": error.error_type.value,
-                }
-                for error in self._ground_truth
-            ],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Rebuild this (fresh) engine from a :meth:`state_dict` payload.
-
-        The retained rows are bootstrapped through :meth:`apply_batch` as
-        one synthetic insert batch with the window detached (the rows
-        already survived eviction), then the path-dependent accumulators
-        are overwritten from the snapshot.  Timings restart at zero —
-        wall-clock is masked out of report signatures anyway.
-        """
-        if self._batches or len(self._dirty):
-            raise ValueError("restore_state needs a freshly constructed engine")
-        if int(state.get("format", 0)) != 1:
-            raise ValueError(f"unsupported engine state format {state.get('format')!r}")
-        if list(self.schema) != list(state["schema"]):
-            raise ValueError("engine state was taken under a different schema")
-        window, self.window = self.window, None
-        try:
-            rows = state["rows"]
-            if rows:
-                self.apply_batch(
-                    DeltaBatch(
-                        [
-                            Insert(
-                                values=dict(zip(self.schema, values)), tid=int(tid)
-                            )
-                            for tid, values in rows
-                        ]
-                    )
-                )
-        finally:
-            self.window = window
-        if self.window is not None:
-            if state["window"] is None:
-                raise ValueError("engine state has no window bookkeeping")
-            self.window.restore_state(state["window"])
-        elif state["window"] is not None:
-            raise ValueError("engine state expects a window policy")
-        next_tid = int(state["next_tid"])
-        # both tables share the stream's tid allocator
-        self._dirty.reserve_tids(next_tid)
-        self._repaired.reserve_tids(next_tid)
-        self._batches = int(state["batches"])
-        self._agp_total = AGPOutcome.from_json_dict(state["agp_total"])
-        self._rsc_total = RSCOutcome.from_json_dict(state["rsc_total"])
-        self._ground_truth = GroundTruth(
-            InjectedError(
-                cell=Cell(int(e["tid"]), str(e["attribute"])),
-                clean_value=str(e["clean"]),
-                dirty_value=str(e["dirty"]),
-                error_type=ErrorType(e["type"]),
-            )
-            for e in state["ground_truth"]
-        )
-        self._timings = TimingBreakdown()
 
     # ------------------------------------------------------------------
     # delta application

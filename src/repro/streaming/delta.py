@@ -23,7 +23,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from repro.dataset.table import Table
+from repro.dataset.table import Table, cell_text
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ def delta_from_json_dict(data: Mapping) -> Delta:
             raise ValueError("an insert delta needs a 'values' object")
         tid = data.get("tid")
         return Insert(
-            values={str(k): str(v) for k, v in values.items()},
+            values={str(k): cell_text(v) for k, v in values.items()},
             tid=coerce_tid(tid) if tid is not None else None,
         )
     if op == "update":
@@ -185,7 +185,7 @@ def delta_from_json_dict(data: Mapping) -> Delta:
             raise ValueError("an update delta needs a 'changes' object")
         return Update(
             tid=coerce_tid(data["tid"]),
-            changes={str(k): str(v) for k, v in changes.items()},
+            changes={str(k): cell_text(v) for k, v in changes.items()},
         )
     if op == "delete":
         if "tid" not in data:

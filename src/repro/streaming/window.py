@@ -29,9 +29,6 @@ from collections.abc import Iterable
 class WindowPolicy(ABC):
     """Decides which tuples expire as new ones arrive."""
 
-    #: registry key; every concrete policy sets one (used by snapshots)
-    kind: str = ""
-
     @abstractmethod
     def observe(self, arrivals: Iterable[int]) -> list[int]:
         """Feed newly arrived tuple ids; returns the tuple ids that expired."""
@@ -45,19 +42,9 @@ class WindowPolicy(ABC):
     def retained(self) -> list[int]:
         """The tuple ids the window currently keeps, oldest first."""
 
-    @abstractmethod
-    def state_dict(self) -> dict:
-        """JSON-safe snapshot of the policy's bookkeeping (includes ``kind``)."""
-
-    @abstractmethod
-    def restore_state(self, state: dict) -> None:
-        """Overwrite the bookkeeping from a :meth:`state_dict` payload."""
-
 
 class TumblingWindow(WindowPolicy):
     """Non-overlapping spans of ``size`` arrivals; spans expire wholesale."""
-
-    kind = "tumbling"
 
     def __init__(self, size: int):
         if size < 1:
@@ -85,27 +72,9 @@ class TumblingWindow(WindowPolicy):
     def retained(self) -> list[int]:
         return list(self._current)
 
-    def state_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "size": self.size,
-            "arrived": self._arrived,
-            "retained": list(self._current),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("kind") != self.kind:
-            raise ValueError(f"window state is {state.get('kind')!r}, not {self.kind!r}")
-        if int(state["size"]) != self.size:
-            raise ValueError("window state was taken with a different size")
-        self._arrived = int(state["arrived"])
-        self._current = [int(tid) for tid in state["retained"]]
-
 
 class SlidingWindow(WindowPolicy):
     """The most recent ``size`` arrivals; the oldest expire one by one."""
-
-    kind = "sliding"
 
     def __init__(self, size: int):
         if size < 1:
@@ -128,34 +97,3 @@ class SlidingWindow(WindowPolicy):
     @property
     def retained(self) -> list[int]:
         return list(self._window)
-
-    def state_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "size": self.size,
-            "retained": list(self._window),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        if state.get("kind") != self.kind:
-            raise ValueError(f"window state is {state.get('kind')!r}, not {self.kind!r}")
-        if int(state["size"]) != self.size:
-            raise ValueError("window state was taken with a different size")
-        self._window = deque(int(tid) for tid in state["retained"])
-
-
-#: registry used by snapshot restore to rebuild a policy from its state
-WINDOW_KINDS: dict[str, type] = {
-    TumblingWindow.kind: TumblingWindow,
-    SlidingWindow.kind: SlidingWindow,
-}
-
-
-def window_from_state(state: dict) -> WindowPolicy:
-    """Rebuild a window policy from a :meth:`WindowPolicy.state_dict` payload."""
-    kind = state.get("kind")
-    if kind not in WINDOW_KINDS:
-        raise ValueError(f"unknown window kind {kind!r}")
-    policy = WINDOW_KINDS[kind](int(state["size"]))
-    policy.restore_state(state)
-    return policy

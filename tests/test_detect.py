@@ -46,9 +46,6 @@ from repro.errors.groundtruth import ErrorType, GroundTruth, InjectedError
 from repro.experiments.harness import prepare_instance
 from repro.service.codec import (
     decode_clean_request,
-    decode_delta_request,
-    decode_delta_routing,
-    delta_routing_payload,
     report_signature,
 )
 from repro.service.errors import BadRequestError
@@ -620,33 +617,6 @@ def test_clean_request_decodes_and_rejects_detectors():
         decode_clean_request({"workload": "hospital-sample", "detectors": ["nope"]})
     with pytest.raises(BadRequestError, match="must be a list"):
         decode_clean_request({"workload": "hospital-sample", "detectors": "null"})
-
-
-def test_delta_routing_round_trips_detectors():
-    spec = decode_delta_request(
-        {
-            "workload": "hospital-sample",
-            "tuples": 40,
-            "detectors": [{"name": "violation", "options": {"refine": True}}],
-            "deltas": [{"op": "insert", "values": {"HN": "H", "CT": "C", "ST": "S", "PN": "1"}}],
-        }
-    )
-    payload = delta_routing_payload(spec)
-    assert payload["detectors"] == spec.detectors
-    rebuilt = decode_delta_routing(payload)
-    assert rebuilt.detectors == spec.detectors
-
-
-def test_delta_routing_rejects_detector_instances():
-    spec = decode_delta_request(
-        {
-            "workload": "hospital-sample",
-            "deltas": [{"op": "insert", "values": {"HN": "H", "CT": "C", "ST": "S", "PN": "1"}}],
-        }
-    )
-    spec.detectors = [OutlierDetector()]
-    with pytest.raises(ValueError, match="not wire-expressible"):
-        delta_routing_payload(spec)
 
 
 # ----------------------------------------------------------------------

@@ -71,14 +71,6 @@ def test_service_quickstart_example(monkeypatch, capsys):
     assert "distance cache hit rate" in output
 
 
-def test_cluster_quickstart_example(monkeypatch, capsys):
-    output = run_example(monkeypatch, capsys, "cluster_quickstart.py", ["32", "8"])
-    assert "cluster up: router + 2 workers" in output
-    assert "kill -9 the stream's owner" in output
-    assert "recovered signature matches the never-killed engine: True" in output
-    assert "live workers = " in output
-
-
 def test_tracing_tour_example(monkeypatch, capsys, tmp_path):
     trace_out = tmp_path / "trace.json"
     output = run_example(
@@ -112,6 +104,5 @@ def test_examples_directory_contains_expected_scripts():
         "streaming_clean.py",
         "backends_tour.py",
         "service_quickstart.py",
-        "cluster_quickstart.py",
         "tracing_tour.py",
     } <= names

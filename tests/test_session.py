@@ -199,6 +199,34 @@ def test_load_table_passthrough_records_and_csv(tmp_path):
     assert len(from_csv) == 2
 
 
+def test_a_null_cell_loads_as_the_empty_string_like_a_csv_cell(tmp_path):
+    from_records = load_table([{"A": "x", "B": None}])
+    csv_path = tmp_path / "null.csv"
+    csv_path.write_text("A,B\nx,\n")
+    assert from_records.value(0, "B") == ""
+    assert load_table(csv_path).value(0, "B") == ""
+
+
+@pytest.mark.parametrize(
+    "backend,options",
+    [("batch", {}), ("distributed", {"workers": 2}), ("streaming", {"batch_size": 3})],
+)
+def test_null_cells_never_become_the_text_none(backend, options):
+    records = [row.as_dict() for row in sample_hospital_table()]
+    records[1]["ST"] = None
+    session = (
+        CleaningSession.builder()
+        .with_rules(sample_hospital_rules())
+        .with_config(abnormal_threshold=1)
+        .with_backend(backend, **options)
+        .build()
+    )
+    report = session.run(records)
+    assert report.dirty.value(1, "ST") == ""
+    for table in (report.dirty, report.repaired, report.cleaned):
+        assert all("None" not in row.as_dict().values() for row in table)
+
+
 def test_run_requires_table_and_rules():
     with pytest.raises(ValueError, match="no table"):
         CleaningSession(rules=sample_hospital_rules()).run()

@@ -338,6 +338,15 @@ def test_delta_json_codec_round_trip(sample_table):
         delta_to_json_dict("nope")  # type: ignore[arg-type]
 
 
+def test_delta_json_null_is_the_empty_cell():
+    from repro.streaming import delta_from_json_dict
+
+    insert = delta_from_json_dict({"op": "insert", "values": {"A": "x", "B": None}})
+    update = delta_from_json_dict({"op": "update", "tid": 0, "changes": {"A": None}})
+    assert insert.values == {"A": "x", "B": ""}
+    assert update.changes == {"A": ""}
+
+
 def test_engine_evicts_expired_tuples_through_delta_path():
     source = WorkloadStreamSource("hai", tuples=90, batch_size=30)
     config = recommended_config("hai")
