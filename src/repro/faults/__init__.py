@@ -1,22 +1,13 @@
-"""repro.faults: seeded, deterministic fault injection for the cluster.
+"""repro.faults: seeded, deterministic fault plans and a fault injector.
 
-A :class:`FaultPlan` (pure data, JSON-round-trippable) schedules faults —
-"fail the 3rd WAL fsync on shard X", "drop the response of the Nth
-router→worker call", "stall heartbeats for T ticks", "corrupt the next
-snapshot write" — and the process-global :data:`INJECTOR` fires them at
-named injection points threaded through :mod:`repro.cluster` and
-:mod:`repro.service`.  With no plan active every point is a single
-attribute read; chaos costs nothing when it is off.
-
-Activate a plan in-process (``INJECTOR.activate(plan)``), via the
-``--fault-plan`` CLI flag of ``python -m repro.cluster``, or by exporting
-``REPRO_FAULT_PLAN`` (a path or inline JSON) before spawning a worker —
-the import below arms subprocesses automatically.
-
-The hardening this layer exercises — request deadlines, the router's
-per-worker circuit breaker, idempotent delta application, the WAL degraded
-mode and poison-job quarantine — lives with the code it hardens; the README
-"Fault tolerance" section maps fault → detection → behavior → recovery.
+A :class:`FaultPlan` (pure data, JSON-round-trippable) schedules faults at
+named injection points — "fail the 3rd call to point P", "delay every 4th
+hit", "fire with probability 0.5" — and a :class:`FaultInjector` evaluates
+it, deterministically for one seed.  No module of :mod:`repro` declares an
+injection point: the package is a standalone library, imported by nothing
+else in ``repro`` and due to be deleted.  Importing it arms nothing; a
+caller that wants ``REPRO_FAULT_PLAN`` honoured calls
+:func:`activate_from_env` itself.
 """
 
 from __future__ import annotations
@@ -49,6 +40,3 @@ __all__ = [
     "activate_from_env",
 ]
 
-# subprocess workers opt in through the environment; nothing happens unless
-# REPRO_FAULT_PLAN is set (and a set-but-broken plan fails loudly here)
-activate_from_env()

@@ -1,35 +1,21 @@
 """The fault injector: deterministic decisions at named injection points.
 
-Call sites across the cluster and service declare *injection points* —
-``INJECTOR.decide("wal.fsync", shard=fp)`` — and interpret the returned
-:class:`Decision` (or ``None``).  The points this codebase wires up, and
-what each action means there:
-
-===================== =============================================================
-point                 actions the call site honours
-===================== =============================================================
-``wal.append``        ``fail`` (OSError before the frame is written), ``delay``
-``wal.fsync``         ``fail`` (OSError instead of the fsync), ``delay`` (slow disk)
-``snapshot.write``    ``fail``, ``delay``, ``corrupt`` (truncated document written)
-``httpclient.request````fail`` (refused before sending), ``delay`` (before
-                      sending, so ``timeout`` can expire), ``drop`` (the exchange
-                      happens but the response is discarded — a lost ack),
-                      ``duplicate`` (the request is sent twice)
-``worker.heartbeat``  ``stall``/``drop`` (skip this beat), ``delay``, ``fail``
-``service.apply``     ``fail`` (engine apply raises — the poison-job scenario)
-===================== =============================================================
+A call site declares an *injection point* —
+``INJECTOR.decide("disk.write", shard=name)`` — and interprets the returned
+:class:`Decision` (or ``None``): proceed, ``fail``, ``delay`` by
+``delay_s``, or any other action of :data:`repro.faults.plan.ACTIONS`.
+:meth:`FaultInjector.io` and :meth:`FaultInjector.crash` turn a decision
+into the exception a real disk or engine failure would raise.
 
 The process-global :data:`INJECTOR` is inert until a plan is activated;
-the off path is one attribute read (``INJECTOR.active``), so production
-code pays nothing.  Subprocess workers pick a plan up through the
-``REPRO_FAULT_PLAN`` environment variable — a path to a plan JSON file, or
-the JSON itself — which :func:`activate_from_env` (called at package
-import) loads, so ``spawn_worker(..., fault_plan=...)`` needs no code in
-the worker beyond importing :mod:`repro.faults`.
+the off path is one attribute read (``INJECTOR.active``).
+:func:`activate_from_env` arms it from the ``REPRO_FAULT_PLAN`` environment
+variable — a path to a plan JSON file, or the JSON itself — when a caller
+asks it to.
 
 Injected failures raise dedicated subclasses (:class:`InjectedIOError` is
 an ``OSError``, :class:`InjectedConnectionError` a ``ConnectionError``,
-:class:`InjectedCrash` a ``RuntimeError``) so hardened code paths see
+:class:`InjectedCrash` a ``RuntimeError``) so code under test sees
 exactly the exception type the real fault would produce, while tests can
 still tell injected faults from real ones via :class:`InjectedFault`.
 """

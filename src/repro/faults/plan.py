@@ -1,27 +1,24 @@
 """Pure-data fault plans: *what* to break, *where*, and *when*.
 
-A :class:`FaultPlan` is the schedule the chaos tests and the ``chaos-smoke``
-CI driver feed into the :class:`~repro.faults.injector.FaultInjector`: a
-seed plus an ordered list of :class:`FaultRule`\\ s.  Plans are plain data —
+A :class:`FaultPlan` is the schedule a
+:class:`~repro.faults.injector.FaultInjector` evaluates: a seed plus an
+ordered list of :class:`FaultRule`\\ s.  Plans are plain data —
 JSON-round-trippable byte-for-byte (:meth:`FaultPlan.to_json` /
-:meth:`FaultPlan.from_json`) — so one schedule can be written to an
-artifact, shipped to subprocess workers through the ``REPRO_FAULT_PLAN``
-environment variable, and replayed deterministically later.
+:meth:`FaultPlan.from_json`) — so one schedule can be written to a file,
+handed to another process through the ``REPRO_FAULT_PLAN`` environment
+variable, and replayed deterministically later.
 
 A rule names an injection *point* (a dotted string a call site declares,
-e.g. ``"wal.fsync"``), an *action*, optional attribute filters, and a
+e.g. ``"disk.write"``), an *action*, optional attribute filters, and a
 firing window over the rule's *eligible hits* — the calls that reach its
 point and pass its filters.  Examples, in plan form::
 
-    fail the 3rd WAL fsync on shard ab12…      → point="wal.fsync",
+    fail the 3rd write on shard ab12…          → point="disk.write",
         action="fail", match={"shard": "ab12"}, nth=3
-    drop the response of the 2nd router→worker delta call
-        → point="httpclient.request", action="drop",
-          match={"path": "/deltas"}, nth=2
-    stall worker heartbeats for 6 ticks        → point="worker.heartbeat",
-        action="stall", nth=1, times=6
-    corrupt the next snapshot write            → point="snapshot.write",
-        action="corrupt", nth=1
+    delay every 4th request                    → point="http.request",
+        action="delay", delay_s=0.5, every=4
+    fail half of the engine applies            → point="engine.apply",
+        action="fail", times=None, probability=0.5
 
 Matching is exact string equality, except that a rule value may be a
 *prefix* of the hit's value — shard fingerprints and paths are long, plans

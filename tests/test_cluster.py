@@ -1,727 +1,26 @@
-"""Tests for the cluster fabric: ring, WAL, snapshots, recovery, router.
+"""Tests for the service client's retry policy and the server's SIGTERM exit.
 
-The headline property (this PR's acceptance criterion): a worker killed
-with ``SIGKILL`` mid-stream and restarted over the same data directory
-continues the stream and ends with a masked ``report_signature`` — and a
-cleaned table — byte-identical to an engine that never died, on all four
-registered workloads.  The WAL/snapshot edge cases (torn tail, mid-log
-corruption, snapshot newer than the WAL, cold start, replay gap) are
-exercised in-process against the same durability layer the subprocess
-worker uses.
+:class:`~repro.service.ServiceClient` retries 503 answers and lost
+connections with capped exponential backoff, honours ``Retry-After`` as a
+floor and never retries other errors; ``python -m repro.service serve``
+drains and exits 0 on SIGTERM.
 """
 
 from __future__ import annotations
 
-import asyncio
-import json
 import os
-import shutil
-import signal
 import socket
-import struct
 import subprocess
 import sys
-import time
-import zlib
 from pathlib import Path
 
 import pytest
 
-from repro.cluster import (
-    DeltaLog,
-    HashRing,
-    RecoveryError,
-    RouterConfig,
-    RouterService,
-    SnapshotError,
-    WalCorruptionError,
-    WalRecord,
-    WorkerConfig,
-    WorkerService,
-    load_snapshot,
-    write_snapshot,
-)
-from repro.cluster.launch import (
-    spawn_router,
-    spawn_worker,
-    wait_for_workers,
-    wait_until_healthy,
-)
-from repro.cluster.router import merge_worker_metrics
-from repro.experiments.harness import prepare_instance
-from repro.service import ServiceClient, ServiceError, report_signature
-from repro.service.codec import canonical_json, decode_delta_request
-from repro.service.service import ServiceConfig
-from repro.streaming import DeltaBatch, Insert, StreamingMLNClean
-from repro.streaming.window import SlidingWindow, window_from_state
-from repro.workloads.registry import get_workload_generator, recommended_config
-
-#: the four registered workloads and the window (if any) their stream runs
-WORKLOADS = {
-    "hospital-sample": {"kind": "sliding", "size": 24},
-    "hai": None,
-    "car": None,
-    "tpch": None,
-}
-TUPLES = 32
-BATCH = 8
-
-
-def free_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
-
-
-def workload_batches(workload: str, tuples: int = TUPLES):
-    """(schema, rules, config, list-of-delta-lists) for one workload stream."""
-    instance = prepare_instance(workload, tuples=tuples)
-    generator = get_workload_generator(workload, tuples=tuples, seed=7)
-    schema = instance.dirty.attributes
-    rows = list(instance.dirty.rows)
-    batches = [
-        [Insert(values={a: r[a] for a in schema}, tid=r.tid) for r in rows[i:i + BATCH]]
-        for i in range(0, len(rows), BATCH)
-    ]
-    return schema, generator.rules(), recommended_config(workload), batches
-
-
-def reference_engine(workload: str, upto: int = None):
-    """An uninterrupted in-process run of the workload's stream."""
-    schema, rules, config, batches = workload_batches(workload)
-    window_spec = WORKLOADS[workload]
-    window = SlidingWindow(window_spec["size"]) if window_spec else None
-    engine = StreamingMLNClean(rules, schema=schema, config=config, window=window)
-    for deltas in batches[:upto]:
-        engine.apply_batch(DeltaBatch(list(deltas)))
-    return engine
-
-
-def wire_deltas(deltas) -> list:
-    return [{"op": "insert", "values": dict(d.values), "tid": d.tid} for d in deltas]
-
-
-def delta_payload(workload: str, deltas) -> dict:
-    payload = {"workload": workload, "seed": 7, "deltas": wire_deltas(deltas),
-               "include_table": False}
-    if WORKLOADS[workload]:
-        payload["window"] = dict(WORKLOADS[workload])
-    return payload
-
-
-def engine_fingerprint_state(engine) -> tuple:
-    """What recovery must reproduce bit for bit."""
-    from repro.core.report import table_to_json_dict
-
-    return (
-        report_signature(engine.report()),
-        canonical_json(table_to_json_dict(engine.cleaned)),
-    )
+from repro.service import ServiceClient, ServiceError
 
 
 # ----------------------------------------------------------------------
-# consistent-hash ring
-# ----------------------------------------------------------------------
-class TestHashRing:
-    def test_empty_ring_assigns_nothing(self):
-        assert HashRing().assign("anything") is None
-
-    def test_single_node_takes_all(self):
-        ring = HashRing(["w1"])
-        assert all(ring.assign(f"k{i}") == "w1" for i in range(50))
-
-    def test_assignment_is_deterministic(self):
-        a = HashRing(["w1", "w2", "w3"])
-        b = HashRing(["w3", "w1", "w2"])  # insertion order must not matter
-        keys = [f"shard-{i}" for i in range(200)]
-        assert a.assignments(keys) == b.assignments(keys)
-
-    def test_add_node_moves_only_a_fraction(self):
-        keys = [f"shard-{i}" for i in range(400)]
-        before = HashRing(["w1", "w2", "w3"]).assignments(keys)
-        after = HashRing(["w1", "w2", "w3", "w4"]).assignments(keys)
-        moved = [k for k in keys if before[k] != after[k]]
-        # consistent hashing: only keys landing on the new node move
-        assert all(after[k] == "w4" for k in moved)
-        assert 0 < len(moved) < len(keys) / 2
-
-    def test_remove_node_reassigns_its_keys_only(self):
-        keys = [f"shard-{i}" for i in range(400)]
-        ring = HashRing(["w1", "w2", "w3"])
-        before = ring.assignments(keys)
-        ring.remove("w2")
-        after = ring.assignments(keys)
-        for key in keys:
-            if before[key] != "w2":
-                assert after[key] == before[key]
-            else:
-                assert after[key] in ("w1", "w3")
-
-    def test_membership_helpers(self):
-        ring = HashRing(["w1"])
-        ring.add("w2")
-        assert "w2" in ring and len(ring) == 2
-        assert ring.nodes == ["w1", "w2"]
-
-
-# ----------------------------------------------------------------------
-# write-ahead log
-# ----------------------------------------------------------------------
-class TestDeltaLog:
-    def records(self, n, start=0):
-        return [
-            WalRecord(seq=start + i, deltas=[{"op": "delete", "tid": i}])
-            for i in range(n)
-        ]
-
-    def test_append_replay_roundtrip(self, tmp_path):
-        path = tmp_path / "wal.log"
-        with DeltaLog(path) as wal:
-            for record in self.records(3):
-                wal.append(record)
-        replayed = DeltaLog(path).replay()
-        assert [r.seq for r in replayed] == [0, 1, 2]
-        assert replayed[0].deltas == [{"op": "delete", "tid": 0}]
-
-    def test_empty_file_cold_start(self, tmp_path):
-        path = tmp_path / "wal.log"
-        path.write_bytes(b"")  # crash before the header hit the disk
-        wal = DeltaLog(path)
-        assert wal.replay() == [] and len(wal) == 0
-        wal.append(self.records(1)[0])
-        assert [r.seq for r in DeltaLog(path).replay()] == [0]
-
-    def test_torn_tail_is_truncated(self, tmp_path):
-        path = tmp_path / "wal.log"
-        with DeltaLog(path) as wal:
-            for record in self.records(2):
-                wal.append(record)
-        with open(path, "ab") as f:
-            f.write(struct.pack(">II", 999, 0) + b"torn")  # incomplete frame
-        wal = DeltaLog(path)  # reopening repairs the tail
-        assert [r.seq for r in wal.replay()] == [0, 1]
-        wal.append(self.records(1, start=2)[0])
-        assert [r.seq for r in DeltaLog(path).replay()] == [0, 1, 2]
-
-    def test_midlog_corruption_refuses(self, tmp_path):
-        path = tmp_path / "wal.log"
-        with DeltaLog(path) as wal:
-            for record in self.records(3):
-                wal.append(record)
-        raw = bytearray(path.read_bytes())
-        # flip one payload byte of the FIRST record: later frames intact
-        raw[len(b"RWAL1\n") + struct.calcsize(">II") + 2] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        with pytest.raises(WalCorruptionError):
-            DeltaLog(path)
-
-    def test_checksummed_garbage_refuses(self, tmp_path):
-        path = tmp_path / "wal.log"
-        DeltaLog(path).close()
-        payload = b"not json"
-        with open(path, "ab") as f:
-            f.write(struct.pack(">II", len(payload), zlib.crc32(payload)) + payload)
-        with pytest.raises(WalCorruptionError):
-            DeltaLog(path)
-
-    def test_reset_clears_history(self, tmp_path):
-        path = tmp_path / "wal.log"
-        wal = DeltaLog(path)
-        wal.append(self.records(1)[0])
-        wal.reset()
-        assert wal.replay() == []
-        wal.append(self.records(1, start=7)[0])
-        assert [r.seq for r in DeltaLog(path).replay()] == [7]
-
-
-# ----------------------------------------------------------------------
-# snapshots
-# ----------------------------------------------------------------------
-class TestSnapshot:
-    def test_roundtrip_and_missing(self, tmp_path):
-        path = tmp_path / "snapshot.json"
-        assert load_snapshot(path) is None
-        envelope = {"fingerprint": "abc", "state": {"batches": 2}}
-        write_snapshot(path, "shard1", envelope)
-        assert load_snapshot(path, "shard1") == envelope
-
-    def test_shard_mismatch_refuses(self, tmp_path):
-        path = tmp_path / "snapshot.json"
-        write_snapshot(path, "shard1", {"fingerprint": "abc", "state": {}})
-        with pytest.raises(SnapshotError):
-            load_snapshot(path, "other-shard")
-
-    def test_bad_json_refuses(self, tmp_path):
-        path = tmp_path / "snapshot.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(SnapshotError):
-            load_snapshot(path)
-
-    def test_write_is_atomic(self, tmp_path):
-        path = tmp_path / "snapshot.json"
-        write_snapshot(path, "s", {"fingerprint": "a", "state": {"n": 1}})
-        write_snapshot(path, "s", {"fingerprint": "a", "state": {"n": 2}})
-        assert load_snapshot(path, "s")["state"]["n"] == 2
-        assert not list(tmp_path.glob("*.tmp"))
-
-
-# ----------------------------------------------------------------------
-# engine state_dict / restore_state (the snapshot payload)
-# ----------------------------------------------------------------------
-class TestEngineStateRoundtrip:
-    @pytest.mark.parametrize("workload", ["hospital-sample", "hai"])
-    def test_snapshot_resume_is_byte_identical(self, workload):
-        schema, rules, config, batches = workload_batches(workload)
-        window_spec = WORKLOADS[workload]
-
-        full = reference_engine(workload)
-
-        partial = reference_engine(workload, upto=3)
-        state = json.loads(json.dumps(partial.state_dict()))  # wire roundtrip
-        resumed = StreamingMLNClean(
-            rules,
-            schema=schema,
-            config=config,
-            window=SlidingWindow(window_spec["size"]) if window_spec else None,
-        )
-        resumed.restore_state(state)
-        for deltas in batches[3:]:
-            resumed.apply_batch(DeltaBatch(list(deltas)))
-        assert engine_fingerprint_state(resumed) == engine_fingerprint_state(full)
-        if window_spec:
-            assert resumed.window.state_dict() == full.window.state_dict()
-
-    def test_restore_refuses_used_engine(self):
-        schema, rules, config, batches = workload_batches("hai")
-        engine = StreamingMLNClean(rules, schema=schema, config=config)
-        engine.apply_batch(DeltaBatch(list(batches[0])))
-        with pytest.raises(ValueError):
-            engine.restore_state(reference_engine("hai", upto=1).state_dict())
-
-    def test_window_state_roundtrip(self):
-        window = SlidingWindow(4)
-        window.observe([1, 2, 3])
-        restored = window_from_state(json.loads(json.dumps(window.state_dict())))
-        assert restored.state_dict() == window.state_dict()
-
-
-# ----------------------------------------------------------------------
-# in-process recovery through the durability layer
-# ----------------------------------------------------------------------
-def run_worker_ticks(data_dir, workload, batch_range, snapshot_every=100):
-    """Boot a WorkerService, stream some batches, stop WITHOUT draining.
-
-    ``stop()`` never checkpoints, so the WAL tail survives exactly as a
-    crash would leave it (modulo torn frames, which other tests inject).
-    Returns (shard_fingerprint, signature-state) observed before the stop.
-    """
-    _schema, _rules, _config, batches = workload_batches(workload)
-
-    async def main():
-        service = WorkerService(
-            WorkerConfig(
-                worker_id="t", data_dir=data_dir, snapshot_every=snapshot_every
-            ),
-            ServiceConfig(executor_workers=2),
-        )
-        await service.start()
-        try:
-            for deltas in batches[batch_range.start:batch_range.stop]:
-                spec = decode_delta_request(delta_payload(workload, deltas))
-                job = await service.submit(spec)
-                await service.wait(job.id)
-                assert job.status.value == "done", job.error
-            shard = service.pool.shards()[0]
-            return shard.key.fingerprint, engine_fingerprint_state(shard.stream)
-        finally:
-            await service.stop()
-
-    return asyncio.run(main())
-
-
-def boot_and_recover(data_dir, expect_shards=1):
-    """Boot a WorkerService cold and return (service-state-per-shard)."""
-
-    async def main():
-        service = WorkerService(
-            WorkerConfig(worker_id="t", data_dir=data_dir),
-            ServiceConfig(executor_workers=2),
-        )
-        await service.start()
-        try:
-            shards = service.pool.shards()
-            assert len(shards) == expect_shards
-            return {
-                s.key.fingerprint: engine_fingerprint_state(s.stream)
-                for s in shards
-                if s.stream is not None
-            }
-        finally:
-            await service.stop()
-
-    return asyncio.run(main())
-
-
-class TestInProcessRecovery:
-    def test_wal_only_recovery(self, tmp_path):
-        fp, before = run_worker_ticks(tmp_path, "hai", range(0, 3))
-        recovered = boot_and_recover(tmp_path)
-        assert recovered[fp] == before
-        assert recovered[fp] == engine_fingerprint_state(
-            reference_engine("hai", upto=3)
-        )
-
-    def test_snapshot_plus_wal_recovery(self, tmp_path):
-        # snapshot after tick 2, WAL carries tick 3
-        fp, before = run_worker_ticks(
-            tmp_path, "hospital-sample", range(0, 4), snapshot_every=3
-        )
-        assert (tmp_path / "shards" / fp / "snapshot.json").exists()
-        recovered = boot_and_recover(tmp_path)
-        assert recovered[fp] == before
-
-    def test_truncated_wal_tail_recovers_prefix(self, tmp_path):
-        fp, _ = run_worker_ticks(tmp_path, "hai", range(0, 3))
-        wal_path = tmp_path / "shards" / fp / "wal.log"
-        with open(wal_path, "ab") as f:
-            f.write(struct.pack(">II", 123, 0) + b"half a frame")
-        recovered = boot_and_recover(tmp_path)
-        # the torn frame never carried acknowledged work; ticks 0-2 survive
-        assert recovered[fp] == engine_fingerprint_state(
-            reference_engine("hai", upto=3)
-        )
-
-    def test_midlog_corruption_fails_loudly(self, tmp_path):
-        fp, _ = run_worker_ticks(tmp_path, "hai", range(0, 3))
-        wal_path = tmp_path / "shards" / fp / "wal.log"
-        raw = bytearray(wal_path.read_bytes())
-        raw[len(b"RWAL1\n") + struct.calcsize(">II") + 4] ^= 0xFF
-        wal_path.write_bytes(bytes(raw))
-        with pytest.raises(WalCorruptionError):
-            boot_and_recover(tmp_path)
-
-    def test_snapshot_newer_than_wal_skips_stale_records(self, tmp_path):
-        # run A: WAL holds ticks 0-2, no snapshot
-        run_worker_ticks(tmp_path / "a", "hai", range(0, 3))
-        # run B over the same stream: snapshot taken at tick 2, WAL reset
-        fp, _ = run_worker_ticks(tmp_path / "b", "hai", range(0, 3), snapshot_every=3)
-        # crash window between snapshot write and WAL reset: compose run B's
-        # snapshot with run A's (byte-identical, now stale) full WAL
-        shutil.copy(
-            tmp_path / "a" / "shards" / fp / "wal.log",
-            tmp_path / "b" / "shards" / fp / "wal.log",
-        )
-        recovered = boot_and_recover(tmp_path / "b")
-        assert recovered[fp] == engine_fingerprint_state(
-            reference_engine("hai", upto=3)
-        )
-
-    def test_wal_gap_fails_loudly(self, tmp_path):
-        fp, _ = run_worker_ticks(tmp_path, "hai", range(0, 3))
-        shard_dir = tmp_path / "shards" / fp
-        records = DeltaLog(shard_dir / "wal.log").replay()
-        (shard_dir / "wal.log").unlink()
-        rebuilt = DeltaLog(shard_dir / "wal.log")
-        for record in records[1:]:  # drop tick 0: acknowledged history gone
-            rebuilt.append(record)
-        rebuilt.close()
-        with pytest.raises(RecoveryError):
-            boot_and_recover(tmp_path)
-
-    def test_empty_data_dir_cold_start(self, tmp_path):
-        assert boot_and_recover(tmp_path, expect_shards=0) == {}
-
-    def test_spec_only_shard_recovers_cold_then_streams(self, tmp_path):
-        fp, _ = run_worker_ticks(tmp_path, "hai", range(0, 1))
-        shard_dir = tmp_path / "shards" / fp
-        (shard_dir / "wal.log").unlink()  # cold shard: identity, no history
-        recovered = boot_and_recover(tmp_path)
-        assert recovered[fp] == engine_fingerprint_state(
-            reference_engine("hai", upto=0)
-        )
-
-    def test_handoff_checkpoint_makes_wal_redundant(self, tmp_path):
-        _schema, _rules, _config, batches = workload_batches("hai")
-
-        async def main():
-            service = WorkerService(
-                WorkerConfig(worker_id="t", data_dir=tmp_path),
-                ServiceConfig(executor_workers=2),
-            )
-            await service.start()
-            try:
-                for deltas in batches[:2]:
-                    spec = decode_delta_request(delta_payload("hai", deltas))
-                    job = await service.submit(spec)
-                    await service.wait(job.id)
-                shard = service.pool.shards()[0]
-                fp = shard.key.fingerprint
-                assert await service.release_shard(fp) is True
-                assert service.pool.shards() == []
-                return fp
-            finally:
-                await service.stop()
-
-        fp = asyncio.run(main())
-        assert len(DeltaLog(tmp_path / "shards" / fp / "wal.log")) == 0
-        recovered = boot_and_recover(tmp_path)
-        assert recovered[fp] == engine_fingerprint_state(
-            reference_engine("hai", upto=2)
-        )
-
-
-# ----------------------------------------------------------------------
-# the acceptance matrix: kill -9 a real worker process, all four workloads
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("workload", list(WORKLOADS))
-def test_kill_dash_nine_recovery_is_byte_identical(workload, tmp_path):
-    reference = engine_fingerprint_state(reference_engine(workload))
-    port = free_port()
-    proc = spawn_worker(port, "w1", tmp_path, snapshot_every=2)
-    try:
-        wait_until_healthy(port)
-        client = ServiceClient(port=port)
-        _schema, _rules, _config, batches = workload_batches(workload)
-        for deltas in batches[:3]:
-            job = client.request("POST", "/deltas", delta_payload(workload, deltas))
-            assert job["job"]["status"] == "done"
-        os.kill(proc.pid, signal.SIGKILL)
-        proc.wait()
-        proc = spawn_worker(port, "w1", tmp_path, snapshot_every=2)
-        wait_until_healthy(port)
-        info = client.request("GET", "/cluster/info")
-        assert len(info["shards"]) == 1  # recovered eagerly at boot
-        for deltas in batches[3:]:
-            job = client.request("POST", "/deltas", delta_payload(workload, deltas))
-            assert job["job"]["status"] == "done"
-        state = client.request("GET", f"/cluster/streams/{info['shards'][0]}")
-        assert state["signature"] == reference[0]
-        assert canonical_json(state["cleaned"]) == reference[1]
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-
-
-# ----------------------------------------------------------------------
-# graceful shutdown (SIGTERM → drain → final snapshot → exit 0)
-# ----------------------------------------------------------------------
-def test_sigterm_drains_checkpoints_and_exits_zero(tmp_path):
-    port = free_port()
-    proc = spawn_worker(port, "w1", tmp_path, snapshot_every=100)
-    try:
-        wait_until_healthy(port)
-        client = ServiceClient(port=port)
-        _schema, _rules, _config, batches = workload_batches("hai")
-        for deltas in batches[:2]:
-            job = client.request("POST", "/deltas", delta_payload("hai", deltas))
-            assert job["job"]["status"] == "done"
-        fp = client.request("GET", "/cluster/info")["shards"][0]
-        proc.terminate()  # SIGTERM
-        assert proc.wait(timeout=30) == 0
-        # the drain checkpointed: snapshot present, WAL empty
-        shard_dir = tmp_path / "shards" / fp
-        assert (shard_dir / "snapshot.json").exists()
-        assert len(DeltaLog(shard_dir / "wal.log")) == 0
-        recovered = boot_and_recover(tmp_path)
-        assert recovered[fp] == engine_fingerprint_state(
-            reference_engine("hai", upto=2)
-        )
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-
-
-def test_service_serve_exits_zero_on_sigterm():
-    port = free_port()
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = (
-        f"{src}{os.pathsep}{env['PYTHONPATH']}" if env.get("PYTHONPATH") else src
-    )
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.service", "serve", "--port", str(port)],
-        env=env,
-    )
-    try:
-        wait_until_healthy(port)
-        proc.terminate()
-        assert proc.wait(timeout=30) == 0
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-
-
-# ----------------------------------------------------------------------
-# router: topology, fan-in, failover
-# ----------------------------------------------------------------------
-def test_router_topology_failover_and_fanin(tmp_path):
-    reference = engine_fingerprint_state(reference_engine("hai"))
-    router_port, p1, p2 = free_port(), free_port(), free_port()
-    router = spawn_router(router_port, rebalance_interval=0.3, dead_after=1.5)
-    workers = {
-        "w1": spawn_worker(
-            p1, "w1", tmp_path, router=f"127.0.0.1:{router_port}", snapshot_every=2
-        ),
-        "w2": spawn_worker(
-            p2, "w2", tmp_path, router=f"127.0.0.1:{router_port}", snapshot_every=2
-        ),
-    }
-    ports = {"w1": p1, "w2": p2}
-    procs = [router, *workers.values()]
-    try:
-        wait_for_workers(router_port, 2)
-        client = ServiceClient(
-            port=router_port, retries=10, backoff=0.2, max_backoff=2.0
-        )
-
-        # clean requests flow through with worker-namespaced job ids
-        job = client.clean(workload="hospital-sample", tuples=24, include_report=False)
-        assert job["status"] == "done" and ":" in job["id"]
-        assert client.job(job["id"])["status"] == "done"
-
-        _schema, _rules, _config, batches = workload_batches("hai")
-        for deltas in batches[:2]:
-            job = client.request(
-                "POST", "/deltas", delta_payload("hai", deltas)
-            )["job"]
-            assert job["status"] == "done"
-            assert job["request_id"]  # the router's cross-process id came back
-
-        # locate the stream's owner via each worker's control routes
-        owner, stream_fp = None, None
-        for worker_id, port in ports.items():
-            info = ServiceClient(port=port).request("GET", "/cluster/info")
-            for fingerprint in info["shards"]:
-                try:
-                    ServiceClient(port=port).request(
-                        "GET", f"/cluster/streams/{fingerprint}"
-                    )
-                except ServiceError:
-                    continue
-                owner, stream_fp = worker_id, fingerprint
-        assert owner is not None
-
-        # merged /metrics: ownership gauge + per-worker relabelled series
-        metrics = _raw_get(router_port, "/metrics")
-        assert "repro_cluster_shards_owned" in metrics
-        assert f'worker="{owner}"' in metrics
-        assert "repro_router_requests_total" in metrics
-
-        stats = client.stats()
-        assert set(stats["workers_stats"]) == {"w1", "w2"}
-        assert stats["shard_owners"]
-
-        # kill -9 the owner; the retrying client rides out the failover
-        victim = workers[owner]
-        os.kill(victim.pid, signal.SIGKILL)
-        victim.wait()
-        for deltas in batches[2:]:
-            job = client.request(
-                "POST", "/deltas", delta_payload("hai", deltas)
-            )["job"]
-            assert job["status"] == "done"
-
-        survivor = "w2" if owner == "w1" else "w1"
-        state = ServiceClient(port=ports[survivor]).request(
-            "GET", f"/cluster/streams/{stream_fp}"
-        )
-        assert state["signature"] == reference[0]
-        assert canonical_json(state["cleaned"]) == reference[1]
-
-        # membership converges: the dead worker leaves /healthz live set
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            health = client.healthz()
-            if not health["workers"].get(owner, {}).get("live", False):
-                break
-            time.sleep(0.2)
-        assert not client.healthz()["workers"].get(owner, {}).get("live", False)
-    finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.kill()
-        for proc in procs:
-            if proc.poll() is None:
-                proc.wait()
-
-
-def _raw_get(port: int, path: str) -> str:
-    import http.client
-
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
-    try:
-        conn.request("GET", path)
-        return conn.getresponse().read().decode("utf-8")
-    finally:
-        conn.close()
-
-
-# ----------------------------------------------------------------------
-# router unit logic (no subprocesses)
-# ----------------------------------------------------------------------
-class TestRouterService:
-    def heartbeat(self, router, worker_id, shards=(), port=1234):
-        return router.heartbeat(
-            {"worker_id": worker_id, "port": port, "shards": list(shards)}
-        )
-
-    def test_membership_and_liveness(self):
-        router = RouterService(RouterConfig(dead_after=0.05))
-        self.heartbeat(router, "w1")
-        assert "w1" in router.live_workers()
-        time.sleep(0.1)
-        assert "w1" not in router.live_workers()
-        assert router.owner_of("any") is None  # dead owner answers None
-
-    def test_rebalance_asks_misplaced_holder_to_drain(self, monkeypatch):
-        router = RouterService(RouterConfig())
-        self.heartbeat(router, "w1")
-        self.heartbeat(router, "w2")
-        # a fingerprint the ring assigns to w2, currently reported by w1
-        fingerprint = next(
-            f"shard-{i}" for i in range(1000)
-            if router.ring.assign(f"shard-{i}") == "w2"
-        )
-        self.heartbeat(router, "w1", shards=[fingerprint])
-        drains = []
-
-        async def fake_http_json(host, port, method, path, payload=None, **kw):
-            drains.append((port, path, payload))
-            return 200, {"released": True}
-
-        monkeypatch.setattr("repro.cluster.router.http_json", fake_http_json)
-        drained = asyncio.run(router.rebalance_once())
-        assert drained == 1
-        assert drains == [(1234, "/cluster/drain", {"fingerprint": fingerprint})]
-
-    def test_well_placed_shards_are_left_alone(self):
-        router = RouterService(RouterConfig())
-        self.heartbeat(router, "w1")
-        fingerprint = next(
-            f"shard-{i}" for i in range(1000)
-            if router.ring.assign(f"shard-{i}") == "w1"
-        )
-        self.heartbeat(router, "w1", shards=[fingerprint])
-        assert asyncio.run(router.rebalance_once()) == 0
-
-    def test_merge_worker_metrics_relabels_and_dedups(self):
-        merged = merge_worker_metrics(
-            [
-                ("w1", "# HELP m jobs\n# TYPE m counter\nm 1\nm2{k=\"v\"} 3\n"),
-                ("w2", "# HELP m jobs\n# TYPE m counter\nm 2\n"),
-            ]
-        )
-        assert merged.count("# HELP m jobs") == 1
-        assert 'm{worker="w1"} 1' in merged
-        assert 'm{worker="w2"} 2' in merged
-        assert 'm2{k="v",worker="w1"} 3' in merged
-
-
-# ----------------------------------------------------------------------
-# client retries (fake clock)
+# client retries: bounded exponential backoff on 503s and lost connections
 # ----------------------------------------------------------------------
 class TestClientRetries:
     class _FlakyTransport:
@@ -815,3 +114,29 @@ class TestClientRetries:
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError):
             ServiceClient(retries=-1)
+
+
+# ----------------------------------------------------------------------
+# graceful shutdown of the real server process
+# ----------------------------------------------------------------------
+def test_service_serve_exits_zero_on_sigterm():
+    with socket.socket() as probe:  # bound, probed, released: a free port
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = (
+        f"{src}{os.pathsep}{env['PYTHONPATH']}" if env.get("PYTHONPATH") else src
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.service", "serve", "--port", str(port)],
+        env=env,
+    )
+    try:
+        ServiceClient(port=port).wait_until_healthy()
+        proc.terminate()
+        assert proc.wait(timeout=30) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()

@@ -1,48 +1,25 @@
-"""Tests for seeded fault injection and the hardening it drives.
+"""Tests for fault plans, the fault injector and the service's fault handling.
 
-The chaos contract (this PR's acceptance criterion): under a *recoverable*
-seeded fault schedule — WAL fsync failures, dropped acknowledgements,
-stalled heartbeats — a retrying client finishes every workload with a
-masked ``report_signature`` byte-identical to a fault-free run, while
-*unrecoverable* damage (mid-log corruption) still fails loudly.  The
-building blocks are exercised here in-process: the plan/injector machinery
-itself, the WAL degraded mode with its probe recovery, exactly-once
-idempotent delta application, end-to-end request deadlines, the router's
-per-worker circuit breaker, poison-job quarantine, the heartbeat loop's
-survival of transient router errors, and the intra-cluster HTTP client's
-error paths.  ``benchmarks/chaos_smoke.py`` drives the same schedule
-against real subprocesses on all four workloads.
+Two groups live here.  The first covers :mod:`repro.faults` as a library:
+plans round-trip byte for byte and validate loudly, and the injector makes
+the same decisions for the same seed.  The second covers how the
+single-process service behaves under the faults a client sees: a delta
+request retried with its idempotency key applies exactly once, a spent
+deadline fails with 504 before any work runs, and a garbled
+``Retry-After`` header is treated as absent.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import http.client
 import http.server
 import json
-import socket
 import threading
-import time
 
 import pytest
 
-from repro.cluster import (
-    CircuitBreaker,
-    DeltaLog,
-    RouterConfig,
-    RouterService,
-    SnapshotError,
-    WalRecord,
-    WorkerConfig,
-    WorkerService,
-    load_snapshot_document,
-    write_snapshot,
-)
-from repro.cluster.breaker import STATE_VALUES
-from repro.cluster.httpclient import http_request
-from repro.cluster.launch import spawn_worker, wait_until_healthy
-from repro.cluster.worker import WorkerHTTPServer
+from repro.core.report import table_to_json_dict
 from repro.experiments.harness import prepare_instance
 from repro.faults import (
     INJECTOR,
@@ -54,70 +31,50 @@ from repro.faults import (
     InjectedFault,
     activate_from_env,
 )
-from repro.service import ServiceClient, ServiceError, ServiceServer, report_signature
+from repro.service import (
+    CleaningService,
+    ServiceClient,
+    ServiceConfig,
+    ServiceError,
+    ServiceServer,
+    decode_delta_request,
+    report_signature,
+)
 from repro.service.client import _parse_retry_after
-from repro.service.codec import canonical_json, decode_delta_request
+from repro.service.codec import canonical_json
 from repro.service.http import _failure_status, _parse_deadline_header
-from repro.service.service import CleaningService, ServiceConfig
 from repro.streaming import DeltaBatch, Insert, StreamingMLNClean
-from repro.streaming.window import SlidingWindow
 from repro.workloads.registry import get_workload_generator, recommended_config
 
-#: stream shape shared with tests/test_cluster.py (kept local on purpose:
-#: test modules must stay importable on their own)
-WORKLOADS = {
-    "hospital-sample": {"kind": "sliding", "size": 24},
-    "hai": None,
-}
-TUPLES = 32
-BATCH = 8
+
+def run_async(coro):
+    return asyncio.run(coro)
 
 
-def free_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
-
-
-def workload_batches(workload: str, tuples: int = TUPLES):
-    instance = prepare_instance(workload, tuples=tuples)
-    generator = get_workload_generator(workload, tuples=tuples, seed=7)
+def hai_delta_batches(tuples: int = 32, size: int = 8) -> list:
+    """A small HAI stream as lists of inserts, ``size`` tuples each."""
+    instance = prepare_instance("hai", tuples=tuples)
     schema = instance.dirty.attributes
     rows = list(instance.dirty.rows)
-    batches = [
-        [Insert(values={a: r[a] for a in schema}, tid=r.tid) for r in rows[i:i + BATCH]]
-        for i in range(0, len(rows), BATCH)
+    return [
+        [Insert(values={a: r[a] for a in schema}, tid=r.tid) for r in rows[i:i + size]]
+        for i in range(0, len(rows), size)
     ]
-    return schema, generator.rules(), recommended_config(workload), batches
 
 
-def reference_engine(workload: str, upto: int = None):
-    schema, rules, config, batches = workload_batches(workload)
-    window_spec = WORKLOADS[workload]
-    window = SlidingWindow(window_spec["size"]) if window_spec else None
-    engine = StreamingMLNClean(rules, schema=schema, config=config, window=window)
-    for deltas in batches[:upto]:
-        engine.apply_batch(DeltaBatch(list(deltas)))
-    return engine
-
-
-def wire_deltas(deltas) -> list:
-    return [{"op": "insert", "values": dict(d.values), "tid": d.tid} for d in deltas]
-
-
-def delta_payload(workload: str, deltas, key=None) -> dict:
-    payload = {"workload": workload, "seed": 7, "deltas": wire_deltas(deltas),
-               "include_table": False}
-    if WORKLOADS[workload]:
-        payload["window"] = dict(WORKLOADS[workload])
+def hai_delta_payload(deltas, key=None) -> dict:
+    payload = {
+        "workload": "hai",
+        "seed": 7,
+        "deltas": [{"op": "insert", "values": dict(d.values), "tid": d.tid} for d in deltas],
+        "include_table": False,
+    }
     if key is not None:
         payload["idempotency_key"] = key
     return payload
 
 
-def engine_fingerprint_state(engine) -> tuple:
-    from repro.core.report import table_to_json_dict
-
+def engine_state(engine) -> tuple:
     return (
         report_signature(engine.report()),
         canonical_json(table_to_json_dict(engine.cleaned)),
@@ -321,178 +278,41 @@ class TestFaultInjector:
 
 
 # ----------------------------------------------------------------------
-# disk fault points: the WAL and snapshot writers under injection
-# ----------------------------------------------------------------------
-class TestDiskFaultPoints:
-    def record(self, seq: int) -> WalRecord:
-        return WalRecord(seq=seq, deltas=[{"op": "delete", "tid": seq}])
-
-    def test_injected_fsync_failure_truncates_the_partial_frame(self, tmp_path):
-        INJECTOR.activate(FaultPlan(seed=0, rules=(
-            FaultRule(point="wal.fsync", action="fail", nth=2, times=1),
-        )))
-        wal = DeltaLog(tmp_path / "wal.log")
-        wal.append(self.record(0))
-        with pytest.raises(OSError):
-            wal.append(self.record(1))  # frame written, fsync refused
-        wal.close()
-        INJECTOR.deactivate()
-        # the un-fsynced frame was rolled back: the log replays its prefix
-        # and accepts new appends exactly like a post-crash reopen
-        wal = DeltaLog(tmp_path / "wal.log")
-        assert [r.seq for r in wal.replay()] == [0]
-        wal.append(self.record(1))
-        assert [r.seq for r in DeltaLog(tmp_path / "wal.log").replay()] == [0, 1]
-
-    def test_injected_append_failure_writes_nothing(self, tmp_path):
-        INJECTOR.activate(FaultPlan(seed=0, rules=(
-            FaultRule(point="wal.append", action="fail", nth=1, times=1),
-        )))
-        wal = DeltaLog(tmp_path / "wal.log")
-        with pytest.raises(OSError):
-            wal.append(self.record(0))
-        wal.close()
-        assert DeltaLog(tmp_path / "wal.log").replay() == []
-
-    def test_shard_match_targets_one_log(self, tmp_path):
-        INJECTOR.activate(FaultPlan(seed=0, rules=(
-            FaultRule(point="wal.fsync", action="fail",
-                      match={"shard": "aaaa"}, times=None),
-        )))
-        sick = DeltaLog(tmp_path / "sick.log", name="aaaa1111")
-        healthy = DeltaLog(tmp_path / "healthy.log", name="bbbb2222")
-        healthy.append(self.record(0))  # prefix mismatch: untouched
-        with pytest.raises(OSError):
-            sick.append(self.record(0))
-        sick.close()
-        healthy.close()
-
-    def test_injected_snapshot_corruption_is_rejected_on_load(self, tmp_path):
-        path = tmp_path / "snapshot.json"
-        envelope = {"fingerprint": "abc", "state": {"batches": 2}}
-        write_snapshot(path, "shard1", envelope)
-        INJECTOR.activate(FaultPlan(seed=0, rules=(
-            FaultRule(point="snapshot.write", action="corrupt", nth=1, times=1),
-        )))
-        write_snapshot(path, "shard1", envelope)  # writes a torn document
-        with pytest.raises(SnapshotError):
-            load_snapshot_document(path, "shard1")
-        assert not list(tmp_path.glob("*.tmp"))  # still an atomic replace
-
-    def test_injected_snapshot_failure_keeps_the_previous_one(self, tmp_path):
-        path = tmp_path / "snapshot.json"
-        write_snapshot(path, "shard1", {"fingerprint": "a", "state": {"n": 1}})
-        INJECTOR.activate(FaultPlan(seed=0, rules=(
-            FaultRule(point="snapshot.write", action="fail", nth=1, times=1),
-        )))
-        with pytest.raises(OSError):
-            write_snapshot(path, "shard1", {"fingerprint": "a", "state": {"n": 2}})
-        INJECTOR.deactivate()
-        document = load_snapshot_document(path, "shard1")
-        assert document["envelope"]["state"]["n"] == 1
-
-
-# ----------------------------------------------------------------------
-# WAL degraded mode: shed with 503 semantics, probe, recover, converge
-# ----------------------------------------------------------------------
-class TestDegradedMode:
-    def test_wal_failure_degrades_then_probe_recovers(self, tmp_path):
-        _schema, _rules, _config, batches = workload_batches("hai")
-        # the 2nd fsync (tick 1) fails once; everything after succeeds
-        INJECTOR.activate(FaultPlan(seed=0, rules=(
-            FaultRule(point="wal.fsync", action="fail", nth=2, times=1),
-        )))
-
-        async def main():
-            service = WorkerService(
-                WorkerConfig(
-                    worker_id="t", data_dir=tmp_path, degraded_retry_after=0.2
-                ),
-                ServiceConfig(executor_workers=2),
-            )
-            await service.start()
-            try:
-                async def send(deltas):
-                    spec = decode_delta_request(delta_payload("hai", deltas))
-                    job = await service.submit(spec)
-                    await service.wait(job.id)
-                    return job
-
-                assert (await send(batches[0])).status.value == "done"
-
-                # tick 1: applied in memory, WAL refused → degraded, shed
-                job = await send(batches[1])
-                assert job.status.value == "failed"
-                assert job.error_kind == "unavailable"
-                assert "degraded" in job.error
-                assert service.healthz()["degraded_shards"]
-
-                # within the shed window every delta answers unavailable
-                job = await send(batches[1])
-                assert job.error_kind == "unavailable"
-
-                # past the window the next tick is the probe: it re-attaches
-                # from durable state (tick 0 only — the shed tick was never
-                # acknowledged) and its WAL append now succeeds
-                await asyncio.sleep(0.25)
-                assert (await send(batches[1])).status.value == "done"
-                assert not service.healthz().get("degraded_shards")
-                assert (await send(batches[2])).status.value == "done"
-
-                shard = service.pool.shards()[0]
-                return engine_fingerprint_state(shard.stream)
-            finally:
-                await service.stop()
-
-        state = asyncio.run(main())
-        assert state == engine_fingerprint_state(reference_engine("hai", upto=3))
-
-
-# ----------------------------------------------------------------------
 # idempotent delta application: exactly-once under at-least-once retries
 # ----------------------------------------------------------------------
 class TestIdempotency:
-    def test_same_key_coalesced_into_one_tick_applies_once(self, tmp_path):
-        _schema, _rules, _config, batches = workload_batches("hai")
+    def test_same_key_coalesced_into_one_tick_applies_once(self):
+        batches = hai_delta_batches()
 
         async def main():
-            service = WorkerService(
-                WorkerConfig(worker_id="t", data_dir=tmp_path),
-                ServiceConfig(executor_workers=2),
-            )
-            await service.start()
-            try:
+            async with CleaningService(ServiceConfig(executor_workers=2)) as service:
                 specs = [
-                    decode_delta_request(delta_payload("hai", batches[0], key="k0"))
+                    decode_delta_request(hai_delta_payload(batches[0], key="k0"))
                     for _ in range(2)
                 ]
                 # no awaits between submits: both fold into one tick
                 jobs = [await service.submit(s) for s in specs]
                 await asyncio.gather(*[service.wait(j.id) for j in jobs])
                 assert all(j.status.value == "done" for j in jobs)
-                shard = service.pool.shards()[0]
+                (shard,) = service.pool.shards()
                 assert shard.stream.batches_applied == 1
-                return engine_fingerprint_state(shard.stream)
-            finally:
-                await service.stop()
+                return engine_state(shard.stream)
 
-        state = asyncio.run(main())
-        assert state == engine_fingerprint_state(reference_engine("hai", upto=1))
+        reference = StreamingMLNClean(
+            get_workload_generator("hai", tuples=32, seed=7).rules(),
+            schema=prepare_instance("hai", tuples=32).dirty.attributes,
+            config=recommended_config("hai"),
+        )
+        reference.apply_batch(DeltaBatch(list(batches[0])))
+        assert run_async(main()) == engine_state(reference)
 
-    def test_retry_after_ack_replays_the_original_result(self, tmp_path):
-        _schema, _rules, _config, batches = workload_batches("hai")
+    def test_retry_after_ack_replays_the_original_result(self):
+        batches = hai_delta_batches()
 
         async def main():
-            service = WorkerService(
-                WorkerConfig(worker_id="t", data_dir=tmp_path),
-                ServiceConfig(executor_workers=2),
-            )
-            await service.start()
-            try:
+            async with CleaningService(ServiceConfig(executor_workers=2)) as service:
                 async def send():
-                    spec = decode_delta_request(
-                        delta_payload("hai", batches[0], key="k0")
-                    )
+                    spec = decode_delta_request(hai_delta_payload(batches[0], key="k0"))
                     job = await service.submit(spec)
                     await service.wait(job.id)
                     assert job.status.value == "done", job.error
@@ -501,75 +321,10 @@ class TestIdempotency:
                 original = await send()
                 replayed = await send()
                 assert replayed == original  # the memoized ack, byte for byte
-                assert service.pool.shards()[0].stream.batches_applied == 1
-            finally:
-                await service.stop()
+                (shard,) = service.pool.shards()
+                assert shard.stream.batches_applied == 1
 
-        asyncio.run(main())
-
-    def test_keys_survive_a_crash_in_the_wal_tail(self, tmp_path):
-        _schema, _rules, _config, batches = workload_batches("hai")
-
-        async def phase(keys_and_batches, expect_duplicate=None):
-            service = WorkerService(
-                WorkerConfig(worker_id="t", data_dir=tmp_path),
-                ServiceConfig(executor_workers=2),
-            )
-            await service.start()
-            try:
-                results = []
-                for key, deltas in keys_and_batches:
-                    spec = decode_delta_request(delta_payload("hai", deltas, key=key))
-                    job = await service.submit(spec)
-                    await service.wait(job.id)
-                    assert job.status.value == "done", job.error
-                    results.append(job.result)
-                shard = service.pool.shards()[0]
-                return results, engine_fingerprint_state(shard.stream)
-            finally:
-                # stop() never checkpoints: the WAL tail (with its keys)
-                # survives exactly as kill -9 would leave it
-                await service.stop()
-
-        asyncio.run(phase([("k0", batches[0]), ("k1", batches[1])]))
-
-        async def after_crash():
-            results, state = await phase([("k1", batches[1]), ("k2", batches[2])])
-            return results, state
-
-        results, state = asyncio.run(after_crash())
-        # the re-sent k1 was deduplicated: its original demuxed result died
-        # with the process, so the ack is the structured duplicate marker
-        assert results[0] == {
-            "kind": "deltas", "duplicate": True, "idempotency_key": "k1",
-        }
-        assert state == engine_fingerprint_state(reference_engine("hai", upto=3))
-
-    def test_keys_survive_a_checkpoint(self, tmp_path):
-        _schema, _rules, _config, batches = workload_batches("hai")
-
-        async def main(first_run):
-            service = WorkerService(
-                WorkerConfig(worker_id="t", data_dir=tmp_path, snapshot_every=1),
-                ServiceConfig(executor_workers=2),
-            )
-            await service.start()
-            try:
-                spec = decode_delta_request(delta_payload("hai", batches[0], key="k0"))
-                job = await service.submit(spec)
-                await service.wait(job.id)
-                assert job.status.value == "done", job.error
-                shard = service.pool.shards()[0]
-                return job.result, shard.stream.batches_applied
-            finally:
-                await service.stop()
-
-        original, _ = asyncio.run(main(True))
-        # snapshot_every=1 checkpointed after the tick and reset the WAL;
-        # the key must ride in the snapshot or the retry would double-apply
-        replayed, ticks = asyncio.run(main(False))
-        assert ticks == 1
-        assert replayed == original  # the snapshot carried the full memo
+        run_async(main())
 
 
 # ----------------------------------------------------------------------
@@ -586,27 +341,26 @@ class TestDeadlines:
     def test_failure_status_taxonomy(self):
         assert _failure_status("bad_request") == 400
         assert _failure_status("deadline") == 504
-        assert _failure_status("unavailable") == 503
-        assert _failure_status("poison") == 500
+        assert _failure_status("internal") == 500
         assert _failure_status(None) == 500
 
     def test_expired_budget_fails_before_execution(self):
-        _schema, _rules, _config, batches = workload_batches("hai")
+        batches = hai_delta_batches()
 
         async def main():
             async with CleaningService(ServiceConfig(executor_workers=1)) as service:
-                spec = decode_delta_request(delta_payload("hai", batches[0]))
+                spec = decode_delta_request(hai_delta_payload(batches[0]))
                 job = await service.submit(spec, budget=0.0)
                 await service.wait(job.id)
                 assert job.status.value == "failed"
                 assert job.error_kind == "deadline"
                 assert "deadline" in job.error
 
-        asyncio.run(main())
+        run_async(main())
 
     def test_deadline_header_maps_to_504_over_http(self):
-        _schema, _rules, _config, batches = workload_batches("hai")
-        body = json.dumps(delta_payload("hai", batches[0])).encode("utf-8")
+        batches = hai_delta_batches()
+        body = json.dumps(hai_delta_payload(batches[0])).encode("utf-8")
         with ServiceServer(config=ServiceConfig(executor_workers=1)) as server:
             def post(headers):
                 conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
@@ -633,245 +387,6 @@ class TestDeadlines:
             client.request("GET", "/healthz", deadline=0.0)
         assert err.value.status == 504
         assert err.value.payload["error"]["type"] == "deadline_exceeded"
-
-    def test_router_rejects_an_arrived_dead_request(self):
-        router = RouterService(RouterConfig())
-        router.heartbeat({"worker_id": "w1", "port": 1234, "shards": []})
-        body = json.dumps({"workload": "hospital-sample", "tuples": 8}).encode()
-        status, payload, _headers = asyncio.run(
-            router.proxy_submit("/clean", body, {"x-repro-deadline": "0"})
-        )
-        assert status == 504
-        assert payload["error"]["type"] == "deadline_exceeded"
-
-
-# ----------------------------------------------------------------------
-# the router's per-worker circuit breaker
-# ----------------------------------------------------------------------
-class TestCircuitBreaker:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(reset_after=0.0)
-
-    def test_state_machine_with_a_fake_clock(self):
-        now = [0.0]
-        breaker = CircuitBreaker(threshold=3, reset_after=2.0, clock=lambda: now[0])
-        assert breaker.state == "closed" and breaker.allow()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == "closed"  # below threshold
-        breaker.record_failure()
-        assert breaker.state == "open" and not breaker.allow()
-        now[0] = 2.0
-        assert breaker.state == "half_open"
-        assert breaker.allow() is True       # the probe slot
-        assert breaker.allow() is False      # consumed until its verdict
-        breaker.record_success()
-        assert breaker.state == "closed" and breaker.allow()
-
-    def test_failed_probe_reopens(self):
-        now = [0.0]
-        breaker = CircuitBreaker(threshold=1, reset_after=1.0, clock=lambda: now[0])
-        breaker.record_failure()
-        now[0] = 1.0
-        assert breaker.allow() is True
-        breaker.record_failure()
-        assert breaker.state == "open" and not breaker.allow()
-
-    def test_success_resets_the_failure_count(self):
-        breaker = CircuitBreaker(threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"  # never two consecutive
-
-    def test_router_sheds_to_an_open_circuit(self, monkeypatch):
-        router = RouterService(
-            RouterConfig(breaker_threshold=2, breaker_reset_after=60.0)
-        )
-        router.heartbeat({"worker_id": "w1", "port": 1234, "shards": []})
-
-        async def unreachable(*args, **kwargs):
-            raise ConnectionError("injected: worker down")
-
-        monkeypatch.setattr("repro.cluster.router.http_request", unreachable)
-        body = json.dumps({"workload": "hospital-sample", "tuples": 8}).encode()
-
-        def submit():
-            return asyncio.run(router.proxy_submit("/clean", body))
-
-        for _ in range(2):  # threshold=2 consecutive transport failures
-            status, payload, _headers = submit()
-            assert status == 503
-            assert payload["error"]["type"] == "worker_unreachable"
-        # the circuit is now open: shed instantly, no forward attempted
-        status, payload, headers = submit()
-        assert status == 503
-        assert payload["error"]["type"] == "circuit_open"
-        assert headers["Retry-After"] == "60"
-        # /jobs/<id> fan-out sheds through the same breaker
-        status, payload, _headers = asyncio.run(router.proxy_job("w1:j1"))
-        assert payload["error"]["type"] == "circuit_open"
-        # and the state is visible on the merged gauge
-        families = {f["name"]: f for f in router._membership_families()}
-        assert families["repro_breaker_state"]["samples"] == [
-            ({"worker": "w1"}, STATE_VALUES["open"])
-        ]
-
-    def test_any_http_answer_closes_the_circuit(self, monkeypatch):
-        router = RouterService(
-            RouterConfig(breaker_threshold=1, breaker_reset_after=0.05)
-        )
-        router.heartbeat({"worker_id": "w1", "port": 1234, "shards": []})
-        body = json.dumps({"workload": "hospital-sample", "tuples": 8}).encode()
-
-        async def unreachable(*args, **kwargs):
-            raise ConnectionError("down")
-
-        monkeypatch.setattr("repro.cluster.router.http_request", unreachable)
-        asyncio.run(router.proxy_submit("/clean", body))
-        assert router.breakers["w1"].state == "open"
-
-        async def answers_500(*args, **kwargs):
-            return 500, {}, json.dumps(
-                {"error": {"type": "internal", "message": "sick but alive"}}
-            ).encode("utf-8")
-
-        monkeypatch.setattr("repro.cluster.router.http_request", answers_500)
-        time.sleep(0.06)  # reset_after elapses → half-open probe
-        status, _payload, _headers = asyncio.run(router.proxy_submit("/clean", body))
-        # a 500 proves the worker is reachable and serving: transport
-        # health, not job health, is what the breaker watches
-        assert status == 500
-        assert router.breakers["w1"].state == "closed"
-
-
-# ----------------------------------------------------------------------
-# poison-job quarantine
-# ----------------------------------------------------------------------
-class TestPoisonQuarantine:
-    def test_repeated_shard_crashes_park_the_request(self, tmp_path):
-        _schema, _rules, _config, batches = workload_batches("hai")
-        INJECTOR.activate(FaultPlan(seed=0, rules=(
-            FaultRule(point="service.apply", action="fail", times=None),
-        )))
-
-        async def main():
-            service = WorkerService(
-                WorkerConfig(worker_id="t", data_dir=tmp_path),
-                ServiceConfig(executor_workers=2, poison_threshold=3),
-            )
-            await service.start()
-            try:
-                async def send(deltas):
-                    spec = decode_delta_request(delta_payload("hai", deltas))
-                    job = await service.submit(spec)
-                    await service.wait(job.id)
-                    return job
-
-                for _attempt in range(3):
-                    job = await send(batches[0])
-                    assert job.status.value == "failed"
-                    assert job.error_kind == "internal"
-                    assert "InjectedCrash" in job.error
-                assert service.stats()["poison"]["quarantined"] == 1
-
-                # strike three: the request is parked, not retried
-                job = await send(batches[0])
-                assert job.error_kind == "poison"
-                assert "quarantined" in job.error
-
-                # the quarantine outlives the fault itself...
-                INJECTOR.deactivate()
-                job = await send(batches[0])
-                assert job.error_kind == "poison"
-                # ...while different requests against the same shard proceed
-                job = await send(batches[1])
-                assert job.status.value == "done", job.error
-            finally:
-                await service.stop()
-
-        asyncio.run(main())
-
-
-# ----------------------------------------------------------------------
-# the heartbeat loop survives transient router errors (and stalls on cue)
-# ----------------------------------------------------------------------
-class TestHeartbeatResilience:
-    def worker_server(self, tmp_path, interval=0.02) -> WorkerHTTPServer:
-        service = WorkerService(
-            WorkerConfig(
-                worker_id="w1",
-                data_dir=tmp_path,
-                router="127.0.0.1:1",
-                heartbeat_interval=interval,
-            ),
-            ServiceConfig(executor_workers=1),
-        )
-        return WorkerHTTPServer(service, port=0)
-
-    def test_loop_survives_garbled_router_responses(self, tmp_path, monkeypatch):
-        calls = []
-
-        async def flaky(host, port, method, path, payload=None, **kwargs):
-            calls.append(path)
-            if len(calls) <= 2:
-                # NOT a ConnectionError: a garbled response body blowing up
-                # the JSON decode used to kill the heartbeat task for good
-                raise ValueError("garbled response")
-            return 200, {"workers": 1}
-
-        monkeypatch.setattr("repro.cluster.worker.http_json", flaky)
-
-        async def main():
-            server = self.worker_server(tmp_path)
-            task = asyncio.get_running_loop().create_task(server._heartbeat_loop())
-            try:
-                deadline = asyncio.get_running_loop().time() + 10.0
-                while len(calls) < 4:
-                    assert asyncio.get_running_loop().time() < deadline
-                    assert not task.done(), task.exception()
-                    await asyncio.sleep(0.01)
-                assert not task.done()
-            finally:
-                task.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await task
-
-        asyncio.run(main())
-        assert len(calls) >= 4  # kept beating through (and past) the outage
-
-    def test_stall_action_skips_beats_silently(self, tmp_path, monkeypatch):
-        INJECTOR.activate(FaultPlan(seed=0, rules=(
-            FaultRule(point="worker.heartbeat", action="stall", nth=1, times=2),
-        )))
-        calls = []
-
-        async def record(host, port, method, path, payload=None, **kwargs):
-            calls.append(path)
-            return 200, {}
-
-        monkeypatch.setattr("repro.cluster.worker.http_json", record)
-
-        async def main():
-            server = self.worker_server(tmp_path)
-            task = asyncio.get_running_loop().create_task(server._heartbeat_loop())
-            try:
-                deadline = asyncio.get_running_loop().time() + 10.0
-                while len(calls) < 2:
-                    assert asyncio.get_running_loop().time() < deadline
-                    await asyncio.sleep(0.01)
-            finally:
-                task.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await task
-
-        asyncio.run(main())
-        # the first two beats were swallowed (the router sees silence — that
-        # is the network-flap drill), later beats flowed normally
-        assert INJECTOR.report() == {"worker.heartbeat/stall": 2}
 
 
 # ----------------------------------------------------------------------
@@ -918,143 +433,3 @@ class TestRetryAfterParsing:
             server.shutdown()
             server.server_close()
             thread.join(timeout=10)
-
-
-# ----------------------------------------------------------------------
-# intra-cluster HTTP client error paths
-# ----------------------------------------------------------------------
-class TestHttpClientErrors:
-    def one_shot_server(self, handler):
-        """Run ``http_request`` against a one-connection asyncio server."""
-
-        async def main(test):
-            server = await asyncio.start_server(handler, "127.0.0.1", 0)
-            port = server.sockets[0].getsockname()[1]
-            try:
-                return await test(port)
-            finally:
-                server.close()
-                await server.wait_closed()
-
-        return main
-
-    def test_connection_refused(self):
-        port = free_port()  # bound, probed, released: nothing listens
-        with pytest.raises(ConnectionError, match="cannot reach"):
-            asyncio.run(http_request("127.0.0.1", port, "GET", "/"))
-
-    def test_peer_closes_before_the_status_line(self):
-        async def handler(reader, writer):
-            await reader.readline()
-            writer.close()
-
-        async def test(port):
-            with pytest.raises(ConnectionError, match="closed before responding"):
-                await http_request("127.0.0.1", port, "GET", "/")
-
-        asyncio.run(self.one_shot_server(handler)(test))
-
-    def test_peer_hangs_up_mid_response(self):
-        async def handler(reader, writer):
-            await reader.readline()
-            writer.write(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\nhalf")
-            await writer.drain()
-            writer.close()
-
-        async def test(port):
-            with pytest.raises(ConnectionError, match="hung up mid-response"):
-                await http_request("127.0.0.1", port, "GET", "/")
-
-        asyncio.run(self.one_shot_server(handler)(test))
-
-    def test_silent_peer_times_out(self):
-        async def handler(reader, writer):
-            await reader.read(-1)  # accept, then never answer
-
-        async def test(port):
-            with pytest.raises(asyncio.TimeoutError):
-                await http_request("127.0.0.1", port, "GET", "/", timeout=0.2)
-
-        asyncio.run(self.one_shot_server(handler)(test))
-
-    def test_oversized_headers_are_refused(self):
-        async def handler(reader, writer):
-            with contextlib.suppress(Exception):  # the client hangs up on us
-                await reader.readline()
-                writer.write(b"HTTP/1.1 200 OK\r\n")
-                filler = b"X-Padding: " + b"a" * 1000 + b"\r\n"
-                for _ in range(70):  # ~70KB of headers > the 64KB bound
-                    writer.write(filler)
-                await writer.drain()
-                writer.close()
-
-        async def test(port):
-            with pytest.raises(ConnectionError, match="headers exceed"):
-                await http_request("127.0.0.1", port, "GET", "/")
-
-        asyncio.run(self.one_shot_server(handler)(test))
-
-    def test_single_oversized_header_line_is_refused(self):
-        async def handler(reader, writer):
-            with contextlib.suppress(Exception):  # the client hangs up on us
-                await reader.readline()
-                # one 2MB line overflows the stream reader's line buffer, which
-                # used to surface as a raw ValueError instead of ConnectionError
-                writer.write(b"HTTP/1.1 200 OK\r\nX-Bomb: " + b"a" * (2 * 1024 * 1024))
-                await writer.drain()
-                writer.close()
-
-        async def test(port):
-            with pytest.raises(ConnectionError, match="oversized header line"):
-                await http_request("127.0.0.1", port, "GET", "/")
-
-        asyncio.run(self.one_shot_server(handler)(test))
-
-
-# ----------------------------------------------------------------------
-# the chaos acceptance property, in miniature (one real worker process)
-# ----------------------------------------------------------------------
-def test_seeded_recoverable_faults_keep_the_signature_byte_identical(tmp_path):
-    """A real worker under a seeded WAL fault plan converges byte-for-byte.
-
-    The plan fails the 3rd WAL fsync: one delta tick is shed with 503 +
-    Retry-After, the shard goes degraded, the retrying client rides it out,
-    and the probe recovers from durable state.  The final masked report
-    signature and cleaned table must equal a fault-free in-process run.
-    ``benchmarks/chaos_smoke.py`` runs the full schedule (drops, duplicate
-    sends, heartbeat stalls) on all four workloads behind a router.
-    """
-    workload = "hai"
-    reference = engine_fingerprint_state(reference_engine(workload))
-    plan = FaultPlan(seed=11, rules=(
-        FaultRule(point="wal.fsync", action="fail", nth=3, times=1),
-    ))
-    port = free_port()
-    proc = spawn_worker(
-        port, "w1", tmp_path, snapshot_every=100, fault_plan=plan.to_json()
-    )
-    try:
-        wait_until_healthy(port)
-        client = ServiceClient(port=port, retries=8, backoff=0.3, max_backoff=2.0)
-        _schema, _rules, _config, batches = workload_batches(workload)
-        for deltas in batches:
-            payload = delta_payload(workload, deltas)
-            job = client.deltas(payload.pop("deltas"), **payload)
-            assert job["status"] == "done", job.get("error")
-        info = client.request("GET", "/cluster/info")
-        state = client.request("GET", f"/cluster/streams/{info['shards'][0]}")
-        assert state["signature"] == reference[0]
-        assert canonical_json(state["cleaned"]) == reference[1]
-        # the fault really fired: the worker's own metrics prove it
-        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
-        try:
-            conn.request("GET", "/metrics")
-            metrics = conn.getresponse().read().decode("utf-8")
-        finally:
-            conn.close()
-        assert "repro_faults_injected_total" in metrics
-        assert 'point="wal.fsync"' in metrics
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()

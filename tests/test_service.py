@@ -13,16 +13,7 @@ backend) is compared bit for bit.
 from __future__ import annotations
 
 import asyncio
-import http.client
-import http.server
-import json
-import os
-import socket
-import subprocess
-import sys
-import threading
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -49,20 +40,14 @@ from repro.service import (
     report_signature,
     report_signature_dict,
 )
-from repro.service.client import _parse_retry_after
 from repro.service.codec import (
     canonical_json,
     ground_truth_from_json,
     ground_truth_to_json,
 )
-from repro.service.http import _failure_status, _parse_deadline_header
 from repro.session import CleaningSession
 from repro.streaming import DeltaBatch, Insert, StreamingMLNClean, Update
-from repro.workloads.registry import (
-    available_workloads,
-    get_workload_generator,
-    recommended_config,
-)
+from repro.workloads.registry import available_workloads, recommended_config
 
 
 def run_async(coro):
@@ -782,7 +767,7 @@ def test_render_service_replay_checks_equality():
 
 
 # ----------------------------------------------------------------------
-# idempotent delta application: exactly-once under at-least-once retries
+# a crash inside a tick
 # ----------------------------------------------------------------------
 def hai_delta_batches(tuples: int = 32, size: int = 8) -> list:
     """A small HAI stream as lists of inserts, ``size`` tuples each."""
@@ -795,70 +780,13 @@ def hai_delta_batches(tuples: int = 32, size: int = 8) -> list:
     ]
 
 
-def hai_delta_payload(deltas, key=None) -> dict:
-    payload = {
+def hai_delta_payload(deltas) -> dict:
+    return {
         "workload": "hai",
         "seed": 7,
         "deltas": [{"op": "insert", "values": dict(d.values), "tid": d.tid} for d in deltas],
         "include_table": False,
     }
-    if key is not None:
-        payload["idempotency_key"] = key
-    return payload
-
-
-def engine_state(engine) -> tuple:
-    return (
-        report_signature(engine.report()),
-        canonical_json(table_to_json_dict(engine.cleaned)),
-    )
-
-
-class TestIdempotency:
-    def test_same_key_coalesced_into_one_tick_applies_once(self):
-        batches = hai_delta_batches()
-
-        async def main():
-            async with CleaningService(ServiceConfig(executor_workers=2)) as service:
-                specs = [
-                    decode_delta_request(hai_delta_payload(batches[0], key="k0"))
-                    for _ in range(2)
-                ]
-                # no awaits between submits: both fold into one tick
-                jobs = [await service.submit(s) for s in specs]
-                await asyncio.gather(*[service.wait(j.id) for j in jobs])
-                assert all(j.status.value == "done" for j in jobs)
-                (shard,) = service.pool.shards()
-                assert shard.stream.batches_applied == 1
-                return engine_state(shard.stream)
-
-        reference = StreamingMLNClean(
-            get_workload_generator("hai", tuples=32, seed=7).rules(),
-            schema=prepare_instance("hai", tuples=32).dirty.attributes,
-            config=recommended_config("hai"),
-        )
-        reference.apply_batch(DeltaBatch(list(batches[0])))
-        assert run_async(main()) == engine_state(reference)
-
-    def test_retry_after_ack_replays_the_original_result(self):
-        batches = hai_delta_batches()
-
-        async def main():
-            async with CleaningService(ServiceConfig(executor_workers=2)) as service:
-                async def send():
-                    spec = decode_delta_request(hai_delta_payload(batches[0], key="k0"))
-                    job = await service.submit(spec)
-                    await service.wait(job.id)
-                    assert job.status.value == "done", job.error
-                    return job.result
-
-                original = await send()
-                replayed = await send()
-                assert replayed == original  # the memoized ack, byte for byte
-                (shard,) = service.pool.shards()
-                assert shard.stream.batches_applied == 1
-
-        run_async(main())
 
 
 def test_a_crash_inside_a_tick_fails_its_jobs_as_internal(monkeypatch):
@@ -880,234 +808,3 @@ def test_a_crash_inside_a_tick_fails_its_jobs_as_internal(monkeypatch):
             assert all("engine bug" in j.error for j in jobs)
 
     run_async(main())
-
-
-# ----------------------------------------------------------------------
-# end-to-end request deadlines
-# ----------------------------------------------------------------------
-class TestDeadlines:
-    def test_parse_deadline_header(self):
-        assert _parse_deadline_header(None) is None
-        assert _parse_deadline_header({}) is None
-        assert _parse_deadline_header({"x-repro-deadline": "2.5"}) == 2.5
-        # malformed budgets must not fail an otherwise-valid request
-        assert _parse_deadline_header({"x-repro-deadline": "whenever"}) is None
-
-    def test_failure_status_taxonomy(self):
-        assert _failure_status("bad_request") == 400
-        assert _failure_status("deadline") == 504
-        assert _failure_status("internal") == 500
-        assert _failure_status(None) == 500
-
-    def test_expired_budget_fails_before_execution(self):
-        batches = hai_delta_batches()
-
-        async def main():
-            async with CleaningService(ServiceConfig(executor_workers=1)) as service:
-                spec = decode_delta_request(hai_delta_payload(batches[0]))
-                job = await service.submit(spec, budget=0.0)
-                await service.wait(job.id)
-                assert job.status.value == "failed"
-                assert job.error_kind == "deadline"
-                assert "deadline" in job.error
-
-        run_async(main())
-
-    def test_deadline_header_maps_to_504_over_http(self):
-        batches = hai_delta_batches()
-        body = json.dumps(hai_delta_payload(batches[0])).encode("utf-8")
-        with ServiceServer(config=ServiceConfig(executor_workers=1)) as server:
-            def post(headers):
-                conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
-                try:
-                    conn.request(
-                        "POST", "/deltas", body=body,
-                        headers={"Content-Type": "application/json", **headers},
-                    )
-                    response = conn.getresponse()
-                    return response.status, json.loads(response.read() or b"{}")
-                finally:
-                    conn.close()
-
-            status, payload = post({"X-Repro-Deadline": "0"})
-            assert status == 504
-            assert payload["error"]["type"] == "deadline_exceeded"
-            # malformed budget: treated as absent, the request just runs
-            status, payload = post({"X-Repro-Deadline": "whenever"})
-            assert status == 200 and payload["job"]["status"] == "done"
-
-    def test_client_raises_a_local_504_once_the_budget_is_spent(self):
-        client = ServiceClient(port=1)  # never reached
-        with pytest.raises(ServiceError) as err:
-            client.request("GET", "/healthz", deadline=0.0)
-        assert err.value.status == 504
-        assert err.value.payload["error"]["type"] == "deadline_exceeded"
-
-
-# ----------------------------------------------------------------------
-# client retries: bounded exponential backoff on 503s and lost connections
-# ----------------------------------------------------------------------
-class TestClientRetries:
-    class _FlakyTransport:
-        def __init__(self, failures):
-            self.failures = list(failures)
-            self.calls = 0
-
-        def __call__(self, method, path, payload=None):
-            self.calls += 1
-            if self.failures:
-                raise self.failures.pop(0)
-            return {"ok": True}
-
-    class _FixedRng:
-        def random(self):
-            return 1.0  # jitter multiplies by exactly (1 + jitter)
-
-    def make_client(self, failures, **kwargs):
-        slept = []
-        client = ServiceClient(
-            retries=kwargs.pop("retries", 3),
-            backoff=kwargs.pop("backoff", 1.0),
-            max_backoff=kwargs.pop("max_backoff", 8.0),
-            jitter=kwargs.pop("jitter", 0.0),
-            sleep=slept.append,
-            **kwargs,
-        )
-        transport = self._FlakyTransport(failures)
-        client._request_once = transport
-        return client, transport, slept
-
-    def test_retries_503_with_exponential_backoff(self):
-        client, transport, slept = self.make_client(
-            [ServiceError(503, {}), ServiceError(503, {})]
-        )
-        assert client.request("POST", "/deltas") == {"ok": True}
-        assert transport.calls == 3
-        assert slept == [1.0, 2.0]  # backoff * 2**attempt, no jitter
-
-    def test_retry_after_floors_the_delay(self):
-        client, _transport, slept = self.make_client(
-            [ServiceError(503, {}, retry_after=5.0)]
-        )
-        client.request("GET", "/healthz")
-        assert slept == [5.0]  # the server's hint beats backoff * 2**0
-
-    def test_backoff_is_capped(self):
-        client, _transport, slept = self.make_client(
-            [ServiceError(503, {})] * 5, retries=5, backoff=4.0, max_backoff=6.0
-        )
-        client.request("GET", "/stats")
-        assert slept == [4.0, 6.0, 6.0, 6.0, 6.0]
-
-    def test_jitter_stretches_the_delay(self):
-        client, _transport, slept = self.make_client(
-            [ServiceError(503, {})], jitter=0.5, rng=self._FixedRng()
-        )
-        client.request("GET", "/healthz")
-        assert slept == [1.5]  # 1.0 * (1 + 1.0 * 0.5)
-
-    def test_connection_errors_are_retried(self):
-        client, transport, slept = self.make_client(
-            [ConnectionRefusedError("boom")]
-        )
-        assert client.request("GET", "/healthz") == {"ok": True}
-        assert transport.calls == 2 and slept == [1.0]
-
-    def test_non_503_is_never_retried(self):
-        client, transport, _slept = self.make_client(
-            [ServiceError(400, {"error": {"message": "bad"}})]
-        )
-        with pytest.raises(ServiceError):
-            client.request("POST", "/clean")
-        assert transport.calls == 1
-
-    def test_exhausted_retries_raise_the_last_error(self):
-        client, transport, slept = self.make_client(
-            [ServiceError(503, {})] * 3, retries=2
-        )
-        with pytest.raises(ServiceError) as excinfo:
-            client.request("POST", "/deltas")
-        assert excinfo.value.status == 503
-        assert transport.calls == 3 and len(slept) == 2
-
-    def test_default_client_does_not_retry(self):
-        client = ServiceClient()
-        client._request_once = self._FlakyTransport([ServiceError(503, {})])
-        with pytest.raises(ServiceError):
-            client.request("GET", "/healthz")
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ValueError):
-            ServiceClient(retries=-1)
-
-
-# ----------------------------------------------------------------------
-# Retry-After parsing: garbage from servers/middleboxes never crashes
-# ----------------------------------------------------------------------
-class TestRetryAfterParsing:
-    @pytest.mark.parametrize("raw", [None, "", "soon", "2 seconds", "-1", "-0.5"])
-    def test_malformed_or_negative_is_treated_as_absent(self, raw):
-        assert _parse_retry_after(raw) is None
-
-    @pytest.mark.parametrize("raw,expected", [("0", 0.0), ("1", 1.0), ("2.5", 2.5)])
-    def test_well_formed_values_parse(self, raw, expected):
-        assert _parse_retry_after(raw) == expected
-
-    def test_client_rides_out_garbage_retry_after_headers(self):
-        responses = [
-            (503, {"Retry-After": "soon"}, b"{}"),
-            (503, {"Retry-After": "-2"}, b"{}"),
-            (200, {}, b'{"ok": true}'),
-        ]
-
-        class Canned(http.server.BaseHTTPRequestHandler):
-            def do_GET(self):
-                status, headers, body = responses.pop(0)
-                self.send_response(status)
-                for name, value in headers.items():
-                    self.send_header(name, value)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):
-                pass
-
-        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Canned)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            client = ServiceClient(
-                port=server.server_address[1], retries=3, backoff=0.01, jitter=0.0
-            )
-            assert client.request("GET", "/anything") == {"ok": True}
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
-
-
-# ----------------------------------------------------------------------
-# graceful shutdown of the real server process
-# ----------------------------------------------------------------------
-def test_service_serve_exits_zero_on_sigterm():
-    with socket.socket() as probe:  # bound, probed, released: a free port
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = (
-        f"{src}{os.pathsep}{env['PYTHONPATH']}" if env.get("PYTHONPATH") else src
-    )
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.service", "serve", "--port", str(port)],
-        env=env,
-    )
-    try:
-        ServiceClient(port=port).wait_until_healthy()
-        proc.terminate()
-        assert proc.wait(timeout=30) == 0
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
