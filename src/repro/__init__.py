@@ -20,15 +20,16 @@ API — one facade over every execution mode::
 
 Every backend returns the same :class:`~repro.core.report.CleaningReport`
 (cleaned table, per-stage timings, accuracy when a ground truth is
-attached); new backends and pipeline stages plug in through
-:func:`~repro.session.register_backend` / :func:`~repro.session.register_stage`.
+attached); new backends plug in through
+:func:`~repro.session.register_backend`.  The pipeline itself runs the
+paper's fixed Algorithm-1 order.
 The pre-session entry points (``MLNClean``, ``DistributedMLNClean``,
 ``StreamingMLNClean``) remain available as thin paths onto the same engines.
 
 Sub-packages:
 
 * :mod:`repro.session` — the :class:`CleaningSession` facade, execution
-  backends, and the pluggable stage registry,
+  backends, and the cleaner registry,
 * :mod:`repro.core` — the MLNClean pipeline (MLN index, AGP, RSC, FSCR),
 * :mod:`repro.constraints` — FD / CFD / DC rules and the rule parser,
 * :mod:`repro.mln` — the Markov-logic substrate (grounding, weights, inference),
@@ -67,13 +68,11 @@ from repro.session import (
     SessionBuilder,
     available_backends,
     available_cleaners,
-    available_stages,
     get_cleaner,
     load_rules,
     load_table,
     register_backend,
     register_cleaner,
-    register_stage,
 )
 from repro.distributed import DistributedMLNClean
 from repro.perf import DistanceEngine, DistanceStats
@@ -88,7 +87,7 @@ from repro.streaming import (
     WorkloadStreamSource,
 )
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "CleaningSession",
@@ -103,8 +102,6 @@ __all__ = [
     "register_cleaner",
     "available_cleaners",
     "get_cleaner",
-    "register_stage",
-    "available_stages",
     "MLNClean",
     "MLNCleanConfig",
     "CleaningReport",

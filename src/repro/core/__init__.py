@@ -11,8 +11,8 @@ The cleaning pipeline follows Algorithm 1 of the paper:
    :mod:`repro.core.fscr`) across the data versions, then duplicate
    elimination (:mod:`repro.core.dedup`).
 
-:class:`repro.core.pipeline.MLNClean` wires the stages together and produces
-a :class:`repro.core.report.CleaningReport`.
+:class:`repro.core.pipeline.MLNClean` runs these steps in this fixed order
+and produces a :class:`repro.core.report.CleaningReport`.
 """
 
 from repro.core.config import MLNCleanConfig
@@ -22,14 +22,6 @@ from repro.core.rsc import ReliabilityScoreCleaner, RSCOutcome
 from repro.core.fscr import FusionScoreResolver, FSCROutcome
 from repro.core.dedup import remove_duplicates
 from repro.core.report import CleaningReport
-from repro.core.stages import (
-    DEFAULT_STAGES,
-    Stage,
-    StageContext,
-    available_stages,
-    get_stage,
-    register_stage,
-)
 from repro.core.pipeline import MLNClean
 
 __all__ = [
@@ -46,11 +38,5 @@ __all__ = [
     "FSCROutcome",
     "remove_duplicates",
     "CleaningReport",
-    "Stage",
-    "StageContext",
-    "DEFAULT_STAGES",
-    "register_stage",
-    "available_stages",
-    "get_stage",
     "MLNClean",
 ]

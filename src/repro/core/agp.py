@@ -67,8 +67,8 @@ class AbnormalGroupProcessor:
         engine: Optional[DistanceEngine] = None,
     ):
         self.config = config or MLNCleanConfig()
-        #: the shared distance engine; the pipeline overrides this with the
-        #: run-wide instance so AGP, RSC and the other stages share one cache
+        #: the shared distance engine; the pipeline passes its run-wide
+        #: instance so AGP, RSC and the other stages share one cache
         self.engine: DistanceEngine = (
             engine if engine is not None else self.config.engine()
         )

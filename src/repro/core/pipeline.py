@@ -13,11 +13,10 @@
         ▼
     clean table (+ report)
 
-The stage sequence is pluggable: each step is a registered
-:class:`~repro.core.stages.Stage` and the default order is
-:data:`~repro.core.stages.DEFAULT_STAGES`.  A caller (usually a
-:class:`~repro.session.CleaningSession`) may reorder, disable, or extend the
-stages by passing an explicit stage-name sequence.
+The order is fixed: AGP and RSC on every block, then FSCR, then duplicate
+elimination when ``config.remove_duplicates`` is set.  A partial pipeline
+(e.g. Stage I only) calls the stage classes directly, as
+:mod:`repro.experiments.ablation` does.
 
 The pipeline can run *instrumented*: when the caller supplies the ground
 truth of the injected errors, the per-stage component metrics (Figures 8-14)
@@ -32,11 +31,15 @@ from collections.abc import Sequence
 from typing import Optional
 
 from repro.constraints.rules import Rule
+from repro.core.agp import AbnormalGroupProcessor
 from repro.core.config import MLNCleanConfig
-from repro.core.index import MLNIndex
+from repro.core.dedup import remove_duplicates
+from repro.core.fscr import CleanLookup, FSCROutcome, FusionScoreResolver
+from repro.core.index import Block, MLNIndex
 from repro.core.report import CleaningReport
-from repro.core.stages import StageContext, build_stages
-from repro.dataset.table import Table
+from repro.core.rsc import ReliabilityScoreCleaner
+from repro.dataset.table import Cell, Table
+from repro.detect.base import DirtyCells
 from repro.detect.run import CleaningScope, run_detection
 from repro.errors.groundtruth import GroundTruth
 from repro.metrics.accuracy import evaluate_repair
@@ -53,11 +56,6 @@ class MLNClean:
         report = cleaner.clean(dirty_table, rules)
         clean_table = report.cleaned
 
-    ``stages`` overrides the Algorithm-1 stage order with an explicit
-    sequence of registered stage names (see :mod:`repro.core.stages`);
-    ``None`` keeps the paper's AGP → RSC → FSCR → dedup sequence, with the
-    dedup stage honouring ``config.remove_duplicates``.
-
     ``detectors`` is an optional error-detection stack (detector specs, see
     :mod:`repro.detect`) run before the index build.  The result scopes the
     run to the detected-dirty cells — Stage I only enumerates blocks
@@ -70,11 +68,10 @@ class MLNClean:
     def __init__(
         self,
         config: Optional[MLNCleanConfig] = None,
-        stages: Optional[Sequence[str]] = None,
+        *,
         detectors: Optional[Sequence] = None,
     ):
         self.config = config or MLNCleanConfig()
-        self.stages = list(stages) if stages is not None else None
         self.detectors = list(detectors) if detectors is not None else None
 
     def clean(
@@ -91,23 +88,29 @@ class MLNClean:
         """
         if not rules:
             raise ValueError("MLNClean needs at least one integrity constraint")
+        config = self.config
         timings = TimingBreakdown()
-        instrument = self.config.instrument and ground_truth is not None
-        context = StageContext(dirty=dirty, rules=list(rules), config=self.config)
+        instrument = config.instrument and ground_truth is not None
         # One shared distance engine for the whole run: AGP, RSC, FSCR and
         # dedup all read/write the same cache, and its counters end up in the
         # report's PerfDetails.
-        context.engine = self.config.engine()
+        engine = config.engine()
+        clean_lookup: Optional[CleanLookup] = None
+        dirty_cells: Optional[set[Cell]] = None
         if instrument:
             clean_reference = ground_truth.clean_table(dirty)
 
             def clean_lookup(tid: int) -> dict[str, str]:
                 return clean_reference.row(tid).as_dict()
 
-            context.clean_lookup = clean_lookup
-            context.dirty_cells = ground_truth.dirty_cells
+            dirty_cells = ground_truth.dirty_cells
 
-        with ensure_tracer(self.config.trace), span(
+        detected: Optional[DirtyCells] = None
+        # ``None`` means full-scope: either no detectors ran or the detection
+        # covered every cell, which is exactly the unscoped code path
+        scope: Optional[CleaningScope] = None
+        dedup = None
+        with ensure_tracer(config.trace), span(
             "pipeline.clean",
             backend="batch",
             tuples=len(dirty),
@@ -118,7 +121,7 @@ class MLNClean:
             # covering the whole table builds no scope, so the run below is
             # byte-identical to one without detectors.
             if self.detectors is not None:
-                context.detected = run_detection(
+                detected = run_detection(
                     dirty,
                     rules,
                     self.detectors,
@@ -126,24 +129,46 @@ class MLNClean:
                     backend="batch",
                     timings=timings,
                 )
-                if not context.detected.covers(dirty):
-                    context.scope = CleaningScope(context.detected, dirty)
+                if not detected.covers(dirty):
+                    scope = CleaningScope(detected, dirty)
 
             # Pre-processing: MLN index construction (lines 1-13 of Alg. 1).
             with stage_scope(timings, "batch", "index") as index_span:
-                context.blocks = MLNIndex.build(dirty, rules).block_list
-                index_span.set(blocks=len(context.blocks))
+                blocks = MLNIndex.build(dirty, rules).block_list
+                index_span.set(blocks=len(blocks))
 
-            # The stage sequence (Stage I lines 14-17, Stage II line 18 +
-            # dedup).
-            for stage in build_stages(self.stages, self.config):
-                with stage_scope(timings, "batch", stage.name):
-                    stage.run(context)
+            # Stage I (lines 14-17).  Under a dirty-cell scope only the blocks
+            # containing detected cells are enumerated, and only the groups
+            # holding an affected tuple are merged (AGP rewrites the
+            # reason-part values of a group's tuples) or resolved (their γs
+            # are the fusion inputs Stage II re-fuses); weight learning stays
+            # block-global either way (the Eq.-4 prior is a block sum).
+            stage_blocks = blocks if scope is None else scope.select_blocks(blocks)
+            group_filter = None if scope is None else scope.selects_group
+            with stage_scope(timings, "batch", "agp"):
+                agp = AbnormalGroupProcessor(config, engine=engine).process_index(
+                    stage_blocks, clean_lookup, group_filter=group_filter
+                )
+            with stage_scope(timings, "batch", "rsc"):
+                rsc = ReliabilityScoreCleaner(config, engine=engine).clean_index(
+                    stage_blocks, clean_lookup, group_filter=group_filter
+                )
 
-        repaired = context.repaired if context.repaired is not None else dirty.copy(
-            name=f"{dirty.name}-repaired"
-        )
-        cleaned = context.cleaned if context.cleaned is not None else repaired
+            # Stage II (line 18): fusion, then duplicate elimination.
+            with stage_scope(timings, "batch", "fscr"):
+                resolver = FusionScoreResolver(config)
+                if scope is None:
+                    fscr = resolver.resolve(dirty, blocks, clean_lookup, dirty_cells)
+                else:
+                    fscr = _resolve_scoped(
+                        resolver, dirty, blocks, scope, clean_lookup, dirty_cells
+                    )
+            repaired = fscr.repaired
+            cleaned = repaired
+            if config.remove_duplicates:
+                with stage_scope(timings, "batch", "dedup"):
+                    dedup = remove_duplicates(repaired, engine)
+                cleaned = dedup.deduplicated
 
         accuracy = None
         if instrument:
@@ -154,31 +179,61 @@ class MLNClean:
             repaired=repaired,
             cleaned=cleaned,
             timings=timings,
-            agp=context.outcomes.get("agp"),
-            rsc=context.outcomes.get("rsc"),
-            fscr=context.outcomes.get("fscr"),
-            dedup=context.dedup,
+            agp=agp,
+            rsc=rsc,
+            fscr=fscr,
+            dedup=dedup,
             accuracy=accuracy,
             backend="batch",
             details=PerfDetails(
                 timings=timings.as_dict(),
-                distance=context.engine.stats.as_dict(),
-                detection=self._detection_details(context),
+                distance=engine.stats.as_dict(),
+                detection=_detection_details(detected, scope),
             ),
         )
-
-    @staticmethod
-    def _detection_details(context: StageContext) -> Optional[dict]:
-        """The masked detection drill-down of the run (``None`` without one)."""
-        if context.detected is None:
-            return None
-        payload = context.detected.to_json_dict()
-        payload["scoped"] = context.scope is not None
-        if context.scope is not None:
-            payload["scoped_blocks"] = context.scope.selected_block_names()
-            payload["affected_tuples"] = len(context.scope.tids)
-        return payload
 
     def clean_table(self, dirty: Table, rules: Sequence[Rule]) -> Table:
         """Convenience wrapper returning only the cleaned table."""
         return self.clean(dirty, rules).cleaned
+
+
+def _resolve_scoped(
+    resolver: FusionScoreResolver,
+    dirty: Table,
+    blocks: list[Block],
+    scope: CleaningScope,
+    clean_lookup: Optional[CleanLookup],
+    dirty_cells: Optional[set[Cell]],
+) -> FSCROutcome:
+    """Fuse only the affected tuples and patch them into a full copy.
+
+    Every tuple without a detected cell keeps its as-arrived row; the
+    affected ones are fused against the data versions of the selected blocks.
+    """
+    repaired = dirty.copy(name=f"{dirty.name}-repaired")
+    live = [tid for tid in dirty.tids if tid in scope.tids]
+    if not live:
+        return FSCROutcome(repaired=repaired)
+    subset = dirty.subset(live, name=dirty.name)
+    outcome = resolver.resolve(
+        subset, scope.select_blocks(blocks), clean_lookup, dirty_cells
+    )
+    for tid in live:
+        for attribute, value in outcome.repaired.row(tid).as_dict().items():
+            repaired.set_value(tid, attribute, value)
+    outcome.repaired = repaired
+    return outcome
+
+
+def _detection_details(
+    detected: Optional[DirtyCells], scope: Optional[CleaningScope]
+) -> Optional[dict]:
+    """The masked detection drill-down of the run (``None`` without one)."""
+    if detected is None:
+        return None
+    payload = detected.to_json_dict()
+    payload["scoped"] = scope is not None
+    if scope is not None:
+        payload["scoped_blocks"] = scope.selected_block_names()
+        payload["affected_tuples"] = len(scope.tids)
+    return payload

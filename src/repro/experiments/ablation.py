@@ -41,7 +41,6 @@ from repro.experiments.spec import (
 )
 from repro.session import register_cleaner
 from repro.session.backends import CleaningRequest
-from repro.session.cleaners import _reject_custom_stages
 
 
 # ----------------------------------------------------------------------
@@ -66,7 +65,6 @@ class RScoreAblationCleaner:
         self.variant = variant
 
     def run(self, request: CleaningRequest) -> CleaningReport:
-        _reject_custom_stages(request, self.name)
         if request.ground_truth is None:
             raise ValueError(
                 "the rscore-ablation cleaner measures RSC accuracy and "
@@ -160,7 +158,6 @@ class RoundRobinDistributedCleaner:
         self.workers = workers
 
     def run(self, request: CleaningRequest) -> CleaningReport:
-        _reject_custom_stages(request, self.name)
         driver = DistributedMLNClean(
             workers=self.workers,
             config=request.config,

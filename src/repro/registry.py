@@ -1,12 +1,12 @@
 """The shared name → factory registry behind every pluggable extension point.
 
-Workloads, pipeline stages, and execution backends all follow the same
+Workloads, execution backends, cleaners and detectors all follow the same
 registration idiom: case-insensitive names, idempotent re-registration of
 the same factory, a loud error when a name is rebound to a *different*
 factory, and a lookup error that lists what is available.  This class is
 that idiom, written once; :mod:`repro.workloads.registry`,
-:mod:`repro.core.stages` and :mod:`repro.session.backends` are thin
-domain-specific wrappers over it.
+:mod:`repro.session.backends`, :mod:`repro.session.cleaners` and
+:mod:`repro.detect.base` are thin domain-specific wrappers over it.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ F = TypeVar("F")
 def unknown_name(kind: str, name: str, available: Sequence[str]) -> str:
     """The shared "unknown name" error message: always lists what exists.
 
-    Every lookup error across the registries (workloads, stages, backends,
-    cleaners, experiments) goes through this helper so a typo'd name is
+    Every lookup error across the registries (workloads, backends,
+    cleaners, detectors, experiments) goes through this helper so a typo'd name is
     answered with the registered names instead of a bare ``KeyError``.
     """
     if available:

@@ -47,7 +47,6 @@ class ServiceCleaner:
             cleaner=self.inner,
             options=dict(self.options),
             config=request.config,
-            stages=request.stages,
             detectors=request.detectors,
         )
         return asyncio.run(self._run_spec(spec))

@@ -203,9 +203,12 @@ class ServiceClient:
     ) -> dict:
         """``POST /clean``; returns the job object from the response.
 
-        Keyword fields mirror the wire format: ``workload``/``tuples``/
-        ``error_rate``/... or ``table``+``rules``, plus ``cleaner``,
-        ``options``, ``config`` (override mapping) and ``include_report``.
+        Keyword fields mirror the wire format
+        (:data:`~repro.service.codec.CLEAN_REQUEST_FIELDS`):
+        ``workload``/``tuples``/``error_rate``/... or ``table``+``rules``,
+        plus ``cleaner``, ``options``, ``config`` (override mapping),
+        ``detectors`` and ``include_report``.  Any other field (e.g. the
+        retired ``stages``) is answered with a 400 naming it.
         With ``wait=True`` (default) the returned job carries ``result``.
         ``deadline`` bounds the whole call, retries included (see
         :meth:`request`).

@@ -64,7 +64,6 @@ class CleanRequestSpec:
     options: dict = field(default_factory=dict)
     config: Optional[MLNCleanConfig] = None
     config_overrides: dict = field(default_factory=dict)
-    stages: Optional[list[str]] = None
     #: error-detector stack (wire specs: names / {"name", "options"} objects)
     detectors: Optional[list] = None
     #: include the full report JSON in the job result (signature always is)
@@ -172,10 +171,34 @@ def build_window(spec: Optional[dict]) -> Optional[WindowPolicy]:
 # ----------------------------------------------------------------------
 # JSON decoding
 # ----------------------------------------------------------------------
+#: the top-level fields a ``POST /clean`` body may carry (``wait`` and
+#: ``timeout`` are HTTP-level: the front end pops them before decoding)
+CLEAN_REQUEST_FIELDS = frozenset({
+    "workload", "tuples", "error_rate", "replacement_ratio", "seed",
+    "error_seed", "table", "rules", "ground_truth", "cleaner", "options",
+    "config", "detectors", "include_report",
+})
+#: the top-level fields a ``POST /deltas`` body may carry
+DELTA_REQUEST_FIELDS = frozenset({
+    "deltas", "workload", "tuples", "seed", "rules", "schema", "config",
+    "window", "detectors", "include_table", "idempotency_key",
+})
+
+
 def _require_dict(payload: object, what: str) -> dict:
     if not isinstance(payload, dict):
         raise BadRequestError(f"{what} must be a JSON object")
     return payload
+
+
+def _require_known_fields(data: dict, known: frozenset, what: str) -> None:
+    """Answer 400 on a misspelled or retired field instead of ignoring it."""
+    unknown = sorted(repr(key) for key in data if key not in known)
+    if unknown:
+        raise BadRequestError(
+            f"unknown {what} field(s) {', '.join(unknown)}; accepted fields: "
+            f"{', '.join(sorted(known))}"
+        )
 
 
 def _number(data: dict, key: str, caster, default):
@@ -226,21 +249,6 @@ def _decode_overrides(payload: dict) -> dict:
     return overrides
 
 
-def _decode_stages(data: dict):
-    raw = data.get("stages")
-    if raw is None:
-        return None
-    if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
-        raise BadRequestError("'stages' must be a list of stage names")
-    from repro.core.stages import available_stages
-
-    registered = available_stages()
-    for name in raw:
-        if name.lower() not in registered:
-            raise BadRequestError(unknown_name("stage", name, registered))
-    return list(raw)
-
-
 def _decode_detectors(data: dict) -> Optional[list]:
     raw = data.get("detectors")
     if raw is None:
@@ -264,6 +272,7 @@ def _decode_detectors(data: dict) -> Optional[list]:
 def decode_clean_request(payload: object) -> CleanRequestSpec:
     """``POST /clean`` body → validated :class:`CleanRequestSpec`."""
     data = _require_dict(payload, "the request body")
+    _require_known_fields(data, CLEAN_REQUEST_FIELDS, "clean request")
     spec = CleanRequestSpec(
         workload=data.get("workload"),
         tuples=_number(data, "tuples", int, None),
@@ -277,7 +286,6 @@ def decode_clean_request(payload: object) -> CleanRequestSpec:
         cleaner=str(data.get("cleaner", "mlnclean")),
         options=dict(_require_dict(data.get("options", {}), "'options'")),
         config_overrides=_decode_overrides(data),
-        stages=_decode_stages(data),
         detectors=_decode_detectors(data),
         include_report=bool(data.get("include_report", True)),
     )
@@ -288,6 +296,7 @@ def decode_clean_request(payload: object) -> CleanRequestSpec:
 def decode_delta_request(payload: object) -> DeltaRequestSpec:
     """``POST /deltas`` body → validated :class:`DeltaRequestSpec`."""
     data = _require_dict(payload, "the request body")
+    _require_known_fields(data, DELTA_REQUEST_FIELDS, "delta request")
     raw_deltas = data.get("deltas")
     if not isinstance(raw_deltas, list):
         raise BadRequestError("'deltas' must be a list of op-tagged objects")

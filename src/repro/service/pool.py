@@ -213,7 +213,6 @@ class SessionPool:
             rules=rules,
             config=config,
             cleaner=cleaner,
-            stages=getattr(spec, "stages", None),
             detectors=getattr(spec, "detectors", None),
         )
 
@@ -317,7 +316,6 @@ def _route_memo_key(spec: Union[CleanRequestSpec, DeltaRequestSpec]) -> str:
             if key not in OBSERVABILITY_FIELDS
         },
         "config": spec.config.identity_dict() if spec.config is not None else None,
-        "stages": getattr(spec, "stages", None),
         "detectors": detector_specs_identity(getattr(spec, "detectors", None)),
         "window": normalize_window_spec(getattr(spec, "window", None)),
         "rules": (

@@ -1,4 +1,4 @@
-"""Unified session API: one facade over every execution backend and stage.
+"""Unified session API: one facade over every execution backend and cleaner.
 
 The package used to expose three divergent entry points — batch
 ``MLNClean.clean()``, ``DistributedMLNClean.clean()`` and
@@ -14,25 +14,13 @@ swappable internals:
   adapters over the existing engines,
 * :mod:`repro.session.cleaners` — the :class:`Cleaner` protocol and registry
   (:func:`register_cleaner`): MLNClean and every comparison baseline behind
-  one ``with_cleaner(name)`` call, all returning the unified report,
-* :mod:`repro.core.stages` (re-exported here) — the pluggable
-  :class:`~repro.core.stages.Stage` protocol and registry the batch pipeline
-  executes.
+  one ``with_cleaner(name)`` call, all returning the unified report.
 
 Every backend returns the same unified
-:class:`~repro.core.report.CleaningReport`; a new execution mode or pipeline
-stage is one ``register_backend()`` / ``register_stage()`` call instead of a
-three-way code fork.
+:class:`~repro.core.report.CleaningReport`; a new execution mode is one
+``register_backend()`` call instead of a three-way code fork.
 """
 
-from repro.core.stages import (
-    DEFAULT_STAGES,
-    Stage,
-    StageContext,
-    available_stages,
-    get_stage,
-    register_stage,
-)
 from repro.session.backends import (
     BatchBackend,
     CleaningRequest,
@@ -83,10 +71,4 @@ __all__ = [
     "register_cleaner",
     "available_cleaners",
     "get_cleaner",
-    "Stage",
-    "StageContext",
-    "DEFAULT_STAGES",
-    "register_stage",
-    "available_stages",
-    "get_stage",
 ]

@@ -46,8 +46,6 @@ class CleaningRequest:
     config: MLNCleanConfig = field(default_factory=MLNCleanConfig)
     #: injected-error ledger; switches on accuracy instrumentation
     ground_truth: Optional[GroundTruth] = None
-    #: explicit stage-name sequence (``None`` = the default Algorithm-1 order)
-    stages: Optional[list[str]] = None
     #: error-detector stack (specs, see :mod:`repro.detect`); ``None`` runs
     #: without a detection phase
     detectors: Optional[list] = None
@@ -78,11 +76,7 @@ class BatchBackend:
         """No options; an unknown keyword fails with a ``TypeError`` naming it."""
 
     def run(self, request: CleaningRequest) -> CleaningReport:
-        cleaner = MLNClean(
-            request.config,
-            stages=request.stages,
-            detectors=request.detectors,
-        )
+        cleaner = MLNClean(request.config, detectors=request.detectors)
         with span("backend:batch"):
             report = cleaner.clean(
                 request.dirty, request.rules, request.ground_truth
@@ -100,11 +94,6 @@ class DistributedBackend:
         self.workers = workers
 
     def run(self, request: CleaningRequest) -> CleaningReport:
-        if request.stages is not None:
-            raise ValueError(
-                "the distributed backend runs the fixed partition/learn/fuse/"
-                "clean/gather sequence; custom stage orders are batch-only"
-            )
         if request.detectors is not None:
             # The detection phase still runs (provenance + metrics), but the
             # partitioned driver always cleans full-scope, so a detection
@@ -156,11 +145,6 @@ class StreamingBackend:
 
     def build_engine(self, request: CleaningRequest) -> StreamingMLNClean:
         """A fresh incremental engine for the request's rules and schema."""
-        if request.stages is not None:
-            raise ValueError(
-                "the streaming backend re-cleans incrementally in the fixed "
-                "Algorithm-1 stage order; custom stage orders are batch-only"
-            )
         return StreamingMLNClean(
             request.rules,
             schema=request.dirty.attributes,

@@ -59,15 +59,6 @@ class Cleaner(Protocol):
         ...  # pragma: no cover - protocol body
 
 
-def _reject_custom_stages(request: CleaningRequest, cleaner_name: str) -> None:
-    """Baseline cleaners run fixed pipelines; stage orders are MLNClean-only."""
-    if request.stages is not None:
-        raise ValueError(
-            f"the {cleaner_name} cleaner runs its own fixed pipeline; "
-            f"custom stage orders apply to the mlnclean cleaner only"
-        )
-
-
 class MLNCleanCleaner:
     """The paper's pipeline, executed on any registered backend.
 
@@ -119,7 +110,6 @@ class HoloCleanCleaner:
         self.detector = detector
 
     def run(self, request: CleaningRequest) -> CleaningReport:
-        _reject_custom_stages(request, self.name)
         report = self.baseline.clean(
             request.dirty,
             request.rules,
@@ -138,7 +128,6 @@ class MinimalRepairCleaner:
         self.repairer = MinimalityRepairer()
 
     def run(self, request: CleaningRequest) -> CleaningReport:
-        _reject_custom_stages(request, self.name)
         if request.detectors is not None:
             raise ValueError(
                 "the minimal-repair cleaner has no detection phase; "
@@ -167,7 +156,6 @@ class FactorGraphCleaner:
         self.detector = detector
 
     def run(self, request: CleaningRequest) -> CleaningReport:
-        _reject_custom_stages(request, self.name)
         report = self.repairer.clean(
             request.dirty,
             request.rules,

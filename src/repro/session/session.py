@@ -17,8 +17,8 @@ pluggable internals of this package::
 
 The same session drives any registered backend (``"batch"``,
 ``"distributed"``, ``"streaming"``, or anything added through
-:func:`~repro.session.backends.register_backend`) and any registered stage
-sequence; the result is always the unified
+:func:`~repro.session.backends.register_backend`) and any registered
+cleaner; the result is always the unified
 :class:`~repro.core.report.CleaningReport`.
 """
 
@@ -201,7 +201,6 @@ class SessionBuilder:
         self._backend_selected: bool = False
         self._cleaner_name: Optional[str] = None
         self._cleaner_options: dict[str, object] = {}
-        self._stages: Optional[list[str]] = None
         self._detectors: Optional[list] = None
         self._table: Optional[Table] = None
         self._ground_truth: Optional[GroundTruth] = None
@@ -252,17 +251,6 @@ class SessionBuilder:
         self._cleaner_options = dict(options)
         return self
 
-    def with_stages(self, *names: str) -> "SessionBuilder":
-        """Override the stage sequence (registered stage names, in order)."""
-        flat: list[str] = []
-        for name in names:
-            if isinstance(name, str):
-                flat.append(name)
-            else:
-                flat.extend(name)
-        self._stages = flat
-        return self
-
     def with_detectors(self, *specs) -> "SessionBuilder":
         """Select the error-detection stack (detector specs, in order).
 
@@ -303,7 +291,6 @@ class SessionBuilder:
             rules=list(self._rules),
             config=config,
             cleaner=self._build_cleaner(),
-            stages=self._stages,
             detectors=self._detectors,
             table=self._table,
             ground_truth=self._ground_truth,
@@ -360,7 +347,7 @@ def _extend_rules(existing: list[Rule], source: RulesLike, prefix: str = "r") ->
 
 
 class CleaningSession:
-    """One configured cleaning context: rules + config + backend + stages.
+    """One configured cleaning context: rules + config + cleaner/backend.
 
     Sessions are reusable: :meth:`run` can be called repeatedly, with the
     attached table or with an explicit one per call.  The attached state can
@@ -373,7 +360,6 @@ class CleaningSession:
         rules: Optional[Sequence[Rule]] = None,
         config: Optional[MLNCleanConfig] = None,
         backend: Optional[Union[ExecutionBackend, str]] = None,
-        stages: Optional[Sequence[str]] = None,
         table: Optional[Table] = None,
         ground_truth: Optional[GroundTruth] = None,
         cleaner: Optional[Union[Cleaner, str]] = None,
@@ -394,7 +380,6 @@ class CleaningSession:
                     "cleaner=MLNCleanCleaner(backend, ...) to combine them)"
                 )
             self.cleaner = get_cleaner(cleaner) if isinstance(cleaner, str) else cleaner
-        self.stages = list(stages) if stages is not None else None
         self.detectors = list(detectors) if detectors is not None else None
         self.table = table
         self.ground_truth = ground_truth
@@ -419,9 +404,9 @@ class CleaningSession:
         """A stable hex digest of the session's cleaning behaviour.
 
         Covers everything the session itself pins down: the cleaner and (for
-        MLNClean) backend names, the stage order, the attached rules, the
-        full pipeline configuration, and the streaming backend's window
-        policy when one is set.  Two sessions with equal fingerprints run
+        MLNClean) backend names, the attached rules, the full pipeline
+        configuration, and the streaming backend's window policy when one
+        is set.  Two sessions with equal fingerprints run
         the same algorithm under the same configuration — which is exactly
         the identity :class:`repro.service.pool.SessionPool` shards warm
         sessions by.  Execution-only knobs that are proven output-invariant
@@ -436,7 +421,6 @@ class CleaningSession:
         payload = {
             "cleaner": self.cleaner.name,
             "backend": backend.name if backend is not None else None,
-            "stages": list(self.stages) if self.stages is not None else None,
             "rules": rules_to_strings(self.rules),
             # identity_dict, not asdict: observability knobs (config.trace)
             # must not move a session to a different fingerprint/shard
@@ -510,7 +494,6 @@ class CleaningSession:
             rules=list(run_rules),
             config=self.config,
             ground_truth=truth,
-            stages=list(self.stages) if self.stages is not None else None,
             detectors=list(self.detectors) if self.detectors is not None else None,
         )
         backend = self.backend
@@ -531,14 +514,13 @@ class CleaningSession:
 
     def describe(self) -> str:
         """One line summarising the session's configuration."""
-        stages = "default" if self.stages is None else "→".join(self.stages)
         backend = self.backend
         engine = f"cleaner={self.cleaner.name}"
         if backend is not None:
             engine += f", backend={backend.name}"
         return (
             f"CleaningSession({engine}, "
-            f"rules={len(self.rules)}, stages={stages}, "
+            f"rules={len(self.rules)}, "
             f"tau={self.config.abnormal_threshold}, "
             f"metric={self.config.distance_metric})"
         )

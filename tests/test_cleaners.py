@@ -133,18 +133,6 @@ def test_every_cleaner_accepts_the_same_request(sample_ground_truth):
         assert request.dirty.equals(sample_hospital_table()), name
 
 
-def test_baseline_cleaners_reject_custom_stage_orders(sample_ground_truth):
-    request = CleaningRequest(
-        dirty=sample_hospital_table(),
-        rules=sample_hospital_rules(),
-        ground_truth=sample_ground_truth,
-        stages=["fscr"],
-    )
-    for name in BASELINE_CLEANERS:
-        with pytest.raises(ValueError, match="mlnclean cleaner only"):
-            get_cleaner(name).run(request)
-
-
 # ----------------------------------------------------------------------
 # session/builder integration
 # ----------------------------------------------------------------------

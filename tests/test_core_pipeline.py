@@ -54,6 +54,11 @@ def test_pipeline_dedup_can_be_disabled(sample_table, sample_rules):
     report = MLNClean(config).clean(sample_table, sample_rules)
     assert len(report.cleaned) == len(sample_table)
     assert report.dedup is None
+    full = MLNClean(MLNCleanConfig(abnormal_threshold=1)).clean(sample_table, sample_rules)
+    # the cleaned table keeps the duplicates a full run removes ...
+    assert len(report.cleaned) > len(full.cleaned)
+    # ... and the repair itself is unchanged
+    assert report.repaired.equals(full.repaired)
 
 
 def test_pipeline_summary_and_describe(

@@ -1,11 +1,8 @@
-"""Tests for fault plans, the fault injector and the service's fault handling.
+"""Tests for the service's fault handling.
 
-Two groups live here.  The first covers :mod:`repro.faults` as a library:
-plans round-trip byte for byte and validate loudly, and the injector makes
-the same decisions for the same seed.  The second covers how the
-single-process service behaves under the faults a client sees: a delta
-request retried with its idempotency key applies exactly once, a spent
-deadline fails with 504 before any work runs, and a garbled
+They cover how the single-process service behaves under the faults a client
+sees: a delta request retried with its idempotency key applies exactly once,
+a spent deadline fails with 504 before any work runs, and a garbled
 ``Retry-After`` header is treated as absent.
 """
 
@@ -21,16 +18,6 @@ import pytest
 
 from repro.core.report import table_to_json_dict
 from repro.experiments.harness import prepare_instance
-from repro.faults import (
-    INJECTOR,
-    PLAN_ENV_VAR,
-    FaultInjector,
-    FaultPlan,
-    FaultRule,
-    InjectedCrash,
-    InjectedFault,
-    activate_from_env,
-)
 from repro.service import (
     CleaningService,
     ServiceClient,
@@ -79,202 +66,6 @@ def engine_state(engine) -> tuple:
         report_signature(engine.report()),
         canonical_json(table_to_json_dict(engine.cleaned)),
     )
-
-
-@pytest.fixture(autouse=True)
-def _pristine_injector():
-    """No plan leaks into (or out of) any test in this module."""
-    INJECTOR.deactivate()
-    yield
-    INJECTOR.deactivate()
-
-
-# ----------------------------------------------------------------------
-# fault plans: pure data, byte-stable round trips, loud validation
-# ----------------------------------------------------------------------
-class TestFaultPlan:
-    def sample_plan(self) -> FaultPlan:
-        return FaultPlan(
-            seed=42,
-            rules=(
-                FaultRule(point="wal.fsync", action="fail", match={"shard": "ab"}, nth=3),
-                FaultRule(point="httpclient.request", action="drop",
-                          match={"path": "/deltas"}, nth=2, times=2),
-                FaultRule(point="worker.heartbeat", action="stall", times=None),
-                FaultRule(point="wal.append", action="delay", delay_s=0.5, every=4),
-                FaultRule(point="snapshot.write", action="corrupt", probability=0.5),
-            ),
-        )
-
-    def test_json_round_trip_is_byte_identical(self):
-        plan = self.sample_plan()
-        text = plan.to_json()
-        restored = FaultPlan.from_json(text)
-        assert restored == plan
-        assert restored.to_json() == text
-
-    def test_defaults_are_omitted_from_the_wire_form(self):
-        rule = FaultRule(point="wal.fsync")
-        assert rule.to_dict() == {"point": "wal.fsync", "action": "fail"}
-        assert FaultRule.from_dict(rule.to_dict()) == rule
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"point": ""},
-            {"point": "p", "action": "explode"},
-            {"point": "p", "match": ["not", "a", "dict"]},
-            {"point": "p", "nth": 0},
-            {"point": "p", "times": 0},
-            {"point": "p", "every": 0},
-            {"point": "p", "probability": 1.5},
-            {"point": "p", "probability": -0.1},
-            {"point": "p", "delay_s": -1.0},
-        ],
-    )
-    def test_validation_rejects_garbage(self, kwargs):
-        with pytest.raises(ValueError):
-            FaultRule(**kwargs)
-
-    def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="unknown fault-rule fields"):
-            FaultRule.from_dict({"point": "p", "acton": "fail"})
-
-    @pytest.mark.parametrize(
-        "text",
-        ["{not json", "[]", '{"rules": "nope"}', '{"rules": ["nope"]}'],
-    )
-    def test_from_json_rejects_malformed_plans(self, text):
-        with pytest.raises(ValueError):
-            FaultPlan.from_json(text)
-
-    def test_fires_on_windows(self):
-        contiguous = FaultRule(point="p", nth=2, times=2)
-        assert [contiguous.fires_on(h) for h in range(1, 6)] == [
-            False, True, True, False, False,
-        ]
-        unlimited = FaultRule(point="p", nth=3, times=None)
-        assert [unlimited.fires_on(h) for h in range(1, 6)] == [
-            False, False, True, True, True,
-        ]
-        periodic = FaultRule(point="p", every=3)
-        assert [periodic.fires_on(h) for h in range(1, 8)] == [
-            False, False, True, False, False, True, False,
-        ]
-
-    def test_match_is_exact_or_prefix(self):
-        rule = FaultRule(point="p", match={"shard": "abcd", "path": "/deltas"})
-        assert rule.matches({"shard": "abcd1234ef", "path": "/deltas"})
-        assert rule.matches({"shard": "abcd", "path": "/deltas"})
-        assert not rule.matches({"shard": "zzzz", "path": "/deltas"})
-        assert not rule.matches({"path": "/deltas"})  # missing attribute
-
-
-# ----------------------------------------------------------------------
-# the injector: deterministic decisions, typed failures, env activation
-# ----------------------------------------------------------------------
-class TestFaultInjector:
-    def test_inactive_injector_is_inert(self):
-        injector = FaultInjector()
-        assert injector.active is False
-        assert injector.decide("wal.fsync", shard="x") is None
-        injector.activate(FaultPlan(seed=1, rules=()))
-        assert injector.active is False  # no rules, nothing to fire
-
-    def test_window_counts_eligible_hits_only(self):
-        injector = FaultInjector(FaultPlan(seed=0, rules=(
-            FaultRule(point="wal.fsync", match={"shard": "aa"}, nth=2, times=1),
-        )))
-        # hits on other shards are not eligible and must not advance the count
-        assert injector.decide("wal.fsync", shard="bb") is None
-        assert injector.decide("wal.fsync", shard="aa") is None  # eligible hit 1
-        decision = injector.decide("wal.fsync", shard="aa")      # eligible hit 2
-        assert decision is not None and decision.action == "fail"
-        assert injector.decide("wal.fsync", shard="aa") is None  # window closed
-
-    def test_first_matching_rule_wins(self):
-        injector = FaultInjector(FaultPlan(seed=0, rules=(
-            FaultRule(point="p", action="delay", delay_s=0.25, times=1),
-            FaultRule(point="p", action="fail", times=None),
-        )))
-        first = injector.decide("p")
-        assert (first.action, first.rule_index, first.delay_s) == ("delay", 0, 0.25)
-        second = injector.decide("p")
-        assert (second.action, second.rule_index) == ("fail", 1)
-
-    def test_probability_is_deterministic_for_one_seed(self):
-        plan = FaultPlan(seed=7, rules=(
-            FaultRule(point="p", times=None, probability=0.5),
-        ))
-        def run():
-            injector = FaultInjector(plan)
-            return [injector.decide("p") is not None for _ in range(64)]
-
-        outcomes = [run(), run()]
-        # wrong twice in the same way is impossible: both injectors drew from
-        # RNGs seeded by (plan.seed, rule index)
-        assert outcomes[0] == outcomes[1]
-        assert True in outcomes[0] and False in outcomes[0]
-
-    def test_report_counts_what_fired(self):
-        injector = FaultInjector(FaultPlan(seed=0, rules=(
-            FaultRule(point="p", action="fail", nth=1, times=2),
-        )))
-        for _ in range(5):
-            injector.decide("p")
-        assert injector.report() == {"p/fail": 2}
-
-    def test_io_helper_raises_a_real_oserror(self):
-        injector = FaultInjector(FaultPlan(seed=0, rules=(
-            FaultRule(point="disk", action="fail"),
-        )))
-        with pytest.raises(OSError) as err:
-            injector.io("disk", shard="s")
-        assert isinstance(err.value, InjectedFault)
-
-    def test_io_helper_delay_action_returns(self):
-        injector = FaultInjector(FaultPlan(seed=0, rules=(
-            FaultRule(point="disk", action="delay", delay_s=0.0),
-        )))
-        assert injector.io("disk") is None  # slept 0s, no exception
-
-    def test_crash_helper_raises_a_runtime_error(self):
-        injector = FaultInjector(FaultPlan(seed=0, rules=(
-            FaultRule(point="engine", action="fail"),
-        )))
-        with pytest.raises(RuntimeError) as err:
-            injector.crash("engine")
-        assert isinstance(err.value, InjectedCrash)
-
-    def test_activate_from_env_inline_json(self):
-        plan = FaultPlan(seed=3, rules=(FaultRule(point="p"),))
-        try:
-            assert activate_from_env({PLAN_ENV_VAR: plan.to_json()}) is True
-            assert INJECTOR.active is True
-            assert INJECTOR.decide("p") is not None
-        finally:
-            INJECTOR.deactivate()
-
-    def test_activate_from_env_file_path(self, tmp_path):
-        plan_file = tmp_path / "plan.json"
-        plan_file.write_text(
-            FaultPlan(seed=3, rules=(FaultRule(point="p"),)).to_json(),
-            encoding="utf-8",
-        )
-        try:
-            assert activate_from_env({PLAN_ENV_VAR: str(plan_file)}) is True
-            assert INJECTOR.active is True
-        finally:
-            INJECTOR.deactivate()
-
-    def test_activate_from_env_absent_is_a_noop(self):
-        assert activate_from_env({}) is False
-        assert INJECTOR.active is False
-
-    def test_broken_plan_fails_loudly(self):
-        # a chaos run must never silently degrade into a fault-free run
-        with pytest.raises(ValueError):
-            activate_from_env({PLAN_ENV_VAR: '{"rules": [{"action": "explode"}]}'})
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from repro.core.config import MLNCleanConfig
 from repro.core.index import MLNIndex
 from repro.core.pipeline import MLNClean
 from repro.core.rsc import ReliabilityScoreCleaner
+from repro.dataset.sample import sample_hospital_rules, sample_hospital_table
 from repro.distance import (
     CosineDistance,
     DamerauLevenshteinDistance,
@@ -40,7 +41,7 @@ from repro.errors.injector import ErrorSpec
 from repro.experiments.harness import session_for_instance
 from repro.metrics.timing import PerfDetails
 from repro.perf import DistanceEngine, DistanceStats
-from repro.session import CleaningSession, get_backend
+from repro.session import CleaningRequest, CleaningSession, SessionBuilder, get_backend
 from repro.streaming import DeltaBatch, StreamingMLNClean, TumblingWindow
 from repro.workloads.registry import get_workload_generator
 
@@ -319,6 +320,16 @@ def test_config_engine_honours_cache_knobs():
         get_backend("batch", parallelism=2)
     with pytest.raises(TypeError, match="parallelism"):
         CleaningSession.builder().with_backend("batch", parallelism=2).build()
+    # and the removed custom stage-order option
+    with pytest.raises(TypeError, match="stages"):
+        MLNClean(stages=["agp", "rsc"])
+    with pytest.raises(TypeError, match="stages"):
+        CleaningSession(stages=["agp", "rsc"])
+    with pytest.raises(TypeError, match="stages"):
+        CleaningRequest(
+            sample_hospital_table(), sample_hospital_rules(), stages=["agp", "rsc"]
+        )
+    assert not hasattr(SessionBuilder, "with_stages")
 
 
 @settings(deadline=None)

@@ -483,11 +483,23 @@ def test_decode_clean_request_validates_shape():
         decode_clean_request({"workload": "hai", "tuples": []})  # junk number
     with pytest.raises(BadRequestError):
         decode_clean_request({"workload": "hai", "error_rate": {}})
-    with pytest.raises(BadRequestError):
-        decode_clean_request({"workload": "hai", "stages": "agp"})  # not a list
+    # unknown top-level fields answer 400 instead of being dropped: the
+    # retired "stages" option and misspelled fields alike
+    for stages in ("agp", ["agp", "sparkle"], ["agp", "rsc", "fscr", "dedup"]):
+        with pytest.raises(BadRequestError, match="unknown clean request field.*'stages'"):
+            decode_clean_request({"workload": "hai", "stages": stages})
     with pytest.raises(BadRequestError) as excinfo:
-        decode_clean_request({"workload": "hai", "stages": ["agp", "sparkle"]})
-    assert "registered stage" in str(excinfo.value)
+        decode_clean_request(
+            {
+                "workload": "hai",
+                "detector": ["all-cells"],
+                "error_rte": 0.3,
+                "confg": {"abnormal_threshold": 9},
+            }
+        )
+    message = str(excinfo.value)
+    assert "'confg', 'detector', 'error_rte'" in message
+    assert "accepted fields:" in message and "detectors" in message
     with pytest.raises(BadRequestError):
         decode_clean_request({"workload": "hai", "cleaner": "service"})
     spec = decode_clean_request(
@@ -526,6 +538,15 @@ def test_decode_delta_request_validates_shape():
             }
         )
     assert "tumbling" in str(excinfo.value) and "sliding" in str(excinfo.value)
+    for field in ("windw", "stages"):
+        with pytest.raises(BadRequestError, match=f"unknown delta request field.*'{field}'"):
+            decode_delta_request(
+                {
+                    "workload": "hospital-sample",
+                    "deltas": [{"op": "delete", "tid": 1}],
+                    field: {"kind": "sliding", "size": 9},
+                }
+            )
     spec = decode_delta_request(
         {
             "workload": "hospital-sample",
@@ -586,7 +607,6 @@ def test_session_fingerprint_tracks_behaviour():
     assert session(cleaner="minimal-repair").fingerprint() != base
     assert session(backend="streaming").fingerprint() != base
     assert session(rules=sample_hospital_rules()[:1]).fingerprint() != base
-    assert session(stages=["agp", "rsc"]).fingerprint() != base
 
 
 # ----------------------------------------------------------------------
@@ -686,6 +706,15 @@ def test_http_bad_requests_are_400_not_500(client):
     with pytest.raises(ServiceError) as excinfo:
         client.request("POST", "/clean", {"table": [{"A": "x"}]})
     assert excinfo.value.status == 400
+    # an unknown top-level field is named, on both endpoints
+    delta = {"deltas": [{"op": "delete", "tid": 1}]}
+    for path, field, body in (("/clean", "stages", {}), ("/deltas", "windw", delta)):
+        with pytest.raises(ServiceError) as excinfo:
+            client.request(
+                "POST", path, {"workload": "hospital-sample", field: [], **body}
+            )
+        assert excinfo.value.status == 400
+        assert f"field(s) {field!r};" in excinfo.value.payload["error"]["message"]
     import http.client as http_client
     import json as json_module
 

@@ -7,7 +7,6 @@ from repro import CleaningSession, MLNClean, MLNCleanConfig, StreamingMLNClean, 
 from repro.constraints.rules import FunctionalDependency
 from repro.core.pipeline import MLNClean as CoreMLNClean
 from repro.core.report import CleaningReport
-from repro.core.stages import DEFAULT_STAGES, available_stages, register_stage
 from repro.dataset.sample import sample_hospital_rules, sample_hospital_table
 from repro.distributed.driver import DistributedReport
 from repro.errors.injector import ErrorSpec
@@ -153,13 +152,11 @@ def test_load_rules_file_rejects_duplicate_names(tmp_path):
 
 def test_unknown_name_errors_list_registered_names():
     """One shared unknown_name() helper backs every registry lookup error."""
-    from repro.core.stages import get_stage
     from repro.session.cleaners import get_cleaner
     from repro.workloads.registry import get_workload_generator
 
     cases = (
         (lambda: get_backend("nope"), "backend", "'batch'"),
-        (lambda: get_stage("nope", MLNCleanConfig()), "stage", "'agp'"),
         (lambda: get_cleaner("nope"), "cleaner", "'mlnclean'"),
         (lambda: get_workload_generator("nope"), "workload", "'hai'"),
     )
@@ -301,14 +298,6 @@ def test_custom_backend_registration():
         register_backend("echo", BatchBackend)
 
 
-def test_backends_reject_custom_stage_orders():
-    for backend in ("distributed", "streaming"):
-        session = sample_session(backend)
-        session.stages = ["fscr"]
-        with pytest.raises(ValueError, match="batch-only"):
-            session.run()
-
-
 @pytest.mark.parametrize(
     "records",
     [[], [{"A": "1", "B": "x"}, {"A": "1", "B": "y"}]],
@@ -326,74 +315,6 @@ def test_rule_naming_a_missing_attribute_is_rejected(backend, records):
     )
     session.load_table(table)
     with pytest.raises(ValueError, match=r"'r-missing' .* missing from the table: Z, Y$"):
-        session.run()
-
-
-# ----------------------------------------------------------------------
-# stages
-# ----------------------------------------------------------------------
-def test_default_stages_registered():
-    assert list(DEFAULT_STAGES) == ["agp", "rsc", "fscr", "dedup"]
-    assert set(DEFAULT_STAGES) <= set(available_stages())
-
-
-def test_disabling_dedup_stage_keeps_duplicates():
-    session = sample_session()
-    session.stages = ["agp", "rsc", "fscr"]
-    report = session.run()
-    assert report.dedup is None
-    assert report.cleaned.equals(report.repaired)
-    full = sample_session().run()
-    assert len(report.cleaned) > len(full.cleaned)
-    # the repair itself is unchanged — only duplicate elimination is skipped
-    assert report.repaired.equals(full.repaired)
-
-
-def test_disabling_agp_stage_still_cleans():
-    session = sample_session()
-    session.stages = ["rsc", "fscr", "dedup"]
-    report = session.run()
-    assert report.agp is None
-    assert report.rsc is not None
-    assert len(report.cleaned) >= 1
-
-
-def test_custom_stage_registration_and_execution():
-    calls = []
-
-    class ProbeStage:
-        name = "probe"
-
-        def __init__(self, config):
-            self.config = config
-
-        def run(self, context):
-            calls.append(len(context.blocks))
-            context.outcomes["probe"] = "ran"
-
-    register_stage("probe", ProbeStage)
-    session = sample_session()
-    session.stages = ["agp", "probe", "rsc", "fscr", "dedup"]
-    report = session.run()
-    assert calls == [len(sample_hospital_rules())]
-    assert "probe" in report.timings.phases
-    with pytest.raises(ValueError, match="already registered"):
-        register_stage("probe", BatchBackend)
-
-
-def test_dedup_before_fscr_is_rejected():
-    # running dedup before fusion would silently emit a stale dedup of the
-    # dirty table as the final result; the stage refuses instead
-    session = sample_session()
-    session.stages = ["agp", "rsc", "dedup", "fscr"]
-    with pytest.raises(ValueError, match="repaired table"):
-        session.run()
-
-
-def test_unknown_stage_raises():
-    session = sample_session()
-    session.stages = ["agp", "nope"]
-    with pytest.raises(KeyError, match="unknown stage"):
         session.run()
 
 
