@@ -319,6 +319,26 @@ def test_rule_naming_a_missing_attribute_is_rejected(backend, records):
 
 
 # ----------------------------------------------------------------------
+# duplicate elimination switch
+# ----------------------------------------------------------------------
+def test_disabling_dedup_stage_keeps_duplicates():
+    session = (
+        CleaningSession.builder()
+        .with_rules(sample_hospital_rules())
+        .with_config(abnormal_threshold=1, remove_duplicates=False)
+        .build()
+    )
+    session.load_table(sample_hospital_table())
+    report = session.run()
+    assert report.dedup is None
+    assert report.cleaned.equals(report.repaired)
+    full = sample_session().run()
+    assert len(report.cleaned) > len(full.cleaned)
+    # the repair itself is unchanged — only duplicate elimination is skipped
+    assert report.repaired.equals(full.repaired)
+
+
+# ----------------------------------------------------------------------
 # cross-backend equivalence (the acceptance test of the redesign)
 # ----------------------------------------------------------------------
 def test_cross_backend_equivalence_on_hospital_sample():
