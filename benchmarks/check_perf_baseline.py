@@ -5,7 +5,8 @@ distance-engine counters against the checked-in baseline
 (``benchmarks/baselines/hospital_sample_distance.json``).  The counts are
 deterministic for a fixed workload — every best-so-far search iterates its
 candidates in a canonical order — so a count creeping up means a fast path
-stopped firing.  The job fails when ``distance_calls`` or
+stopped firing: the pair memo, the length-difference bound or the
+Levenshtein kernel's early exit.  The job fails when ``distance_calls`` or
 ``raw_evaluations`` (exact distance computations) regress by more than
 20 %.
 

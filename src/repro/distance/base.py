@@ -9,6 +9,7 @@ attribute values of a γ.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from typing import Callable
@@ -28,10 +29,6 @@ class DistanceMetric(ABC):
     #: distances (true for the Levenshtein family); enables the shared
     #: fast-path preprocessing of :class:`repro.perf.DistanceEngine`
     affix_safe: bool = False
-    #: whether the banded early-exit search the
-    #: :class:`repro.perf.DistanceEngine` runs under a cutoff computes this
-    #: metric exactly (only plain Levenshtein)
-    supports_banded: bool = False
     #: how many bound-destroying edit operations one unigram mismatch may
     #: correspond to for this metric, or ``None`` when the unigram count
     #: filter of :mod:`repro.perf.qgram` is not a valid lower bound (which
@@ -43,6 +40,16 @@ class DistanceMetric(ABC):
     @abstractmethod
     def distance(self, left: str, right: str) -> float:
         """Dissimilarity of two strings (0 means identical)."""
+
+    def bounded_distance(
+        self, left: str, right: str, cutoff: float = math.inf
+    ) -> "tuple[float, bool]":
+        """``(distance, True)``, or ``(lower bound > cutoff, False)``.
+
+        A metric with an early-exit form may stop once the distance is
+        provably above ``cutoff``; the default always computes it exactly.
+        """
+        return self.distance(left, right), True
 
     def normalized(self, left: str, right: str) -> float:
         """Distance scaled into ``[0, 1]``.

@@ -1,24 +1,29 @@
 """Shared algorithmic fast paths for edit-distance metrics.
 
-Three classic accelerations, factored out so the Levenshtein and
-Damerau-Levenshtein metrics (and the :class:`repro.perf.DistanceEngine`
-wrapping them) all run through the identical preprocessing:
+Factored out so the Levenshtein and Damerau-Levenshtein metrics (and the
+:class:`repro.perf.DistanceEngine` wrapping them) all run through the
+identical preprocessing:
 
 * **common affix stripping** — characters shared at the start and end of both
   strings never participate in an optimal edit script, so they are removed
-  before the ``O(m·n)`` dynamic program runs.  Safe for plain Levenshtein and
-  for the restricted Damerau variant (a transposition never spans the
-  boundary of a maximal common affix).
+  before any distance is computed.  Safe for plain Levenshtein and for the
+  restricted Damerau variant (a transposition never spans the boundary of a
+  maximal common affix).
 * **length-difference lower bound** — ``|len(a) − len(b)| ≤ d(a, b)``, which
   settles one-sided-empty cases outright and lets a bounded search refuse
-  obviously-far pairs without touching the matrix.
-* **banded early-exit search** — :func:`bounded_levenshtein` only fills the
-  diagonal band of half-width ``k`` and abandons as soon as every entry of a
-  row exceeds ``k``; the answer is exact whenever the true distance is at
-  most ``k`` (an optimal alignment with cost ``≤ k`` never leaves the band).
+  obviously-far pairs without running the kernel.
+* **bit-parallel Levenshtein kernel** — :func:`levenshtein` is Myers'
+  bit-vector algorithm (G. Myers, JACM 1999) in Hyyrö's formulation for the
+  edit distance (H. Hyyrö, 2003).  One DP column is held as two bit vectors
+  of vertical +1/−1 deltas, so a text character costs a handful of integer
+  operations instead of a row of the matrix.  Python ints are the bit
+  vectors, so the pattern length is unbounded.  Under a cutoff the kernel
+  exits early once the score can no longer come back within it.
 """
 
 from __future__ import annotations
+
+import math
 
 
 def strip_common_affixes(left: str, right: str) -> "tuple[str, str]":
@@ -47,12 +52,12 @@ def strip_common_affixes(left: str, right: str) -> "tuple[str, str]":
 
 
 def trivial_edit_distance(left: str, right: str) -> "float | None":
-    """The edit distance of an affix-stripped pair when no matrix is needed.
+    """The edit distance of an affix-stripped pair when no kernel is needed.
 
-    ``None`` means both sides are non-empty and a dynamic program must run.
-    After affix stripping, one-sided-empty pairs cost exactly the length of
-    the other side (pure insertions/deletions) for Levenshtein and for the
-    restricted Damerau variant alike.
+    ``None`` means both sides are non-empty and the distance must be
+    computed.  After affix stripping, one-sided-empty pairs cost exactly the
+    length of the other side (pure insertions/deletions) for Levenshtein and
+    for the restricted Damerau variant alike.
     """
     if left == right:
         return 0.0
@@ -63,72 +68,45 @@ def trivial_edit_distance(left: str, right: str) -> "float | None":
     return None
 
 
-def bounded_levenshtein(left: str, right: str, radius: int) -> "tuple[float, bool]":
-    """Banded Levenshtein distance with early exit.
+def levenshtein(
+    left: str, right: str, cutoff: float = math.inf
+) -> "tuple[float, bool]":
+    """Levenshtein distance with an early exit above ``cutoff``.
 
-    Returns ``(value, exact)``.  ``exact`` is ``True`` iff the true distance
-    is at most ``radius`` — then ``value`` is that distance.  Otherwise
-    ``value`` is a lower bound of the true distance that is strictly greater
-    than ``radius`` (``radius + 1``, or the length difference when that alone
-    already exceeds the radius).
-
-    Expects the caller to have handled equal strings and empty sides (see
-    :func:`trivial_edit_distance`).
+    Returns ``(value, exact)``.  After each character of the shorter string
+    (the text), the last DP row's score minus the text characters still to
+    read is a true lower bound of the distance, because each character moves
+    the score by at most one.  Once that bound exceeds ``cutoff`` the run
+    stops and returns it with ``exact=False``.  A run that completes is
+    exact, so the distance comes back exactly whenever it is ``≤ cutoff``.
     """
-    len_left, len_right = len(left), len(right)
-    if len_right > len_left:
+    if len(left) < len(right):
         left, right = right, left
-        len_left, len_right = len_right, len_left
-    if len_left - len_right > radius:
-        return float(len_left - len_right), False
-    if radius >= len_left:
-        # The band covers the whole matrix; fall back to the classic rolling
-        # row, which is cheaper than band bookkeeping at this size.
-        previous = list(range(len_right + 1))
-        for i, char_left in enumerate(left, start=1):
-            current = [i]
-            for j, char_right in enumerate(right, start=1):
-                current.append(
-                    min(
-                        current[j - 1] + 1,
-                        previous[j] + 1,
-                        previous[j - 1] + (char_left != char_right),
-                    )
-                )
-            previous = current
-        distance = previous[-1]
-        return float(distance), distance <= radius
-    big = radius + 1
-    # previous row covers columns previous_lo .. previous_lo + len(previous) - 1
-    previous_lo = 0
-    previous = list(range(min(len_right, radius) + 1))
-    for i in range(1, len_left + 1):
-        lo = i - radius if i > radius else 0
-        hi = min(len_right, i + radius)
-        char_left = left[i - 1]
-        current: list[int] = []
-        row_min = big
-        for j in range(lo, hi + 1):
-            if j == 0:
-                cost = i
-            else:
-                index = j - 1 - previous_lo
-                substitute = (
-                    previous[index] if 0 <= index < len(previous) else big
-                ) + (char_left != right[j - 1])
-                index += 1
-                delete = (previous[index] if 0 <= index < len(previous) else big) + 1
-                insert = (current[j - 1 - lo] + 1) if j > lo else big
-                cost = min(substitute, delete, insert)
-            current.append(cost)
-            if cost < row_min:
-                row_min = cost
-        if row_min > radius:
-            # Every continuation only grows: the true distance exceeds the
-            # radius, and (being integral) is at least radius + 1.
-            return float(big), False
-        previous, previous_lo = current, lo
-    distance = previous[len_right - previous_lo]
-    if distance > radius:
-        return float(big), False
-    return float(distance), True
+    # the longer string is the pattern: bit i of peq[c] says left[i] == c
+    peq: dict = {}
+    bit = 1
+    for char in left:
+        peq[char] = peq.get(char, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    last = bit >> 1
+    # vertical +1 / -1 deltas of the current DP column (column 0 is 0..m)
+    positive, negative = full, 0
+    # the score D[m, j] minus the len(right) - j text characters still to read
+    bound = len(left) - len(right)
+    for char in right:
+        eq = peq.get(char, 0)
+        diagonal = (((eq & positive) + positive) ^ positive) | eq | negative
+        horizontal_pos = negative | ~(diagonal | positive)
+        horizontal_neg = diagonal & positive
+        if horizontal_pos & last:
+            bound += 2
+        elif not horizontal_neg & last:
+            bound += 1
+        horizontal_pos = (horizontal_pos << 1) | 1
+        horizontal_neg <<= 1
+        positive = (horizontal_neg | ~(diagonal | horizontal_pos)) & full
+        negative = horizontal_pos & diagonal
+        if bound > cutoff:
+            return float(bound), False
+    return float(bound), True

@@ -5,17 +5,23 @@ distance just decides how many different characters between two strings,
 regardless of the positions of those characters" (Section 7.3.3), which makes
 it robust to typos wherever they occur in the value.
 
-Both edit-distance variants route through the shared fast-path preprocessing
-of :mod:`repro.distance.fastpath` (common affix stripping plus the trivial
-empty/equal cases) before falling back to their ``O(m·n)`` dynamic programs,
-so the distance-metric ablation compares like with like and the
-:class:`repro.perf.DistanceEngine` can rely on identical semantics.
+Both edit-distance variants strip common affixes with
+:mod:`repro.distance.fastpath` first, so the distance-metric ablation
+compares like with like.  Levenshtein then runs the bit-parallel kernel of
+that module, the same one the :class:`repro.perf.DistanceEngine` runs under
+a cutoff; restricted Damerau keeps its full-matrix dynamic program.
 """
 
 from __future__ import annotations
 
+import math
+
 from repro.distance.base import DistanceMetric, register_metric
-from repro.distance.fastpath import strip_common_affixes, trivial_edit_distance
+from repro.distance.fastpath import (
+    levenshtein,
+    strip_common_affixes,
+    trivial_edit_distance,
+)
 
 
 class LevenshteinDistance(DistanceMetric):
@@ -24,34 +30,16 @@ class LevenshteinDistance(DistanceMetric):
     name = "levenshtein"
     #: common affix stripping preserves this metric's distances
     affix_safe = True
-    #: the banded bounded search of repro.perf computes this metric exactly
-    supports_banded = True
     #: one edit operation destroys at most one positional unigram
     qgram_edit_ops = 1
 
     def distance(self, left: str, right: str) -> float:
-        left, right = strip_common_affixes(left, right)
-        trivial = trivial_edit_distance(left, right)
-        if trivial is not None:
-            return trivial
-        return self._dp_distance(left, right)
+        return levenshtein(*strip_common_affixes(left, right))[0]
 
-    @staticmethod
-    def _dp_distance(left: str, right: str) -> float:
-        """The classic rolling-row dynamic program (no preprocessing)."""
-        # Keep the shorter string in the inner dimension to bound memory.
-        if len(right) > len(left):
-            left, right = right, left
-        previous = list(range(len(right) + 1))
-        for i, char_left in enumerate(left, start=1):
-            current = [i]
-            for j, char_right in enumerate(right, start=1):
-                insert_cost = current[j - 1] + 1
-                delete_cost = previous[j] + 1
-                substitute_cost = previous[j - 1] + (char_left != char_right)
-                current.append(min(insert_cost, delete_cost, substitute_cost))
-            previous = current
-        return float(previous[-1])
+    def bounded_distance(
+        self, left: str, right: str, cutoff: float = math.inf
+    ) -> "tuple[float, bool]":
+        return levenshtein(left, right, cutoff)
 
     def max_distance(self, left: str, right: str) -> float:
         return float(max(len(left), len(right), 1))

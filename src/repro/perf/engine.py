@@ -11,9 +11,10 @@ micro-batches and partitions.  :class:`DistanceEngine` wraps any registered
   results are exact by construction and caching cannot alter any cleaning
   decision),
 * **algorithmic fast paths** for the edit-distance family: common
-  prefix/suffix stripping, the length-difference lower bound, and a banded
-  early-exit search that abandons the matrix once the cutoff is provably
-  exceeded,
+  prefix/suffix stripping, the length-difference lower bound, and the
+  metric's bounded form — for Levenshtein the bit-parallel kernel of
+  :mod:`repro.distance.fastpath`, which exits early once the cutoff is
+  provably exceeded,
 * a **batch candidate-set API** (:meth:`~DistanceEngine.nearest`,
   :meth:`~DistanceEngine.pairwise`, :meth:`~DistanceEngine.topk`) that
   visits candidates in ascending order of a positional unigram lower bound
@@ -50,11 +51,7 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from repro.distance.base import DistanceMetric
-from repro.distance.fastpath import (
-    bounded_levenshtein,
-    strip_common_affixes,
-    trivial_edit_distance,
-)
+from repro.distance.fastpath import strip_common_affixes, trivial_edit_distance
 from repro.perf.qgram import build_profile, lower_bound
 
 #: flush bound of the per-engine derived caches (value-tuple interning and
@@ -75,12 +72,12 @@ class DistanceStats:
     #: requests settled without the metric: equal strings or one side empty
     #: after affix stripping
     trivial: int = 0
-    #: full runs of the wrapped metric's ``distance`` (the raw ``O(m·n)``
+    #: runs of the wrapped metric that settled a distance exactly (the raw
     #: evaluations the engine exists to avoid)
     raw_evaluations: int = 0
     #: bounded requests refused by the length-difference lower bound
     length_prunes: int = 0
-    #: bounded requests abandoned by the banded early-exit search
+    #: bounded requests abandoned by the kernel's early exit
     band_prunes: int = 0
     #: bounded requests refused by a cached lower bound
     lower_bound_hits: int = 0
@@ -251,7 +248,6 @@ class DistanceEngine:
         self._refcounts: dict = {}
         self._pairs_by_value: dict = {}
         self._affix_safe = bool(getattr(metric, "affix_safe", False))
-        self._banded = bool(getattr(metric, "supports_banded", False))
         #: bound-destroying edit operations per unigram (``None`` disables
         #: the count filter for this metric — batch queries fall back to the
         #: plain ordered scan, which is still bit-identical)
@@ -359,7 +355,7 @@ class DistanceEngine:
                     del self._exact[key]
                     self.stats.invalidated_pairs += 1
                 self._lower.pop(key, None)
-                partner = key[1] if key[0] is value else key[0]
+                partner = key[1] if key[0] == value else key[0]
                 partner_pairs = self._pairs_by_value.get(partner)
                 if partner_pairs is not None:
                     partner_pairs.discard(key)
@@ -386,20 +382,7 @@ class DistanceEngine:
         if cached is not None:
             self.stats.cache_hits += 1
             return cached
-        result = self._compute(left, right)
-        self._store_exact(key, result)
-        return result
-
-    def _compute(self, left: str, right: str) -> float:
-        """Run the metric, with affix stripping where it is distance-safe."""
-        if self._affix_safe:
-            left, right = strip_common_affixes(left, right)
-            trivial = trivial_edit_distance(left, right)
-            if trivial is not None:
-                self.stats.trivial += 1
-                return trivial
-        self.stats.raw_evaluations += 1
-        return self.metric.distance(left, right)
+        return self._compute(key, left, right)
 
     def _bounded(self, left: str, right: str, cutoff: float) -> float:
         """Exact distance of interned strings when ``≤ cutoff``; else a bound.
@@ -424,33 +407,41 @@ class DistanceEngine:
             self.stats.lower_bound_hits += 1
             self.stats.cache_hits += 1
             return bound
-        if self._affix_safe:
-            stripped_left, stripped_right = strip_common_affixes(left, right)
-            trivial = trivial_edit_distance(stripped_left, stripped_right)
-            if trivial is not None:
-                self.stats.trivial += 1
-                self._store_exact(key, trivial)
-                return trivial
-            length_gap = abs(len(stripped_left) - len(stripped_right))
-            if length_gap > cutoff:
-                self.stats.length_prunes += 1
-                self._store_lower(key, float(length_gap))
-                return float(length_gap)
-            if self._banded and cutoff >= 0.0:
-                radius = int(cutoff)  # distances are integral: d <= cutoff iff d <= floor(cutoff)
-                value, exact = bounded_levenshtein(
-                    stripped_left, stripped_right, radius
-                )
-                if exact:
-                    self.stats.raw_evaluations += 1
-                    self._store_exact(key, value)
-                else:
-                    self.stats.band_prunes += 1
-                    self._store_lower(key, value)
-                return value
-        result = self._compute(left, right)
-        self._store_exact(key, result)
-        return result
+        return self._compute(key, left, right, cutoff)
+
+    def _compute(
+        self, key, left: str, right: str, cutoff: float = math.inf
+    ) -> float:
+        """Run the metric on a cache miss and memoize what it settles.
+
+        Affix-safe metrics see the affix-stripped pair, after the trivial
+        cases and the length-difference bound; their bounded form may stop
+        early above ``cutoff`` and leave a lower bound instead.
+        """
+        if not self._affix_safe:
+            self.stats.raw_evaluations += 1
+            result = self.metric.distance(left, right)
+            self._store_exact(key, result)
+            return result
+        left, right = strip_common_affixes(left, right)
+        trivial = trivial_edit_distance(left, right)
+        if trivial is not None:
+            self.stats.trivial += 1
+            self._store_exact(key, trivial)
+            return trivial
+        length_gap = abs(len(left) - len(right))
+        if length_gap > cutoff:
+            self.stats.length_prunes += 1
+            self._store_lower(key, float(length_gap))
+            return float(length_gap)
+        value, exact = self.metric.bounded_distance(left, right, cutoff)
+        if exact:
+            self.stats.raw_evaluations += 1
+            self._store_exact(key, value)
+        else:
+            self.stats.band_prunes += 1
+            self._store_lower(key, value)
+        return value
 
     # ------------------------------------------------------------------
     # value tuples (pieces of data)

@@ -1,11 +1,14 @@
-"""FSCR and MLN weight learning against test-local reference implementations.
+"""FSCR, MLN weight learning and the Levenshtein kernel against test-local
+reference implementations.
 
-The reference code below is the straightforward form of the two loops: a
+The reference code below is the straightforward form of each loop: a
 per-tuple merge-order search that rebuilds each γ's assignment dict on every
-visit, and a diagonal-Newton learner over dict softmaxes.  The production
-code memoizes the order search per version signature and runs the learner
-over index arrays; both must produce exactly (``==``, not approximately) the
-same weights, fusions, f-scores and failed tuples on every generated input.
+visit, a diagonal-Newton learner over dict softmaxes, and the rolling-row
+edit-distance dynamic program.  The production code memoizes the order
+search per version signature, runs the learner over index arrays and
+computes edit distances with a bit-parallel kernel; each must produce
+exactly (``==``, not approximately) the same weights, fusions, f-scores,
+failed tuples and distances on every generated input.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import replace
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.constraints.rules import FunctionalDependency
 from repro.core.agp import AbnormalGroupProcessor
@@ -26,6 +29,7 @@ from repro.core.fscr import FusionScoreResolver
 from repro.core.index import Block, DataPiece, MLNIndex
 from repro.core.rsc import ReliabilityScoreCleaner
 from repro.dataset.table import Table
+from repro.distance.fastpath import levenshtein
 from repro.errors.injector import ErrorSpec
 from repro.mln.weights import WeightLearningConfig, learn_group_weights
 from repro.workloads.registry import get_workload_generator, recommended_config
@@ -435,3 +439,94 @@ def test_block_weights_equal_reference_on_workloads(workload_name):
         assert [piece.weight for piece in pieces] == [
             expected[piece.key] for piece in pieces
         ]
+
+
+# ----------------------------------------------------------------------
+# reference Levenshtein: the rolling-row dynamic program, no fast paths
+# ----------------------------------------------------------------------
+def reference_levenshtein(left: str, right: str) -> float:
+    previous = list(range(len(right) + 1))
+    for i, char_left in enumerate(left, start=1):
+        current = [i]
+        for j, char_right in enumerate(right, start=1):
+            current.append(
+                min(
+                    current[j - 1] + 1,
+                    previous[j] + 1,
+                    previous[j - 1] + (char_left != char_right),
+                )
+            )
+        previous = current
+    return float(previous[-1])
+
+
+#: a few symbols, astral ones included, so random strings share characters
+_SMALL_ALPHABET = "ab\u00e9\u4e2d\U0001f600\U00010348"
+#: up to 200 characters: past one 30-bit int digit and past a 64-bit word
+unicode_text = st.one_of(
+    st.text(max_size=200),
+    st.text(alphabet=_SMALL_ALPHABET, max_size=200),
+)
+
+
+@st.composite
+def text_pairs(draw):
+    """An unrelated pair, or a string and a copy with a few edits."""
+    left = draw(unicode_text)
+    if draw(st.booleans()):
+        return left, draw(unicode_text)
+    right = list(left)
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        position = draw(st.integers(min_value=0, max_value=len(right)))
+        char = draw(st.sampled_from(_SMALL_ALPHABET))
+        operation = draw(st.sampled_from(["insert", "delete", "substitute"]))
+        if operation == "insert" or position == len(right):
+            right.insert(position, char)
+        elif operation == "delete":
+            del right[position]
+        else:
+            right[position] = char
+    return left, "".join(right)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text_pairs())
+@example(("", ""))
+@example(("", "abc"))
+@example(("\U0001f600" * 70, ""))
+@example(("same", "same"))
+def test_levenshtein_kernel_equals_reference(pair):
+    left, right = pair
+    expected = reference_levenshtein(left, right)
+    assert levenshtein(left, right) == (expected, True)
+    assert levenshtein(right, left) == (expected, True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unicode_text)
+def test_levenshtein_kernel_of_equal_strings_is_zero(text):
+    assert levenshtein(text, text) == (0.0, True)
+    assert levenshtein(text, text, 0.0) == (0.0, True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text_pairs(),
+    st.one_of(
+        st.integers(min_value=0, max_value=12).map(float),
+        st.floats(min_value=0.0, max_value=40.0, allow_nan=False),
+    ),
+)
+@example(("", ""), 0.0)
+@example(("abc", ""), 1.0)
+@example(("kitten", "sitting"), 2.0)
+def test_levenshtein_kernel_bounded_contract(pair, cutoff):
+    left, right = pair
+    expected = reference_levenshtein(left, right)
+    value, exact = levenshtein(left, right, cutoff)
+    if exact:
+        assert value == expected
+    else:
+        assert cutoff < value <= expected
+    if expected <= cutoff:
+        assert exact
