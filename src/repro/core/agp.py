@@ -108,6 +108,13 @@ class AbnormalGroupProcessor:
         # order keeps its distance-call counts reproducible across processes
         # regardless of set-iteration (hash) order.
         normal_keys = sorted(key for key in block.groups if key not in abnormal_set)
+        # Normal groups are never removed during a pass and only a merge
+        # target changes, so each γ* is derived once and refreshed after
+        # every merge into its group.
+        representatives = [
+            block.groups[key].representative().values
+            for key in (normal_keys if abnormal_keys else ())
+        ]
 
         if clean_lookup is not None:
             outcome.counts.real_abnormal_groups = self._count_real_abnormal(
@@ -120,14 +127,18 @@ class AbnormalGroupProcessor:
             outcome.detected_abnormal_gammas += group.size
             outcome.counts.detected_abnormal_groups += 1
             outcome.counts.detected_abnormal_gammas += group.size
-            target_key = self._nearest_normal_group(block, key, normal_keys)
-            if target_key is None:
+            position = self._nearest_normal_group(
+                group.representative().values, representatives
+            )
+            if position is None:
                 # No normal group exists in the block (e.g. every group is
                 # tiny); leave the group untouched rather than merging
                 # abnormal groups into each other.
                 outcome.skipped_without_target += 1
                 continue
+            target_key = normal_keys[position]
             merge = self._merge(block, key, target_key)
+            representatives[position] = block.groups[target_key].representative().values
             outcome.merges.append(merge)
             if clean_lookup is not None and self._merge_is_correct(
                 block, merge, clean_lookup
@@ -152,37 +163,23 @@ class AbnormalGroupProcessor:
     # ------------------------------------------------------------------
     def _nearest_normal_group(
         self,
-        block: Block,
-        abnormal_key: tuple[str, ...],
-        normal_keys: list[tuple[str, ...]],
-    ) -> Optional[tuple[str, ...]]:
-        """The normal group whose representative γ* is closest to ours.
+        abnormal_values: tuple[str, ...],
+        representatives: list[tuple[str, ...]],
+    ) -> Optional[int]:
+        """The position of the normal group whose representative γ* is closest.
 
         One batch :meth:`~repro.perf.DistanceEngine.nearest` query over the
-        live normal groups' representatives: the engine owns the visit order
-        (unigram lower bounds ascending, from the engine's cached profiles),
-        the best-so-far cutoff and the prune decisions.  ``normal_keys`` is
-        sorted, so the engine's smallest-position tie-break is exactly the
-        smallest-key tie-break of the scalar loop it replaces — the selected
-        group is identical to the one an exhaustive scan picks.
+        normal groups' current representatives, aligned with the sorted
+        ``normal_keys``: the engine owns the visit order (unigram lower
+        bounds ascending, from the engine's cached profiles), the
+        best-so-far cutoff and the prune decisions.  Its smallest-position
+        tie-break is therefore exactly the smallest-key tie-break of the
+        scalar loop it replaces — the selected group is identical to the one
+        an exhaustive scan picks.
         """
-        if not normal_keys:
+        if not representatives:
             return None
-        abnormal_repr = block.groups[abnormal_key].representative()
-        live_keys: list[tuple[str, ...]] = []
-        candidates: list[tuple[str, ...]] = []
-        for key in normal_keys:
-            group = block.groups.get(key)
-            if group is None:
-                continue
-            live_keys.append(key)
-            candidates.append(group.representative().values)
-        if not candidates:
-            return None
-        best_position, _ = self.engine.nearest(abnormal_repr.values, candidates)
-        if best_position is None:
-            return None
-        return live_keys[best_position]
+        return self.engine.nearest(abnormal_values, representatives)[0]
 
     def _merge(
         self, block: Block, abnormal_key: tuple[str, ...], target_key: tuple[str, ...]

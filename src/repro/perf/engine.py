@@ -18,10 +18,11 @@ micro-batches and partitions.  :class:`DistanceEngine` wraps any registered
 * a **batch candidate-set API** (:meth:`~DistanceEngine.nearest`,
   :meth:`~DistanceEngine.pairwise`, :meth:`~DistanceEngine.topk`) that
   visits candidates in ascending order of a positional unigram lower bound
-  (:mod:`repro.perf.qgram`, computed from each value tuple's cached
-  profile) and scans them best-so-far with cutoff-accumulating tuple
-  distances, which stop as soon as the per-attribute running sum exceeds
-  the cutoff.
+  (:mod:`repro.perf.qgram`: two popcounts over each value tuple's cached
+  profile bit masks, whose bit numbering the engine owns and flushes only
+  together with the profiles) and scans them best-so-far with
+  cutoff-accumulating tuple distances, which stop as soon as the
+  per-attribute running sum exceeds the cutoff.
 
 Every candidate is settled by one scalar exact-or-prune evaluation: it
 returns the **exact** distance whenever that is ``≤`` the running cutoff,
@@ -52,11 +53,12 @@ from typing import Optional
 
 from repro.distance.base import DistanceMetric
 from repro.distance.fastpath import strip_common_affixes, trivial_edit_distance
-from repro.perf.qgram import build_profile, lower_bound
+from repro.perf.qgram import ValueProfile, build_profile, lower_bound
 
 #: flush bound of the per-engine derived caches (value-tuple interning and
-#: unigram profiles); both are pure functions of their key, so a wholesale
-#: flush can never change a result — it only costs recomputation
+#: unigram profiles); both are pure functions of their key (profiles together
+#: with the bit numbering they flush with), so a wholesale flush can never
+#: change a result — it only costs recomputation
 _DERIVED_CACHE_LIMIT = 1 << 16
 
 
@@ -245,6 +247,10 @@ class DistanceEngine:
         self._interned: dict = {}
         self._interned_tuples: dict = {}
         self._profiles: dict = {}
+        #: the bit numbering every cached profile's masks were built under;
+        #: flushed only together with ``_profiles`` (engines are
+        #: single-threaded, so no lock)
+        self._profile_bits: dict = {}
         self._refcounts: dict = {}
         self._pairs_by_value: dict = {}
         self._affix_safe = bool(getattr(metric, "affix_safe", False))
@@ -504,15 +510,27 @@ class DistanceEngine:
     # ``max_candidates`` opt into approximation by capping the candidates a
     # query may evaluate.
     # ------------------------------------------------------------------
-    def _profile(self, values: "tuple[str, ...]"):
-        """The (cached) positional unigram profile of an interned tuple."""
-        profile = self._profiles.get(values)
-        if profile is None:
-            if len(self._profiles) >= _DERIVED_CACHE_LIMIT:
-                self._profiles.clear()
-            profile = build_profile(values)
-            self._profiles[values] = profile
-        return profile
+    def _profiles_of(
+        self, tuples: "list[tuple[str, ...]]"
+    ) -> "list[ValueProfile]":
+        """The (cached) positional unigram profiles of one batch of tuples.
+
+        A mask is only comparable under the numbering that built it, so the
+        caches flush before a batch that would overflow them, never inside
+        one: every profile a batch compares shares one numbering.
+        """
+        profiles = self._profiles
+        if len(profiles) + len(tuples) > _DERIVED_CACHE_LIMIT:
+            profiles.clear()
+            self._profile_bits.clear()
+        bits = self._profile_bits
+        batch = []
+        for values in tuples:
+            profile = profiles.get(values)
+            if profile is None:
+                profile = profiles[values] = build_profile(values, bits)
+            batch.append(profile)
+        return batch
 
     def _candidate_order(
         self,
@@ -528,10 +546,10 @@ class DistanceEngine:
         ops = self._qgram_ops
         if ops is None:
             return [(0.0, position) for position in range(len(cands))]
-        query_profile = self._profile(query)
+        query_profile, *profiles = self._profiles_of([query, *cands])
         order = [
-            (lower_bound(query_profile, self._profile(cand), ops), position)
-            for position, cand in enumerate(cands)
+            (lower_bound(query_profile, profile, ops), position)
+            for position, profile in enumerate(profiles)
         ]
         order.sort()
         return order
@@ -627,7 +645,7 @@ class DistanceEngine:
         ops = self._qgram_ops
         bounds = None
         if ops is not None:
-            profiles = [self._profile(item) for item in items]
+            profiles = self._profiles_of(items)
             bounds = [[0.0] * count for _ in range(count)]
             for i in range(count):
                 for j in range(i + 1, count):

@@ -17,6 +17,23 @@ different attributes never count as shared, and the aggregate bound
 is a valid lower bound of the per-position sum (each summand bounds its
 position's distance from below).
 
+A value tuple's profile is two int bit masks, numbered by a dict the
+caller owns (each :class:`~repro.perf.engine.DistanceEngine` keeps one for
+all its profiles):
+
+* ``mask`` has one bit per ``(position, char, k)``, the ``k``-th occurrence
+  of ``char`` in attribute ``position``.  A string holding ``n`` copies of a
+  character sets that character's bits ``k = 0 .. n-1``, so the positional
+  multiset intersection of two profiles is ``popcount(a.mask & b.mask)``.
+* ``length_mask`` writes each attribute's length in unary, one bit per
+  ``(position, "", k)`` with ``k < len``, so ``Σ_p |Δlen_p|`` is
+  ``popcount(a.length_mask ^ b.length_mask)``.
+
+With ``Σ_p max_len_p = (Σ len(x) + Σ len(y) + Σ_p |Δlen_p|) / 2`` the bound
+then takes two popcounts and a little integer arithmetic, whatever the
+tuple's arity.  A mask means nothing under any other numbering, so profiles
+must never outlive or cross the dict that built them.
+
 Metrics declare how many bound-destroying edit operations one of their
 operations is worth via
 :attr:`repro.distance.base.DistanceMetric.qgram_edit_ops` — ``1`` for plain
@@ -36,59 +53,69 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 
+def _bin_popcount(value: int) -> int:
+    """Set bits of a non-negative int on Pythons without ``int.bit_count``."""
+    return bin(value).count("1")
+
+
+#: ``int.bit_count`` on 3.10+; the ``bin`` fallback (3.9) is many times slower
+popcount = getattr(int, "bit_count", _bin_popcount)
+
+
 class ValueProfile:
     """The positional unigram profile of one value tuple."""
 
-    __slots__ = ("values", "grams", "lengths")
+    __slots__ = ("values", "mask", "length_mask", "total")
 
-    def __init__(
-        self,
-        values: "tuple[str, ...]",
-        grams: "dict[tuple[int, str], int]",
-        lengths: "tuple[int, ...]",
-    ):
+    def __init__(self, values: "tuple[str, ...]", mask: int, length_mask: int):
         self.values = values
-        self.grams = grams
-        self.lengths = lengths
+        self.mask = mask
+        self.length_mask = length_mask
+        #: Σ_p len(values[p])
+        self.total = sum(map(len, values))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ValueProfile({self.values!r}, grams={len(self.grams)})"
+        return f"ValueProfile({self.values!r}, chars={self.total})"
 
 
-def build_profile(values: "Sequence[str]") -> ValueProfile:
-    """The positional unigram profile of ``values``.
+def build_profile(
+    values: "Sequence[str]", bits: "dict[tuple[int, str, int], int]"
+) -> ValueProfile:
+    """The positional unigram profile of ``values`` under the numbering ``bits``.
 
-    Characters are keyed ``(position, character)`` so attributes never
-    share them.
+    ``bits`` maps ``(position, char, k)`` to a bit index (``char`` is ``""``
+    for the unary length bits) and gains an entry, numbered ``len(bits)``,
+    for every key it lacks.  Only profiles built through the same ``bits``
+    may be compared.
     """
-    grams: "dict[tuple[int, str], int]" = {}
+
+    def bit(key: "tuple[int, str, int]") -> int:
+        index = bits.get(key)
+        if index is None:
+            index = bits[key] = len(bits)
+        return 1 << index
+
+    mask = length_mask = 0
     for position, value in enumerate(values):
+        seen: "dict[str, int]" = {}
         for character in value:
-            key = (position, character)
-            grams[key] = grams.get(key, 0) + 1
-    return ValueProfile(tuple(values), grams, tuple(len(v) for v in values))
+            occurrence = seen.get(character, 0)
+            seen[character] = occurrence + 1
+            mask |= bit((position, character, occurrence))
+        for k in range(len(value)):
+            length_mask |= bit((position, "", k))
+    return ValueProfile(tuple(values), mask, length_mask)
 
 
 def lower_bound(left: ValueProfile, right: ValueProfile, edit_ops: int) -> float:
     """A lower bound of ``values_distance(left.values, right.values)``."""
-    length_bound = 0
-    gram_cap = 0
-    for len_left, len_right in zip(left.lengths, right.lengths):
-        bigger = len_left if len_left >= len_right else len_right
-        length_bound += bigger - (len_left + len_right - bigger)
-        gram_cap += bigger
-    # the positional multiset intersection, walked from the smaller profile
-    small, large = left.grams, right.grams
-    if len(large) < len(small):
-        small, large = large, small
-    shared = 0
-    for key, count in small.items():
-        partner = large.get(key)
-        if partner:
-            shared += count if count < partner else partner
-    bound = length_bound
-    if gram_cap > shared:
-        gram_bound = (gram_cap - shared + edit_ops - 1) // edit_ops
-        if gram_bound > bound:
-            bound = gram_bound
-    return float(bound)
+    length_bound = popcount(left.length_mask ^ right.length_mask)
+    # Σ_p max(len_left_p, len_right_p), less the positional multiset intersection
+    missing = (left.total + right.total + length_bound) // 2 - popcount(
+        left.mask & right.mask
+    )
+    if missing > 0:
+        gram_bound = (missing + edit_ops - 1) // edit_ops
+        if gram_bound > length_bound:
+            return float(gram_bound)
+    return float(length_bound)

@@ -15,6 +15,7 @@ The load-bearing properties of the sub-quadratic distance core:
 from __future__ import annotations
 
 import math
+import random
 import warnings
 
 import pytest
@@ -27,6 +28,7 @@ from repro.distance.levenshtein import LevenshteinDistance
 from repro.errors.injector import ErrorSpec
 from repro.experiments.harness import session_for_instance
 from repro.perf import DistanceEngine, build_profile, global_distance_stats
+from repro.perf import engine as engine_module
 from repro.perf.qgram import lower_bound
 from repro.workloads.registry import (
     available_workloads,
@@ -151,8 +153,11 @@ def test_topk_equals_brute_force(metric_name, query, data):
 @settings(max_examples=150, deadline=None)
 def test_qgram_lower_bound_never_exceeds_levenshtein(left, right):
     metric = get_metric("levenshtein")
+    bits: dict = {}
     bound = lower_bound(
-        build_profile((left,)), build_profile((right,)), metric.qgram_edit_ops
+        build_profile((left,), bits),
+        build_profile((right,), bits),
+        metric.qgram_edit_ops,
     )
     assert bound <= metric.distance(left, right)
 
@@ -272,3 +277,32 @@ def test_pipeline_runs_free_of_deprecation_warnings(sample_table, sample_rules):
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         MLNClean(config=MLNCleanConfig()).clean(sample_table, sample_rules)
+
+
+# ----------------------------------------------------------------------
+# profile-cache flushes keep every batch under one bit numbering
+# ----------------------------------------------------------------------
+def test_batch_queries_equal_brute_force_across_profile_flushes(monkeypatch):
+    monkeypatch.setattr(engine_module, "_DERIVED_CACHE_LIMIT", 5)
+    metric = get_metric("levenshtein")
+    engine = DistanceEngine(metric)
+    rng = random.Random(5)
+
+    def row():
+        return tuple("".join(rng.choices("aabé", k=rng.randint(0, 5))) for _ in range(2))
+
+    flushes, numbered = 0, 0
+    for _ in range(120):
+        query, candidates = row(), [row() for _ in range(rng.randint(1, 8))]
+        assert engine.nearest(query, candidates) == brute_nearest(metric, query, candidates)
+        ranked = sorted(
+            (brute_values_distance(metric, query, candidate), position)
+            for position, candidate in enumerate(candidates)
+        )[:3]
+        assert engine.topk(query, candidates, 3) == [(p, v) for v, p in ranked]
+        for i, (_, distance) in enumerate(engine.pairwise(candidates)):
+            others = candidates[:i] + candidates[i + 1 :]
+            assert distance == brute_nearest(metric, candidates[i], others)[1]
+        flushes += len(engine._profile_bits) < numbered
+        numbered = len(engine._profile_bits)
+    assert flushes >= 3

@@ -1,14 +1,18 @@
-"""FSCR, MLN weight learning and the Levenshtein kernel against test-local
-reference implementations.
+"""FSCR, MLN weight learning, the Levenshtein kernel, the unigram bound and
+AGP's merge targets against test-local reference implementations.
 
 The reference code below is the straightforward form of each loop: a
 per-tuple merge-order search that rebuilds each γ's assignment dict on every
-visit, a diagonal-Newton learner over dict softmaxes, and the rolling-row
-edit-distance dynamic program.  The production code memoizes the order
-search per version signature, runs the learner over index arrays and
-computes edit distances with a bit-parallel kernel; each must produce
-exactly (``==``, not approximately) the same weights, fusions, f-scores,
-failed tuples and distances on every generated input.
+visit, a diagonal-Newton learner over dict softmaxes, the rolling-row
+edit-distance dynamic program, the count filter over ``(position, char) →
+count`` dicts, and an AGP pass that re-derives every representative and
+measures every distance for every query.  The production code memoizes the
+order search per version signature, runs the learner over index arrays,
+computes edit distances with a bit-parallel kernel, bounds with popcounts
+of profile bit masks and keeps representatives across a block pass; each
+must produce exactly (``==``, not approximately) the same weights, fusions,
+f-scores, failed tuples, distances, bounds and merge targets on every
+generated input.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from repro.dataset.table import Table
 from repro.distance.fastpath import levenshtein
 from repro.errors.injector import ErrorSpec
 from repro.mln.weights import WeightLearningConfig, learn_group_weights
+from repro.perf.qgram import _bin_popcount, build_profile, lower_bound
 from repro.workloads.registry import get_workload_generator, recommended_config
 
 
@@ -530,3 +535,160 @@ def test_levenshtein_kernel_bounded_contract(pair, cutoff):
         assert cutoff < value <= expected
     if expected <= cutoff:
         assert exact
+
+
+# ----------------------------------------------------------------------
+# reference unigram bound: (position, char) → count dicts
+# ----------------------------------------------------------------------
+def reference_lower_bound(
+    left: tuple[str, ...], right: tuple[str, ...], edit_ops: int
+) -> float:
+    """The count filter at q = 1 over dict-keyed positional multisets."""
+
+    def grams(values):
+        counts: dict[tuple[int, str], int] = {}
+        for position, value in enumerate(values):
+            for character in value:
+                counts[(position, character)] = counts.get((position, character), 0) + 1
+        return counts
+
+    length_bound = sum(abs(len(a) - len(b)) for a, b in zip(left, right))
+    gram_cap = sum(max(len(a), len(b)) for a, b in zip(left, right))
+    left_grams, right_grams = grams(left), grams(right)
+    shared = sum(
+        min(count, right_grams.get(key, 0)) for key, count in left_grams.items()
+    )
+    bound = length_bound
+    if gram_cap > shared:
+        bound = max(bound, (gram_cap - shared + edit_ops - 1) // edit_ops)
+    return float(bound)
+
+
+#: repeated characters, an astral one included, so positional multisets overlap
+_BOUND_ALPHABET = "aabé\U0001f600"
+bound_text = st.one_of(
+    st.text(alphabet=_BOUND_ALPHABET, max_size=12), st.text(max_size=12)
+)
+
+
+@st.composite
+def same_arity_tuples(draw):
+    """2-8 value tuples of one arity (1-4), so every pair is comparable."""
+    arity = draw(st.integers(min_value=1, max_value=4))
+    row = st.lists(bound_text, min_size=arity, max_size=arity).map(tuple)
+    return draw(st.lists(row, min_size=2, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(same_arity_tuples())
+@example([("",), ("",)])
+@example([("aaa", ""), ("a", "bb")])
+@example([("\U0001f600\U0001f600", "x"), ("\U0001f600", "x")])
+def test_unigram_bound_equals_reference(rows):
+    bits: dict = {}
+    profiles = [build_profile(row, bits) for row in rows]
+    for (i, left), (j, right) in itertools.product(enumerate(rows), repeat=2):
+        for edit_ops in (1, 2):
+            expected = reference_lower_bound(left, right, edit_ops)
+            assert lower_bound(profiles[i], profiles[j], edit_ops) == expected
+        assert lower_bound(profiles[i], profiles[j], 1) <= sum(
+            map(reference_levenshtein, left, right)
+        )
+
+
+@pytest.mark.skipif(not hasattr(int, "bit_count"), reason="int.bit_count is 3.10+")
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=1 << 400))
+@example(0)
+@example((1 << 64) - 1)
+def test_bin_popcount_fallback_equals_int_bit_count(value):
+    assert _bin_popcount(value) == value.bit_count()
+
+
+# ----------------------------------------------------------------------
+# reference AGP: fresh representatives and exact distances for every query
+# ----------------------------------------------------------------------
+def reference_agp_targets(block: Block, threshold: int) -> list[tuple[str, ...]]:
+    """Merge targets of an exhaustive AGP pass, mutating ``block`` as AGP does."""
+    abnormal = [
+        key for key, group in block.groups.items() if group.tuple_count <= threshold
+    ]
+    normal = sorted(key for key in block.groups if key not in abnormal)
+    targets = []
+    for key in abnormal:
+        query = block.groups[key].representative().values
+        target = min(
+            normal,
+            key=lambda candidate: (
+                sum(
+                    map(
+                        reference_levenshtein,
+                        query,
+                        block.groups[candidate].representative().values,
+                    )
+                ),
+                candidate,
+            ),
+        )
+        for piece in block.remove_group(key).gammas:
+            block.groups[target].add_piece(piece)
+        targets.append(target)
+    return targets
+
+
+def _refresh_block() -> Block:
+    """A τ = 1 block whose first merge replaces the target's representative.
+
+    ``("x",)`` holds two single-tuple γs, so its γ* is ``("x", "zzzy")`` by
+    the value tie-break.  The abnormal ``("xq", "zzzz")`` merges into it
+    (distance 2, against 3 to ``("xqqqq",)``) and, with equal support and
+    larger values, becomes its γ*.  ``("xqq", "zzzz")`` is then 1 away from
+    the new γ* of ``("x",)`` and 2 from ``("xqqqq",)``, but 3 from the stale
+    ``("x", "zzzy")``.
+    """
+    block = Block(FunctionalDependency(["A"], ["B"], name="r"))
+    rows = [
+        ("x", "aaaa"),
+        ("x", "zzzy"),
+        ("xqqqq", "zzzz"),
+        ("xqqqq", "zzzz"),
+        ("xq", "zzzz"),
+        ("xqq", "zzzz"),
+    ]
+    for tid, (a, b) in enumerate(rows):
+        block.add_tuple(tid, {"A": a, "B": b})
+    return block
+
+
+def test_agp_refreshes_the_representative_of_a_merge_target():
+    config = MLNCleanConfig(abnormal_threshold=1)
+    outcome = AbnormalGroupProcessor(config).process_block(_refresh_block())
+    expected = reference_agp_targets(_refresh_block(), threshold=1)
+    assert expected == [("x",), ("x",)]
+    assert [merge.target_key for merge in outcome.merges] == expected
+
+
+@st.composite
+def agp_blocks(draw):
+    """Rows for an FD block ``A -> B`` over a small alphabet, so merges chain."""
+    cell = st.text(alphabet="abc", min_size=0, max_size=4)
+    return draw(st.lists(st.tuples(cell, cell), min_size=1, max_size=24))
+
+
+@settings(max_examples=200, deadline=None)
+@given(agp_blocks(), st.integers(min_value=1, max_value=3))
+def test_agp_targets_equal_reference(rows, threshold):
+    def build() -> Block:
+        block = Block(FunctionalDependency(["A"], ["B"], name="r"))
+        for tid, (a, b) in enumerate(rows):
+            block.add_tuple(tid, {"A": a, "B": b})
+        return block
+
+    config = MLNCleanConfig(abnormal_threshold=threshold)
+    outcome = AbnormalGroupProcessor(config).process_block(build())
+    reference = build()
+    if all(group.tuple_count <= threshold for group in reference.groups.values()):
+        assert outcome.merges == []
+        return
+    expected = reference_agp_targets(reference, threshold)
+    assert [merge.target_key for merge in outcome.merges] == expected
