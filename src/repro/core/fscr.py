@@ -26,8 +26,13 @@ surviving assignment, weight product and substitution count, plus the
 attributes found in conflict.  The minimality factor is the one term that
 reads the tuple's current row; it is applied per tuple to the memoized
 attempts, in order-search order with a strict ``>`` tie-break, so the chosen
-fusion equals a per-tuple search.  Each γ's ``(attribute, value)`` pairs are
-built once per resolve, and conflicts are plain ``dict.get`` comparisons.
+fusion equals a per-tuple search.  Each γ's ``(attribute, value)`` pairs and
+``exp(w)`` factor are built once per resolve, and conflicts are plain
+``dict.get`` comparisons.  The substitution search is memoized too, keyed on
+the block and the fused assignment's values on that block's attributes — the
+only part of the assignment the search reads — and storing the first agreeing
+γ of the weight-sorted pool, or ``None`` when there is none.  Both memos are
+exact because the pools and weights are fixed within one resolve.
 """
 
 from __future__ import annotations
@@ -66,7 +71,6 @@ class TupleFusion:
 
     tid: int
     assignment: dict[str, str]
-    f_score: float
     conflicted_attributes: set[str] = field(default_factory=set)
     substitutions: int = 0
 
@@ -91,12 +95,22 @@ class FSCROutcome:
 _Attempt = tuple[dict[str, str], float, int]
 
 
-class _PairCache(dict):
-    """γ → its ``(attribute, value)`` pairs, built once per :meth:`resolve`."""
+#: a γ's ``(attribute, value)`` pairs, its attributes and its ``exp(w)``
+#: fusion-score factor
+_PieceFacts = tuple[tuple[tuple[str, str], ...], tuple[str, ...], float]
 
-    def __missing__(self, piece: DataPiece) -> tuple[tuple[str, str], ...]:
-        pairs = self[piece] = tuple(piece.as_assignment().items())
-        return pairs
+
+class _PieceCache(dict):
+    """γ → its :data:`_PieceFacts`, built once per :meth:`resolve`."""
+
+    def __missing__(self, piece: DataPiece) -> _PieceFacts:
+        assignment = piece.as_assignment()
+        facts = self[piece] = (
+            tuple(assignment.items()),
+            tuple(assignment),
+            _weight_factor(piece.weight),
+        )
+        return facts
 
 
 class FusionScoreResolver:
@@ -124,7 +138,10 @@ class FusionScoreResolver:
         outcome = FSCROutcome(repaired=repaired)
         tid_versions = self._versions_by_tid(blocks, set(dirty.tids))
         block_candidates = self._candidates_by_block(blocks)
-        pairs = _PairCache()
+        pieces = _PieceCache()
+        # (block name, the fused values on the block's attributes) → the
+        # first agreeing γ of the block's weight-sorted pool, or None
+        substitutes: dict[tuple, Optional[DataPiece]] = {}
 
         # The order search depends only on the tuple's data versions (γ
         # values and weights per block, in block order), so it runs once per
@@ -143,19 +160,18 @@ class FusionScoreResolver:
                 cached = memo[signature]
             else:
                 cached = memo[signature] = self._fuse_signature(
-                    versions, block_candidates, pairs
+                    versions, block_candidates, pieces, substitutes
                 )
             if cached is None:
                 outcome.failed_tuples.append(tid)
                 continue
             attempts, conflicted = cached
-            (assignment, _, substitutions), f_score = self._best_attempt(
+            assignment, _, substitutions = self._best_attempt(
                 attempts, dirty.row(tid).as_dict()
             )
             fusion = TupleFusion(
                 tid=tid,
                 assignment=dict(assignment),
-                f_score=f_score,
                 conflicted_attributes=set(conflicted),
                 substitutions=substitutions,
             )
@@ -174,7 +190,8 @@ class FusionScoreResolver:
         self,
         versions: list[tuple[Block, DataPiece]],
         block_candidates: dict[str, list[DataPiece]],
-        pairs: _PairCache,
+        pieces: _PieceCache,
+        substitutes: dict[tuple, Optional[DataPiece]],
     ) -> Optional[tuple[list[_Attempt], frozenset]]:
         """Every surviving merge order of one version signature (Algorithm 2).
 
@@ -185,7 +202,7 @@ class FusionScoreResolver:
         attempts: list[_Attempt] = []
         for order in self._merge_orders(versions):
             attempt = self._try_order(
-                order, block_candidates, conflicted_attributes, pairs
+                order, block_candidates, conflicted_attributes, pieces, substitutes
             )
             if attempt is not None:
                 attempts.append(attempt)
@@ -195,7 +212,7 @@ class FusionScoreResolver:
 
     def _best_attempt(
         self, attempts: list[_Attempt], current_values: dict[str, str]
-    ) -> tuple[_Attempt, float]:
+    ) -> _Attempt:
         """The first attempt with the highest f-score for one tuple's row."""
         bias = self.config.fscr_minimality_bias
         best, best_score = attempts[0], 0.0
@@ -215,7 +232,7 @@ class FusionScoreResolver:
                 f_score *= math.exp(-bias * changes)
             if index == 0 or f_score > best_score:
                 best, best_score = attempt, f_score
-        return best, best_score
+        return best
 
     def _merge_orders(
         self, versions: list[tuple[Block, DataPiece]]
@@ -240,29 +257,45 @@ class FusionScoreResolver:
         order: list[tuple[Block, DataPiece]],
         block_candidates: dict[str, list[DataPiece]],
         conflicted_attributes: set[str],
-        pairs: _PairCache,
+        pieces: _PieceCache,
+        substitutes: dict[tuple, Optional[DataPiece]],
     ) -> Optional[_Attempt]:
         """Fuse the versions in one specific order; ``None`` when it fails."""
         assignment: dict[str, str] = {}
         product = 1.0
         substitutions = 0
         for block, candidate in order:
-            candidate_pairs = pairs[candidate]
+            candidate_pairs, attributes, factor = pieces[candidate]
             conflicts = [a for a, v in candidate_pairs if assignment.get(a, v) != v]
             if conflicts:
                 conflicted_attributes.update(conflicts)
-                # the highest-weight γ of the block that agrees with the fusion
-                for candidate in block_candidates[block.name]:
-                    candidate_pairs = pairs[candidate]
-                    if all(assignment.get(a, v) == v for a, v in candidate_pairs):
-                        break
+                # every γ of a block shares its attributes, so the search
+                # reads only the fusion's values on them
+                key = (block.name, *map(assignment.get, attributes))
+                if key in substitutes:
+                    candidate = substitutes[key]
                 else:
+                    candidate = substitutes[key] = FusionScoreResolver._substitute(
+                        assignment, block_candidates[block.name], pieces
+                    )
+                if candidate is None:
                     return None
+                candidate_pairs, _, factor = pieces[candidate]
                 substitutions += 1
             for attribute, value in candidate_pairs:
                 assignment.setdefault(attribute, value)
-            product *= _weight_factor(candidate.weight)
+            product *= factor
         return assignment, product, substitutions
+
+    @staticmethod
+    def _substitute(
+        assignment: dict[str, str], pool: list[DataPiece], pieces: _PieceCache
+    ) -> Optional[DataPiece]:
+        """The highest-weight γ of a block's pool that agrees with the fusion."""
+        for candidate in pool:
+            if all(assignment.get(a, v) == v for a, v in pieces[candidate][0]):
+                return candidate
+        return None
 
     # ------------------------------------------------------------------
     # precomputed lookups

@@ -248,12 +248,27 @@ class Table:
     # ------------------------------------------------------------------
     # copying / mutation helpers
     # ------------------------------------------------------------------
+    def _from_rows(self, rows: Iterable[Row], name: str) -> "Table":
+        """A table of copies of this table's own rows (ids kept).
+
+        The rows were validated when they entered this table, so they are
+        copied straight in rather than re-checked through :meth:`append`;
+        ``next_tid`` is the largest copied id plus one, as appends would set
+        it.  A repeated id raises ``ValueError``, as :meth:`append` does.
+        """
+        result = Table(self.schema, name=name)
+        copied = result._rows
+        for row in rows:
+            if row.tid in copied:
+                raise ValueError(f"tuple id {row.tid} already present")
+            copied[row.tid] = Row(row.tid, row._values)
+        if copied:
+            result._next_tid = max(copied) + 1
+        return result
+
     def copy(self, name: Optional[str] = None) -> "Table":
         """A deep copy preserving tuple ids."""
-        cloned = Table(self.schema, name=name or self.name)
-        for tid, row in self._rows.items():
-            cloned.append(row.as_dict(), tid=tid)
-        return cloned
+        return self._from_rows(self._rows.values(), name or self.name)
 
     def remove(self, tid: int) -> None:
         """Remove the tuple with id ``tid``."""
@@ -265,18 +280,16 @@ class Table:
 
     def filter(self, predicate: Callable[[Row], bool], name: str = "filtered") -> "Table":
         """A new table containing the rows satisfying ``predicate`` (ids kept)."""
-        result = Table(self.schema, name=name)
-        for tid, row in self._rows.items():
-            if predicate(row):
-                result.append(row.as_dict(), tid=tid)
-        return result
+        return self._from_rows(
+            (row for row in self._rows.values() if predicate(row)), name
+        )
 
     def subset(self, tids: Sequence[int], name: str = "subset") -> "Table":
-        """A new table containing exactly the given tuple ids (ids kept)."""
-        result = Table(self.schema, name=name)
-        for tid in tids:
-            result.append(self._rows[tid].as_dict(), tid=tid)
-        return result
+        """A new table containing exactly the given tuple ids (ids kept).
+
+        Raises ``KeyError`` on an unknown id and ``ValueError`` on a repeated one.
+        """
+        return self._from_rows((self._rows[tid] for tid in tids), name)
 
     def __deepcopy__(self, memo: dict) -> "Table":  # pragma: no cover - delegation
         cloned = self.copy()

@@ -15,16 +15,18 @@ batches and re-derives only what a batch's deltas invalidated:
    inside a block can shift every weight of that block; blocks no delta
    touched keep their previous Stage-I result untouched.
 3. **Stage II (FSCR)** — fusion is re-run only for the tuples whose fusion
-   *inputs* changed: tuples whose γ values or weight changed in some
-   re-cleaned block, tuples whose earlier fusion involved conflicts or
-   substitutions against a re-cleaned block (their substitution pool may
-   have changed), previously unfusable tuples covered by a re-cleaned
-   block, and the batch's own tuples.  Everything else keeps its fusion.
+   can change: tuples whose γ values or block coverage changed in some
+   re-cleaned block, *risky* tuples covered by a re-cleaned block (their
+   earlier fusion was conflicted, substituted or failed, so new weights or
+   a new substitution pool may pick another assignment), and the batch's
+   own tuples.  A re-learned weight alone is not a reason: a conflict-free
+   fusion assigns the union of its versions' values under any weights.
+   Everything else keeps its fusion.
 4. **Deduplication** re-runs over the maintained repaired table (a cheap
    hash pass).
 
-Affected-set tracking is exact, not heuristic: a tuple outside the set has
-bit-identical fusion inputs, so re-running FSCR on it could not change its
+Affected-set tracking is exact, not heuristic: re-running FSCR on a tuple
+outside the set would choose the same fusion, so it could not change its
 row.  Combined with the canonical-order block clones of the incremental
 index, replaying a table as deltas (in ascending tuple-id order) therefore
 converges to exactly the cleaned table batch MLNClean produces — the
@@ -61,8 +63,8 @@ from repro.streaming.incremental_index import (
 )
 from repro.streaming.window import WindowPolicy
 
-#: one tuple's post-Stage-I data version in one block: (γ values, γ weight)
-Version = tuple[tuple[str, ...], float]
+#: one tuple's post-Stage-I data version in one block: its γ values
+Version = tuple[str, ...]
 
 
 @dataclass
@@ -169,7 +171,7 @@ class StreamingMLNClean:
 
         #: post-Stage-I state of every block, in rule order (FSCR consumes it)
         self._stage1: dict[str, Block] = {rule.name: Block(rule) for rule in self.rules}
-        #: per block: tid → (γ values, weight) after the last Stage-I run
+        #: per block: tid → γ values after the last Stage-I run
         self._block_versions: dict[str, dict[int, Version]] = {
             rule.name: {} for rule in self.rules
         }
@@ -502,16 +504,19 @@ class StreamingMLNClean:
     def _affected_tuples(
         self, affected_blocks: list[str], inserted: list[int], updated: list[int]
     ) -> set[int]:
-        """The tuples whose fusion inputs this batch (possibly) changed.
+        """The tuples whose fusion this batch can change.
 
-        * version diff — a tuple's γ values or weight changed in a
-          re-cleaned block (covers gained and lost coverage as well),
-        * conflict-prone fusions — an earlier fusion used substitutions or
-          hit conflicts, and the tuple touches a re-cleaned block whose
-          candidate pool may have shifted,
-        * previously unfusable tuples touching a re-cleaned block,
+        * version diff — a tuple's γ values changed in a re-cleaned block
+          (covers gained and lost coverage as well),
+        * risky tuples — an earlier fusion hit conflicts, used substitutions
+          or failed, and the tuple touches a re-cleaned block whose weights
+          and candidate pool may have shifted,
         * the batch's own inserts and updates (an update can change the
           repaired row even when no γ identity moved).
+
+        A weight change alone re-fuses nothing: a fusion with no conflicts
+        assigns the union of its versions' values whatever the weights, and
+        :class:`TupleFusion` stores no weight-dependent score.
         """
         affected: set[int] = set(inserted) | set(updated)
         for name in affected_blocks:
@@ -535,12 +540,12 @@ class StreamingMLNClean:
 
     @staticmethod
     def _versions_of(block: Block) -> dict[int, Version]:
-        """tid → (γ values, weight) for one post-Stage-I block."""
+        """tid → γ values for one post-Stage-I block."""
         versions: dict[int, Version] = {}
         for group in block.group_list:
             for piece in group.gammas:
                 for tid in piece.tids:
-                    versions[tid] = (piece.values, piece.weight)
+                    versions[tid] = piece.values
         return versions
 
     def _refuse(self, affected_tids: set[int]) -> tuple[list[int], list[int]]:

@@ -191,11 +191,18 @@ def test_fscr_keeps_all_tuples(sample_table, sample_rules, sample_config):
     assert sorted(outcome.repaired.tids) == sample_table.tids
 
 
-def test_fscr_fusions_have_positive_scores(sample_table, sample_rules, sample_config):
+def test_fscr_fusions_cover_every_version_attribute(sample_table, sample_rules, sample_config):
     index = stage_one(sample_table, sample_rules, sample_config)
     outcome = FusionScoreResolver(sample_config).resolve(sample_table, index.block_list)
     assert outcome.fusions
-    assert all(fusion.f_score > 0 for fusion in outcome.fusions.values())
+    versions = FusionScoreResolver._versions_by_tid(index.block_list)
+    for tid, fusion in outcome.fusions.items():
+        covered = {a for _, piece in versions[tid] for a in piece.as_assignment()}
+        assert set(fusion.assignment) == covered
+        assert all(
+            outcome.repaired.value(tid, attribute) == value
+            for attribute, value in fusion.assignment.items()
+        )
 
 
 def test_dedup_removes_exact_duplicates():

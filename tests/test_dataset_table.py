@@ -128,6 +128,35 @@ def test_copy_is_deep_and_preserves_tids():
     assert clone.tids == table.tids
 
 
+def test_copy_after_removals_continues_from_the_largest_tid():
+    table = make_table()
+    table.append({"A": "3", "B": "w"}, tid=9)
+    table.remove(9)
+    table.remove(0)
+    clone = table.copy()
+    assert clone.tids == [1, 2]
+    assert clone.next_tid == 3
+    assert clone.append({"A": "4", "B": "v"}).tid == 3
+    assert table.copy().subset([]).next_tid == 0
+
+
+def test_copied_and_subset_rows_are_independent_of_the_source():
+    table = make_table()
+    clone, part = table.copy(), table.subset([1])
+    clone.row(1).set("B", "changed")
+    part.set_value(1, "A", "changed")
+    assert table.row(1).as_dict() == {"A": "2", "B": "y"}
+    assert clone.value(1, "A") == "2" and part.value(1, "B") == "y"
+
+
+def test_subset_rejects_duplicate_and_unknown_tids():
+    table = make_table()
+    with pytest.raises(ValueError, match="1"):
+        table.subset([1, 2, 1])
+    with pytest.raises(KeyError):
+        table.subset([0, 7])
+
+
 def test_remove_and_subset_and_filter():
     table = make_table()
     table.remove(1)

@@ -7,12 +7,15 @@ visit, a diagonal-Newton learner over dict softmaxes, the rolling-row
 edit-distance dynamic program, the count filter over ``(position, char) →
 count`` dicts, and an AGP pass that re-derives every representative and
 measures every distance for every query.  The production code memoizes the
-order search per version signature, runs the learner over index arrays,
-computes edit distances with a bit-parallel kernel, bounds with popcounts
-of profile bit masks and keeps representatives across a block pass; each
-must produce exactly (``==``, not approximately) the same weights, fusions,
-f-scores, failed tuples, distances, bounds and merge targets on every
-generated input.
+order search per version signature and the substitution search per block and
+restricted assignment, runs the learner over index arrays, computes edit
+distances with a bit-parallel kernel, bounds with popcounts of profile bit
+masks and keeps representatives across a block pass; each must produce
+exactly (``==``, not approximately) the same weights, fusions, failed tuples,
+distances, bounds and merge targets on every generated input.  A fusion
+stores no f-score, but the reference picks its fusion by f-score with the
+same strict ``>`` tie-break, so the chosen assignment, conflicted attributes
+and substitution count are still compared exactly.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ class ReferenceResolver:
         self.config = config
 
     def resolve(self, dirty: Table, blocks: list[Block]):
-        """``{tid: (assignment, f_score, conflicted, substitutions)}`` and the failed tids."""
+        """``{tid: (assignment, conflicted, substitutions)}`` and the failed tids."""
         tid_versions = FusionScoreResolver._versions_by_tid(blocks, set(dirty.tids))
         block_candidates = FusionScoreResolver._candidates_by_block(blocks)
         fusions, failed = {}, []
@@ -74,7 +77,7 @@ class ReferenceResolver:
         versions: list[tuple[Block, DataPiece]],
         block_candidates: dict[str, list[DataPiece]],
         current_values: dict[str, str],
-    ) -> Optional[tuple[dict[str, str], float, frozenset, int]]:
+    ) -> Optional[tuple[dict[str, str], frozenset, int]]:
         conflicted_attributes: set[str] = set()
         best: Optional[tuple[dict[str, str], float, int]] = None
         for order in self._merge_orders(versions):
@@ -87,8 +90,8 @@ class ReferenceResolver:
                 best = attempt
         if best is None:
             return None
-        assignment, f_score, substitutions = best
-        return assignment, f_score, frozenset(conflicted_attributes), substitutions
+        assignment, _, substitutions = best
+        return assignment, frozenset(conflicted_attributes), substitutions
 
     def _merge_orders(
         self, versions: list[tuple[Block, DataPiece]]
@@ -260,11 +263,10 @@ def assert_fscr_matches_reference(config: MLNCleanConfig, table: Table, blocks):
     expected, expected_failed = ReferenceResolver(config).resolve(table, blocks)
     assert outcome.failed_tuples == expected_failed
     assert list(outcome.fusions) == list(expected)
-    for tid, (assignment, f_score, conflicted, substitutions) in expected.items():
+    for tid, (assignment, conflicted, substitutions) in expected.items():
         fusion = outcome.fusions[tid]
         assert fusion.tid == tid
         assert list(fusion.assignment.items()) == list(assignment.items())
-        assert fusion.f_score == f_score
         assert fusion.conflicted_attributes == conflicted
         assert fusion.substitutions == substitutions
         for attribute, value in assignment.items():
@@ -362,6 +364,61 @@ def test_fscr_substitution_and_tied_products_equal_reference(bias, limit):
     assert outcome.fusions[0].substitutions == 1
     assert outcome.fusions[0].conflicted_attributes == {"B"}
     assert outcome.fusions[1].substitutions == 0
+
+
+def _shared_substitute_blocks(with_substitute: bool):
+    """Two tuples with different version signatures (their r2 versions
+    differ) whose r1 version conflicts with r0 on B under the same fused
+    values, so both look up the same substitution-memo keys.  The pool γ
+    (B=b) belongs to a tuple outside the table; without it every lookup of
+    r1 misses and each tuple fails."""
+    table = Table.from_records(
+        [
+            {"A": "a", "B": "b", "C": "c", "D": "d", "E": "e"},
+            {"A": "a", "B": "b", "C": "c", "D": "d", "E": "f"},
+        ]
+    )
+    r0 = Block(FunctionalDependency(["A"], ["B"], name="r0"))
+    r1 = Block(FunctionalDependency(["B"], ["C"], name="r1"))
+    r2 = Block(FunctionalDependency(["D"], ["E"], name="r2"))
+    for tid, row in zip(table.tids, table.records()):
+        r0.add_tuple(tid, row)
+        r1.add_tuple(tid, {**row, "B": "x"})
+        r2.add_tuple(tid, row)
+    if with_substitute:
+        r1.add_tuple(99, {"B": "b", "C": "z"})
+    for weight, piece in enumerate(r0.pieces + r1.pieces + r2.pieces):
+        piece.weight = weight / 4
+    return table, [r0, r1, r2]
+
+
+@pytest.mark.parametrize("with_substitute", [True, False], ids=["hit", "failure"])
+@pytest.mark.parametrize("limit", [1, 5])
+def test_fscr_substitution_memo_hits_equal_reference(with_substitute, limit, monkeypatch):
+    """Tuple 1 is served from tuple 0's substitution searches, found or failed.
+
+    Every order that conflicts asks either r1 for B=b (found only with the
+    pool γ) or r0 for B=x (never found), so two searches serve both tuples.
+    """
+    searches = []
+    search = FusionScoreResolver._substitute
+
+    def counted(assignment, pool, pieces):
+        searches.append(dict(assignment))
+        return search(assignment, pool, pieces)
+
+    monkeypatch.setattr(FusionScoreResolver, "_substitute", staticmethod(counted))
+    table, blocks = _shared_substitute_blocks(with_substitute)
+    config = MLNCleanConfig(fscr_exhaustive_limit=limit, fscr_minimality_bias=1.0)
+    outcome = assert_fscr_matches_reference(config, table, blocks)
+    assert outcome.memo_hits == 0
+    assert len(searches) == 2
+    if with_substitute:
+        assert not outcome.failed_tuples
+        assert all(fusion.substitutions == 1 for fusion in outcome.fusions.values())
+        assert {fusion.assignment["C"] for fusion in outcome.fusions.values()} == {"z"}
+    else:
+        assert outcome.failed_tuples == [0, 1]
 
 
 @pytest.mark.parametrize(

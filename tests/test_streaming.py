@@ -8,11 +8,16 @@ configuration — for pure inserts, and after updates and deletes as well.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.constraints.rules import FunctionalDependency
 from repro.core.config import MLNCleanConfig
 from repro.core.index import MLNIndex
 from repro.core.pipeline import MLNClean
+from repro.core.rsc import ReliabilityScoreCleaner
+from repro.dataset.table import Table
 from repro.errors.injector import ErrorSpec
 from repro.streaming import (
     Delete,
@@ -177,6 +182,82 @@ def test_localized_update_recleans_only_dirtied_blocks():
     )
     assert report.affected_blocks == ["hai_r4"]
     assert len(report.resolved_tids) < len(engine.dirty) // 2
+
+
+def test_streamed_fusions_equal_batch_fusions_after_steady_ticks():
+    """Tuples a steady tick does not re-fuse keep exactly the batch fusion."""
+    source = WorkloadStreamSource(
+        "hai",
+        tuples=200,
+        batch_size=100,
+        error_spec=ErrorSpec(error_rate=0.15, replacement_ratio=0.5, seed=42),
+    )
+    config = recommended_config("hai")
+    engine = StreamingMLNClean(source.rules, source.schema, config=config)
+    engine.consume(source)
+    involvement: dict[str, int] = {}
+    for rule in source.rules:
+        for attribute in rule.attributes:
+            involvement[attribute] = involvement.get(attribute, 0) + 1
+    attribute = min(involvement, key=lambda name: (involvement[name], name))
+    domain = sorted(source.dirty.domain(attribute).values)
+    rng = random.Random(7)
+    resolved = []
+    for _ in range(8):
+        tids = rng.sample(engine.dirty.tids, 10)
+        report = engine.apply_batch(
+            DeltaBatch([Update(tid, {attribute: rng.choice(domain)}) for tid in tids])
+        )
+        resolved.append(len(report.resolved_tids))
+    assert max(resolved) < len(engine.dirty)
+
+    streamed = engine.report().fscr
+    batch = MLNClean(config).clean(engine.dirty.copy(), source.rules).fscr
+    assert streamed.failed_tuples == batch.failed_tuples
+    assert streamed.fusions.keys() == batch.fusions.keys()
+    assert any(fusion.substitutions for fusion in batch.fusions.values())
+    for tid, fusion in batch.fusions.items():
+        mine = streamed.fusions[tid]
+        assert mine.assignment == fusion.assignment
+        assert mine.conflicted_attributes == fusion.conflicted_attributes
+        assert mine.substitutions == fusion.substitutions
+
+
+def _gamma_weights(table, rules, config):
+    """tid → its post-Stage-I γ weight in the first rule's block."""
+    index = MLNIndex.build(table, rules)
+    block = index.block_list[0]
+    ReliabilityScoreCleaner(config).clean_block(block)
+    return {tid: piece.weight for piece in block.pieces for tid in piece.tids}
+
+
+def test_reweighting_alone_does_not_refuse_a_conflict_free_tuple():
+    """Tuple 4's r0 version is repaired to B=b2 while r1 keeps B=bX, so its
+    fusion is conflicted and substituted; tuple 0 fuses without conflicts.
+    Inserting an unrelated tuple re-learns every weight of both blocks."""
+    rules = [
+        FunctionalDependency(["A"], ["B"], name="r0"),
+        FunctionalDependency(["B"], ["C"], name="r1"),
+    ]
+    rows = [{"A": "a1", "B": "b1", "C": "c1"}]
+    rows += [{"A": "a2", "B": "b2", "C": "c2"}] * 3
+    rows += [{"A": "a2", "B": "bX", "C": "c2"}]
+    table = Table.from_records(rows)
+    config = MLNCleanConfig(abnormal_threshold=0)
+    engine = StreamingMLNClean(rules, table.attributes, config=config)
+    engine.apply_batch(DeltaBatch.from_table(table))
+    fusions = engine.report().fscr.fusions
+    assert not fusions[0].conflicted_attributes and not fusions[0].substitutions
+    assert fusions[4].conflicted_attributes == {"B"} and fusions[4].substitutions == 1
+
+    before = _gamma_weights(engine.dirty, rules, config)
+    report = engine.apply_batch(DeltaBatch([Insert({"A": "a3", "B": "b3", "C": "c3"})]))
+    after = _gamma_weights(engine.dirty, rules, config)
+    assert report.affected_blocks == ["r0", "r1"]
+    assert before[0] != after[0]
+    assert report.resolved_tids == [4, 5]
+    reference = MLNClean(config).clean(engine.dirty.copy(), rules)
+    assert engine.repaired.equals(reference.repaired)
 
 
 def test_empty_batch_is_a_cheap_noop(sample_table, sample_rules):
