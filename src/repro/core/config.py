@@ -15,7 +15,6 @@ Every parameter the paper varies in its experiments is exposed here:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Optional
 
 from repro.distance.base import DistanceMetric, get_metric
 from repro.mln.weights import WeightLearningConfig
@@ -51,14 +50,6 @@ class MLNCleanConfig:
     remove_duplicates: bool = True
     #: collect per-stage component metrics when a ground truth is available
     instrument: bool = True
-    #: approximation knob (HoloClean analog: ``pruning_topk``): per batch
-    #: query keep only the k candidates with the smallest unigram lower
-    #: bounds.  ``None`` (default) = exact semantics
-    pruning_topk: Optional[int] = None
-    #: approximation knob (HoloClean analog: ``max_domain``): hard cap on the
-    #: candidates a batch query may consider, applied in input order before
-    #: ordering.  ``None`` (default) = exact semantics
-    max_candidates: Optional[int] = None
     #: opt-in observability: run under a fresh :class:`repro.obs.Tracer`
     #: even when the caller activated none (an already-ambient tracer is
     #: reused).  Purely observational — listed in
@@ -73,10 +64,6 @@ class MLNCleanConfig:
             raise ValueError("fscr_exhaustive_limit must be >= 1")
         if self.fscr_minimality_bias < 0:
             raise ValueError("fscr_minimality_bias must be >= 0")
-        if self.pruning_topk is not None and self.pruning_topk < 1:
-            raise ValueError("pruning_topk must be >= 1 (or None for exact)")
-        if self.max_candidates is not None and self.max_candidates < 1:
-            raise ValueError("max_candidates must be >= 1 (or None for exact)")
         # Fail fast on unknown metric names instead of deep inside Stage I.
         get_metric(self.distance_metric)
 
@@ -96,16 +83,15 @@ class MLNCleanConfig:
         """Instantiate the configured distance metric."""
         return get_metric(self.distance_metric)
 
-    def engine(self, track_values: bool = False) -> DistanceEngine:
+    def engine(self) -> DistanceEngine:
         """A fresh :class:`~repro.perf.DistanceEngine` honouring this config.
 
-        One engine is built per cleaning run and shared by every stage
-        (``track_values=True`` additionally reference-counts values so the
-        streaming cleaner can invalidate cache entries of evicted tuples).
-        The engine always memoises pair distances; the memo holds only exact
-        values and true lower bounds, so it never changes a decision.
+        One engine is built per cleaning run and shared by every stage (the
+        streaming cleaner keeps one across micro-batches).  The engine always
+        memoises exact pair distances and flushes the memo wholesale at a
+        fixed size, so it never changes a decision.
         """
-        return DistanceEngine.from_config(self, track_values=track_values)
+        return DistanceEngine.from_config(self)
 
     def with_threshold(self, abnormal_threshold: int) -> "MLNCleanConfig":
         """A copy with a different AGP threshold (used by the τ sweeps)."""

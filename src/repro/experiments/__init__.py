@@ -78,11 +78,9 @@ from repro.experiments.distance import render_table05, table05_distance_metrics
 from repro.experiments.ablation import (
     ablation_fscr_minimality,
     ablation_partitioner,
-    ablation_pruning,
     ablation_reliability_score,
     render_ablation_fscr,
     render_ablation_partition,
-    render_ablation_pruning,
     render_ablation_rscore,
 )
 from repro.experiments.streaming import (
@@ -129,7 +127,6 @@ RENDERERS = {
     "ablation_fscr": render_ablation_fscr,
     "ablation_rscore": render_ablation_rscore,
     "ablation_partition": render_ablation_partition,
-    "pruning_ablation": render_ablation_pruning,
     "streaming_replay": render_streaming_replay,
     "service_replay": render_service_replay,
 }
@@ -168,7 +165,6 @@ __all__ = [
     "ablation_reliability_score",
     "ablation_fscr_minimality",
     "ablation_partitioner",
-    "ablation_pruning",
     "streaming_incremental",
     "streaming_replay",
     "service_replay",

@@ -291,47 +291,6 @@ def ablation_partitioner(
     return render_ablation_partition(ExperimentRunner(spec).run())
 
 
-def render_ablation_pruning(artifact: RunArtifact) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="pruning_ablation",
-        description="batch-API pruning knobs: accuracy vs distance budget",
-    )
-    for cell in artifact.cells:
-        result.add(
-            {
-                "dataset": cell.coords["workload"],
-                "variant": cell.coords["config"]["label"],
-                "f1": cell.metrics["f1"],
-                "distance_calls": cell.perf.get("distance_calls", 0),
-                "raw_evaluations": cell.perf.get("raw_evaluations", 0),
-                "qgram_filtered": cell.perf.get("qgram_filtered", 0),
-            }
-        )
-    return result
-
-
-def ablation_pruning(
-    datasets: Sequence[str] = ("hospital-sample",),
-    error_rate: float = 0.1,
-    tuples: Optional[int] = 60,
-    seed: int = 7,
-) -> ExperimentResult:
-    """Exact defaults vs the approximating pruning knobs, F1 + budget.
-
-    The exact defaults give the paper's F1; the ``pruning_topk`` /
-    ``max_candidates`` rows trade repair quality for a smaller distance
-    budget.
-    """
-    spec = replace(
-        load_spec("pruning_ablation"),
-        workloads=list(datasets),
-        error_rates=[error_rate],
-        tuples=tuples,
-        seed=seed,
-    )
-    return render_ablation_pruning(ExperimentRunner(spec).run())
-
-
 # referenced by the checked-in spec defaults (kept here so a bare
 # `load_spec("ablation_fscr")` renders with the same labels)
 FSCR_VARIANTS: list[ConfigCell] = [

@@ -6,10 +6,11 @@ Every stage of MLNClean bottoms out in pairwise string distances — AGP is
 micro-batches and partitions.  :class:`DistanceEngine` wraps any registered
 :class:`~repro.distance.base.DistanceMetric` with
 
-* a **symmetric pair-memo cache** with string interning and hit/miss
-  statistics (a distance between immutable strings never changes, so cached
-  results are exact by construction and caching cannot alter any cleaning
-  decision),
+* a **symmetric pair-memo cache** of exact distances with string interning
+  and hit/miss statistics (a distance between immutable strings never
+  changes, so caching cannot alter any cleaning decision; like every memo
+  the engine owns it is flushed wholesale at ``_DERIVED_CACHE_LIMIT``
+  entries, which bounds a long-lived streaming engine's memory),
 * **algorithmic fast paths** for the edit-distance family: common
   prefix/suffix stripping, the length-difference lower bound, and the
   metric's bounded form — for Levenshtein the bit-parallel kernel of
@@ -55,10 +56,10 @@ from repro.distance.base import DistanceMetric
 from repro.distance.fastpath import strip_common_affixes, trivial_edit_distance
 from repro.perf.qgram import ValueProfile, build_profile, lower_bound
 
-#: flush bound of the per-engine derived caches (value-tuple interning and
-#: unigram profiles); both are pure functions of their key (profiles together
-#: with the bit numbering they flush with), so a wholesale flush can never
-#: change a result — it only costs recomputation
+#: flush bound of every per-engine memo (exact pairs, string and value-tuple
+#: interning, unigram profiles); each is a pure function of its key (profiles
+#: together with the bit numbering they flush with), so a wholesale flush can
+#: never change a result — it only costs recomputation
 _DERIVED_CACHE_LIMIT = 1 << 16
 
 
@@ -81,20 +82,16 @@ class DistanceStats:
     length_prunes: int = 0
     #: bounded requests abandoned by the kernel's early exit
     band_prunes: int = 0
-    #: bounded requests refused by a cached lower bound
-    lower_bound_hits: int = 0
     #: value-tuple distance requests
     value_calls: int = 0
     #: value-tuple requests short-circuited before the last attribute
     value_short_circuits: int = 0
-    #: cache entries dropped by value invalidation (streaming eviction)
-    invalidated_pairs: int = 0
     #: batch candidate-set queries (``nearest`` / ``pairwise`` / ``topk``)
     batch_queries: int = 0
     #: candidates considered by batch queries (before any filtering)
     qgram_candidates: int = 0
     #: candidates batch queries never evaluated exactly: unigram lower bound
-    #: above the running cutoff, or dropped by the approximation caps
+    #: above the running cutoff
     qgram_filtered: int = 0
 
     @property
@@ -215,35 +212,18 @@ class DistanceEngine:
     One engine is shared by every stage of a cleaning run (batch pipeline,
     distributed driver, or the streaming engine, where it additionally
     persists across micro-batches).  All results are exact — the pair memo
-    stores only exact distances and true lower bounds, and bounded
-    evaluations return exact values whenever the distance is within the
-    cutoff — so memoisation never changes a cleaning decision.
+    stores only exact distances, and bounded evaluations return exact values
+    whenever the distance is within the cutoff — so memoisation never
+    changes a cleaning decision.
     """
 
-    def __init__(
-        self,
-        metric: DistanceMetric,
-        track_values: bool = False,
-        pruning_topk: Optional[int] = None,
-        max_candidates: Optional[int] = None,
-    ):
-        if pruning_topk is not None and pruning_topk < 1:
-            raise ValueError("pruning_topk must be >= 1 (or None for exact)")
-        if max_candidates is not None and max_candidates < 1:
-            raise ValueError("max_candidates must be >= 1 (or None for exact)")
+    def __init__(self, metric: DistanceMetric):
         self.metric = metric
-        self.pruning_topk = pruning_topk
-        self.max_candidates = max_candidates
-        #: reference-count values so streaming eviction can invalidate
-        #: (i.e. drop) exactly the cache entries of values that left the
-        #: retained window
-        self.track_values = track_values
         #: engine-local counters.  Never rebound: the process-wide registry
         #: holds this exact object, so replacing it would silently detach
         #: the engine from :func:`global_distance_stats` (mutate in place).
         self.stats = DistanceStats()
         self._exact: dict = {}
-        self._lower: dict = {}
         self._interned: dict = {}
         self._interned_tuples: dict = {}
         self._profiles: dict = {}
@@ -251,8 +231,6 @@ class DistanceEngine:
         #: flushed only together with ``_profiles`` (engines are
         #: single-threaded, so no lock)
         self._profile_bits: dict = {}
-        self._refcounts: dict = {}
-        self._pairs_by_value: dict = {}
         self._affix_safe = bool(getattr(metric, "affix_safe", False))
         #: bound-destroying edit operations per unigram (``None`` disables
         #: the count filter for this metric — batch queries fall back to the
@@ -261,14 +239,9 @@ class DistanceEngine:
         _register_engine(self)
 
     @classmethod
-    def from_config(cls, config, track_values: bool = False) -> "DistanceEngine":
+    def from_config(cls, config) -> "DistanceEngine":
         """An engine honouring an :class:`~repro.core.config.MLNCleanConfig`."""
-        return cls(
-            config.metric(),
-            track_values=track_values,
-            pruning_topk=config.pruning_topk,
-            max_candidates=config.max_candidates,
-        )
+        return cls(config.metric())
 
     # ------------------------------------------------------------------
     # interning and cache plumbing
@@ -280,7 +253,13 @@ class DistanceEngine:
 
     def intern(self, value: str) -> str:
         """The canonical instance of ``value`` in this engine's pool."""
-        return self._interned.setdefault(value, value)
+        interned = self._interned
+        canonical = interned.get(value)
+        if canonical is None:
+            if len(interned) >= _DERIVED_CACHE_LIMIT:
+                interned.clear()
+            canonical = interned[value] = value
+        return canonical
 
     def intern_values(self, values: "Iterable[str]") -> "tuple[str, ...]":
         """The canonical ``tuple[str, ...]`` of a value sequence.
@@ -309,62 +288,10 @@ class DistanceEngine:
         return (left, right) if left <= right else (right, left)
 
     def _store_exact(self, key, value: float) -> None:
-        self._exact[key] = value
-        self._lower.pop(key, None)
-        if self.track_values:
-            self._pairs_by_value.setdefault(key[0], set()).add(key)
-            self._pairs_by_value.setdefault(key[1], set()).add(key)
-
-    def _store_lower(self, key, bound: float) -> None:
-        known = self._lower.get(key)
-        if known is None or bound > known:
-            self._lower[key] = bound
-            if self.track_values:
-                self._pairs_by_value.setdefault(key[0], set()).add(key)
-                self._pairs_by_value.setdefault(key[1], set()).add(key)
-
-    # ------------------------------------------------------------------
-    # value lifetime (streaming windows)
-    # ------------------------------------------------------------------
-    def retain(self, values: "Iterable[str]") -> None:
-        """Reference the values of a retained tuple (no-op unless tracking)."""
-        if not self.track_values:
-            return
-        refcounts = self._refcounts
-        for value in values:
-            value = self.intern(value)
-            refcounts[value] = refcounts.get(value, 0) + 1
-
-    def release(self, values: "Iterable[str]") -> None:
-        """Drop references; cache entries of dead values are invalidated.
-
-        A value whose reference count reaches zero no longer appears in any
-        retained tuple, so its cached pairs can never be asked for again —
-        they are purged to keep the persistent streaming cache bounded by the
-        live vocabulary instead of the all-time one.
-        """
-        if not self.track_values:
-            return
-        refcounts = self._refcounts
-        for value in values:
-            value = self.intern(value)
-            count = refcounts.get(value)
-            if count is None:
-                continue
-            if count > 1:
-                refcounts[value] = count - 1
-                continue
-            del refcounts[value]
-            self._interned.pop(value, None)
-            for key in self._pairs_by_value.pop(value, ()):  # type: ignore[arg-type]
-                if key in self._exact:
-                    del self._exact[key]
-                    self.stats.invalidated_pairs += 1
-                self._lower.pop(key, None)
-                partner = key[1] if key[0] == value else key[0]
-                partner_pairs = self._pairs_by_value.get(partner)
-                if partner_pairs is not None:
-                    partner_pairs.discard(key)
+        exact = self._exact
+        if len(exact) >= _DERIVED_CACHE_LIMIT:
+            exact.clear()
+        exact[key] = value
 
     # ------------------------------------------------------------------
     # distances
@@ -408,11 +335,6 @@ class DistanceEngine:
         if cached is not None:
             self.stats.cache_hits += 1
             return cached
-        bound = self._lower.get(key)
-        if bound is not None and bound > cutoff:
-            self.stats.lower_bound_hits += 1
-            self.stats.cache_hits += 1
-            return bound
         return self._compute(key, left, right, cutoff)
 
     def _compute(
@@ -422,7 +344,8 @@ class DistanceEngine:
 
         Affix-safe metrics see the affix-stripped pair, after the trivial
         cases and the length-difference bound; their bounded form may stop
-        early above ``cutoff`` and leave a lower bound instead.
+        early above ``cutoff`` and return a lower bound instead, which is
+        not memoized.
         """
         if not self._affix_safe:
             self.stats.raw_evaluations += 1
@@ -438,7 +361,6 @@ class DistanceEngine:
         length_gap = abs(len(left) - len(right))
         if length_gap > cutoff:
             self.stats.length_prunes += 1
-            self._store_lower(key, float(length_gap))
             return float(length_gap)
         value, exact = self.metric.bounded_distance(left, right, cutoff)
         if exact:
@@ -446,7 +368,6 @@ class DistanceEngine:
             self._store_exact(key, value)
         else:
             self.stats.band_prunes += 1
-            self._store_lower(key, value)
         return value
 
     # ------------------------------------------------------------------
@@ -503,12 +424,10 @@ class DistanceEngine:
     # set* instead of issuing scalar best-so-far calls, and the engine owns
     # the visit order (unigram lower bounds ascending), the pruning (skip a
     # candidate only when its lower bound strictly exceeds the running
-    # cutoff).  With the default knobs every result is bit-identical to the
-    # brute-force scalar loop: any candidate whose exact distance ties the
-    # final best is always measured exactly, because the running cutoff never
-    # drops below the final best and pruning is strict.  ``pruning_topk`` /
-    # ``max_candidates`` opt into approximation by capping the candidates a
-    # query may evaluate.
+    # cutoff).  Every result is bit-identical to the brute-force scalar
+    # loop: any candidate whose exact distance ties the final best is always
+    # measured exactly, because the running cutoff never drops below the
+    # final best and pruning is strict.
     # ------------------------------------------------------------------
     def _profiles_of(
         self, tuples: "list[tuple[str, ...]]"
@@ -584,24 +503,6 @@ class DistanceEngine:
                     limit = best
         return best_index, best
 
-    def _capped_candidates(
-        self, cands: "list[tuple[str, ...]]"
-    ) -> "list[tuple[str, ...]]":
-        """``max_candidates`` hard cap: first N candidates in input order."""
-        if self.max_candidates is not None and len(cands) > self.max_candidates:
-            self.stats.qgram_filtered += len(cands) - self.max_candidates
-            return cands[: self.max_candidates]
-        return cands
-
-    def _capped_order(
-        self, order: "list[tuple[float, int]]"
-    ) -> "list[tuple[float, int]]":
-        """``pruning_topk``: keep the k most promising candidates by bound."""
-        if self.pruning_topk is not None and len(order) > self.pruning_topk:
-            self.stats.qgram_filtered += len(order) - self.pruning_topk
-            return order[: self.pruning_topk]
-        return order
-
     def nearest(
         self,
         query: "Sequence[str]",
@@ -613,7 +514,7 @@ class DistanceEngine:
         Returns ``(position, distance)`` into the *candidates* sequence, ties
         broken toward the smallest position; ``(None, inf)`` when no
         candidate is within the cutoff.  Bit-identical to the brute-force
-        scalar loop with the default knobs.
+        scalar loop.
         """
         query = self.intern_values(query)
         cands = [self.intern_values(candidate) for candidate in candidates]
@@ -621,9 +522,9 @@ class DistanceEngine:
         self.stats.qgram_candidates += len(cands)
         if not cands:
             return None, math.inf
-        cands = self._capped_candidates(cands)
-        order = self._capped_order(self._candidate_order(query, cands))
-        return self._scan_nearest(query, cands, order, cutoff)
+        return self._scan_nearest(
+            query, cands, self._candidate_order(query, cands), cutoff
+        )
 
     def pairwise(
         self, values: "Sequence[Sequence[str]]"
@@ -657,15 +558,11 @@ class DistanceEngine:
         results: "list[tuple[Optional[int], float]]" = []
         for i in range(count):
             others = [j for j in range(count) if j != i]
-            if self.max_candidates is not None and len(others) > self.max_candidates:
-                self.stats.qgram_filtered += len(others) - self.max_candidates
-                others = others[: self.max_candidates]
             if bounds is None:
                 order = [(0.0, j) for j in others]
             else:
                 row = bounds[i]
                 order = sorted((row[j], j) for j in others)
-            order = self._capped_order(order)
             results.append(self._scan_nearest(items[i], items, order, math.inf))
         return results
 
@@ -691,8 +588,7 @@ class DistanceEngine:
         self.stats.qgram_candidates += len(cands)
         if not cands:
             return []
-        cands = self._capped_candidates(cands)
-        order = self._capped_order(self._candidate_order(query, cands))
+        order = self._candidate_order(query, cands)
         selected: "list[tuple[float, int]]" = []
         limit = cutoff
         total = len(order)

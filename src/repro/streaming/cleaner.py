@@ -161,10 +161,9 @@ class StreamingMLNClean:
         self._index = IncrementalMLNIndex(self.rules)
         # The distance engine persists across micro-batches: re-cleaning a
         # dirtied block re-reads almost all of its γ-pair distances from the
-        # cache.  Value tracking reference-counts every retained tuple's
-        # values, so window eviction invalidates exactly the cache entries of
-        # values that left the stream.
-        self._engine = self.config.engine(track_values=True)
+        # cache.  The memo is flushed wholesale at a fixed size, which bounds
+        # it on an unwindowed stream too; a flush only costs recomputation.
+        self._engine = self.config.engine()
         self._agp = AbnormalGroupProcessor(self.config, engine=self._engine)
         self._rsc = ReliabilityScoreCleaner(self.config, engine=self._engine)
         self._fscr = FusionScoreResolver(self.config)
@@ -450,7 +449,6 @@ class StreamingMLNClean:
                 values = row.as_dict()
                 merge_dirtied(dirtied, self._index.add_tuple(row.tid, values))
                 self._repaired.append(values, tid=row.tid)
-                self._engine.retain(values.values())
                 inserted.append(row.tid)
             elif isinstance(delta, Update):
                 old_values = self._dirty.row(delta.tid).as_dict()
@@ -464,8 +462,6 @@ class StreamingMLNClean:
                 )
                 for attribute, value in delta.changes.items():
                     self._dirty.set_value(delta.tid, attribute, value)
-                self._engine.retain(new_values.values())
-                self._engine.release(old_values.values())
                 updated.append(delta.tid)
             else:
                 self._remove_tuple(delta.tid, dirtied)
@@ -491,7 +487,6 @@ class StreamingMLNClean:
     def _remove_tuple(self, tid: int, dirtied: DirtiedGroups) -> None:
         values = self._dirty.row(tid).as_dict()
         merge_dirtied(dirtied, self._index.remove_tuple(tid, values))
-        self._engine.release(values.values())
         self._dirty.remove(tid)
         if self._repaired.has_tid(tid):
             self._repaired.remove(tid)

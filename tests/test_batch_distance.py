@@ -7,8 +7,7 @@ The load-bearing properties of the sub-quadratic distance core:
   orders and lower-bounds candidates, it never approximates),
 * the count filter never changes a whole cleaning run against the plain
   ordered scan, on every registered workload and every execution backend,
-* the approximation knobs (``pruning_topk``, ``max_candidates``) default to
-  exact semantics and validate their domains,
+* there is no approximation knob: every query is exact,
 * a cleaning run raises no ``DeprecationWarning``.
 """
 
@@ -204,70 +203,6 @@ def test_count_filter_never_changes_a_run_on_every_workload(
     # the filter did prune on this run, and the plain scan never does
     assert filtered["levenshtein"] > 0 and filtered["unfiltered"] == 0
     assert tables_equal(reports["levenshtein"], reports["unfiltered"])
-
-
-# ----------------------------------------------------------------------
-# approximation knobs
-# ----------------------------------------------------------------------
-def test_default_knobs_are_exact():
-    config = MLNCleanConfig()
-    assert config.pruning_topk is None
-    assert config.max_candidates is None
-    engine = config.engine()
-    assert engine.pruning_topk is None
-    assert engine.max_candidates is None
-
-
-def test_max_candidates_caps_in_input_order():
-    engine = DistanceEngine(get_metric("levenshtein"), max_candidates=2)
-    # the exact match sits beyond the cap, so it must not be considered
-    position, distance = engine.nearest(("xx",), [("ab",), ("cd",), ("xx",)])
-    assert position in (0, 1)
-    assert distance > 0
-    assert engine.stats.qgram_filtered >= 1
-
-
-def test_pruning_topk_keeps_the_most_promising_bounds():
-    engine = DistanceEngine(get_metric("levenshtein"), pruning_topk=1)
-    # candidate 1 shares every unigram with the query → smallest lower bound
-    position, distance = engine.nearest(("abc",), [("xyzw",), ("abcd",)])
-    assert (position, distance) == (1, 1.0)
-    assert engine.stats.qgram_filtered >= 1
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"max_candidates": -1},
-        {"pruning_topk": 0},
-        {"max_candidates": 0},
-        {"pruning_topk": -1},
-    ],
-)
-def test_config_validates_pruning_knobs(kwargs):
-    with pytest.raises(ValueError):
-        MLNCleanConfig(**kwargs)
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"max_candidates": -1},
-        {"pruning_topk": 0},
-        {"max_candidates": 0},
-        {"pruning_topk": -1},
-    ],
-)
-def test_engine_validates_pruning_knobs(kwargs):
-    with pytest.raises(ValueError):
-        DistanceEngine(get_metric("levenshtein"), **kwargs)
-
-
-def test_pruning_knobs_are_fingerprint_covered():
-    base = MLNCleanConfig()
-    assert "qgram_size" not in base.identity_dict()
-    assert base.identity_dict() != MLNCleanConfig(pruning_topk=3).identity_dict()
-    assert base.identity_dict() != MLNCleanConfig(max_candidates=9).identity_dict()
 
 
 # ----------------------------------------------------------------------

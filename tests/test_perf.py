@@ -105,26 +105,23 @@ def test_bounded_distance_exact_iff_within_cutoff(left, right, cutoff):
         assert (position, distance) == (0, exact)
     else:
         assert (position, distance) == (None, math.inf)
-        # a pruned pair leaves at most a true lower bound in the memo ...
-        for bound in engine._lower.values():
-            assert cutoff < bound <= exact
-    # ... which is never served as a distance
+    # a pruned pair is never served as a distance
     assert engine.nearest((left,), [(right,)]) == (0, exact)
 
 
-def test_bounded_distance_caches_exact_and_lower_bounds():
+def test_pruned_pair_is_never_served_as_a_distance():
     # equal unigram bags: the count filter cannot dismiss the pair, so the
     # kernel's early exit has to
     engine = DistanceEngine(LevenshteinDistance())
     assert engine.nearest(("abcd",), [("dcba",)], 1.0) == (None, math.inf)
     assert engine.stats.band_prunes + engine.stats.length_prunes == 1
-    # the lower bound answers a repeat of the too-tight query from cache ...
+    # a repeat of the too-tight query is pruned again, not served from cache
     assert engine.nearest(("abcd",), [("dcba",)], 1.0) == (None, math.inf)
-    assert engine.stats.lower_bound_hits == 1
-    # ... but a wider cutoff recomputes and gets the exact value
+    assert engine.stats.band_prunes + engine.stats.length_prunes == 2
+    # a wider cutoff computes the exact value, which the memo then serves
     assert engine.nearest(("abcd",), [("dcba",)], 5.0) == (0, 4.0)
     assert engine.distance("abcd", "dcba") == 4.0
-    assert engine.stats.cache_hits >= 2
+    assert engine.stats.cache_hits == 1
 
 
 # ----------------------------------------------------------------------
@@ -177,41 +174,6 @@ def test_interning_returns_canonical_instances():
     second = engine.intern("DOTH" + "AN")
     assert first is second
     assert engine.intern_values(["A", "B"]) == ("A", "B")
-
-
-def test_released_values_leave_no_pair_keys_behind():
-    # a value that is released and retained again comes back as a fresh
-    # string instance, while the interned value tuple still holds the old one
-    engine = DistanceEngine(LevenshteinDistance(), track_values=True)
-    engine.retain(["abcd", "abce", "xbcd"])
-    engine.nearest(("abcd",), [("abce",), ("xbcd",)])
-    engine.release(["abcd"])
-    fresh = "".join(["a", "bcd"])
-    engine.retain([fresh])
-    engine.nearest((fresh,), [("abce",)])
-    engine.release([fresh])
-    assert all(
-        "abcd" not in key
-        for pairs in engine._pairs_by_value.values()
-        for key in pairs
-    )
-    engine.release(["abce", "xbcd"])
-    assert engine._pairs_by_value == {}
-    assert engine.cache_size() == 0
-
-
-def test_release_invalidates_only_dead_values():
-    engine = DistanceEngine(LevenshteinDistance(), track_values=True)
-    engine.retain(["DOTHAN", "BOAZ"])
-    engine.retain(["DOTHAN"])  # second reference from another tuple
-    engine.distance("DOTHAN", "BOAZ")
-    engine.release(["BOAZ"])  # refcount 0 → pair purged
-    assert engine.stats.invalidated_pairs == 1
-    assert engine.cache_size() == 0
-    engine.distance("DOTHAN", "BOAZ")
-    engine.release(["DOTHAN"])  # still referenced once → cache intact
-    assert engine.stats.invalidated_pairs == 1
-    assert engine.cache_size() == 1
 
 
 def test_stats_iadd_and_diff():
@@ -279,41 +241,54 @@ def test_streaming_engine_persists_across_batches_and_stays_equivalent():
     assert engine.report().details.engine is engine.engine
 
 
-def test_window_eviction_invalidates_cache_entries():
+def test_forced_memo_flushes_keep_streaming_output_exact(monkeypatch):
     generator = get_workload_generator("hospital-sample", tuples=36, seed=7)
     instance = generator.build().make_instance(ErrorSpec(error_rate=0.1, seed=5))
-    engine = StreamingMLNClean(
-        instance.rules,
-        schema=instance.dirty.attributes,
-        config=MLNCleanConfig(abnormal_threshold=1),
-        window=TumblingWindow(size=12),
-    )
-    for start in range(0, len(instance.dirty.tids), 12):
-        tids = instance.dirty.tids[start : start + 12]
-        engine.apply_batch(DeltaBatch.from_table(instance.dirty.subset(tids)))
-    assert engine.engine.stats.invalidated_pairs >= 0
-    # every retained value is still reference-counted; evicted tuples are not
-    retained_values = {
-        value
-        for tid in engine.dirty.tids
-        for value in engine.dirty.row(tid).as_dict().values()
-    }
-    assert set(engine.engine._refcounts) == retained_values
+
+    def stream():
+        engine = StreamingMLNClean(
+            instance.rules,
+            schema=instance.dirty.attributes,
+            config=MLNCleanConfig(abnormal_threshold=1),
+            window=TumblingWindow(size=12),
+        )
+        sizes = []
+        for start in range(0, len(instance.dirty.tids), 12):
+            tids = instance.dirty.tids[start : start + 12]
+            engine.apply_batch(DeltaBatch.from_table(instance.dirty.subset(tids)))
+            sizes.append(engine.engine.cache_size())
+        return engine.cleaned, sizes
+
+    expected, unbounded_sizes = stream()
+    assert max(unbounded_sizes) > 8  # the patched run really has to flush
+    monkeypatch.setattr("repro.perf.engine._DERIVED_CACHE_LIMIT", 8)
+    cleaned, sizes = stream()
+    assert tables_equal(cleaned, expected)
+    assert max(sizes) <= 8
 
 
 # ----------------------------------------------------------------------
 # config knobs
 # ----------------------------------------------------------------------
 def test_config_engine_honours_cache_knobs():
-    # the pair memo is unconditional; value tracking (streaming eviction)
-    # is the one cache setting left
-    engine = MLNCleanConfig().engine(track_values=True)
-    assert engine.track_values is True
+    # the pair memo is unconditional and has no setting left
+    engine = MLNCleanConfig().engine()
     engine.distance("DOTHAN", "BOAZ")
     engine.distance("BOAZ", "DOTHAN")
     assert engine.stats.cache_hits == 1
-    # every removed config field fails loudly, naming itself
-    for removed in ("distance_cache", "distance_cache_entries", "distance_kernel", "qgram_size"):
+    with pytest.raises(TypeError, match="track_values"):
+        MLNCleanConfig().engine(track_values=True)
+    # every removed config field fails loudly, naming itself, and is absent
+    # from the fingerprint payload
+    assert "qgram_size" not in MLNCleanConfig().identity_dict()
+    for removed in (
+        "distance_cache",
+        "distance_cache_entries",
+        "distance_kernel",
+        "qgram_size",
+        "pruning_topk",
+        "max_candidates",
+    ):
         with pytest.raises(TypeError, match=removed):
             MLNCleanConfig(**{removed: None})
     # so does the removed process-parallel Stage-I option, at every entry point

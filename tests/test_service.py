@@ -679,7 +679,15 @@ def test_http_bad_cleaner_options_are_400(client):
 
 
 @pytest.mark.parametrize(
-    "knob", ["distance_kernel", "distance_cache", "distance_cache_entries", "qgram_size"]
+    "knob",
+    [
+        "distance_kernel",
+        "distance_cache",
+        "distance_cache_entries",
+        "qgram_size",
+        "pruning_topk",
+        "max_candidates",
+    ],
 )
 def test_http_removed_config_knob_is_400_naming_the_field(client, knob):
     with pytest.raises(ServiceError) as excinfo:
