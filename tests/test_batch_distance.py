@@ -206,6 +206,23 @@ def test_count_filter_never_changes_a_run_on_every_workload(
 
 
 # ----------------------------------------------------------------------
+# no approximation knobs
+# ----------------------------------------------------------------------
+def test_pruning_knobs_are_fingerprint_covered():
+    # the removed pruning knobs can no longer reach a run, so they cannot
+    # make two differently-pruned sessions share one fingerprint: the
+    # payload names none of them and passing one fails loudly
+    identity = MLNCleanConfig().identity_dict()
+    assert "qgram_size" not in identity
+    for removed in ("pruning_topk", "max_candidates"):
+        assert removed not in identity
+        with pytest.raises(TypeError, match=removed):
+            MLNCleanConfig(**{removed: 3})
+        with pytest.raises(TypeError, match=removed):
+            DistanceEngine(get_metric("levenshtein"), **{removed: 3})
+
+
+# ----------------------------------------------------------------------
 # no deprecation warnings
 # ----------------------------------------------------------------------
 def test_pipeline_runs_free_of_deprecation_warnings(sample_table, sample_rules):
