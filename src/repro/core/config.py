@@ -14,6 +14,7 @@ Every parameter the paper varies in its experiments is exposed here:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, replace
 
 from repro.distance.base import DistanceMetric, get_metric
@@ -36,7 +37,7 @@ class MLNCleanConfig:
     abnormal_threshold: int = 1
     #: name of the distance metric ("levenshtein", "cosine", "damerau", ...)
     distance_metric: str = "levenshtein"
-    #: hyper-parameters of the diagonal-Newton weight learner
+    #: hyper-parameters of the exact-Newton weight learner
     weight_learning: WeightLearningConfig = field(default_factory=WeightLearningConfig)
     #: maximum number of data versions per tuple for exhaustive FSCR search
     fscr_exhaustive_limit: int = 5
@@ -58,6 +59,10 @@ class MLNCleanConfig:
     trace: bool = False
 
     def __post_init__(self) -> None:
+        if isinstance(self.weight_learning, Mapping):
+            # a wire override arrives as a dict: unknown or removed knobs
+            # raise a TypeError that names them
+            self.weight_learning = WeightLearningConfig(**self.weight_learning)
         if self.abnormal_threshold < 0:
             raise ValueError("abnormal_threshold must be >= 0")
         if self.fscr_exhaustive_limit < 1:

@@ -15,7 +15,8 @@ is overwritten with it, so each group ends with exactly one γ.
 
 Weight learning is the expensive part of MLNClean (the paper attributes about
 95 % of its runtime to it); it runs once per block before the per-group
-cleaning, using the diagonal-Newton learner with the Eq.-4 prior.
+cleaning: an exact Newton solve of each group's pseudo-likelihood anchored
+at the Eq.-4 prior (see :mod:`repro.mln.weights`).
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ class ReliabilityScoreCleaner:
         """Learn the Markov weight of every γ of the block (Eq. 3 / Eq. 4).
 
         Groups compete internally (softmax over the group's γs), and the
-        Eq.-4 prior ``c(γ)/Σc(γ')`` anchors the solution, exactly as the
-        Tuffy-style learner the paper uses.
+        Eq.-4 prior ``c(γ)/Σc(γ')`` anchors the solution; each group's
+        objective is solved to its optimum by :func:`learn_group_weights`.
         """
         pieces = block.pieces
         if not pieces:

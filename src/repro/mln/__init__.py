@@ -1,7 +1,7 @@
 """Markov logic network substrate.
 
 The paper builds MLNClean on top of Markov logic networks (Definition 1 and
-Eq. 2) and borrows the weight learner of Tuffy (diagonal Newton).  Because no
+Eq. 2) and borrows the weight learner of Tuffy.  Because no
 external MLN engine is available offline, this package implements the pieces
 MLNClean needs from scratch:
 
@@ -10,7 +10,7 @@ MLNClean needs from scratch:
   the log-linear world distribution of Eq. 2,
 * :mod:`repro.mln.grounding` — grounding of FD / CFD / DC rules against a
   table (Table 3 of the paper),
-* :mod:`repro.mln.weights` — the Eq. 4 prior and the diagonal-Newton
+* :mod:`repro.mln.weights` — the Eq. 4 prior and the exact-Newton
   pseudo-likelihood weight learner used by the RSC stage,
 * :mod:`repro.mln.inference` — exact enumeration and Gibbs-sampling marginal
   inference, used by tests and the probabilistic baseline.
@@ -20,7 +20,7 @@ from repro.mln.formula import Atom, Literal, Clause
 from repro.mln.network import MarkovLogicNetwork
 from repro.mln.grounding import GroundClause, ground_rule, ground_rules
 from repro.mln.weights import (
-    DiagonalNewtonLearner,
+    NewtonLearner,
     WeightLearningConfig,
     prior_weights,
     learn_group_weights,
@@ -35,7 +35,7 @@ __all__ = [
     "GroundClause",
     "ground_rule",
     "ground_rules",
-    "DiagonalNewtonLearner",
+    "NewtonLearner",
     "WeightLearningConfig",
     "prior_weights",
     "learn_group_weights",

@@ -9,7 +9,7 @@ from repro.mln.grounding import ground_rule, ground_rules, grounding_statistics
 from repro.mln.inference import ExactInference, GibbsSampler
 from repro.mln.network import MarkovLogicNetwork
 from repro.mln.weights import (
-    DiagonalNewtonLearner,
+    NewtonLearner,
     WeightLearningConfig,
     learn_group_weights,
     prior_weights,
@@ -134,7 +134,7 @@ def test_prior_weights_eq4(sample_table):
 def test_learner_ranks_supported_gamma_higher(sample_table):
     fd = FunctionalDependency(["CT"], ["ST"])
     groundings = ground_rule(fd, sample_table)
-    weights = DiagonalNewtonLearner().learn(groundings)
+    weights = NewtonLearner().learn(groundings)
     by_combo = {g.reason_values + g.result_values: w for g, w in weights.items()}
     assert by_combo[("BOAZ", "AL")] > by_combo[("BOAZ", "AK")]
     # the clause objects carry the learned weight too
@@ -160,6 +160,42 @@ def test_learn_group_weights_empty():
     assert learn_group_weights({}, {}) == {}
 
 
+def test_learn_group_weights_rejects_a_key_shared_by_two_groups():
+    counts = {"g1": {("a",): 3, ("b",): 1}, "g2": {("c",): 2, ("a",): 1}}
+    with pytest.raises(ValueError, match="two groups"):
+        learn_group_weights(counts, {})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("prior_strength", 0.0),
+        ("prior_strength", -1.0),
+        ("max_weight", 0.0),
+        ("max_iterations", 0),
+        ("tolerance", 0.0),
+    ],
+)
+def test_weight_learning_config_validates(field, value):
+    with pytest.raises(ValueError, match=field):
+        WeightLearningConfig(**{field: value})
+
+
+@pytest.mark.parametrize("removed", ["damping", "max_step"])
+def test_weight_learning_config_rejects_removed_knobs(removed):
+    with pytest.raises(TypeError, match=removed):
+        WeightLearningConfig(**{removed: 1.0})
+
+
+def test_pipeline_config_builds_weight_learning_from_a_mapping():
+    from repro.core.config import MLNCleanConfig
+
+    config = MLNCleanConfig(weight_learning={"max_weight": 3.0})
+    assert config.weight_learning == WeightLearningConfig(max_weight=3.0)
+    with pytest.raises(ValueError, match="max_weight"):
+        MLNCleanConfig(weight_learning={"max_weight": 0.0})
+
+
 def _two_group_table(second=("x", "y|z")):
     """``A,B ⇒ C`` over groups ('x|y', 'z') and ``second``, with equal counts.
 
@@ -176,7 +212,7 @@ def _two_group_table(second=("x", "y|z")):
 
 
 def _learner_weights_by_group(table, fd):
-    weights = DiagonalNewtonLearner().learn(ground_rule(fd, table))
+    weights = NewtonLearner().learn(ground_rule(fd, table))
     by_group = {}
     for grounding, weight in weights.items():
         by_group.setdefault(grounding.reason_values, {})[grounding.support] = weight
@@ -210,9 +246,9 @@ def test_groups_whose_keys_join_alike_keep_their_weights(weights_by_group):
 
 
 def test_learner_converges_no_oscillation():
-    # A very skewed group used to make the undamped Newton step oscillate and
-    # give the majority γ a large negative weight; the damped learner must
-    # keep it the largest weight of the group.
+    # A very skewed group used to make an undamped diagonal-Newton step
+    # oscillate and give the majority γ a large negative weight; the exact
+    # Newton solve with its line search must keep it the largest weight.
     counts = {"g": {("clean",): 84, ("d1",): 2, ("d2",): 1, ("d3",): 1, ("d4",): 2}}
     priors = {key: count / 90 for key, count in counts["g"].items()}
     weights = learn_group_weights(counts, priors)

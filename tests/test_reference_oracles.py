@@ -1,28 +1,28 @@
-"""FSCR, MLN weight learning, the Levenshtein kernel, the unigram bound and
-AGP's merge targets against test-local reference implementations.
+"""FSCR, the Levenshtein kernel, the unigram bound and AGP's merge targets
+against test-local reference implementations, and MLN weight learning
+against the optimality conditions of its objective.
 
 The reference code below is the straightforward form of each loop: a
 per-tuple merge-order search that rebuilds each γ's assignment dict on every
-visit, a diagonal-Newton learner over dict softmaxes, the rolling-row
-edit-distance dynamic program, the count filter over ``(position, char) →
-count`` dicts, and an AGP pass that re-derives every representative and
-measures every distance for every query.  The production code memoizes the
-order search per version signature and the substitution search per block and
-restricted assignment, runs the learner over index arrays, computes edit
-distances with a bit-parallel kernel, bounds with popcounts of profile bit
-masks and keeps representatives across a block pass; each must produce
-exactly (``==``, not approximately) the same weights, fusions, failed tuples,
-distances, bounds and merge targets on every generated input.  A fusion
-stores no f-score, but the reference picks its fusion by f-score with the
-same strict ``>`` tie-break, so the chosen assignment, conflicted attributes
-and substitution count are still compared exactly.
+visit, the rolling-row edit-distance dynamic program, the count filter over
+``(position, char) → count`` dicts, and an AGP pass that re-derives every
+representative and measures every distance for every query.  The production
+code memoizes the order search per version signature and the substitution
+search per block and restricted assignment, computes edit distances with a
+bit-parallel kernel, bounds with popcounts of profile bit masks and keeps
+representatives across a block pass; each must produce exactly (``==``, not
+approximately) the same fusions, failed tuples, distances, bounds and merge
+targets on every generated input.  A fusion stores no f-score, but the
+reference picks its fusion by f-score with the same strict ``>`` tie-break,
+so the chosen assignment, conflicted attributes and substitution count are
+still compared exactly.  The weight learner solves its objective to the
+optimum, so it is checked by the KKT conditions at the weights it returns.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
 from dataclasses import replace
 from typing import Optional
 
@@ -160,98 +160,6 @@ class ReferenceResolver:
             if not self._conflicts(assignment, candidate.as_assignment()):
                 return candidate
         return None
-
-
-# ----------------------------------------------------------------------
-# reference weight learning: dict softmaxes and list-membership dedup
-# ----------------------------------------------------------------------
-def reference_learn_group_weights(
-    group_counts: Mapping[object, Mapping[tuple, int]],
-    priors: Mapping[tuple, float],
-    config: WeightLearningConfig,
-) -> dict[tuple, float]:
-    keys: list[tuple] = []
-    for counts in group_counts.values():
-        for key in counts:
-            if key not in keys:
-                keys.append(key)
-    if not keys:
-        return {}
-    weights: dict[tuple, float] = {}
-    for component in _reference_components(group_counts):
-        weights.update(_learn_component(component, priors, config))
-    return {key: weights[key] for key in keys}
-
-
-def _reference_components(group_counts):
-    components: list[list[Mapping[tuple, int]]] = []
-    component_of_key: dict[tuple, int] = {}
-    for counts in group_counts.values():
-        if not counts:
-            continue
-        touched = sorted({component_of_key[k] for k in counts if k in component_of_key})
-        if not touched:
-            index = len(components)
-            components.append([counts])
-        else:
-            index = touched[0]
-            components[index].append(counts)
-            for other in touched[1:]:
-                for moved in components[other]:
-                    components[index].append(moved)
-                    for key in moved:
-                        component_of_key[key] = index
-                components[other] = []
-        for key in counts:
-            component_of_key[key] = index
-    return [component for component in components if component]
-
-
-def _learn_component(
-    component: list[Mapping[tuple, int]],
-    priors: Mapping[tuple, float],
-    config: WeightLearningConfig,
-) -> dict[tuple, float]:
-    keys: list[tuple] = []
-    for counts in component:
-        for key in counts:
-            if key not in keys:
-                keys.append(key)
-    weights = {key: float(priors.get(key, 0.0)) for key in keys}
-
-    for _ in range(config.max_iterations):
-        gradient = {key: 0.0 for key in keys}
-        hessian = {key: 0.0 for key in keys}
-        for counts in component:
-            total = sum(counts.values())
-            probabilities = _softmax({k: weights[k] for k in counts})
-            for key in counts:
-                p = probabilities[key]
-                gradient[key] += counts[key] - total * p
-                hessian[key] += total * p * (1.0 - p)
-        largest_change = 0.0
-        for key in keys:
-            prior = priors.get(key, 0.0)
-            grad = gradient[key] - config.prior_strength * (weights[key] - prior)
-            hess = hessian[key] + config.prior_strength + config.damping
-            step = _clip(grad / hess, config.max_step)
-            new_weight = _clip(weights[key] + step, config.max_weight)
-            largest_change = max(largest_change, abs(new_weight - weights[key]))
-            weights[key] = new_weight
-        if largest_change < config.tolerance:
-            break
-    return weights
-
-
-def _softmax(scores: Mapping[tuple, float]) -> dict[tuple, float]:
-    peak = max(scores.values())
-    exponentials = {key: math.exp(value - peak) for key, value in scores.items()}
-    total = sum(exponentials.values())
-    return {key: value / total for key, value in exponentials.items()}
-
-
-def _clip(value: float, bound: float) -> float:
-    return max(-bound, min(bound, value))
 
 
 # ----------------------------------------------------------------------
@@ -440,67 +348,82 @@ def test_fscr_equals_reference_after_stage_one_on_hai(n_rules, overrides):
 
 
 # ----------------------------------------------------------------------
-# weight learning
+# weight learning: the learned weights are a KKT point of the objective
 # ----------------------------------------------------------------------
-KEYS = [(("k",), (str(number),)) for number in range(6)]
+def assert_kkt_point(counts, priors, config: WeightLearningConfig, weights):
+    """``weights`` maximise F(w) = Σc·w − T·log Σexp(w) − (λ/2)·‖w − w0‖² on the box.
+
+    On a free coordinate ∂F/∂w vanishes (to 1e-8·(1 + T)); at a bound it
+    points out of the box.
+    """
+    keys = list(counts)
+    total = sum(counts.values())
+    cap = config.max_weight
+    values = [weights[key] for key in keys]
+    peak = max(values)
+    exponentials = [math.exp(w - peak) for w in values]
+    normaliser = sum(exponentials)
+    slack = 1e-8 * (1 + total)
+    for key, w, e in zip(keys, values, exponentials):
+        assert -cap <= w <= cap
+        derivative = (
+            counts[key]
+            - total * e / normaliser
+            - config.prior_strength * (w - priors.get(key, 0.0))
+        )
+        if w == cap:
+            assert derivative >= -slack
+        elif w == -cap:
+            assert derivative <= slack
+        else:
+            assert abs(derivative) <= slack
 
 
 @st.composite
 def weight_inputs(draw):
-    """Groups over a small shared key pool (so components merge) and a config."""
-    group_counts = {}
-    for number in range(draw(st.integers(min_value=0, max_value=5))):
-        keys = draw(st.lists(st.sampled_from(KEYS), max_size=4, unique=True))
-        group_counts[("g", str(number))] = {
-            key: draw(st.integers(min_value=1, max_value=60)) for key in keys
-        }
+    """One group's counts and priors, and a config whose cap may bind."""
+    keys = [(("k",), (str(number),)) for number in range(draw(st.integers(1, 8)))]
+    counts = {key: draw(st.integers(min_value=0, max_value=1000)) for key in keys}
     priors = {
-        key: draw(st.floats(min_value=0.0, max_value=1.0))
-        for key in KEYS
+        key: draw(st.floats(min_value=-5.0, max_value=5.0))
+        for key in keys
         if draw(st.booleans())
     }
     config = WeightLearningConfig(
-        max_iterations=draw(st.integers(min_value=1, max_value=60)),
-        prior_strength=draw(st.sampled_from([0.0, 0.5, 1.0])),
-        damping=draw(st.sampled_from([1e-3, 0.1])),
+        prior_strength=draw(st.sampled_from([0.01, 0.5, 1.0, 10.0])),
         max_weight=draw(st.sampled_from([0.5, 3.0, 25.0])),
-        max_step=draw(st.sampled_from([0.1, 2.0])),
     )
-    return group_counts, priors, config
+    return counts, priors, config
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(weight_inputs())
-def test_learned_weights_equal_reference(inputs):
-    group_counts, priors, config = inputs
-    learned = learn_group_weights(group_counts, priors, config)
-    expected = reference_learn_group_weights(group_counts, priors, config)
-    assert list(learned.items()) == list(expected.items())
+def test_learned_weights_are_a_kkt_point(inputs):
+    counts, priors, config = inputs
+    weights = learn_group_weights({"g": counts}, priors, config)
+    assert list(weights) == list(counts)
+    assert_kkt_point(counts, priors, config, weights)
 
 
 @pytest.mark.parametrize("workload_name", ["hai", "car"])
-def test_block_weights_equal_reference_on_workloads(workload_name):
+def test_block_weights_are_a_kkt_point_on_workloads(workload_name):
     workload = get_workload_generator(workload_name, tuples=120, seed=7).build()
     instance = workload.make_instance(ErrorSpec(error_rate=0.15, seed=13))
     config = recommended_config(workload_name)
     index = MLNIndex.build(instance.dirty, instance.rules)
     AbnormalGroupProcessor(config).process_index(index.block_list)
     rsc = ReliabilityScoreCleaner(config)
+    contested = 0
     for block in index.block_list:
         rsc.learn_block_weights(block)
-        pieces = block.pieces
-        total = sum(piece.support for piece in pieces)
-        expected = reference_learn_group_weights(
-            {
-                group.key: {piece.key: piece.support for piece in group.gammas}
-                for group in block.group_list
-            },
-            {piece.key: piece.support / total for piece in pieces},
-            config.weight_learning,
-        )
-        assert [piece.weight for piece in pieces] == [
-            expected[piece.key] for piece in pieces
-        ]
+        total = sum(piece.support for piece in block.pieces)
+        priors = {piece.key: piece.support / total for piece in block.pieces}
+        for group in block.group_list:
+            counts = {piece.key: piece.support for piece in group.gammas}
+            weights = {piece.key: piece.weight for piece in group.gammas}
+            assert_kkt_point(counts, priors, config.weight_learning, weights)
+            contested += len(counts) > 1
+    assert contested > 0
 
 
 # ----------------------------------------------------------------------

@@ -698,6 +698,18 @@ def test_http_removed_config_knob_is_400_naming_the_field(client, knob):
     assert knob in message
 
 
+@pytest.mark.parametrize("knob", ["damping", "max_step"])
+def test_http_removed_weight_learning_knob_is_400_naming_it(client, knob):
+    with pytest.raises(ServiceError) as excinfo:
+        client.clean(
+            workload="hospital-sample", tuples=12, config={"weight_learning": {knob: 1.0}}
+        )
+    assert excinfo.value.status == 400
+    message = excinfo.value.payload["error"]["message"]
+    assert "bad config overrides" in message
+    assert knob in message
+
+
 def test_http_apply_time_delta_errors_are_400(client):
     with pytest.raises(ServiceError) as excinfo:
         client.deltas(
