@@ -21,7 +21,7 @@ from typing import Callable, Optional
 from repro.core.config import MLNCleanConfig
 from repro.core.index import Block
 from repro.metrics.component import StageCounts
-from repro.perf.engine import DistanceEngine
+from repro.perf.engine import CandidateSet, DistanceEngine
 
 #: maps a tuple id to its clean values (attribute → value); only available in
 #: instrumented runs where a ground truth exists
@@ -109,12 +109,12 @@ class AbnormalGroupProcessor:
         # regardless of set-iteration (hash) order.
         normal_keys = sorted(key for key in block.groups if key not in abnormal_set)
         # Normal groups are never removed during a pass and only a merge
-        # target changes, so each γ* is derived once and refreshed after
-        # every merge into its group.
-        representatives = [
+        # target changes, so each γ* is derived, interned and profiled once
+        # and refreshed after every merge into its group.
+        representatives = self.engine.prepare(
             block.groups[key].representative().values
             for key in (normal_keys if abnormal_keys else ())
-        ]
+        )
 
         if clean_lookup is not None:
             outcome.counts.real_abnormal_groups = self._count_real_abnormal(
@@ -138,7 +138,11 @@ class AbnormalGroupProcessor:
                 continue
             target_key = normal_keys[position]
             merge = self._merge(block, key, target_key)
-            representatives[position] = block.groups[target_key].representative().values
+            self.engine.update(
+                representatives,
+                position,
+                block.groups[target_key].representative().values,
+            )
             outcome.merges.append(merge)
             if clean_lookup is not None and self._merge_is_correct(
                 block, merge, clean_lookup
@@ -164,20 +168,21 @@ class AbnormalGroupProcessor:
     def _nearest_normal_group(
         self,
         abnormal_values: tuple[str, ...],
-        representatives: list[tuple[str, ...]],
+        representatives: CandidateSet,
     ) -> Optional[int]:
         """The position of the normal group whose representative γ* is closest.
 
         One batch :meth:`~repro.perf.DistanceEngine.nearest` query over the
-        normal groups' current representatives, aligned with the sorted
-        ``normal_keys``: the engine owns the visit order (unigram lower
-        bounds ascending, from the engine's cached profiles), the
+        normal groups' current representatives, prepared once per block pass
+        and aligned with the sorted ``normal_keys``: the query profiles only
+        itself and bounds every prepared candidate in one loop, and the
+        engine owns the visit order (unigram lower bounds ascending), the
         best-so-far cutoff and the prune decisions.  Its smallest-position
         tie-break is therefore exactly the smallest-key tie-break of the
         scalar loop it replaces — the selected group is identical to the one
         an exhaustive scan picks.
         """
-        if not representatives:
+        if not representatives.values:
             return None
         return self.engine.nearest(abnormal_values, representatives)[0]
 

@@ -4,11 +4,13 @@
 :class:`DistanceEngine` every stage runs its string distances through, with
 one scalar exact-or-prune evaluation path behind its batch candidate-set API
 and the positional unigram lower bounds of :mod:`repro.perf.qgram` (computed
-from each value tuple's cached profile) ordering candidates;
+from each value tuple's cached profile) ordering candidates, over a
+:class:`CandidateSet` prepared once for many queries;
 :mod:`repro.perf.stats` holds the latency window the service reports from.
 """
 
 from repro.perf.engine import (
+    CandidateSet,
     DistanceEngine,
     DistanceStats,
     global_distance_stats,
@@ -18,6 +20,7 @@ from repro.perf.qgram import ValueProfile, build_profile
 from repro.perf.stats import LatencyWindow
 
 __all__ = [
+    "CandidateSet",
     "DistanceEngine",
     "DistanceStats",
     "LatencyWindow",

@@ -23,7 +23,11 @@ micro-batches and partitions.  :class:`DistanceEngine` wraps any registered
   profile bit masks, whose bit numbering the engine owns and flushes only
   together with the profiles) and scans them best-so-far with
   cutoff-accumulating tuple distances, which stop as soon as the
-  per-attribute running sum exceeds the cutoff.
+  per-attribute running sum exceeds the cutoff.  A candidate set that many
+  queries share (AGP's representatives over one block pass) is prepared
+  once into a :class:`CandidateSet`; a query then profiles only itself and
+  bounds every candidate in one loop into a heap of ``(bound << shift) |
+  position`` keys, popped until a bound exceeds the running cutoff.
 
 Every candidate is settled by one scalar exact-or-prune evaluation: it
 returns the **exact** distance whenever that is ``≤`` the running cutoff,
@@ -45,22 +49,28 @@ without reaching into every engine instance.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 import weakref
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields
+from heapq import heapify, heappop
 from typing import Optional
 
 from repro.distance.base import DistanceMetric
 from repro.distance.fastpath import strip_common_affixes, trivial_edit_distance
-from repro.perf.qgram import ValueProfile, build_profile, lower_bound
+from repro.perf.qgram import build_profile, popcount as _popcount
 
 #: flush bound of every per-engine memo (exact pairs, string and value-tuple
 #: interning, unigram profiles); each is a pure function of its key (profiles
 #: together with the bit numbering they flush with), so a wholesale flush can
 #: never change a result — it only costs recomputation
 _DERIVED_CACHE_LIMIT = 1 << 16
+
+#: process-wide source of bit-numbering generations, so a candidate set
+#: prepared by one engine is merely stale, never valid, in another
+_GENERATIONS = itertools.count()
 
 
 @dataclass
@@ -206,6 +216,26 @@ def reset_global_distance_stats() -> None:
         _RESET_OFFSET.iadd(_raw_totals())
 
 
+class CandidateSet:
+    """Interned candidate tuples and their ``(total, mask, length_mask)`` profiles.
+
+    Built by :meth:`DistanceEngine.prepare`, edited by
+    :meth:`DistanceEngine.update` and accepted by ``nearest`` / ``topk``.
+    Masks mean nothing under another bit numbering, so the profiles carry
+    the ``generation`` of the numbering that built them and are re-derived
+    before a query once the engine has flushed it (or in another engine).
+    """
+
+    __slots__ = ("values", "arity", "profiles", "generation")
+
+    def __init__(self, values, arity, profiles, generation):
+        self.values: "list[tuple[str, ...]]" = values
+        #: common length of the tuples (``None`` for an empty set)
+        self.arity: Optional[int] = arity
+        self.profiles: "list[tuple[int, int, int]]" = profiles
+        self.generation: int = generation
+
+
 class DistanceEngine:
     """Caches, prunes and early-exits the distances of one metric.
 
@@ -231,10 +261,14 @@ class DistanceEngine:
         #: flushed only together with ``_profiles`` (engines are
         #: single-threaded, so no lock)
         self._profile_bits: dict = {}
+        #: renewed by every flush of ``_profile_bits``: a prepared candidate
+        #: set's profiles are valid only under the generation that built them
+        self._generation = next(_GENERATIONS)
         self._affix_safe = bool(getattr(metric, "affix_safe", False))
         #: bound-destroying edit operations per unigram (``None`` disables
-        #: the count filter for this metric — batch queries fall back to the
-        #: plain ordered scan, which is still bit-identical)
+        #: the count filter for this metric: every profile is empty, every
+        #: bound zero, and batch queries scan in input order, which is still
+        #: bit-identical)
         self._qgram_ops = getattr(metric, "qgram_edit_ops", None)
         _register_engine(self)
 
@@ -401,11 +435,9 @@ class DistanceEngine:
         The exact sum whenever it is ``≤ cutoff``; otherwise the
         accumulation stops at the first attribute that pushes a lower bound
         of the sum past the cutoff, and some value ``> cutoff`` comes back.
-        The tuples were interned once at candidate-set entry, so pair keys
-        are built without per-value pool probes.
+        The tuples were interned and their arities checked once, when the
+        candidate set was prepared, so pair keys need no pool probes.
         """
-        if len(left) != len(right):
-            raise ValueError("value tuples must have the same length")
         self.stats.value_calls += 1
         total = 0.0
         last = len(left) - 1
@@ -421,181 +453,152 @@ class DistanceEngine:
     # batch candidate-set API
     #
     # The batch-first surface of the engine: callers hand over a *candidate
-    # set* instead of issuing scalar best-so-far calls, and the engine owns
-    # the visit order (unigram lower bounds ascending), the pruning (skip a
-    # candidate only when its lower bound strictly exceeds the running
-    # cutoff).  Every result is bit-identical to the brute-force scalar
-    # loop: any candidate whose exact distance ties the final best is always
-    # measured exactly, because the running cutoff never drops below the
-    # final best and pruning is strict.
+    # set* (a sequence, or one prepared for many queries) instead of issuing
+    # scalar best-so-far calls, and the engine owns the visit order (unigram
+    # lower bounds ascending), the pruning (skip a candidate only when its
+    # lower bound strictly exceeds the running cutoff).  Every result is
+    # bit-identical to the brute-force scalar loop: any candidate whose exact
+    # distance ties the final best is always measured exactly, because the
+    # running cutoff never drops below the final best and pruning is strict.
     # ------------------------------------------------------------------
     def _profiles_of(
         self, tuples: "list[tuple[str, ...]]"
-    ) -> "list[ValueProfile]":
-        """The (cached) positional unigram profiles of one batch of tuples.
+    ) -> "list[tuple[int, int, int]]":
+        """The (cached) ``(total, mask, length_mask)`` profiles of one batch.
 
         A mask is only comparable under the numbering that built it, so the
         caches flush before a batch that would overflow them, never inside
-        one: every profile a batch compares shares one numbering.
+        one: every profile a batch compares shares one numbering.  A flush
+        starts a new generation, which makes every prepared set stale.
         """
+        if self._qgram_ops is None:
+            return [(0, 0, 0)] * len(tuples)
         profiles = self._profiles
         if len(profiles) + len(tuples) > _DERIVED_CACHE_LIMIT:
             profiles.clear()
             self._profile_bits.clear()
+            self._generation = next(_GENERATIONS)
         bits = self._profile_bits
         batch = []
         for values in tuples:
             profile = profiles.get(values)
             if profile is None:
-                profile = profiles[values] = build_profile(values, bits)
+                built = build_profile(values, bits)
+                profile = profiles[values] = (built.total, built.mask, built.length_mask)
             batch.append(profile)
         return batch
 
-    def _candidate_order(
-        self,
-        query: "tuple[str, ...]",
-        cands: "list[tuple[str, ...]]",
-    ) -> "list[tuple[float, int]]":
-        """``(lower_bound, candidate_position)`` in evaluation order.
+    def prepare(self, candidates: "Iterable[Sequence[str]]") -> CandidateSet:
+        """Intern and profile a candidate set once, for many queries.
 
-        With a metric that admits the count filter the list is sorted by
-        ``(bound, position)`` ascending; otherwise bounds are all zero and
-        the input order is kept (a plain ordered scan — still bit-identical).
+        Raises ``ValueError`` when the candidates differ in arity.
         """
-        ops = self._qgram_ops
-        if ops is None:
-            return [(0.0, position) for position in range(len(cands))]
-        query_profile, *profiles = self._profiles_of([query, *cands])
-        order = [
-            (lower_bound(query_profile, profile, ops), position)
-            for position, profile in enumerate(profiles)
-        ]
-        order.sort()
-        return order
-
-    def _scan_nearest(
-        self,
-        query: "tuple[str, ...]",
-        cands: "list[tuple[str, ...]]",
-        order: "list[tuple[float, int]]",
-        cutoff: float,
-    ) -> "tuple[Optional[int], float]":
-        """Best-so-far scan of an ordered candidate list.
-
-        Returns ``(best_position, best_distance)`` with the smallest-position
-        tie-break; ``(None, inf)`` when nothing is within the cutoff.
-        """
-        best_index: Optional[int] = None
-        best = math.inf
-        limit = cutoff
-        for position, (bound, candidate) in enumerate(order):
-            if bound > limit:
-                self.stats.qgram_filtered += len(order) - position
-                break
-            value = self._values_bounded(query, cands[candidate], limit)
-            if value <= limit and (
-                value < best
-                or (value == best and (best_index is None or candidate < best_index))
-            ):
-                best = value
-                best_index = candidate
-                if best < limit:
-                    limit = best
-        return best_index, best
-
-    def nearest(
-        self,
-        query: "Sequence[str]",
-        candidates: "Sequence[Sequence[str]]",
-        cutoff: float = math.inf,
-    ) -> "tuple[Optional[int], float]":
-        """The candidate nearest to ``query`` within ``cutoff``.
-
-        Returns ``(position, distance)`` into the *candidates* sequence, ties
-        broken toward the smallest position; ``(None, inf)`` when no
-        candidate is within the cutoff.  Bit-identical to the brute-force
-        scalar loop.
-        """
-        query = self.intern_values(query)
-        cands = [self.intern_values(candidate) for candidate in candidates]
-        self.stats.batch_queries += 1
-        self.stats.qgram_candidates += len(cands)
-        if not cands:
-            return None, math.inf
-        return self._scan_nearest(
-            query, cands, self._candidate_order(query, cands), cutoff
+        values = [self.intern_values(candidate) for candidate in candidates]
+        arities = set(map(len, values))
+        if len(arities) > 1:
+            raise ValueError("value tuples must have the same length")
+        profiles = self._profiles_of(values)
+        return CandidateSet(
+            values, arities.pop() if arities else None, profiles, self._generation
         )
 
-    def pairwise(
-        self, values: "Sequence[Sequence[str]]"
-    ) -> "list[tuple[Optional[int], float]]":
-        """Per item: ``(position_of_nearest_other_item, min_distance)``.
+    def update(
+        self, prepared: CandidateSet, position: int, values: "Sequence[str]"
+    ) -> None:
+        """Replace the candidate at ``position`` of a prepared set."""
+        values = self.intern_values(values)
+        if len(values) != prepared.arity:
+            raise ValueError("value tuples must have the same length")
+        prepared.values[position] = values
+        # a flush here leaves the set stale; its next query re-profiles it
+        prepared.profiles[position] = self._profiles_of([values])[0]
 
-        The all-pairs surface RSC-style scoring needs: for every item the
-        exact minimum distance to any *other* item (``(None, inf)`` when
-        there is only one).  Lower bounds are computed once per unordered
-        pair; each item's scan then visits the others bounds-ascending with
-        its own running minimum as the cutoff.
+    def _order(
+        self,
+        prepared: CandidateSet,
+        query_profile: "tuple[int, int, int]",
+        skip: Optional[int] = None,
+    ) -> "tuple[list[int], int]":
+        """A heap of ``(lower_bound << shift) | position`` keys, and ``shift``.
+
+        Popping it visits the candidates (less ``skip``) in ``(bound,
+        position)`` order.
         """
-        items = [self.intern_values(item) for item in values]
-        count = len(items)
-        self.stats.batch_queries += 1
-        if count < 2:
-            return [(None, math.inf)] * count
-        self.stats.qgram_candidates += count * (count - 1)
-        ops = self._qgram_ops
-        bounds = None
-        if ops is not None:
-            profiles = self._profiles_of(items)
-            bounds = [[0.0] * count for _ in range(count)]
-            for i in range(count):
-                for j in range(i + 1, count):
-                    if items[i] is items[j]:
-                        continue
-                    value = lower_bound(profiles[i], profiles[j], ops)
-                    bounds[i][j] = value
-                    bounds[j][i] = value
-        results: "list[tuple[Optional[int], float]]" = []
-        for i in range(count):
-            others = [j for j in range(count) if j != i]
-            if bounds is None:
-                order = [(0.0, j) for j in others]
-            else:
-                row = bounds[i]
-                order = sorted((row[j], j) for j in others)
-            results.append(self._scan_nearest(items[i], items, order, math.inf))
-        return results
+        ops = self._qgram_ops or 1
+        shift = len(prepared.values).bit_length()
+        query_total, query_mask, query_lengths = query_profile
+        # the inline form of qgram.lower_bound; qgram.popcount rather than
+        # int.bit_count, which Python 3.9 lacks
+        popcount = _popcount
+        keys = []
+        append = keys.append
+        for position, (total, mask, lengths) in enumerate(prepared.profiles):
+            bound = popcount(query_lengths ^ lengths)
+            missing = (query_total + total + bound) // 2 - popcount(query_mask & mask)
+            # ceil(missing / ops) > bound  ⇔  missing > bound * ops
+            if missing > bound * ops:
+                bound = (missing + ops - 1) // ops
+            append(bound << shift | position)
+        if skip is not None:
+            del keys[skip]
+        heapify(keys)
+        return keys, shift
 
-    def topk(
+    def _query(
         self,
         query: "Sequence[str]",
-        candidates: "Sequence[Sequence[str]]",
+        candidates: "CandidateSet | Sequence[Sequence[str]]",
+        cutoff: float,
         k: int,
-        cutoff: float = math.inf,
-    ) -> "list[tuple[int, float]]":
-        """The ``k`` candidates nearest to ``query``, within ``cutoff``.
+    ) -> "list[tuple[float, int]]":
+        """The :meth:`_scan` of one ``nearest`` / ``topk`` query.
 
-        Returns up to ``k`` ``(position, distance)`` pairs sorted by
-        ``(distance, position)`` ascending; ties at the k-th distance are
-        broken toward smaller positions.  Once ``k`` candidates are held the
-        running cutoff tightens to the current k-th distance.
+        The query profiles only itself.  A set prepared before a flush of
+        the bit numbering (or one that profiling the query flushes) is
+        re-profiled in one batch with the query.
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        if not isinstance(candidates, CandidateSet):
+            candidates = self.prepare(candidates)
         query = self.intern_values(query)
-        cands = [self.intern_values(candidate) for candidate in candidates]
         self.stats.batch_queries += 1
-        self.stats.qgram_candidates += len(cands)
-        if not cands:
+        self.stats.qgram_candidates += len(candidates.values)
+        if not candidates.values:
             return []
-        order = self._candidate_order(query, cands)
+        if len(query) != candidates.arity:
+            raise ValueError("value tuples must have the same length")
+        if candidates.generation == self._generation:
+            profile = self._profiles_of([query])[0]
+        if candidates.generation != self._generation:
+            profile, *candidates.profiles = self._profiles_of([query, *candidates.values])
+            candidates.generation = self._generation
+        keys, shift = self._order(candidates, profile)
+        return self._scan(query, candidates.values, keys, shift, cutoff, k)
+
+    def _scan(
+        self,
+        query: "tuple[str, ...]",
+        cands: "list[tuple[str, ...]]",
+        keys: "list[int]",
+        shift: int,
+        cutoff: float,
+        k: int,
+    ) -> "list[tuple[float, int]]":
+        """Best-so-far scan of a heap of candidate keys (see :meth:`_order`).
+
+        Returns the up to ``k`` nearest ``(distance, position)`` pairs within
+        ``cutoff``, ascending, ties broken toward smaller positions.  Once
+        ``k`` candidates are held the running cutoff tightens to the current
+        k-th distance.
+        """
         selected: "list[tuple[float, int]]" = []
         limit = cutoff
-        total = len(order)
-        for position, (bound, candidate) in enumerate(order):
-            if bound > limit:
-                self.stats.qgram_filtered += total - position
+        position_mask = (1 << shift) - 1
+        while keys:
+            key = heappop(keys)
+            if key >> shift > limit:
+                self.stats.qgram_filtered += len(keys) + 1
                 break
+            candidate = key & position_mask
             value = self._values_bounded(query, cands[candidate], limit)
             if value > limit:
                 continue
@@ -605,7 +608,70 @@ class DistanceEngine:
                 selected.pop()
             if len(selected) == k and selected[-1][0] < limit:
                 limit = selected[-1][0]
-        return [(candidate, value) for value, candidate in selected]
+        return selected
+
+    @staticmethod
+    def _first(selected: "list[tuple[float, int]]") -> "tuple[Optional[int], float]":
+        """``(position, distance)`` of a k = 1 scan; ``(None, inf)`` if empty."""
+        return (selected[0][1], selected[0][0]) if selected else (None, math.inf)
+
+    def nearest(
+        self,
+        query: "Sequence[str]",
+        candidates: "CandidateSet | Sequence[Sequence[str]]",
+        cutoff: float = math.inf,
+    ) -> "tuple[Optional[int], float]":
+        """The candidate nearest to ``query`` within ``cutoff``.
+
+        Returns ``(position, distance)`` into the *candidates* sequence (or
+        prepared set), ties broken toward the smallest position; ``(None,
+        inf)`` when no candidate is within the cutoff.  Bit-identical to the
+        brute-force scalar loop.
+        """
+        return self._first(self._query(query, candidates, cutoff, 1))
+
+    def pairwise(
+        self, values: "Sequence[Sequence[str]]"
+    ) -> "list[tuple[Optional[int], float]]":
+        """Per item: ``(position_of_nearest_other_item, min_distance)``.
+
+        The all-pairs surface RSC-style scoring needs: for every item the
+        exact minimum distance to any *other* item (``(None, inf)`` when
+        there is only one).  The items are prepared once; each item's scan
+        then visits the others bounds-ascending with its own running minimum
+        as the cutoff.
+        """
+        prepared = self.prepare(values)
+        items = prepared.values
+        self.stats.batch_queries += 1
+        if len(items) < 2:
+            return [(None, math.inf)] * len(items)
+        self.stats.qgram_candidates += len(items) * (len(items) - 1)
+        results = []
+        for i, (item, profile) in enumerate(zip(items, prepared.profiles)):
+            keys, shift = self._order(prepared, profile, skip=i)
+            results.append(self._first(self._scan(item, items, keys, shift, math.inf, 1)))
+        return results
+
+    def topk(
+        self,
+        query: "Sequence[str]",
+        candidates: "CandidateSet | Sequence[Sequence[str]]",
+        k: int,
+        cutoff: float = math.inf,
+    ) -> "list[tuple[int, float]]":
+        """The ``k`` candidates nearest to ``query``, within ``cutoff``.
+
+        Returns up to ``k`` ``(position, distance)`` pairs sorted by
+        ``(distance, position)`` ascending; ties at the k-th distance are
+        broken toward smaller positions.
+        """
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        return [
+            (candidate, value)
+            for value, candidate in self._query(query, candidates, cutoff, k)
+        ]
 
     # ------------------------------------------------------------------
     # statistics

@@ -161,6 +161,30 @@ def test_qgram_lower_bound_never_exceeds_levenshtein(left, right):
     assert bound <= metric.distance(left, right)
 
 
+@pytest.mark.parametrize("metric_name", ["levenshtein", "damerau"])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_inline_bound_equals_scalar_lower_bound(metric_name, data):
+    # the batch loop rewrites ceil(missing / ops) > bound as
+    # missing > bound * ops; it must still give qgram.lower_bound's value
+    metric = get_metric(metric_name)
+    width = data.draw(st.integers(min_value=1, max_value=3))
+    rows = st.lists(short_text, min_size=width, max_size=width).map(tuple)
+    query = data.draw(rows)
+    candidates = data.draw(st.lists(rows, min_size=1, max_size=8))
+    engine = DistanceEngine(metric)
+    prepared = engine.prepare(candidates)
+    keys, shift = engine._order(prepared, engine._profiles_of([query])[0])
+    bounds = {key & ((1 << shift) - 1): key >> shift for key in keys}
+    bits: dict = {}
+    query_profile = build_profile(query, bits)
+    expected = [
+        lower_bound(query_profile, build_profile(candidate, bits), metric.qgram_edit_ops)
+        for candidate in candidates
+    ]
+    assert [bounds[position] for position in range(len(candidates))] == expected
+
+
 # ----------------------------------------------------------------------
 # the count filter is exact, end to end
 # ----------------------------------------------------------------------
@@ -258,3 +282,36 @@ def test_batch_queries_equal_brute_force_across_profile_flushes(monkeypatch):
         flushes += len(engine._profile_bits) < numbered
         numbered = len(engine._profile_bits)
     assert flushes >= 3
+
+
+def test_prepared_nearest_equals_brute_force_after_flushes_and_updates(monkeypatch):
+    # a set prepared under one bit numbering, queried after the engine
+    # flushed it (between preparing and querying, or while profiling the
+    # query), and edited in place as AGP edits a merge target's entry
+    monkeypatch.setattr(engine_module, "_DERIVED_CACHE_LIMIT", 6)
+    metric = get_metric("levenshtein")
+    engine = DistanceEngine(metric)
+    rng = random.Random(11)
+
+    def row():
+        return tuple("".join(rng.choices("abcé", k=rng.randint(0, 5))) for _ in range(2))
+
+    stale_queries = 0
+    for _ in range(40):
+        candidates = [row() for _ in range(rng.randint(1, 5))]
+        prepared = engine.prepare(candidates)
+        for _ in range(6):
+            position = rng.randrange(len(candidates))
+            candidates[position] = row()
+            engine.update(prepared, position, candidates[position])
+            if rng.random() < 0.5:
+                engine.prepare([row() for _ in range(3)])  # may flush the numbering
+            stale_queries += prepared.generation != engine._generation
+            query = row()
+            assert engine.nearest(query, prepared) == brute_nearest(metric, query, candidates)
+            assert prepared.generation == engine._generation
+    assert stale_queries >= 10
+    # another engine's numbering differs, so it re-profiles the set too
+    other = DistanceEngine(metric)
+    assert prepared.generation != other._generation
+    assert other.nearest(query, prepared) == brute_nearest(metric, query, candidates)

@@ -157,6 +157,12 @@ def test_values_distance_cutoff_short_circuits_exactly():
         engine.values_distance(("a",), ("a", "b"))
     with pytest.raises(ValueError):
         engine.nearest(("a",), [("a", "b")])
+    # mixed-arity candidates are rejected when the set is prepared, even when
+    # the bound would filter the bad one before any evaluation
+    with pytest.raises(ValueError):
+        engine.nearest(("a",), [("a",), ("b", "c")])
+    with pytest.raises(ValueError):
+        engine.pairwise([("a",), ("b", "c")])
 
 
 def test_cache_hit_statistics_and_symmetry():
