@@ -87,7 +87,7 @@ from repro.streaming import (
     WorkloadStreamSource,
 )
 
-__version__ = "11.1.0"
+__version__ = "12.0.0"
 
 __all__ = [
     "CleaningSession",

@@ -167,12 +167,11 @@ class ReliabilityScoreCleaner:
         if len(gammas) < 2:
             return {piece: 1.0 for piece in gammas}
         # One batch pairwise() query answers every γ's min-distance: the
-        # engine computes q-gram lower bounds once per unordered pair, visits
-        # each γ's candidates bounds-ascending with the running min as the
-        # cutoff, and serves the symmetric (i, j) / (j, i) revisit from the
-        # pair cache.  The minima are exact (prunes only discard pairs whose
-        # lower bound already exceeds the running min), so the scores are
-        # identical to the exhaustive scan's.
+        # engine bounds each unordered γ pair once, walks the pairs
+        # bounds-ascending and evaluates a pair once for both γs, unless its
+        # bound already exceeds both γs' running minima.  The minima are
+        # exact (a skipped pair cannot reach either minimum), so the scores
+        # are identical to the exhaustive scan's.
         neighbors = self.engine.pairwise([piece.values for piece in gammas])
         raw: dict[DataPiece, float] = {
             piece: piece.support * neighbors[index][1]

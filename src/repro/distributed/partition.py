@@ -70,9 +70,11 @@ class DataPartitioner:
     """Partitions a table into ``k`` capacity-bounded parts (Algorithm 3).
 
     Tuple-to-centroid distances go through a :class:`DistanceEngine`: the
-    distributed driver passes the run's shared engine, which caches the
-    centroid comparisons the heap maintenance keeps re-asking; without one
-    the partitioner builds its own Levenshtein engine.
+    distributed driver passes the run's shared engine; without one the
+    partitioner builds its own Levenshtein engine.  Each distinct value of
+    an attribute is measured against the centroids once, and a tuple's
+    distance to every centroid sums its values' rows left to right, which
+    is :meth:`DistanceEngine.values_distance` bit for bit.
     """
 
     def __init__(
@@ -104,7 +106,24 @@ class DataPartitioner:
         values = {tid: table.row(tid).values_for(attributes) for tid in tids}
 
         centroid_tids = rng.sample(tids, parts)
-        centroids = {index: values[tid] for index, tid in enumerate(centroid_tids)}
+        centroid_columns = list(zip(*(values[tid] for tid in centroid_tids)))
+        # per attribute: value → its distance to each centroid's value
+        rows: list[dict[str, list[float]]] = [{} for _ in attributes]
+        distance = self.engine.distance
+
+        def centroid_distances(tid: int) -> list[float]:
+            totals = [0.0] * parts
+            for row_memo, centroid_values, value in zip(
+                rows, centroid_columns, values[tid]
+            ):
+                row = row_memo.get(value)
+                if row is None:
+                    row = row_memo[value] = [
+                        distance(value, centroid) for centroid in centroid_values
+                    ]
+                totals = [total + part for total, part in zip(totals, row)]
+            return totals
+
         partitions = [
             Partition(index=index, centroid_tid=tid, member_tids=[tid])
             for index, tid in enumerate(centroid_tids)
@@ -113,13 +132,11 @@ class DataPartitioner:
         # farthest from the centroid, the eviction candidate of Algorithm 3.
         heaps: list[list[tuple[float, int]]] = [[(0.0, tid)] for tid in centroid_tids]
 
-        remaining = [tid for tid in tids if tid not in set(centroid_tids)]
+        chosen = set(centroid_tids)
+        remaining = [tid for tid in tids if tid not in chosen]
         for tid in remaining:
-            distances = [
-                self.engine.values_distance(values[tid], centroids[index])
-                for index in range(parts)
-            ]
-            closest = min(range(parts), key=lambda index: distances[index])
+            distances = centroid_distances(tid)
+            closest = distances.index(min(distances))
             if partitions[closest].size < capacity:
                 self._insert(partitions[closest], heaps[closest], tid, distances[closest])
                 continue
@@ -131,12 +148,10 @@ class DataPartitioner:
                 heapq.heapreplace(heaps[closest], (-distances[closest], tid))
                 partitions[closest].member_tids.remove(top_tid)
                 partitions[closest].member_tids.append(tid)
-                displaced = top_tid
+                displaced, distances = top_tid, centroid_distances(top_tid)
             else:
                 displaced = tid
-            self._place_in_closest_open(
-                displaced, values, centroids, partitions, heaps, capacity
-            )
+            self._place_in_closest_open(displaced, distances, partitions, heaps, capacity)
         return PartitionResult(partitions=partitions, capacity=capacity)
 
     # ------------------------------------------------------------------
@@ -155,25 +170,23 @@ class DataPartitioner:
     def _place_in_closest_open(
         self,
         tid: int,
-        values: dict[int, tuple[str, ...]],
-        centroids: dict[int, tuple[str, ...]],
+        distances: list[float],
         partitions: list[Partition],
         heaps: list[list[tuple[float, int]]],
         capacity: int,
     ) -> None:
-        """Insert a displaced tuple into its closest part that still has room."""
+        """Insert a displaced tuple into its closest part that still has room.
+
+        ``distances`` holds the tuple's distance to every part's centroid.
+        """
         open_parts = [p.index for p in partitions if p.size < capacity]
         if not open_parts:
             # All parts are at capacity (can only happen through rounding on
             # the very last tuple); relax the bound for the closest part.
             open_parts = [p.index for p in partitions]
-        # One batch query with best-so-far pruning; open_parts ascends, so the
-        # smallest-position tie-break picks the lowest-numbered closest part.
-        offset, distance = self.engine.nearest(
-            values[tid], [centroids[index] for index in open_parts]
-        )
-        best = open_parts[offset]
-        self._insert(partitions[best], heaps[best], tid, distance)
+        # open_parts ascends, so min picks the lowest-numbered closest part
+        best = min(open_parts, key=distances.__getitem__)
+        self._insert(partitions[best], heaps[best], tid, distances[best])
 
 
 def hash_partition(table: Table, parts: int) -> PartitionResult:

@@ -16,7 +16,7 @@ from repro.perf.engine import (
     global_distance_stats,
     reset_global_distance_stats,
 )
-from repro.perf.qgram import ValueProfile, build_profile
+from repro.perf.qgram import build_profile
 from repro.perf.stats import LatencyWindow
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "DistanceEngine",
     "DistanceStats",
     "LatencyWindow",
-    "ValueProfile",
     "build_profile",
     "global_distance_stats",
     "reset_global_distance_stats",

@@ -20,14 +20,17 @@ micro-batches and partitions.  :class:`DistanceEngine` wraps any registered
   :meth:`~DistanceEngine.pairwise`, :meth:`~DistanceEngine.topk`) that
   visits candidates in ascending order of a positional unigram lower bound
   (:mod:`repro.perf.qgram`: two popcounts over each value tuple's cached
-  profile bit masks, whose bit numbering the engine owns and flushes only
-  together with the profiles) and scans them best-so-far with
-  cutoff-accumulating tuple distances, which stop as soon as the
-  per-attribute running sum exceeds the cutoff.  A candidate set that many
+  profile bit masks) and scans them best-so-far with cutoff-accumulating
+  tuple distances, which stop as soon as the per-attribute running sum
+  exceeds the cutoff.  A tuple's profile is composed from cached per-value
+  parts, one per ``(position, value)``; the parts, the tuple profiles and
+  the bit numbering they share flush together.  A candidate set that many
   queries share (AGP's representatives over one block pass) is prepared
   once into a :class:`CandidateSet`; a query then profiles only itself and
   bounds every candidate in one loop into a heap of ``(bound << shift) |
   position`` keys, popped until a bound exceeds the running cutoff.
+  :meth:`~DistanceEngine.pairwise` bounds each unordered pair once, sorts
+  the pairs by bound and evaluates a pair once for both of its items.
 
 Every candidate is settled by one scalar exact-or-prune evaluation: it
 returns the **exact** distance whenever that is ``≤`` the running cutoff,
@@ -63,9 +66,10 @@ from repro.distance.fastpath import strip_common_affixes, trivial_edit_distance
 from repro.perf.qgram import build_profile, popcount as _popcount
 
 #: flush bound of every per-engine memo (exact pairs, string and value-tuple
-#: interning, unigram profiles); each is a pure function of its key (profiles
-#: together with the bit numbering they flush with), so a wholesale flush can
-#: never change a result — it only costs recomputation
+#: interning, unigram profiles and their per-value parts); each is a pure
+#: function of its key (profiles together with the bit numbering they flush
+#: with), so a wholesale flush can never change a result — it only costs
+#: recomputation
 _DERIVED_CACHE_LIMIT = 1 << 16
 
 #: process-wide source of bit-numbering generations, so a candidate set
@@ -256,10 +260,13 @@ class DistanceEngine:
         self._exact: dict = {}
         self._interned: dict = {}
         self._interned_tuples: dict = {}
+        #: value tuple → its profile, composed from ``_profile_parts``
         self._profiles: dict = {}
+        #: ``(position, value)`` → the profile of one attribute value
+        self._profile_parts: dict = {}
         #: the bit numbering every cached profile's masks were built under;
-        #: flushed only together with ``_profiles`` (engines are
-        #: single-threaded, so no lock)
+        #: flushed only together with ``_profiles`` and ``_profile_parts``
+        #: (engines are single-threaded, so no lock)
         self._profile_bits: dict = {}
         #: renewed by every flush of ``_profile_bits``: a prepared candidate
         #: set's profiles are valid only under the generation that built them
@@ -413,8 +420,8 @@ class DistanceEngine:
         """Sum of per-position distances.
 
         Equals :meth:`repro.distance.base.DistanceMetric.values_distance` bit
-        for bit (same per-pair values, same left-to-right summation order);
-        the distributed partitioner ranks centroids with it.
+        for bit (same per-pair values, same left-to-right summation order),
+        as do the distributed partitioner's per-column centroid sums.
         """
         if len(left) != len(right):
             raise ValueError("value tuples must have the same length")
@@ -466,16 +473,23 @@ class DistanceEngine:
     ) -> "list[tuple[int, int, int]]":
         """The (cached) ``(total, mask, length_mask)`` profiles of one batch.
 
-        A mask is only comparable under the numbering that built it, so the
-        caches flush before a batch that would overflow them, never inside
-        one: every profile a batch compares shares one numbering.  A flush
-        starts a new generation, which makes every prepared set stale.
+        A tuple's profile sums and ORs the cached profiles of its values: the
+        bits of different positions are disjoint, so this is the profile of
+        the whole tuple.  A mask is only comparable under the numbering that
+        built it, so the caches flush before a batch that would overflow
+        them, never inside one: every profile a batch compares shares one
+        numbering.  A flush starts a new generation, which makes every
+        prepared set stale.
         """
         if self._qgram_ops is None:
             return [(0, 0, 0)] * len(tuples)
-        profiles = self._profiles
-        if len(profiles) + len(tuples) > _DERIVED_CACHE_LIMIT:
+        profiles, parts = self._profiles, self._profile_parts
+        if (
+            len(profiles) + len(tuples) > _DERIVED_CACHE_LIMIT
+            or len(parts) + sum(map(len, tuples)) > _DERIVED_CACHE_LIMIT
+        ):
             profiles.clear()
+            parts.clear()
             self._profile_bits.clear()
             self._generation = next(_GENERATIONS)
         bits = self._profile_bits
@@ -483,8 +497,15 @@ class DistanceEngine:
         for values in tuples:
             profile = profiles.get(values)
             if profile is None:
-                built = build_profile(values, bits)
-                profile = profiles[values] = (built.total, built.mask, built.length_mask)
+                total = mask = length_mask = 0
+                for key in enumerate(values):
+                    part = parts.get(key)
+                    if part is None:
+                        part = parts[key] = build_profile(*key, bits)
+                    total += part[0]
+                    mask |= part[1]
+                    length_mask |= part[2]
+                profile = profiles[values] = (total, mask, length_mask)
             batch.append(profile)
         return batch
 
@@ -513,34 +534,42 @@ class DistanceEngine:
         # a flush here leaves the set stale; its next query re-profiles it
         prepared.profiles[position] = self._profiles_of([values])[0]
 
-    def _order(
+    def _bound_keys(
         self,
-        prepared: CandidateSet,
         query_profile: "tuple[int, int, int]",
-        skip: Optional[int] = None,
-    ) -> "tuple[list[int], int]":
-        """A heap of ``(lower_bound << shift) | position`` keys, and ``shift``.
+        profiles: "Sequence[tuple[int, int, int]]",
+        shift: int,
+        first: int,
+    ) -> "list[int]":
+        """``(lower_bound << shift) | (first + offset)`` per profile, in order.
 
-        Popping it visits the candidates (less ``skip``) in ``(bound,
-        position)`` order.
+        The inline form of :func:`repro.perf.qgram.lower_bound`, bounding the
+        query against every profile in one loop.
         """
         ops = self._qgram_ops or 1
-        shift = len(prepared.values).bit_length()
         query_total, query_mask, query_lengths = query_profile
-        # the inline form of qgram.lower_bound; qgram.popcount rather than
-        # int.bit_count, which Python 3.9 lacks
+        # qgram.popcount rather than int.bit_count, which Python 3.9 lacks
         popcount = _popcount
         keys = []
         append = keys.append
-        for position, (total, mask, lengths) in enumerate(prepared.profiles):
+        for key, (total, mask, lengths) in enumerate(profiles, first):
             bound = popcount(query_lengths ^ lengths)
             missing = (query_total + total + bound) // 2 - popcount(query_mask & mask)
             # ceil(missing / ops) > bound  ⇔  missing > bound * ops
             if missing > bound * ops:
                 bound = (missing + ops - 1) // ops
-            append(bound << shift | position)
-        if skip is not None:
-            del keys[skip]
+            append(bound << shift | key)
+        return keys
+
+    def _order(
+        self, prepared: CandidateSet, query_profile: "tuple[int, int, int]"
+    ) -> "tuple[list[int], int]":
+        """A heap of ``(lower_bound << shift) | position`` keys, and ``shift``.
+
+        Popping it visits the candidates in ``(bound, position)`` order.
+        """
+        shift = len(prepared.values).bit_length()
+        keys = self._bound_keys(query_profile, prepared.profiles, shift, 0)
         heapify(keys)
         return keys, shift
 
@@ -636,22 +665,49 @@ class DistanceEngine:
         """Per item: ``(position_of_nearest_other_item, min_distance)``.
 
         The all-pairs surface RSC-style scoring needs: for every item the
-        exact minimum distance to any *other* item (``(None, inf)`` when
-        there is only one).  The items are prepared once; each item's scan
-        then visits the others bounds-ascending with its own running minimum
-        as the cutoff.
+        exact minimum distance to any *other* item, ties broken toward the
+        smallest position (``(None, inf)`` when there is only one).  Each
+        unordered pair is bounded once into a ``(bound << shift) | (i * n +
+        j)`` key and the keys are sorted once.  The walk skips a pair whose
+        bound exceeds both items' running minima; any other pair is
+        evaluated once, with the larger of the two minima as the cutoff, and
+        updates both items.  A skipped pair counts as two filtered
+        candidates, one per item.
         """
         prepared = self.prepare(values)
         items = prepared.values
         self.stats.batch_queries += 1
-        if len(items) < 2:
-            return [(None, math.inf)] * len(items)
-        self.stats.qgram_candidates += len(items) * (len(items) - 1)
-        results = []
-        for i, (item, profile) in enumerate(zip(items, prepared.profiles)):
-            keys, shift = self._order(prepared, profile, skip=i)
-            results.append(self._first(self._scan(item, items, keys, shift, math.inf, 1)))
-        return results
+        n = len(items)
+        if n < 2:
+            return [(None, math.inf)] * n
+        self.stats.qgram_candidates += n * (n - 1)
+        shift = (n * n).bit_length()
+        profiles = prepared.profiles
+        keys = []
+        for i, profile in enumerate(profiles):
+            # the pairs (i, j > i), numbered i * n + j
+            keys += self._bound_keys(profile, profiles[i + 1 :], shift, i * n + i + 1)
+        keys.sort()
+        best = [math.inf] * n
+        nearest = [n] * n
+        pair_mask = (1 << shift) - 1
+        skipped = 0
+        for key in keys:
+            bound = key >> shift
+            i, j = divmod(key & pair_mask, n)
+            best_i, best_j = best[i], best[j]
+            if bound > best_i and bound > best_j:
+                skipped += 1
+                continue
+            cutoff = best_i if best_i > best_j else best_j
+            value = self._values_bounded(items[i], items[j], cutoff)
+            # a value above the cutoff is only a bound, above both minima
+            if value < best_i or (value == best_i and j < nearest[i]):
+                best[i], nearest[i] = value, j
+            if value < best_j or (value == best_j and i < nearest[j]):
+                best[j], nearest[j] = value, i
+        self.stats.qgram_filtered += 2 * skipped
+        return list(zip(nearest, best))
 
     def topk(
         self,

@@ -17,22 +17,28 @@ different attributes never count as shared, and the aggregate bound
 is a valid lower bound of the per-position sum (each summand bounds its
 position's distance from below).
 
-A value tuple's profile is two int bit masks, numbered by a dict the
-caller owns (each :class:`~repro.perf.engine.DistanceEngine` keeps one for
-all its profiles):
+A value tuple's profile is a triple ``(total, mask, length_mask)`` of ints,
+its bits numbered by a dict the caller owns (each
+:class:`~repro.perf.engine.DistanceEngine` keeps one for all its profiles):
 
+* ``total`` is ``Σ_p len(values[p])``.
 * ``mask`` has one bit per ``(position, char, k)``, the ``k``-th occurrence
   of ``char`` in attribute ``position``.  A string holding ``n`` copies of a
   character sets that character's bits ``k = 0 .. n-1``, so the positional
-  multiset intersection of two profiles is ``popcount(a.mask & b.mask)``.
+  multiset intersection of two profiles is ``popcount(a_mask & b_mask)``.
 * ``length_mask`` writes each attribute's length in unary, one bit per
   ``(position, "", k)`` with ``k < len``, so ``Σ_p |Δlen_p|`` is
-  ``popcount(a.length_mask ^ b.length_mask)``.
+  ``popcount(a_length_mask ^ b_length_mask)``.
 
-With ``Σ_p max_len_p = (Σ len(x) + Σ len(y) + Σ_p |Δlen_p|) / 2`` the bound
-then takes two popcounts and a little integer arithmetic, whatever the
-tuple's arity.  A mask means nothing under any other numbering, so profiles
-must never outlive or cross the dict that built them.
+Every bit's key names its attribute position, so the bits of different
+positions never overlap: :func:`build_profile` profiles one value at one
+position, and a tuple's profile is the sum of its values' totals and the OR
+of their masks.  The engine caches one such part per ``(position, value)``
+and composes tuple profiles from them.  With ``Σ_p max_len_p = (Σ len(x) +
+Σ len(y) + Σ_p |Δlen_p|) / 2`` the bound then takes two popcounts and a
+little integer arithmetic, whatever the tuple's arity.  A mask means nothing
+under any other numbering, so profiles must never outlive or cross the dict
+that built them.
 
 Metrics declare how many bound-destroying edit operations one of their
 operations is worth via
@@ -50,8 +56,6 @@ cutoff — exactly the pairs whose exact distance could never win.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 
 def _bin_popcount(value: int) -> int:
     """Set bits of a non-negative int on Pythons without ``int.bit_count``."""
@@ -62,31 +66,15 @@ def _bin_popcount(value: int) -> int:
 popcount = getattr(int, "bit_count", _bin_popcount)
 
 
-class ValueProfile:
-    """The positional unigram profile of one value tuple."""
-
-    __slots__ = ("values", "mask", "length_mask", "total")
-
-    def __init__(self, values: "tuple[str, ...]", mask: int, length_mask: int):
-        self.values = values
-        self.mask = mask
-        self.length_mask = length_mask
-        #: Σ_p len(values[p])
-        self.total = sum(map(len, values))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ValueProfile({self.values!r}, chars={self.total})"
-
-
 def build_profile(
-    values: "Sequence[str]", bits: "dict[tuple[int, str, int], int]"
-) -> ValueProfile:
-    """The positional unigram profile of ``values`` under the numbering ``bits``.
+    position: int, value: str, bits: "dict[tuple[int, str, int], int]"
+) -> "tuple[int, int, int]":
+    """The profile ``(len(value), mask, length_mask)`` of attribute ``position``.
 
     ``bits`` maps ``(position, char, k)`` to a bit index (``char`` is ``""``
     for the unary length bits) and gains an entry, numbered ``len(bits)``,
     for every key it lacks.  Only profiles built through the same ``bits``
-    may be compared.
+    may be compared or composed.
     """
 
     def bit(key: "tuple[int, str, int]") -> int:
@@ -96,23 +84,26 @@ def build_profile(
         return 1 << index
 
     mask = length_mask = 0
-    for position, value in enumerate(values):
-        seen: "dict[str, int]" = {}
-        for character in value:
-            occurrence = seen.get(character, 0)
-            seen[character] = occurrence + 1
-            mask |= bit((position, character, occurrence))
-        for k in range(len(value)):
-            length_mask |= bit((position, "", k))
-    return ValueProfile(tuple(values), mask, length_mask)
+    seen: "dict[str, int]" = {}
+    for character in value:
+        occurrence = seen.get(character, 0)
+        seen[character] = occurrence + 1
+        mask |= bit((position, character, occurrence))
+    for k in range(len(value)):
+        length_mask |= bit((position, "", k))
+    return len(value), mask, length_mask
 
 
-def lower_bound(left: ValueProfile, right: ValueProfile, edit_ops: int) -> float:
-    """A lower bound of ``values_distance(left.values, right.values)``."""
-    length_bound = popcount(left.length_mask ^ right.length_mask)
+def lower_bound(
+    left: "tuple[int, int, int]", right: "tuple[int, int, int]", edit_ops: int
+) -> float:
+    """A lower bound of the ``values_distance`` of two profiled tuples."""
+    left_total, left_mask, left_lengths = left
+    right_total, right_mask, right_lengths = right
+    length_bound = popcount(left_lengths ^ right_lengths)
     # Σ_p max(len_left_p, len_right_p), less the positional multiset intersection
-    missing = (left.total + right.total + length_bound) // 2 - popcount(
-        left.mask & right.mask
+    missing = (left_total + right_total + length_bound) // 2 - popcount(
+        left_mask & right_mask
     )
     if missing > 0:
         gram_bound = (missing + edit_ops - 1) // edit_ops

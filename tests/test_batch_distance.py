@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +48,27 @@ def brute_values_distance(metric, left, right):
     return sum(
         metric.distance(a, b) if a != b else 0.0 for a, b in zip(left, right)
     )
+
+
+def whole_tuple_profile(values, bits):
+    """A tuple's profile built in one pass over the tuple, not from parts."""
+
+    def bit(key):
+        index = bits.get(key)
+        if index is None:
+            index = bits[key] = len(bits)
+        return 1 << index
+
+    mask = length_mask = 0
+    for position, value in enumerate(values):
+        seen = {}
+        for character in value:
+            occurrence = seen.get(character, 0)
+            seen[character] = occurrence + 1
+            mask |= bit((position, character, occurrence))
+        for k in range(len(value)):
+            length_mask |= bit((position, "", k))
+    return sum(map(len, values)), mask, length_mask
 
 
 def brute_nearest(metric, query, candidates, cutoff=math.inf):
@@ -94,18 +116,26 @@ def test_nearest_equals_brute_force(metric_name, query, data):
     assert distance == expected
 
 
+#: short strings over few letters, so distances tie often
+tie_text = st.text(alphabet="abé", max_size=4)
+
+
 @pytest.mark.parametrize("metric_name", METRICS)
 @given(data=st.data())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_pairwise_equals_brute_force(metric_name, data):
     metric = get_metric(metric_name)
     width = data.draw(st.integers(min_value=1, max_value=3))
-    items = data.draw(
+    text = data.draw(st.sampled_from([short_text, tie_text]))
+    pool = data.draw(
         st.lists(
-            st.lists(short_text, min_size=width, max_size=width).map(tuple),
-            max_size=7,
+            st.lists(text, min_size=width, max_size=width).map(tuple),
+            min_size=1,
+            max_size=6,
         )
     )
+    # drawing items from a small pool forces duplicates (distance 0 ties)
+    items = data.draw(st.lists(st.sampled_from(pool), max_size=16))
     engine = DistanceEngine(metric)
     results = engine.pairwise(items)
     assert len(results) == len(items)
@@ -115,12 +145,18 @@ def test_pairwise_equals_brute_force(metric_name, data):
         if expected_position is not None and expected_position >= i:
             expected_position += 1  # re-map into the full list
         assert distance == expected
-        if expected_position is None:
-            assert position is None
-        else:
-            # same minimum; the engine breaks ties toward smaller positions
-            assert brute_values_distance(metric, items[i], items[position]) == expected
-            assert position <= expected_position
+        # brute_nearest keeps the first of equal minima: the smallest position
+        assert position == expected_position
+
+
+def test_pairwise_tie_goes_to_the_smallest_position_whatever_the_bounds():
+    # ("abcd",) and ("ba",) are both 2 from ("ab",), but ("ba",) has the
+    # smaller bound (0 against 2), so the walk reaches it first
+    engine = DistanceEngine(get_metric("levenshtein"))
+    items = [("ab",), ("abcd",), ("ba",)]
+    keys, shift = engine._order(engine.prepare(items[1:]), engine._profiles_of(items[:1])[0])
+    assert sorted(key >> shift for key in keys) == [0, 2]
+    assert engine.pairwise(items)[0] == (1, 2.0)
 
 
 @pytest.mark.parametrize("metric_name", METRICS)
@@ -154,8 +190,8 @@ def test_qgram_lower_bound_never_exceeds_levenshtein(left, right):
     metric = get_metric("levenshtein")
     bits: dict = {}
     bound = lower_bound(
-        build_profile((left,), bits),
-        build_profile((right,), bits),
+        build_profile(0, left, bits),
+        build_profile(0, right, bits),
         metric.qgram_edit_ops,
     )
     assert bound <= metric.distance(left, right)
@@ -177,12 +213,48 @@ def test_inline_bound_equals_scalar_lower_bound(metric_name, data):
     keys, shift = engine._order(prepared, engine._profiles_of([query])[0])
     bounds = {key & ((1 << shift) - 1): key >> shift for key in keys}
     bits: dict = {}
-    query_profile = build_profile(query, bits)
+    query_profile = whole_tuple_profile(query, bits)
     expected = [
-        lower_bound(query_profile, build_profile(candidate, bits), metric.qgram_edit_ops)
+        lower_bound(query_profile, whole_tuple_profile(candidate, bits), metric.qgram_edit_ops)
         for candidate in candidates
     ]
     assert [bounds[position] for position in range(len(candidates))] == expected
+
+
+@pytest.mark.parametrize("limit", [None, 10], ids=["no-flush", "limit-10"])
+@pytest.mark.parametrize("metric_name", ["levenshtein", "damerau"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_composed_profiles_bound_like_whole_tuple_profiles(metric_name, limit, data):
+    # profiles composed from cached (position, value) parts, across
+    # batches that share parts and, with a small cache limit, across
+    # flushes of the parts, the tuple profiles and their bit numbering
+    metric = get_metric(metric_name)
+    ops = metric.qgram_edit_ops
+    width = data.draw(st.integers(min_value=1, max_value=3))
+    cells = data.draw(st.lists(tie_text, min_size=1, max_size=6))
+    rows = st.lists(st.sampled_from(cells), min_size=width, max_size=width).map(tuple)
+    engine = DistanceEngine(metric)
+    with mock.patch.object(
+        engine_module, "_DERIVED_CACHE_LIMIT", limit or engine_module._DERIVED_CACHE_LIMIT
+    ):
+        for _ in range(4):
+            candidates = data.draw(st.lists(rows, min_size=1, max_size=6))
+            prepared = engine.prepare(candidates)
+            engine.prepare(data.draw(st.lists(rows, max_size=4)))
+            query = data.draw(rows)
+            # the query re-profiles the set if the numbering was flushed
+            assert engine.nearest(query, prepared) == brute_nearest(metric, query, candidates)
+            assert prepared.generation == engine._generation
+            query_profile, profiles = engine._profiles[query], prepared.profiles
+            bits: dict = {}
+            expected_query = whole_tuple_profile(query, bits)
+            for candidate, profile in zip(candidates, profiles):
+                expected = whole_tuple_profile(candidate, bits)
+                assert profile[0] == expected[0]
+                assert lower_bound(query_profile, profile, ops) == lower_bound(
+                    expected_query, expected, ops
+                )
 
 
 # ----------------------------------------------------------------------

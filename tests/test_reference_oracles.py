@@ -1,18 +1,21 @@
-"""FSCR, the Levenshtein kernel, the unigram bound and AGP's merge targets
-against test-local reference implementations, and MLN weight learning
-against the optimality conditions of its objective.
+"""FSCR, the Levenshtein kernel, the unigram bound, AGP's merge targets and
+the Algorithm-3 partitioner against test-local reference implementations,
+and MLN weight learning against the optimality conditions of its objective.
 
 The reference code below is the straightforward form of each loop: a
 per-tuple merge-order search that rebuilds each γ's assignment dict on every
 visit, the rolling-row edit-distance dynamic program, the count filter over
-``(position, char) → count`` dicts, and an AGP pass that re-derives every
-representative and measures every distance for every query.  The production
-code memoizes the order search per version signature and the substitution
-search per block and restricted assignment, computes edit distances with a
-bit-parallel kernel, bounds with popcounts of profile bit masks and keeps
-representatives across a block pass; each must produce exactly (``==``, not
-approximately) the same fusions, failed tuples, distances, bounds and merge
-targets on every generated input.  A fusion stores no f-score, but the
+``(position, char) → count`` dicts, an AGP pass that re-derives every
+representative and measures every distance for every query, and a
+partitioner that asks the metric for every tuple-to-centroid distance.  The
+production code memoizes the order search per version signature and the
+substitution search per block and restricted assignment, computes edit
+distances with a bit-parallel kernel, bounds with popcounts of profile bit
+masks composed from per-value parts, keeps representatives across a block
+pass and measures each distinct attribute value against the centroids once;
+each must produce exactly (``==``, not approximately) the same fusions,
+failed tuples, distances, bounds, merge targets and partitions on every
+generated input.  A fusion stores no f-score, but the
 reference picks its fusion by f-score with the same strict ``>`` tie-break,
 so the chosen assignment, conflicted attributes and substitution count are
 still compared exactly.  The weight learner solves its objective to the
@@ -21,8 +24,10 @@ optimum, so it is checked by the KKT conditions at the weights it returns.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+import random
 from dataclasses import replace
 from typing import Optional
 from unittest import mock
@@ -37,11 +42,13 @@ from repro.core.fscr import FusionScoreResolver
 from repro.core.index import Block, DataPiece, MLNIndex
 from repro.core.rsc import ReliabilityScoreCleaner
 from repro.dataset.table import Table
+from repro.distance import get_metric
 from repro.distance.fastpath import levenshtein
+from repro.distributed.partition import DataPartitioner
 from repro.errors.injector import ErrorSpec
 from repro.mln.weights import WeightLearningConfig, learn_group_weights
 from repro.perf import engine as engine_module
-from repro.perf.qgram import _bin_popcount, build_profile, lower_bound
+from repro.perf.qgram import _bin_popcount, lower_bound
 from repro.workloads.registry import get_workload_generator, recommended_config
 
 
@@ -567,8 +574,8 @@ def same_arity_tuples(draw):
 @example([("aaa", ""), ("a", "bb")])
 @example([("\U0001f600\U0001f600", "x"), ("\U0001f600", "x")])
 def test_unigram_bound_equals_reference(rows):
-    bits: dict = {}
-    profiles = [build_profile(row, bits) for row in rows]
+    # the engine composes each tuple's profile from per-value parts
+    profiles = engine_module.DistanceEngine(get_metric("levenshtein"))._profiles_of(rows)
     for (i, left), (j, right) in itertools.product(enumerate(rows), repeat=2):
         for edit_ops in (1, 2):
             expected = reference_lower_bound(left, right, edit_ops)
@@ -688,3 +695,82 @@ def _check_agp_targets(rows, threshold):
         return
     expected = reference_agp_targets(reference, threshold)
     assert [merge.target_key for merge in outcome.merges] == expected
+
+
+# ----------------------------------------------------------------------
+# reference Algorithm 3: every tuple-to-centroid distance from the metric
+# ----------------------------------------------------------------------
+def reference_partition(table: Table, parts: int, seed: int, metric):
+    """Per part, the member tids and the max-heap of ``(-distance, tid)``."""
+    tids = table.tids
+    parts = min(parts, len(tids))
+    capacity = math.ceil(len(tids) / parts)
+    values = {tid: table.row(tid).values_for(table.schema.attributes) for tid in tids}
+    centroids = random.Random(seed).sample(tids, parts)
+    members = [[tid] for tid in centroids]
+    heaps = [[(0.0, tid)] for tid in centroids]
+
+    def distance(tid, part):
+        return metric.values_distance(values[tid], values[centroids[part]])
+
+    def place(tid, candidates):
+        best = min(candidates, key=lambda part: (distance(tid, part), part))
+        members[best].append(tid)
+        heapq.heappush(heaps[best], (-distance(tid, best), tid))
+
+    for tid in tids:
+        if tid in centroids:
+            continue
+        closest = min(range(parts), key=lambda part: (distance(tid, part), part))
+        if len(members[closest]) < capacity:
+            place(tid, [closest])
+            continue
+        top_negative, top_tid = heaps[closest][0]
+        displaced = tid
+        if distance(tid, closest) < -top_negative:
+            heapq.heapreplace(heaps[closest], (-distance(tid, closest), tid))
+            members[closest].remove(top_tid)
+            members[closest].append(tid)
+            displaced = top_tid
+        open_parts = [part for part in range(parts) if len(members[part]) < capacity]
+        place(displaced, open_parts or range(parts))
+    return members, heaps
+
+
+@st.composite
+def partition_tables(draw):
+    """Tables drawn from a few rows over few letters: duplicate rows and ties."""
+    cell = st.text(alphabet="ab", max_size=3)
+    pool = draw(st.lists(st.tuples(cell, cell), min_size=1, max_size=6))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=24))
+    return Table.from_records([{"A": a, "B": b} for a, b in rows])
+
+
+@pytest.mark.parametrize("metric_name", ["levenshtein", "damerau"])
+@settings(max_examples=150, deadline=None)
+@given(
+    partition_tables(),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=1000),
+)
+@example(Table.from_records([{"A": "", "B": ""}] * 5), 2, 0)
+def test_partition_equals_reference(metric_name, table, parts, seed):
+    metric = get_metric(metric_name)
+    heaps: dict = {}
+    insert = DataPartitioner._insert
+
+    def recording_insert(partition, heap, tid, distance):
+        heaps[partition.index] = heap
+        insert(partition, heap, tid, distance)
+
+    partitioner = DataPartitioner(
+        parts, engine=engine_module.DistanceEngine(metric), seed=seed
+    )
+    with mock.patch.object(DataPartitioner, "_insert", staticmethod(recording_insert)):
+        result = partitioner.partition(table)
+    members, expected_heaps = reference_partition(table, parts, seed, metric)
+    assert [partition.member_tids for partition in result.partitions] == members
+    for index, partition in enumerate(result.partitions):
+        # a part nothing was inserted into still holds only its centroid
+        heap = heaps.get(index, [(0.0, partition.centroid_tid)])
+        assert heap == expected_heaps[index]
