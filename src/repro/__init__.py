@@ -32,7 +32,8 @@ Sub-packages:
   backends, and the cleaner registry,
 * :mod:`repro.core` — the MLNClean pipeline (MLN index, AGP, RSC, FSCR),
 * :mod:`repro.constraints` — FD / CFD / DC rules and the rule parser,
-* :mod:`repro.mln` — the Markov-logic substrate (grounding, weights, inference),
+* :mod:`repro.mln` — the MLN weight learner (the grounding is the MLN index
+  of :mod:`repro.core`),
 * :mod:`repro.dataset`, :mod:`repro.distance`, :mod:`repro.errors`,
   :mod:`repro.metrics` — supporting substrates,
 * :mod:`repro.baselines` — the comparison baselines (HoloClean-style,
@@ -87,7 +88,7 @@ from repro.streaming import (
     WorkloadStreamSource,
 )
 
-__version__ = "12.0.0"
+__version__ = "13.0.0"
 
 __all__ = [
     "CleaningSession",

@@ -49,8 +49,6 @@ class MLNCleanConfig:
     fscr_minimality_bias: float = 1.0
     #: drop exact duplicate tuples at the end of Stage II
     remove_duplicates: bool = True
-    #: collect per-stage component metrics when a ground truth is available
-    instrument: bool = True
     #: opt-in observability: run under a fresh :class:`repro.obs.Tracer`
     #: even when the caller activated none (an already-ambient tracer is
     #: reused).  Purely observational — listed in

@@ -5,7 +5,9 @@ splits each block into **groups** of *pieces of data* (γ) that share the same
 values on the rule's reason part.  A γ carries the attribute values of one
 tuple restricted to the rule's attributes, so a tuple contributes at most one
 γ per block and the block collection holds up to ``|B|`` *data versions* of
-every tuple.
+every tuple.  The index is also the MLN's grounding (Table 3): each γ is a
+ground rule with its support ``c(γ)`` and tuple ids, weighed by
+:mod:`repro.mln` in the RSC stage.
 
 Index construction is lines 1-13 of Algorithm 1 and costs
 ``O(|B| × |T|)``.  Blocks hold only their groups and γs: the distance

@@ -90,7 +90,7 @@ class MLNClean:
             raise ValueError("MLNClean needs at least one integrity constraint")
         config = self.config
         timings = TimingBreakdown()
-        instrument = config.instrument and ground_truth is not None
+        instrument = ground_truth is not None
         # One shared distance engine for the whole run: AGP, RSC, FSCR and
         # dedup all read/write the same cache, and its counters end up in the
         # report's PerfDetails.

@@ -35,9 +35,6 @@ plus post-paper capability studies::
 
 from repro.experiments.harness import (
     ExperimentResult,
-    SystemRun,
-    run_holoclean,
-    run_mlnclean,
     prepare_instance,
     session_for_instance,
 )
@@ -135,7 +132,6 @@ __all__ = [
     "EXPERIMENTS",
     "RENDERERS",
     "ExperimentResult",
-    "SystemRun",
     "ExperimentSpec",
     "ExperimentRunner",
     "RunArtifact",
@@ -146,8 +142,6 @@ __all__ = [
     "available_specs",
     "prepare_instance",
     "session_for_instance",
-    "run_mlnclean",
-    "run_holoclean",
     "fig06_error_percentage",
     "fig07_error_type_ratio",
     "render_fig06",

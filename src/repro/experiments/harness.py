@@ -8,12 +8,10 @@ the paper's figures plot.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.baselines.holoclean import HoloCleanConfig
 from repro.core.config import MLNCleanConfig
 from repro.errors.injector import ErrorSpec
 from repro.session import CleaningSession
@@ -24,31 +22,6 @@ from repro.workloads.registry import get_workload_generator, recommended_config
 #: them; the paper's datasets are orders of magnitude larger, but the shapes
 #: of the curves only need enough tuples for stable statistics.
 DEFAULT_TUPLES = {"car": 1200, "hai": 1600, "tpch": 1800}
-
-
-@dataclass
-class SystemRun:
-    """One (system, configuration) measurement."""
-
-    dataset: str
-    system: str
-    f1: float
-    precision: float
-    recall: float
-    runtime_seconds: float
-    extras: dict[str, float] = field(default_factory=dict)
-
-    def as_row(self) -> dict[str, object]:
-        row: dict[str, object] = {
-            "dataset": self.dataset,
-            "system": self.system,
-            "precision": round(self.precision, 4),
-            "recall": round(self.recall, 4),
-            "f1": round(self.f1, 4),
-            "runtime_s": round(self.runtime_seconds, 4),
-        }
-        row.update({key: round(value, 4) for key, value in self.extras.items()})
-        return row
 
 
 @dataclass
@@ -127,7 +100,7 @@ def prepare_instance(
 
 
 # ----------------------------------------------------------------------
-# system runners
+# sessions
 # ----------------------------------------------------------------------
 def session_for_instance(
     instance: WorkloadInstance,
@@ -163,76 +136,6 @@ def session_for_instance(
     else:
         builder = builder.with_backend(backend, **backend_options)
     return builder.build()
-
-
-def run_mlnclean(
-    instance: WorkloadInstance,
-    threshold: Optional[int] = None,
-    config: Optional[MLNCleanConfig] = None,
-    backend: str = "batch",
-    **backend_options,
-) -> SystemRun:
-    """Run MLNClean on an instance and collect the headline metrics.
-
-    The run goes through the unified session API, so ``backend`` can swap in
-    any registered execution backend ("batch" by default).
-    """
-    if config is None:
-        if threshold is not None:
-            config = MLNCleanConfig(abnormal_threshold=threshold)
-    elif threshold is not None:
-        config = config.with_threshold(threshold)
-    session = session_for_instance(
-        instance, config=config, backend=backend, **backend_options
-    )
-    started = time.perf_counter()
-    report = session.run()
-    elapsed = time.perf_counter() - started
-    # Component metrics only exist when the backend ran the instrumented
-    # stages (the distributed driver reports no per-stage outcomes);
-    # emitting all-zero columns would read as "measured: 0".
-    extras: dict[str, float] = {}
-    if any(o is not None for o in (report.agp, report.rsc, report.fscr)):
-        extras.update(report.component_accuracy.as_dict())
-    extras["duplicates_removed"] = float(
-        report.dedup.removed_count if report.dedup is not None else 0
-    )
-    system = "MLNClean" if backend == "batch" else f"MLNClean[{backend}]"
-    return SystemRun(
-        dataset=instance.name,
-        system=system,
-        f1=report.accuracy.f1 if report.accuracy else 0.0,
-        precision=report.accuracy.precision if report.accuracy else 0.0,
-        recall=report.accuracy.recall if report.accuracy else 0.0,
-        runtime_seconds=elapsed,
-        extras=extras,
-    )
-
-
-def run_holoclean(
-    instance: WorkloadInstance, config: Optional[HoloCleanConfig] = None
-) -> SystemRun:
-    """Run the HoloClean baseline (perfect detection, as in the paper).
-
-    Goes through the unified session/cleaner path, so the run is exactly
-    ``CleaningSession.builder().with_cleaner("holoclean")`` on the
-    instance's table, rules and ground truth.
-    """
-    session = session_for_instance(
-        instance, cleaner="holoclean", cleaner_options={"config": config}
-    )
-    started = time.perf_counter()
-    report = session.run()
-    elapsed = time.perf_counter() - started
-    return SystemRun(
-        dataset=instance.name,
-        system="HoloClean",
-        f1=report.accuracy.f1 if report.accuracy else 0.0,
-        precision=report.accuracy.precision if report.accuracy else 0.0,
-        recall=report.accuracy.recall if report.accuracy else 0.0,
-        runtime_seconds=elapsed,
-        extras={"detected_cells": float(len(report.details.detected_cells))},
-    )
 
 
 def default_error_rates() -> Sequence[float]:

@@ -1,44 +1,15 @@
-"""Markov logic network substrate.
+"""Markov logic network weight learning.
 
 The paper builds MLNClean on top of Markov logic networks (Definition 1 and
-Eq. 2) and borrows the weight learner of Tuffy.  Because no
-external MLN engine is available offline, this package implements the pieces
-MLNClean needs from scratch:
+Eq. 2) and borrows the weight learner of Tuffy.  The grounding is the MLN
+index of :mod:`repro.core.index`: each rule's block holds one piece of data
+γ per (reason, result) value pair, with its support and tuple ids.  This
+package holds only the learner that weighs those γs:
 
-* :mod:`repro.mln.formula` — ground atoms, literals, and weighted clauses,
-* :mod:`repro.mln.network` — the :class:`MarkovLogicNetwork` container with
-  the log-linear world distribution of Eq. 2,
-* :mod:`repro.mln.grounding` — grounding of FD / CFD / DC rules against a
-  table (Table 3 of the paper),
-* :mod:`repro.mln.weights` — the Eq. 4 prior and the exact-Newton
-  pseudo-likelihood weight learner used by the RSC stage,
-* :mod:`repro.mln.inference` — exact enumeration and Gibbs-sampling marginal
-  inference, used by tests and the probabilistic baseline.
+* :mod:`repro.mln.weights` — the exact-Newton pseudo-likelihood learner,
+  anchored at the Eq.-4 prior, that the RSC stage calls once per block.
 """
 
-from repro.mln.formula import Atom, Literal, Clause
-from repro.mln.network import MarkovLogicNetwork
-from repro.mln.grounding import GroundClause, ground_rule, ground_rules
-from repro.mln.weights import (
-    NewtonLearner,
-    WeightLearningConfig,
-    prior_weights,
-    learn_group_weights,
-)
-from repro.mln.inference import ExactInference, GibbsSampler
+from repro.mln.weights import WeightLearningConfig, learn_group_weights
 
-__all__ = [
-    "Atom",
-    "Literal",
-    "Clause",
-    "MarkovLogicNetwork",
-    "GroundClause",
-    "ground_rule",
-    "ground_rules",
-    "NewtonLearner",
-    "WeightLearningConfig",
-    "prior_weights",
-    "learn_group_weights",
-    "ExactInference",
-    "GibbsSampler",
-]
+__all__ = ["WeightLearningConfig", "learn_group_weights"]

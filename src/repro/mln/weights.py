@@ -62,11 +62,9 @@ workloads, and one tracked result cell moves:
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable, Mapping, Sequence
+from collections.abc import Hashable, Mapping
 from dataclasses import dataclass
 from operator import add, mul, sub
-
-from repro.mln.grounding import GroundClause
 
 #: sufficient-increase fraction of the Armijo line search
 _ARMIJO = 1e-4
@@ -104,14 +102,6 @@ class WeightLearningConfig:
             raise ValueError("tolerance must be > 0")
 
 
-def prior_weights(groundings: Sequence[GroundClause]) -> dict[GroundClause, float]:
-    """The Eq.-4 prior: support of each γ over the total support of the block."""
-    total = sum(g.support for g in groundings)
-    if total == 0:
-        return {g: 0.0 for g in groundings}
-    return {g: g.support / total for g in groundings}
-
-
 def learn_group_weights(
     group_counts: Mapping[Hashable, Mapping[tuple, int]],
     priors: Mapping[tuple, float],
@@ -122,8 +112,8 @@ def learn_group_weights(
     ``group_counts`` maps a group identifier (any hashable, e.g. the group's
     reason-value tuple) to ``{γ key: tuple count}``; ``priors`` maps γ keys to
     their Eq.-4 prior.  Returns the learned weight per γ key, in first-seen
-    key order.  This is the low-level entry point used by the
-    :class:`NewtonLearner`.
+    key order.  :meth:`repro.core.rsc.ReliabilityScoreCleaner.learn_block_weights`
+    builds both mappings from one block of the MLN index.
 
     Raises :class:`ValueError` when a γ key appears in two groups: a γ is
     identified by its reason values, so it belongs to exactly one group.
@@ -263,33 +253,3 @@ def _project(weights: list[float], cap: float) -> list[float]:
         return weights
     return [cap if w > cap else -cap if w < -cap else w for w in weights]
 
-
-class NewtonLearner:
-    """Weight learner over the groundings of one block of the MLN index.
-
-    The learner groups the block's groundings by their reason values (the
-    groups of the MLN index), computes the Eq.-4 prior, and solves each
-    group's pseudo-likelihood to its optimum.  The result is a weight per
-    :class:`GroundClause` that the RSC and FSCR stages consume.
-    """
-
-    def __init__(self, config: WeightLearningConfig | None = None):
-        self.config = config or WeightLearningConfig()
-
-    def learn(self, groundings: Sequence[GroundClause]) -> dict[GroundClause, float]:
-        """Learn and return the weight of every grounding of a block."""
-        if not groundings:
-            return {}
-        priors_by_clause = prior_weights(groundings)
-        by_key = {g.key: g for g in groundings}
-        group_counts: dict[tuple, dict[tuple, int]] = {}
-        for grounding in groundings:
-            group_counts.setdefault(grounding.reason_values, {})[
-                grounding.key
-            ] = grounding.support
-        priors = {g.key: priors_by_clause[g] for g in groundings}
-        learned = learn_group_weights(group_counts, priors, self.config)
-        weights = {by_key[key]: weight for key, weight in learned.items()}
-        for grounding, weight in weights.items():
-            grounding.clause.weight = weight
-        return weights

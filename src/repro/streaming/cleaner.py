@@ -342,7 +342,7 @@ class StreamingMLNClean:
                 retained=report.tuples_total,
             )
 
-        if self.config.instrument and len(self._ground_truth):
+        if len(self._ground_truth):
             report.accuracy = self.accuracy()
 
         self._timings = self._timings.merge(timings)

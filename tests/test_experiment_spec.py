@@ -24,7 +24,6 @@ from repro.experiments import (
     load_spec,
     render_fig06,
 )
-from repro.experiments.harness import prepare_instance, run_holoclean, run_mlnclean
 from repro.session.backends import CleaningRequest
 from repro.session.cleaners import get_cleaner
 
@@ -153,25 +152,6 @@ def test_runner_expands_the_full_grid():
     }
     assert all(cell.report is None for cell in artifact.cells)
     assert all(cell.perf["distance_calls"] >= 0 for cell in artifact.cells)
-
-
-def test_fig06_runner_matches_legacy_harness_runs():
-    """The spec path reproduces run_mlnclean/run_holoclean bit for bit."""
-    artifact = ExperimentRunner(tiny_fig06_spec()).run()
-    instance = prepare_instance("car", tuples=SMALL, error_rate=0.05)
-    legacy = {
-        "MLNClean": run_mlnclean(instance).as_row(),
-        "HoloClean": run_holoclean(instance).as_row(),
-    }
-    for cell in artifact.cells[:2]:
-        expected = legacy[cell.metrics["system"]]
-        for key, value in cell.metrics.items():
-            if key in ("runtime_s",):  # wall-clock, not comparable
-                continue
-            if key == "system":
-                assert value == expected["system"]
-            else:
-                assert value == pytest.approx(expected[key]), (key, value)
 
 
 def test_rerunning_a_spec_reproduces_the_numbers():

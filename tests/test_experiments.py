@@ -18,8 +18,7 @@ from repro.experiments.harness import (
     ExperimentResult,
     default_thresholds,
     prepare_instance,
-    run_holoclean,
-    run_mlnclean,
+    session_for_instance,
 )
 
 SMALL = 300
@@ -32,12 +31,13 @@ def test_registry_covers_all_figures_and_tables():
 
 def test_prepare_instance_and_runners():
     instance = prepare_instance("car", tuples=SMALL, error_rate=0.05)
-    mlnclean = run_mlnclean(instance)
-    holoclean = run_holoclean(instance)
-    assert mlnclean.system == "MLNClean"
-    assert holoclean.system == "HoloClean"
-    assert 0.0 <= mlnclean.f1 <= 1.0
-    assert "precision_a" in mlnclean.extras
+    mlnclean = session_for_instance(instance).run()
+    holoclean = session_for_instance(instance, cleaner="holoclean").run()
+    assert mlnclean.backend == "batch"
+    assert holoclean.backend == "holoclean"
+    assert 0.0 <= mlnclean.accuracy.f1 <= 1.0
+    assert 0.0 <= holoclean.accuracy.f1 <= 1.0
+    assert "precision_a" in mlnclean.component_accuracy.as_dict()
 
 
 def test_experiment_result_rendering():

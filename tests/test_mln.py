@@ -1,89 +1,25 @@
-"""Unit tests for the Markov logic substrate: formulas, grounding, weights, inference."""
+"""Unit tests for MLN grounding (the MLN index) and weight learning."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.constraints.rules import FunctionalDependency
-from repro.mln.formula import Atom, Clause, Literal
-from repro.mln.grounding import ground_rule, ground_rules, grounding_statistics
-from repro.mln.inference import ExactInference, GibbsSampler
-from repro.mln.network import MarkovLogicNetwork
-from repro.mln.weights import (
-    NewtonLearner,
-    WeightLearningConfig,
-    learn_group_weights,
-    prior_weights,
-)
+from repro.core.index import MLNIndex
+from repro.core.rsc import ReliabilityScoreCleaner
+from repro.mln.weights import WeightLearningConfig, learn_group_weights
 
 
-# ----------------------------------------------------------------------
-# formulas
-# ----------------------------------------------------------------------
-def test_atom_and_literal_rendering():
-    atom = Atom("CT", "DOTHAN")
-    assert atom.render() == 'CT("DOTHAN")'
-    literal = Literal(atom, negated=True)
-    assert literal.render() == '¬CT("DOTHAN")'
-    assert literal.negate().negated is False
+def _learned_block(table, fd):
+    """The one block of ``fd`` over ``table``, with its γ weights learned."""
+    block = MLNIndex.build(table, [fd]).block_list[0]
+    ReliabilityScoreCleaner().learn_block_weights(block)
+    return block
 
 
-def test_literal_evaluation_defaults_to_false():
-    atom = Atom("CT", "DOTHAN")
-    assert Literal(atom).evaluate({}) is False
-    assert Literal(atom, negated=True).evaluate({}) is True
-
-
-def test_clause_satisfaction_and_identity():
-    a, b = Atom("CT", "X"), Atom("ST", "Y")
-    clause = Clause([Literal(a, negated=True), Literal(b)])
-    assert clause.is_satisfied({a: False, b: False})
-    assert clause.is_satisfied({a: True, b: True})
-    assert not clause.is_satisfied({a: True, b: False})
-    assert clause == Clause([Literal(a, negated=True), Literal(b)], weight=3.0)
-    assert len(clause) == 2
-    assert clause.atoms == [a, b]
-
-
-def test_clause_requires_literals():
-    with pytest.raises(ValueError):
-        Clause([])
-
-
-# ----------------------------------------------------------------------
-# network
-# ----------------------------------------------------------------------
-def build_network():
-    a, b = Atom("A", "x"), Atom("B", "y")
-    network = MarkovLogicNetwork()
-    network.add(Clause([Literal(a, negated=True), Literal(b)]), weight=2.0)
-    network.add(Clause([Literal(a)]), weight=1.0)
-    return network, a, b
-
-
-def test_world_score_and_probability():
-    network, a, b = build_network()
-    assert network.world_score({a: True, b: True}) == pytest.approx(3.0)
-    assert network.world_score({a: True, b: False}) == pytest.approx(1.0)
-    total = sum(
-        network.world_probability({a: va, b: vb})
-        for va in (False, True)
-        for vb in (False, True)
-    )
-    assert total == pytest.approx(1.0)
-
-
-def test_partition_function_refuses_large_networks():
-    network = MarkovLogicNetwork()
-    for i in range(30):
-        network.add(Clause([Literal(Atom("P", str(i)))]), weight=0.1)
-    with pytest.raises(ValueError):
-        network.log_partition_function()
-
-
-def test_clauses_for_atom():
-    network, a, b = build_network()
-    assert len(network.clauses_for_atom(a)) == 2
-    assert len(network.clauses_for_atom(b)) == 1
+def _pieces(table, fd):
+    """``{reason + result values: γ}`` of the block of ``fd`` over ``table``."""
+    block = _learned_block(table, fd)
+    return {piece.reason_values + piece.result_values: piece for piece in block.pieces}
 
 
 # ----------------------------------------------------------------------
@@ -91,54 +27,31 @@ def test_clauses_for_atom():
 # ----------------------------------------------------------------------
 def test_ground_rule_matches_table3(sample_table):
     fd = FunctionalDependency(["CT"], ["ST"], name="r1")
-    groundings = ground_rule(fd, sample_table)
-    combos = {(g.reason_values, g.result_values): g.support for g in groundings}
-    assert combos == {
-        (("DOTHAN",), ("AL",)): 2,
-        (("DOTH",), ("AL",)): 1,
-        (("BOAZ",), ("AK",)): 1,
-        (("BOAZ",), ("AL",)): 2,
+    pieces = _pieces(sample_table, fd)
+    supports = {combo: piece.support for combo, piece in pieces.items()}
+    assert supports == {
+        ("DOTHAN", "AL"): 2,
+        ("DOTH", "AL"): 1,
+        ("BOAZ", "AK"): 1,
+        ("BOAZ", "AL"): 2,
     }
-
-
-def test_ground_rule_clause_shape(sample_table):
-    fd = FunctionalDependency(["CT"], ["ST"])
-    grounding = ground_rule(fd, sample_table)[0]
-    rendered = grounding.clause.render()
-    assert rendered.startswith("¬CT(")
-    assert "ST(" in rendered
-
-
-def test_ground_rules_and_statistics(sample_table, sample_rules):
-    groundings = ground_rules(sample_rules, sample_table)
-    assert set(groundings) == {"r1", "r2", "r3"}
-    stats = grounding_statistics(groundings)
-    assert stats["r1"]["groundings"] == 4
-    assert stats["r1"]["groups"] == 3
-    # r3 only covers the four ELIZA tuples
-    assert stats["r3"]["support"] == 4
 
 
 # ----------------------------------------------------------------------
 # weights
 # ----------------------------------------------------------------------
-def test_prior_weights_eq4(sample_table):
+def test_lone_gamma_keeps_its_eq4_prior(sample_table):
+    # a lone γ's optimum is its Eq.-4 prior c(γ)/Σc over the block's 6 tuples
     fd = FunctionalDependency(["CT"], ["ST"])
-    groundings = ground_rule(fd, sample_table)
-    priors = prior_weights(groundings)
-    assert sum(priors.values()) == pytest.approx(1.0)
-    by_combo = {g.reason_values + g.result_values: p for g, p in priors.items()}
-    assert by_combo[("BOAZ", "AL")] == pytest.approx(2 / 6)
+    pieces = _pieces(sample_table, fd)
+    assert pieces[("DOTH", "AL")].weight == pytest.approx(1 / 6)
+    assert pieces[("DOTHAN", "AL")].weight == pytest.approx(2 / 6)
 
 
 def test_learner_ranks_supported_gamma_higher(sample_table):
     fd = FunctionalDependency(["CT"], ["ST"])
-    groundings = ground_rule(fd, sample_table)
-    weights = NewtonLearner().learn(groundings)
-    by_combo = {g.reason_values + g.result_values: w for g, w in weights.items()}
-    assert by_combo[("BOAZ", "AL")] > by_combo[("BOAZ", "AK")]
-    # the clause objects carry the learned weight too
-    assert all(g.clause.weight == weights[g] for g in groundings)
+    pieces = _pieces(sample_table, fd)
+    assert pieces[("BOAZ", "AL")].weight > pieces[("BOAZ", "AK")].weight
 
 
 def test_learn_group_weights_orders_by_count():
@@ -211,37 +124,22 @@ def _two_group_table(second=("x", "y|z")):
     return table, FunctionalDependency(["A", "B"], ["C"])
 
 
-def _learner_weights_by_group(table, fd):
-    weights = NewtonLearner().learn(ground_rule(fd, table))
-    by_group = {}
-    for grounding, weight in weights.items():
-        by_group.setdefault(grounding.reason_values, {})[grounding.support] = weight
-    return by_group
-
-
-def _rsc_weights_by_group(table, fd):
-    from repro.core.index import MLNIndex
-    from repro.core.rsc import ReliabilityScoreCleaner
-
-    block = MLNIndex.build(table, [fd]).block_list[0]
-    ReliabilityScoreCleaner().learn_block_weights(block)
+def _weights_by_group(table, fd):
+    block = _learned_block(table, fd)
     return {
         group.key: {piece.support: piece.weight for piece in group.gammas}
         for group in block.group_list
     }
 
 
-@pytest.mark.parametrize(
-    "weights_by_group", [_learner_weights_by_group, _rsc_weights_by_group]
-)
-def test_groups_whose_keys_join_alike_keep_their_weights(weights_by_group):
-    colliding = weights_by_group(*_two_group_table())
+def test_groups_whose_keys_join_alike_keep_their_weights():
+    colliding = _weights_by_group(*_two_group_table())
     assert set(colliding) == {("x|y", "z"), ("x", "y|z")}
     # same counts and priors, so the same weights
     assert colliding[("x|y", "z")] == colliding[("x", "y|z")]
     assert colliding[("x|y", "z")][2] > colliding[("x|y", "z")][1]
     # and the same weights as when the other group's values do not collide
-    apart = weights_by_group(*_two_group_table(second=("p", "q")))
+    apart = _weights_by_group(*_two_group_table(second=("p", "q")))
     assert colliding[("x|y", "z")] == apart[("x|y", "z")]
 
 
@@ -254,43 +152,6 @@ def test_learner_converges_no_oscillation():
     weights = learn_group_weights(counts, priors)
     assert weights[("clean",)] == max(weights.values())
     assert weights[("clean",)] > 0
-
-
-# ----------------------------------------------------------------------
-# inference
-# ----------------------------------------------------------------------
-def test_exact_inference_prefers_high_weight_atom():
-    network, a, b = build_network()
-    marginals = ExactInference(network).marginals()
-    assert marginals[a] > 0.5
-    assert marginals[b] > 0.5
-
-
-def test_exact_inference_with_evidence():
-    network, a, b = build_network()
-    marginals = ExactInference(network).marginals(evidence={a: True})
-    assert set(marginals) == {b}
-
-
-def test_exact_map_state():
-    network, a, b = build_network()
-    state = ExactInference(network).map_state()
-    assert state[a] is True
-    assert state[b] is True
-
-
-def test_gibbs_close_to_exact():
-    network, a, b = build_network()
-    exact = ExactInference(network).marginals()
-    sampled = GibbsSampler(network, samples=2000, burn_in=200, seed=5).marginals()
-    assert sampled[a] == pytest.approx(exact[a], abs=0.1)
-    assert sampled[b] == pytest.approx(exact[b], abs=0.1)
-
-
-def test_gibbs_validation():
-    network, _, _ = build_network()
-    with pytest.raises(ValueError):
-        GibbsSampler(network, samples=0)
 
 
 @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60))

@@ -294,6 +294,7 @@ def test_config_engine_honours_cache_knobs():
         "qgram_size",
         "pruning_topk",
         "max_candidates",
+        "instrument",
     ):
         with pytest.raises(TypeError, match=removed):
             MLNCleanConfig(**{removed: None})

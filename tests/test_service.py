@@ -687,6 +687,7 @@ def test_http_bad_cleaner_options_are_400(client):
         "qgram_size",
         "pruning_topk",
         "max_candidates",
+        "instrument",
     ],
 )
 def test_http_removed_config_knob_is_400_naming_the_field(client, knob):
