@@ -19,20 +19,27 @@ otherwise tries each version as the starting point followed by the remaining
 versions in decreasing weight order — the factorial search of the paper,
 bounded for large rule sets.
 
-The order search reads only a tuple's data versions, never its row, so one
-:meth:`FusionScoreResolver.resolve` memoizes it per *version signature* (the
-γ values and weight of every version, in block order): each merge order's
-surviving assignment, weight product and substitution count, plus the
-attributes found in conflict.  The minimality factor is the one term that
-reads the tuple's current row; it is applied per tuple to the memoized
-attempts, in order-search order with a strict ``>`` tie-break, so the chosen
-fusion equals a per-tuple search.  Each γ's ``(attribute, value)`` pairs and
-``exp(w)`` factor are built once per resolve, and conflicts are plain
-``dict.get`` comparisons.  The substitution search is memoized too, keyed on
-the block and the fused assignment's values on that block's attributes — the
-only part of the assignment the search reads — and storing the first agreeing
-γ of the weight-sorted pool, or ``None`` when there is none.  Both memos are
-exact because the pools and weights are fixed within one resolve.
+The search runs on integer-coded γs.  Each :meth:`FusionScoreResolver.resolve`
+numbers every attribute's values (from 1; 0 means "unassigned") in the pass
+that builds the blocks' weight-sorted pools, and gives each attribute a fixed
+bit field wide enough for its ids.  A γ is then a *word* (its value ids in
+their fields), a *field mask* (the fields of its attributes) and its
+``exp(w)`` factor.  Two assignments conflict when ``(word ^ other) & mask &
+other_mask`` is non-zero, and merging them is an OR.
+
+The order search reads only a tuple's data versions, never its row, so it is
+memoized per *version signature* (the γ values and weight of every version, in
+block order): each merge order's surviving word, weight product, substitution
+count and chosen γs, plus the attributes found in conflict.  The minimality
+factor is the one term that reads the tuple's current row; it is applied per
+tuple to the memoized attempts, in order-search order with a strict ``>``
+tie-break, so the chosen fusion equals a per-tuple search, and the winner's
+assignment is rebuilt from its chosen γs in its own merge order.  The
+substitution search is memoized too, keyed on the block and the fused word
+restricted to that block's fields — the only part of the assignment the search
+reads — and storing the first agreeing γ of the weight-sorted pool, or
+``None`` when there is none.  Both memos are exact because the pools, weights
+and value ids are fixed within one resolve.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from collections.abc import Iterable
 from typing import Callable, Optional
 
 from repro.core.config import MLNCleanConfig
@@ -90,27 +98,118 @@ class FSCROutcome:
     memo_hits: int = 0
 
 
-#: one merge order's surviving fusion: (assignment, weight product,
-#: substitutions) — the f-score before the minimality factor
-_Attempt = tuple[dict[str, str], float, int]
+#: a γ coded for one resolve: (word, field mask, ``exp(w)`` factor, its
+#: ``(attribute, value)`` pairs)
+_Fact = tuple[int, int, float, tuple[tuple[str, str], ...]]
+
+#: one merge order's surviving fusion: (index of its word among the
+#: signature's distinct words, weight product, substitutions, chosen γs in
+#: merge order) — the f-score before the minimality factor
+_Attempt = tuple[int, float, int, list[_Fact]]
 
 
-#: a γ's ``(attribute, value)`` pairs, its attributes and its ``exp(w)``
-#: fusion-score factor
-_PieceFacts = tuple[tuple[tuple[str, str], ...], tuple[str, ...], float]
+@dataclass
+class _Search:
+    """The memoized order search of one version signature."""
+
+    attempts: list[_Attempt]
+    #: per distinct fused word, in order of appearance: its first attempt
+    firsts: list[int]
+    conflicted: frozenset
+    #: the assignments built so far, by attempt
+    assignments: dict[int, dict[str, str]] = field(default_factory=dict)
+
+    def assignment(self, index: int) -> dict[str, str]:
+        """One attempt's assignment, keyed in its own merge order."""
+        built = self.assignments.get(index)
+        if built is None:
+            built = self.assignments[index] = {}
+            for fact in self.attempts[index][3]:
+                for attribute, value in fact[3]:
+                    built.setdefault(attribute, value)
+        return built
+
+    def winner(self, current: dict[str, str], bias: float) -> int:
+        """The first attempt with the highest f-score for one tuple's row."""
+        if len(self.attempts) == 1:
+            return 0
+        penalties = [1.0] * len(self.firsts)
+        if bias > 0.0:
+            # Minimality factor: fusions that rewrite fewer of the tuple's
+            # values are preferred when the weight products are comparable
+            # (the paper's cleaning criteria combine statistical evidence with
+            # the principle of minimality; this extension is one of the
+            # departures from the paper listed in ROADMAP.md's fidelity item,
+            # item 2).  Every attempt fusing one word makes the same changes.
+            penalties = [
+                math.exp(
+                    -bias
+                    * sum(
+                        1
+                        for attribute, value in self.assignment(first).items()
+                        if current.get(attribute) != value
+                    )
+                )
+                for first in self.firsts
+            ]
+        best, best_score = 0, 0.0
+        for index, (word, product, _, _) in enumerate(self.attempts):
+            f_score = product * penalties[word]
+            if index == 0 or f_score > best_score:
+                best, best_score = index, f_score
+        return best
 
 
-class _PieceCache(dict):
-    """γ → its :data:`_PieceFacts`, built once per :meth:`resolve`."""
+class _Coding:
+    """Value ids, bit fields and coded γs of one :meth:`resolve`."""
 
-    def __missing__(self, piece: DataPiece) -> _PieceFacts:
-        assignment = piece.as_assignment()
-        facts = self[piece] = (
-            tuple(assignment.items()),
-            tuple(assignment),
-            _weight_factor(piece.weight),
-        )
-        return facts
+    def __init__(self, blocks: list[Block]):
+        pools: dict[str, list[DataPiece]] = {}
+        pairs: dict[DataPiece, tuple[tuple[str, str], ...]] = {}
+        # attribute → value → id (from 1)
+        ids: dict[str, dict[str, int]] = {}
+        for block in blocks:
+            pool = pools.setdefault(block.name, [])
+            for piece in block.pieces:
+                pool.append(piece)
+                piece_pairs = pairs[piece] = tuple(piece.as_assignment().items())
+                for attribute, value in piece_pairs:
+                    values = ids.setdefault(attribute, {})
+                    if value not in values:
+                        values[value] = len(values) + 1
+        # attribute → (shift, field); the fields tile the word from bit 0
+        fields: dict[str, tuple[int, int]] = {}
+        #: bit position → (attribute, field) of the field holding it
+        self.owner: list[tuple[str, int]] = []
+        for attribute, values in ids.items():
+            width = len(values).bit_length()
+            bits = ((1 << width) - 1) << len(self.owner)
+            fields[attribute] = (len(self.owner), bits)
+            self.owner.extend([(attribute, bits)] * width)
+        self.facts: dict[DataPiece, _Fact] = {}
+        for piece, piece_pairs in pairs.items():
+            word = mask = 0
+            for attribute, value in piece_pairs:
+                shift, bits = fields[attribute]
+                word |= ids[attribute][value] << shift
+                mask |= bits
+            self.facts[piece] = (word, mask, _weight_factor(piece.weight), piece_pairs)
+        #: per block name (the distributed driver's per-partition blocks share
+        #: one, so the substitution search sees the global pool, as the
+        #: paper's gather step intends): every γ's fact, sorted by weight
+        self.pools: dict[str, list[_Fact]] = {}
+        for name, pool in pools.items():
+            pool.sort(key=lambda piece: piece.weight, reverse=True)
+            self.pools[name] = [self.facts[piece] for piece in pool]
+
+    def fields_in(self, bits: int) -> list[tuple[str, int]]:
+        """``(attribute, field)`` of every field holding a set bit of ``bits``."""
+        found = []
+        while bits:
+            attribute, field_bits = self.owner[(bits & -bits).bit_length() - 1]
+            found.append((attribute, field_bits))
+            bits &= ~field_bits
+        return found
 
 
 class FusionScoreResolver:
@@ -131,23 +230,24 @@ class FusionScoreResolver:
     ) -> FSCROutcome:
         """Fuse the data versions of every tuple and apply them to a copy.
 
+        Only cells whose value the fusion changes are written.
         ``clean_lookup`` and ``dirty_cells`` (the injected cells) enable the
         Precision-F / Recall-F instrumentation.
         """
         repaired = dirty.copy(name=f"{dirty.name}-repaired")
         outcome = FSCROutcome(repaired=repaired)
         tid_versions = self._versions_by_tid(blocks, set(dirty.tids))
-        block_candidates = self._candidates_by_block(blocks)
-        pieces = _PieceCache()
-        # (block name, the fused values on the block's attributes) → the
-        # first agreeing γ of the block's weight-sorted pool, or None
-        substitutes: dict[tuple, Optional[DataPiece]] = {}
+        coding = _Coding(blocks)
+        bias = self.config.fscr_minimality_bias
+        # (block name, the fused word on the block's fields) → the first
+        # agreeing γ of the block's weight-sorted pool, or None
+        substitutes: dict[tuple[str, int], Optional[_Fact]] = {}
 
         # The order search depends only on the tuple's data versions (γ
         # values and weights per block, in block order), so it runs once per
         # distinct version signature.  Only the minimality factor reads the
         # tuple's own row; it is applied per tuple to the memoized attempts.
-        memo: dict[tuple, Optional[tuple[list[_Attempt], frozenset]]] = {}
+        memo: dict[tuple, Optional[_Search]] = {}
         for tid in dirty.tids:
             versions = tid_versions.get(tid)
             if not versions:
@@ -157,27 +257,26 @@ class FusionScoreResolver:
             )
             if signature in memo:
                 outcome.memo_hits += 1
-                cached = memo[signature]
+                search = memo[signature]
             else:
-                cached = memo[signature] = self._fuse_signature(
-                    versions, block_candidates, pieces, substitutes
+                search = memo[signature] = self._search(
+                    versions, coding, substitutes
                 )
-            if cached is None:
+            if search is None:
                 outcome.failed_tuples.append(tid)
                 continue
-            attempts, conflicted = cached
-            assignment, _, substitutions = self._best_attempt(
-                attempts, dirty.row(tid).as_dict()
-            )
-            fusion = TupleFusion(
+            current = dirty.row(tid).as_dict()
+            best = search.winner(current, bias)
+            assignment = dict(search.assignment(best))
+            outcome.fusions[tid] = TupleFusion(
                 tid=tid,
-                assignment=dict(assignment),
-                conflicted_attributes=set(conflicted),
-                substitutions=substitutions,
+                assignment=assignment,
+                conflicted_attributes=set(search.conflicted),
+                substitutions=search.attempts[best][2],
             )
-            outcome.fusions[tid] = fusion
-            for attribute, value in fusion.assignment.items():
-                repaired.set_value(tid, attribute, value)
+            for attribute, value in assignment.items():
+                if current.get(attribute) != value:
+                    repaired.set_value(tid, attribute, value)
 
         if clean_lookup is not None and dirty_cells is not None:
             self._instrument(outcome, dirty, repaired, clean_lookup, dirty_cells)
@@ -186,115 +285,92 @@ class FusionScoreResolver:
     # ------------------------------------------------------------------
     # fusion search
     # ------------------------------------------------------------------
-    def _fuse_signature(
+    def _search(
         self,
         versions: list[tuple[Block, DataPiece]],
-        block_candidates: dict[str, list[DataPiece]],
-        pieces: _PieceCache,
-        substitutes: dict[tuple, Optional[DataPiece]],
-    ) -> Optional[tuple[list[_Attempt], frozenset]]:
+        coding: _Coding,
+        substitutes: dict[tuple[str, int], Optional[_Fact]],
+    ) -> Optional[_Search]:
         """Every surviving merge order of one version signature (Algorithm 2).
 
         Returns the attempts in order-search order plus the attributes any
         order found in conflict, or ``None`` when every merge order fails.
         """
-        conflicted_attributes: set[str] = set()
+        steps = [(block.name, coding.facts[piece]) for block, piece in versions]
+        weights = [piece.weight for _, piece in versions]
+        pools = coding.pools
+        conflicted: set[str] = set()
+        # the fields whose attributes are already in ``conflicted``
+        recorded = 0
+        # fused word → its position among the distinct words
+        words: dict[int, int] = {}
+        firsts: list[int] = []
         attempts: list[_Attempt] = []
-        for order in self._merge_orders(versions):
-            attempt = self._try_order(
-                order, block_candidates, conflicted_attributes, pieces, substitutes
-            )
-            if attempt is not None:
-                attempts.append(attempt)
+        for order in self._merge_orders(steps, weights):
+            word = mask = 0
+            product = 1.0
+            substitutions = 0
+            chosen = []
+            for name, fact in order:
+                fact_word, fact_mask, factor, _ = fact
+                clash = (word ^ fact_word) & mask & fact_mask
+                if clash:
+                    if clash & ~recorded:
+                        for attribute, bits in coding.fields_in(clash & ~recorded):
+                            conflicted.add(attribute)
+                            recorded |= bits
+                    # every γ of a block shares its fields, so the search
+                    # reads only the fusion's word on them
+                    key = (name, word & fact_mask)
+                    if key in substitutes:
+                        fact = substitutes[key]
+                    else:
+                        fact = substitutes[key] = FusionScoreResolver._substitute(
+                            pools[name], word, mask
+                        )
+                    if fact is None:
+                        break
+                    fact_word, fact_mask, factor, _ = fact
+                    substitutions += 1
+                word |= fact_word
+                mask |= fact_mask
+                product *= factor
+                chosen.append(fact)
+            else:
+                if word not in words:
+                    words[word] = len(firsts)
+                    firsts.append(len(attempts))
+                attempts.append((words[word], product, substitutions, chosen))
         if not attempts:
             return None
-        return attempts, frozenset(conflicted_attributes)
+        return _Search(attempts, firsts, frozenset(conflicted))
 
-    def _best_attempt(
-        self, attempts: list[_Attempt], current_values: dict[str, str]
-    ) -> _Attempt:
-        """The first attempt with the highest f-score for one tuple's row."""
-        bias = self.config.fscr_minimality_bias
-        best, best_score = attempts[0], 0.0
-        for index, attempt in enumerate(attempts):
-            assignment, f_score, _ = attempt
-            # Minimality factor: fusions that rewrite fewer of the tuple's
-            # values are preferred when the weight products are comparable
-            # (the paper's cleaning criteria combine statistical evidence with
-            # the principle of minimality; this extension is one of the
-            # departures listed in ROADMAP item 4).
-            if bias > 0.0:
-                changes = sum(
-                    1
-                    for attribute, value in assignment.items()
-                    if current_values.get(attribute) != value
-                )
-                f_score *= math.exp(-bias * changes)
-            if index == 0 or f_score > best_score:
-                best, best_score = attempt, f_score
-        return best
-
-    def _merge_orders(
-        self, versions: list[tuple[Block, DataPiece]]
-    ) -> list[list[tuple[Block, DataPiece]]]:
+    def _merge_orders(self, steps: list, weights: list[float]) -> Iterable:
         """The fusion orders to try.
 
         All permutations up to ``fscr_exhaustive_limit`` versions; otherwise
         each version leads once, followed by the rest in decreasing weight
-        order (a greedy approximation of the factorial search).
+        order (a greedy approximation of the factorial search).  The stable
+        weight sort is taken once: the rest of each order is that ranking
+        without its leader.
         """
-        if len(versions) <= self.config.fscr_exhaustive_limit:
-            return [list(order) for order in itertools.permutations(versions)]
-        orders: list[list[tuple[Block, DataPiece]]] = []
-        for index, leader in enumerate(versions):
-            rest = versions[:index] + versions[index + 1 :]
-            rest.sort(key=lambda item: item[1].weight, reverse=True)
-            orders.append([leader, *rest])
+        if len(steps) <= self.config.fscr_exhaustive_limit:
+            return itertools.permutations(steps)
+        ranked = sorted(range(len(steps)), key=weights.__getitem__, reverse=True)
+        ranked_steps = [steps[index] for index in ranked]
+        orders: list = [None] * len(steps)
+        for rank, index in enumerate(ranked):
+            orders[index] = [
+                steps[index], *ranked_steps[:rank], *ranked_steps[rank + 1 :]
+            ]
         return orders
 
     @staticmethod
-    def _try_order(
-        order: list[tuple[Block, DataPiece]],
-        block_candidates: dict[str, list[DataPiece]],
-        conflicted_attributes: set[str],
-        pieces: _PieceCache,
-        substitutes: dict[tuple, Optional[DataPiece]],
-    ) -> Optional[_Attempt]:
-        """Fuse the versions in one specific order; ``None`` when it fails."""
-        assignment: dict[str, str] = {}
-        product = 1.0
-        substitutions = 0
-        for block, candidate in order:
-            candidate_pairs, attributes, factor = pieces[candidate]
-            conflicts = [a for a, v in candidate_pairs if assignment.get(a, v) != v]
-            if conflicts:
-                conflicted_attributes.update(conflicts)
-                # every γ of a block shares its attributes, so the search
-                # reads only the fusion's values on them
-                key = (block.name, *map(assignment.get, attributes))
-                if key in substitutes:
-                    candidate = substitutes[key]
-                else:
-                    candidate = substitutes[key] = FusionScoreResolver._substitute(
-                        assignment, block_candidates[block.name], pieces
-                    )
-                if candidate is None:
-                    return None
-                candidate_pairs, _, factor = pieces[candidate]
-                substitutions += 1
-            for attribute, value in candidate_pairs:
-                assignment.setdefault(attribute, value)
-            product *= factor
-        return assignment, product, substitutions
-
-    @staticmethod
-    def _substitute(
-        assignment: dict[str, str], pool: list[DataPiece], pieces: _PieceCache
-    ) -> Optional[DataPiece]:
+    def _substitute(pool: list[_Fact], word: int, mask: int) -> Optional[_Fact]:
         """The highest-weight γ of a block's pool that agrees with the fusion."""
-        for candidate in pool:
-            if all(assignment.get(a, v) == v for a, v in pieces[candidate][0]):
-                return candidate
+        for fact in pool:
+            if not (word ^ fact[0]) & mask & fact[1]:
+                return fact
         return None
 
     # ------------------------------------------------------------------
@@ -319,22 +395,6 @@ class FusionScoreResolver:
                         if tids is None or tid in tids:
                             versions.setdefault(tid, []).append((block, piece))
         return versions
-
-    @staticmethod
-    def _candidates_by_block(blocks: list[Block]) -> dict[str, list[DataPiece]]:
-        """Per block (by rule name), all post-Stage-I γs sorted by weight.
-
-        Several :class:`Block` objects can share a rule name when the caller
-        is the distributed driver (one block per rule *per partition*); their
-        candidate pools are merged so the substitution search sees the global
-        pool, as the paper's gather step intends.
-        """
-        candidates: dict[str, list[DataPiece]] = {}
-        for block in blocks:
-            candidates.setdefault(block.name, []).extend(block.pieces)
-        for pieces in candidates.values():
-            pieces.sort(key=lambda piece: piece.weight, reverse=True)
-        return candidates
 
     # ------------------------------------------------------------------
     # instrumentation

@@ -208,7 +208,8 @@ def _resolve_scoped(
     """Fuse only the affected tuples and patch them into a full copy.
 
     Every tuple without a detected cell keeps its as-arrived row; the
-    affected ones are fused against the data versions of the selected blocks.
+    affected ones are fused against the data versions of the selected blocks,
+    and only the cells a fusion changes are written.
     """
     repaired = dirty.copy(name=f"{dirty.name}-repaired")
     live = [tid for tid in dirty.tids if tid in scope.tids]
@@ -218,9 +219,10 @@ def _resolve_scoped(
     outcome = resolver.resolve(
         subset, scope.select_blocks(blocks), clean_lookup, dirty_cells
     )
-    for tid in live:
-        for attribute, value in outcome.repaired.row(tid).as_dict().items():
-            repaired.set_value(tid, attribute, value)
+    for tid, fusion in outcome.fusions.items():
+        for attribute, value in fusion.assignment.items():
+            if repaired.value(tid, attribute) != value:
+                repaired.set_value(tid, attribute, value)
     outcome.repaired = repaired
     return outcome
 

@@ -1,4 +1,5 @@
-"""Ablation studies of the departures from the paper listed in ROADMAP item 4.
+"""Ablation studies of the departures from the paper listed in ROADMAP.md's
+fidelity item (item 2).
 
 These go beyond the paper's own evaluation:
 

@@ -544,7 +544,10 @@ class StreamingMLNClean:
         return versions
 
     def _refuse(self, affected_tids: set[int]) -> tuple[list[int], list[int]]:
-        """Re-run FSCR for the affected tuples and patch the repaired table."""
+        """Re-run FSCR for the affected tuples and patch the repaired table.
+
+        Only cells whose repaired value changes are written.
+        """
         if not affected_tids:
             return [], []
         live = [tid for tid in self._dirty.tids if tid in affected_tids]
@@ -553,9 +556,10 @@ class StreamingMLNClean:
         outcome = self._fscr.resolve(subset, blocks)
         failed = set(outcome.failed_tuples)
         for tid in live:
-            fused_row = outcome.repaired.row(tid).as_dict()
-            for attribute, value in fused_row.items():
-                self._repaired.set_value(tid, attribute, value)
+            current = self._repaired.row(tid)
+            for attribute, value in outcome.repaired.row(tid).as_dict().items():
+                if current[attribute] != value:
+                    self._repaired.set_value(tid, attribute, value)
             if tid in outcome.fusions:
                 self._fusions[tid] = outcome.fusions[tid]
                 self._failed.discard(tid)

@@ -8,11 +8,12 @@ visit, the rolling-row edit-distance dynamic program, the count filter over
 ``(position, char) → count`` dicts, an AGP pass that re-derives every
 representative and measures every distance for every query, and a
 partitioner that asks the metric for every tuple-to-centroid distance.  The
-production code memoizes the order search per version signature and the
-substitution search per block and restricted assignment, computes edit
-distances with a bit-parallel kernel, bounds with popcounts of profile bit
-masks composed from per-value parts, keeps representatives across a block
-pass and measures each distinct attribute value against the centroids once;
+production code searches on γs coded as integer words, memoizes the order
+search per version signature and the substitution search per block and
+restricted word, computes edit distances with a bit-parallel kernel, bounds
+with popcounts of profile bit masks composed from per-value parts, keeps
+representatives across a block pass and measures each distinct attribute
+value against the centroids once;
 each must produce exactly (``==``, not approximately) the same fusions,
 failed tuples, distances, bounds, merge targets and partitions on every
 generated input.  A fusion stores no f-score, but the
@@ -65,11 +66,10 @@ class ReferenceResolver:
 
     def resolve(self, dirty: Table, blocks: list[Block]):
         """``{tid: (assignment, conflicted, substitutions)}`` and the failed tids."""
-        tid_versions = FusionScoreResolver._versions_by_tid(blocks, set(dirty.tids))
-        block_candidates = FusionScoreResolver._candidates_by_block(blocks)
+        block_candidates = self._candidates_by_block(blocks)
         fusions, failed = {}, []
         for tid in dirty.tids:
-            versions = tid_versions.get(tid, [])
+            versions = self._versions_of(tid, blocks)
             if not versions:
                 continue
             fused = self._fuse_signature(
@@ -80,6 +80,33 @@ class ReferenceResolver:
             else:
                 fusions[tid] = fused
         return fusions, failed
+
+    @staticmethod
+    def _versions_of(tid: int, blocks: list[Block]) -> list[tuple[Block, DataPiece]]:
+        """The tuple's γ in every block that covers it, in block order."""
+        return [
+            (block, piece)
+            for block in blocks
+            for group in block.groups.values()
+            for piece in group.pieces.values()
+            if tid in piece.tids
+        ]
+
+    @staticmethod
+    def _candidates_by_block(blocks: list[Block]) -> dict[str, list[DataPiece]]:
+        """Per rule name, every γ of the blocks with that name, by weight.
+
+        Blocks sharing a rule name (one per partition in the distributed
+        driver) pool their γs, so a substitute may come from any of them.
+        """
+        candidates: dict[str, list[DataPiece]] = {}
+        for block in blocks:
+            for group in block.groups.values():
+                candidates.setdefault(block.name, []).extend(group.pieces.values())
+        return {
+            name: sorted(pieces, key=lambda piece: -piece.weight)
+            for name, pieces in candidates.items()
+        }
 
     def _fuse_signature(
         self,
@@ -242,6 +269,77 @@ def test_fscr_equals_reference_on_generated_blocks(inputs):
     assert_fscr_matches_reference(*inputs)
 
 
+#: more values than 8 bits can number: every rule's pool holds all of them
+WIDE = [f"v{number}" for number in range(300)]
+#: tuple ids of γs outside the resolved table
+FILLER_TID, OUTSIDE_TID = 10_000, 1_000
+
+
+@st.composite
+def encoding_edge_inputs(draw):
+    """Blocks at the edges of FSCR's integer coding of γs.
+
+    Attribute A has over 255 distinct values.  γs of tuples outside the
+    resolved table (as in the streaming engine's subset) number all of them
+    first, so the table's own A values take the top ids of a 9-bit field.
+    Empty strings are values like any other.  Each rule is split over one or
+    two blocks sharing its name, as the distributed driver's partitions are,
+    and pool γs of outside tuples can be substitutes.
+    """
+    narrow = st.sampled_from(["", "a", "b"])
+    rows = [
+        {
+            "A": draw(st.sampled_from(["", *WIDE[-3:]])),
+            **{attribute: draw(narrow) for attribute in ATTRIBUTES[1:]},
+        }
+        for _ in range(draw(st.integers(min_value=1, max_value=5)))
+    ]
+    table = Table.from_records(rows, attributes=ATTRIBUTES)
+    blocks = []
+    for number in range(draw(st.integers(min_value=1, max_value=4))):
+        others = draw(
+            st.lists(st.sampled_from(ATTRIBUTES[1:]), min_size=1, max_size=2, unique=True)
+        )
+        attributes = draw(st.permutations(["A", *others]))
+        rule = FunctionalDependency(attributes[:-1], attributes[-1:], name=f"r{number}")
+        parts = [Block(rule) for _ in range(draw(st.integers(min_value=1, max_value=2)))]
+        filler = dict.fromkeys(ATTRIBUTES, "a")
+        for offset, value in enumerate(WIDE):
+            parts[0].add_tuple(FILLER_TID + offset, {**filler, "A": value})
+        drawn = list(zip(table.tids, rows))
+        for offset in range(draw(st.integers(min_value=0, max_value=2))):
+            drawn.append((OUTSIDE_TID + offset, dict(rows[0])))
+        for tid, row in drawn:
+            values = dict(row)
+            if draw(st.booleans()):
+                values["A"] = draw(st.sampled_from(["", *WIDE[-3:]]))
+                for attribute in others:
+                    values[attribute] = draw(narrow)
+            draw(st.sampled_from(parts)).add_tuple(tid, values)
+        for part in parts:
+            for piece in part.pieces:
+                piece.weight = (
+                    draw(st.sampled_from(WEIGHTS))
+                    if min(piece.tids) < FILLER_TID
+                    else -2.0
+                )
+        blocks.extend(parts)
+    config = MLNCleanConfig(
+        fscr_exhaustive_limit=draw(st.integers(min_value=1, max_value=4)),
+        fscr_minimality_bias=draw(st.sampled_from([0.0, 0.5, 1.0])),
+    )
+    return config, table, blocks
+
+
+@settings(max_examples=100, deadline=None)
+@given(encoding_edge_inputs())
+def test_fscr_equals_reference_at_the_edges_of_the_value_coding(inputs):
+    config, table, blocks = inputs
+    pool_values = {piece.as_assignment()["A"] for piece in blocks[0].pieces}
+    assert len(pool_values) > 255
+    assert_fscr_matches_reference(config, table, blocks)
+
+
 def _conflict_blocks():
     """Two tuples whose block-r1 versions disagree with their block-r0 ones."""
     table = Table.from_records(
@@ -320,9 +418,9 @@ def test_fscr_substitution_memo_hits_equal_reference(with_substitute, limit, mon
     searches = []
     search = FusionScoreResolver._substitute
 
-    def counted(assignment, pool, pieces):
-        searches.append(dict(assignment))
-        return search(assignment, pool, pieces)
+    def counted(pool, word, mask):
+        searches.append((word, mask))
+        return search(pool, word, mask)
 
     monkeypatch.setattr(FusionScoreResolver, "_substitute", staticmethod(counted))
     table, blocks = _shared_substitute_blocks(with_substitute)
