@@ -28,16 +28,9 @@ class DeduplicationResult:
         return len(self.removed_tids)
 
 
-def remove_duplicates(table: Table, engine=None) -> DeduplicationResult:
-    """Drop exact duplicate tuples, keeping the smallest tid of each class.
-
-    ``engine`` (the run's shared :class:`repro.perf.DistanceEngine`) is used
-    purely as a string interner so the duplicate keys of repeated values hash
-    and compare by identity; it never changes which rows are duplicates.
-    """
-    classes = table.duplicate_groups(
-        interner=engine.intern if engine is not None else None
-    )
+def remove_duplicates(table: Table) -> DeduplicationResult:
+    """Drop exact duplicate tuples, keeping the smallest tid of each class."""
+    classes = table.duplicate_groups()
     removed: list[int] = []
     for tids in classes:
         keeper = min(tids)

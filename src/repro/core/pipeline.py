@@ -91,9 +91,9 @@ class MLNClean:
         config = self.config
         timings = TimingBreakdown()
         instrument = ground_truth is not None
-        # One shared distance engine for the whole run: AGP, RSC, FSCR and
-        # dedup all read/write the same cache, and its counters end up in the
-        # report's PerfDetails.
+        # One shared distance engine for the whole run: AGP and RSC read and
+        # write the same cache, and its counters end up in the report's
+        # PerfDetails.
         engine = config.engine()
         clean_lookup: Optional[CleanLookup] = None
         dirty_cells: Optional[set[Cell]] = None
@@ -167,7 +167,7 @@ class MLNClean:
             cleaned = repaired
             if config.remove_duplicates:
                 with stage_scope(timings, "batch", "dedup"):
-                    dedup = remove_duplicates(repaired, engine)
+                    dedup = remove_duplicates(repaired)
                 cleaned = dedup.deduplicated
 
         accuracy = None

@@ -316,22 +316,16 @@ class Table:
                     changed.append(Cell(tid, attribute))
         return changed
 
-    def duplicate_groups(self, interner=None) -> list[list[int]]:
+    def duplicate_groups(self) -> list[list[int]]:
         """Groups of tuple ids whose rows are exact value duplicates.
 
         Only groups with at least two members are returned; MLNClean removes
-        the extra members at the very end of the pipeline.  ``interner`` (a
-        ``str -> str`` canonicaliser, e.g. ``DistanceEngine.intern``) lets
-        repeated values hash and compare by identity; it never changes which
-        rows count as duplicates.
+        the extra members at the very end of the pipeline.
         """
         by_values: dict[tuple[str, ...], list[int]] = {}
         attributes = self.schema.attributes
         for tid, row in self._rows.items():
-            key = row.values_for(attributes)
-            if interner is not None:
-                key = tuple(interner(value) for value in key)
-            by_values.setdefault(key, []).append(tid)
+            by_values.setdefault(row.values_for(attributes), []).append(tid)
         return [tids for tids in by_values.values() if len(tids) > 1]
 
     def to_pretty_string(self, max_rows: int = 20) -> str:

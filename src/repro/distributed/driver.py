@@ -258,7 +258,7 @@ class DistributedMLNClean:
             dedup_result = None
             cleaned = repaired
             if self.config.remove_duplicates:
-                dedup_result = remove_duplicates(repaired, engine)
+                dedup_result = remove_duplicates(repaired)
                 cleaned = dedup_result.deduplicated
             agp_total, rsc_total = merge_stage_outcomes(
                 (output.agp for output in learn_outputs),

@@ -19,8 +19,9 @@ micro-batches and partitions.  :class:`DistanceEngine` wraps any registered
 * a **batch candidate-set API** (:meth:`~DistanceEngine.nearest`,
   :meth:`~DistanceEngine.pairwise`, :meth:`~DistanceEngine.topk`) that
   visits candidates in ascending order of a positional unigram lower bound
-  (:mod:`repro.perf.qgram`: two popcounts over each value tuple's cached
-  profile bit masks) and scans them best-so-far with cutoff-accumulating
+  (:mod:`repro.perf.qgram`: for Levenshtein one popcount of the AND of
+  two cached profile masks, which carry each attribute's length in unary
+  beside its characters) and scans them best-so-far with cutoff-accumulating
   tuple distances, which stop as soon as the per-attribute running sum
   exceeds the cutoff.  A tuple's profile is composed from cached per-value
   parts, one per ``(position, value)``; the parts, the tuple profiles and
@@ -544,17 +545,37 @@ class DistanceEngine:
         """``(lower_bound << shift) | (first + offset)`` per profile, in order.
 
         The inline form of :func:`repro.perf.qgram.lower_bound`, bounding the
-        query against every profile in one loop.
+        query against every profile in one loop.  At one edit operation per
+        unigram the bound is ``Σ_p max_len_p - S`` alone, which never falls
+        below the length term: one AND and one popcount per profile.
         """
         ops = self._qgram_ops or 1
-        query_total, query_mask, query_lengths = query_profile
+        if ops != 1:
+            return self._scaled_bound_keys(query_profile, profiles, shift, first, ops)
+        query_total, query_mask, _ = query_profile
         # qgram.popcount rather than int.bit_count, which Python 3.9 lacks
+        popcount = _popcount
+        return [
+            (query_total + total - popcount(query_mask & mask)) << shift | key
+            for key, (total, mask, _) in enumerate(profiles, first)
+        ]
+
+    @staticmethod
+    def _scaled_bound_keys(
+        query_profile: "tuple[int, int, int]",
+        profiles: "Sequence[tuple[int, int, int]]",
+        shift: int,
+        first: int,
+        ops: int,
+    ) -> "list[int]":
+        """:meth:`_bound_keys` for ``ops`` edit operations per unigram."""
+        query_total, query_mask, query_lengths = query_profile
         popcount = _popcount
         keys = []
         append = keys.append
         for key, (total, mask, lengths) in enumerate(profiles, first):
             bound = popcount(query_lengths ^ lengths)
-            missing = (query_total + total + bound) // 2 - popcount(query_mask & mask)
+            missing = query_total + total - popcount(query_mask & mask)
             # ceil(missing / ops) > bound  ⇔  missing > bound * ops
             if missing > bound * ops:
                 bound = (missing + ops - 1) // ops

@@ -22,23 +22,34 @@ its bits numbered by a dict the caller owns (each
 :class:`~repro.perf.engine.DistanceEngine` keeps one for all its profiles):
 
 * ``total`` is ``Σ_p len(values[p])``.
-* ``mask`` has one bit per ``(position, char, k)``, the ``k``-th occurrence
-  of ``char`` in attribute ``position``.  A string holding ``n`` copies of a
-  character sets that character's bits ``k = 0 .. n-1``, so the positional
-  multiset intersection of two profiles is ``popcount(a_mask & b_mask)``.
 * ``length_mask`` writes each attribute's length in unary, one bit per
   ``(position, "", k)`` with ``k < len``, so ``Σ_p |Δlen_p|`` is
-  ``popcount(a_length_mask ^ b_length_mask)``.
+  ``popcount(a_length_mask ^ b_length_mask)`` and ``Σ_p min_len_p`` is
+  ``popcount(a_length_mask & b_length_mask)``.
+* ``mask`` is ``length_mask`` OR one bit per ``(position, char, k)``, the
+  ``k``-th occurrence of ``char`` in attribute ``position``.  A string
+  holding ``n`` copies of a character sets that character's bits ``k = 0 ..
+  n-1``, so the character bits two profiles share count their positional
+  multiset intersection ``S``.
+
+The character keys and the length keys (``char == ""``) never collide, so
+``popcount(a_mask & b_mask)`` is ``Σ_p min_len_p + S``, and with ``Σ_p
+max_len_p = Σ len(x) + Σ len(y) - Σ_p min_len_p``
+
+    Σ_p max_len_p - S = a_total + b_total - popcount(a_mask & b_mask).
+
+Since ``S_p ≤ min_len_p`` at every position, ``max_len_p - S_p ≥
+|Δlen_p|``: at ``ops = 1`` this term alone is the bound, one AND and one
+popcount.  Metrics with ``ops > 1`` still take the larger of it (divided by
+``ops``, rounded up) and the length term.
 
 Every bit's key names its attribute position, so the bits of different
 positions never overlap: :func:`build_profile` profiles one value at one
 position, and a tuple's profile is the sum of its values' totals and the OR
 of their masks.  The engine caches one such part per ``(position, value)``
-and composes tuple profiles from them.  With ``Σ_p max_len_p = (Σ len(x) +
-Σ len(y) + Σ_p |Δlen_p|) / 2`` the bound then takes two popcounts and a
-little integer arithmetic, whatever the tuple's arity.  A mask means nothing
-under any other numbering, so profiles must never outlive or cross the dict
-that built them.
+and composes tuple profiles from them.  A mask means nothing under any
+other numbering, so profiles must never outlive or cross the dict that
+built them.
 
 Metrics declare how many bound-destroying edit operations one of their
 operations is worth via
@@ -72,9 +83,9 @@ def build_profile(
     """The profile ``(len(value), mask, length_mask)`` of attribute ``position``.
 
     ``bits`` maps ``(position, char, k)`` to a bit index (``char`` is ``""``
-    for the unary length bits) and gains an entry, numbered ``len(bits)``,
-    for every key it lacks.  Only profiles built through the same ``bits``
-    may be compared or composed.
+    for the unary length bits, which ``mask`` holds too) and gains an entry,
+    numbered ``len(bits)``, for every key it lacks.  Only profiles built
+    through the same ``bits`` may be compared or composed.
     """
 
     def bit(key: "tuple[int, str, int]") -> int:
@@ -83,15 +94,15 @@ def build_profile(
             index = bits[key] = len(bits)
         return 1 << index
 
-    mask = length_mask = 0
+    characters = length_mask = 0
     seen: "dict[str, int]" = {}
     for character in value:
         occurrence = seen.get(character, 0)
         seen[character] = occurrence + 1
-        mask |= bit((position, character, occurrence))
+        characters |= bit((position, character, occurrence))
     for k in range(len(value)):
         length_mask |= bit((position, "", k))
-    return len(value), mask, length_mask
+    return len(value), characters | length_mask, length_mask
 
 
 def lower_bound(
@@ -100,13 +111,7 @@ def lower_bound(
     """A lower bound of the ``values_distance`` of two profiled tuples."""
     left_total, left_mask, left_lengths = left
     right_total, right_mask, right_lengths = right
-    length_bound = popcount(left_lengths ^ right_lengths)
     # Σ_p max(len_left_p, len_right_p), less the positional multiset intersection
-    missing = (left_total + right_total + length_bound) // 2 - popcount(
-        left_mask & right_mask
-    )
-    if missing > 0:
-        gram_bound = (missing + edit_ops - 1) // edit_ops
-        if gram_bound > length_bound:
-            return float(gram_bound)
-    return float(length_bound)
+    missing = left_total + right_total - popcount(left_mask & right_mask)
+    gram_bound = (missing + edit_ops - 1) // edit_ops
+    return float(max(popcount(left_lengths ^ right_lengths), gram_bound))

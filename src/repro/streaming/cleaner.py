@@ -328,9 +328,7 @@ class StreamingMLNClean:
 
             if self.config.remove_duplicates:
                 with stage_scope(timings, "streaming", "dedup"):
-                    self._dedup = remove_duplicates(
-                        self._repaired, self._engine
-                    )
+                    self._dedup = remove_duplicates(self._repaired)
                 self._cleaned = self._dedup.deduplicated
             else:
                 self._dedup = None

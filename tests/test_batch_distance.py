@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -59,16 +60,17 @@ def whole_tuple_profile(values, bits):
             index = bits[key] = len(bits)
         return 1 << index
 
-    mask = length_mask = 0
+    characters = length_mask = 0
     for position, value in enumerate(values):
         seen = {}
         for character in value:
             occurrence = seen.get(character, 0)
             seen[character] = occurrence + 1
-            mask |= bit((position, character, occurrence))
+            characters |= bit((position, character, occurrence))
         for k in range(len(value)):
             length_mask |= bit((position, "", k))
-    return sum(map(len, values)), mask, length_mask
+    # the mask carries the unary length bits beside the character bits
+    return sum(map(len, values)), characters | length_mask, length_mask
 
 
 def brute_nearest(metric, query, candidates, cutoff=math.inf):
@@ -219,6 +221,40 @@ def test_inline_bound_equals_scalar_lower_bound(metric_name, data):
         for candidate in candidates
     ]
     assert [bounds[position] for position in range(len(candidates))] == expected
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_unit_ops_bound_is_the_merged_mask_term(data):
+    # S_p <= min_len_p, so Σ max_len_p - S >= Σ |Δlen_p|: at one edit
+    # operation per unigram the bound is total_q + total_c - popcount of the
+    # AND of the merged masks, and the ops-1 loop equals the general loop
+    metric = get_metric("levenshtein")
+    width = data.draw(st.integers(min_value=1, max_value=3))
+    text = st.one_of(tie_text, short_text)
+    rows = st.lists(text, min_size=width, max_size=width).map(tuple)
+    query = data.draw(rows)
+    candidates = data.draw(st.lists(rows, min_size=1, max_size=8))
+    engine = DistanceEngine(metric)
+    query_profile, *profiles = engine._profiles_of([query, *candidates])
+    shift, first = (len(candidates) + 3).bit_length(), 3
+    keys = engine._bound_keys(query_profile, profiles, shift, first)
+    assert keys == DistanceEngine._scaled_bound_keys(
+        query_profile, profiles, shift, first, 1
+    )
+    assert [key & ((1 << shift) - 1) for key in keys] == list(
+        range(first, first + len(candidates))
+    )
+    assert [key >> shift for key in keys] == [
+        lower_bound(query_profile, profile, 1) for profile in profiles
+    ]
+    for key, candidate in zip(keys, candidates):
+        shared = sum(
+            sum((Counter(a) & Counter(b)).values()) for a, b in zip(query, candidate)
+        )
+        length_term = sum(abs(len(a) - len(b)) for a, b in zip(query, candidate))
+        max_term = sum(max(len(a), len(b)) for a, b in zip(query, candidate)) - shared
+        assert key >> shift == max_term >= length_term
 
 
 @pytest.mark.parametrize("limit", [None, 10], ids=["no-flush", "limit-10"])
