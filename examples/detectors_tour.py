@@ -23,7 +23,6 @@ import sys
 
 from repro.detect import available_detectors, data_path, load_dc_file, run_detection
 from repro.experiments.harness import prepare_instance
-from repro.perf import global_distance_stats
 from repro.service.codec import report_signature
 from repro.session import CleaningSession
 from repro.workloads.registry import recommended_config
@@ -44,9 +43,7 @@ def run_session(instance, detectors):
         ground_truth=instance.ground_truth,
         detectors=detectors,
     )
-    before = global_distance_stats()
-    report = session.run()
-    return report, global_distance_stats().diff(before)
+    return session.run()
 
 
 def main(tuples: int = 120) -> None:
@@ -83,24 +80,24 @@ def main(tuples: int = 120) -> None:
     for rule in rules:
         print(f"  {rule.describe()}")
 
-    plain, _ = run_session(instance, None)
-    everything, _ = run_session(instance, ["all-cells"])
+    plain = run_session(instance, None)
+    everything = run_session(instance, ["all-cells"])
     print(
         "\nall-cells detection byte-identical to no detection: "
         f"{report_signature(plain) == report_signature(everything)}"
     )
 
-    scoped, scoped_stats = run_session(instance, ["violation"])
-    _, full_stats = run_session(instance, None)
-    detected = scoped.details.detection
+    scoped = run_session(instance, ["violation"])
+    detected = scoped.details["detection"]
+    full_raw = plain.details["distance"]["raw_evaluations"]
+    scoped_raw = scoped.details["distance"]["raw_evaluations"]
     print(
         f"violation-scoped run: {detected['count']} detected cells, "
         f"{len(detected['scoped_blocks'])} blocks in scope"
     )
     print(
-        f"raw distance evaluations: full={full_stats.raw_evaluations} "
-        f"scoped={scoped_stats.raw_evaluations} "
-        f"(x{full_stats.raw_evaluations / max(1, scoped_stats.raw_evaluations):.1f} fewer)"
+        f"raw distance evaluations: full={full_raw} scoped={scoped_raw} "
+        f"(x{full_raw / max(1, scoped_raw):.1f} fewer)"
     )
     print(f"scoped f1={scoped.f1:.3f} vs full f1={plain.f1:.3f}")
 

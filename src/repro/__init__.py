@@ -88,7 +88,7 @@ from repro.streaming import (
     WorkloadStreamSource,
 )
 
-__version__ = "14.0.0"
+__version__ = "15.0.0"
 
 __all__ = [
     "CleaningSession",

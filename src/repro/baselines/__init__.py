@@ -11,26 +11,24 @@ weaknesses, which the reproduction preserves).
 
 A second, purely qualitative baseline (:mod:`repro.baselines.minimal_repair`)
 applies the classic minimality principle the paper describes in its
-introduction; it is used by the ablation benchmarks.
+introduction; it is used by the ablation benchmarks.  Every baseline's
+``clean`` returns the same :class:`~repro.core.report.CleaningReport` as
+MLNClean.
 """
 
 from repro.baselines.factor_graph import (
     CellFactorGraph,
     FactorGraphRepairer,
-    FactorGraphReport,
     RepairCandidate,
 )
-from repro.baselines.holoclean import HoloCleanBaseline, HoloCleanConfig, HoloCleanReport
-from repro.baselines.minimal_repair import MinimalityRepairer, MinimalRepairReport
+from repro.baselines.holoclean import HoloCleanBaseline, HoloCleanConfig
+from repro.baselines.minimal_repair import MinimalityRepairer
 
 __all__ = [
     "CellFactorGraph",
     "RepairCandidate",
     "FactorGraphRepairer",
-    "FactorGraphReport",
     "HoloCleanBaseline",
     "HoloCleanConfig",
-    "HoloCleanReport",
     "MinimalityRepairer",
-    "MinimalRepairReport",
 ]

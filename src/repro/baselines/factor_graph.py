@@ -22,7 +22,7 @@ import math
 import random
 from collections import Counter, defaultdict
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.constraints.rules import (
@@ -34,7 +34,7 @@ from repro.constraints.rules import (
 from repro.core.report import CleaningReport
 from repro.dataset.table import Cell, Table
 from repro.errors.groundtruth import GroundTruth
-from repro.metrics.accuracy import RepairAccuracy, evaluate_repair
+from repro.metrics.accuracy import evaluate_repair
 from repro.metrics.timing import TimingBreakdown
 
 #: names of the candidate features, in vector order
@@ -380,47 +380,6 @@ class _ConstraintIndex:
         return compatible / applicable
 
 
-@dataclass
-class FactorGraphReport:
-    """Outcome of one stand-alone (untrained) factor-graph repair run."""
-
-    dirty: Table
-    repaired: Table
-    detected_cells: set[Cell] = field(default_factory=set)
-    repairs: dict[Cell, str] = field(default_factory=dict)
-    weights: list[float] = field(default_factory=list)
-    timings: TimingBreakdown = field(default_factory=TimingBreakdown)
-    accuracy: Optional[RepairAccuracy] = None
-
-    @property
-    def runtime(self) -> float:
-        return self.timings.total
-
-    @property
-    def f1(self) -> float:
-        return self.accuracy.f1 if self.accuracy is not None else 0.0
-
-    def as_dict(self) -> dict:
-        """JSON-safe summary (how serialized reports carry this drill-down)."""
-        return {
-            "detected_cells": len(self.detected_cells),
-            "repaired_cells": len(self.repairs),
-            "weights": list(self.weights),
-        }
-
-    def as_cleaning_report(self) -> CleaningReport:
-        """This run in the unified :class:`~repro.core.report.CleaningReport` shape."""
-        return CleaningReport(
-            dirty=self.dirty,
-            repaired=self.repaired,
-            cleaned=self.repaired,
-            timings=self.timings,
-            accuracy=self.accuracy,
-            backend="factor-graph",
-            details=self,
-        )
-
-
 class FactorGraphRepairer:
     """Per-cell MAP repair over the factor graph *without* weight training.
 
@@ -454,11 +413,13 @@ class FactorGraphRepairer:
         rules: Sequence[Rule],
         ground_truth: Optional[GroundTruth] = None,
         detector=None,
-    ) -> FactorGraphReport:
+    ) -> CleaningReport:
         """Detect noisy cells and repair each with the MAP candidate.
 
         ``detector`` defaults like the HoloClean baseline: perfect detection
         when a ground truth is supplied, violation-based detection otherwise.
+        ``details`` holds ``detected_cells`` and the graph's feature
+        ``weights`` (empty when nothing was detected).
         """
         from repro.detect.builtin import PerfectDetector, ViolationDetector
 
@@ -473,12 +434,7 @@ class FactorGraphRepairer:
             noisy_cells = detector.detect(dirty, rules)
 
         repaired = dirty.copy(name=f"{dirty.name}-factorgraph")
-        report = FactorGraphReport(
-            dirty=dirty,
-            repaired=repaired,
-            detected_cells=set(noisy_cells),
-            timings=timings,
-        )
+        weights: list[float] = []
         if noisy_cells:
             with timings.time("compile"):
                 graph = CellFactorGraph(
@@ -500,12 +456,21 @@ class FactorGraphRepairer:
                     best = graph.map_repair(cell)
                     if best.value != dirty.cell_value(cell):
                         repaired.set_cell(cell, best.value)
-                        report.repairs[cell] = best.value
-            report.weights = list(graph.weights)
+            weights = list(graph.weights)
 
-        if ground_truth is not None:
-            report.accuracy = evaluate_repair(dirty, repaired, ground_truth)
-        return report
+        return CleaningReport(
+            dirty=dirty,
+            repaired=repaired,
+            cleaned=repaired,
+            timings=timings,
+            accuracy=(
+                evaluate_repair(dirty, repaired, ground_truth)
+                if ground_truth is not None
+                else None
+            ),
+            backend="factor-graph",
+            details={"detected_cells": len(noisy_cells), "weights": weights},
+        )
 
 
 def _dot(weights: Sequence[float], features: Sequence[float]) -> float:

@@ -21,7 +21,7 @@ paper — are deliberately preserved:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.detect.base import Detector
@@ -29,9 +29,9 @@ from repro.detect.builtin import PerfectDetector, ViolationDetector
 from repro.baselines.factor_graph import CellFactorGraph
 from repro.constraints.rules import Rule
 from repro.core.report import CleaningReport
-from repro.dataset.table import Cell, Table
+from repro.dataset.table import Table
 from repro.errors.groundtruth import GroundTruth
-from repro.metrics.accuracy import RepairAccuracy, evaluate_repair
+from repro.metrics.accuracy import evaluate_repair
 from repro.metrics.timing import TimingBreakdown
 
 
@@ -51,50 +51,6 @@ class HoloCleanConfig:
     seed: int = 11
 
 
-@dataclass
-class HoloCleanReport:
-    """The outcome of one baseline run."""
-
-    dirty: Table
-    repaired: Table
-    detected_cells: set[Cell] = field(default_factory=set)
-    repairs: dict[Cell, str] = field(default_factory=dict)
-    timings: TimingBreakdown = field(default_factory=TimingBreakdown)
-    accuracy: Optional[RepairAccuracy] = None
-
-    @property
-    def runtime(self) -> float:
-        return self.timings.total
-
-    @property
-    def f1(self) -> float:
-        return self.accuracy.f1 if self.accuracy is not None else 0.0
-
-    def as_dict(self) -> dict:
-        """JSON-safe summary (how serialized reports carry this drill-down)."""
-        return {
-            "detected_cells": len(self.detected_cells),
-            "repaired_cells": len(self.repairs),
-        }
-
-    def as_cleaning_report(self) -> CleaningReport:
-        """This run in the unified :class:`~repro.core.report.CleaningReport` shape.
-
-        HoloClean neither deduplicates nor removes tuples, so ``cleaned`` is
-        the repaired table itself; the full baseline drill-down (detected
-        cells, per-cell repairs) stays reachable through ``report.details``.
-        """
-        return CleaningReport(
-            dirty=self.dirty,
-            repaired=self.repaired,
-            cleaned=self.repaired,
-            timings=self.timings,
-            accuracy=self.accuracy,
-            backend="holoclean",
-            details=self,
-        )
-
-
 class HoloCleanBaseline:
     """Detect-then-repair probabilistic cleaning, one cell at a time."""
 
@@ -107,12 +63,14 @@ class HoloCleanBaseline:
         rules: Sequence[Rule],
         ground_truth: Optional[GroundTruth] = None,
         detector: Optional[Detector] = None,
-    ) -> HoloCleanReport:
+    ) -> CleaningReport:
         """Run detection, training and repair on ``dirty``.
 
         When ``detector`` is omitted, a :class:`PerfectDetector` is used if a
         ground truth is available (the paper's comparison setting) and a
-        :class:`ViolationDetector` otherwise.
+        :class:`ViolationDetector` otherwise.  HoloClean neither deduplicates
+        nor removes tuples, so ``cleaned`` is the repaired table itself;
+        ``details["detected_cells"]`` counts the cells detection marked.
         """
         timings = TimingBreakdown()
         if detector is None:
@@ -126,12 +84,6 @@ class HoloCleanBaseline:
             noisy_cells = detector.detect(dirty, rules)
 
         repaired = dirty.copy(name=f"{dirty.name}-holoclean")
-        report = HoloCleanReport(
-            dirty=dirty,
-            repaired=repaired,
-            detected_cells=set(noisy_cells),
-            timings=timings,
-        )
         if noisy_cells:
             with timings.time("compile"):
                 graph = CellFactorGraph(
@@ -153,8 +105,17 @@ class HoloCleanBaseline:
                     best = graph.map_repair(cell)
                     if best.value != dirty.cell_value(cell):
                         repaired.set_cell(cell, best.value)
-                        report.repairs[cell] = best.value
 
-        if ground_truth is not None:
-            report.accuracy = evaluate_repair(dirty, repaired, ground_truth)
-        return report
+        return CleaningReport(
+            dirty=dirty,
+            repaired=repaired,
+            cleaned=repaired,
+            timings=timings,
+            accuracy=(
+                evaluate_repair(dirty, repaired, ground_truth)
+                if ground_truth is not None
+                else None
+            ),
+            backend="holoclean",
+            details={"detected_cells": len(noisy_cells)},
+        )

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.constraints.rules import (
@@ -24,46 +23,10 @@ from repro.constraints.rules import (
     Rule,
 )
 from repro.core.report import CleaningReport
-from repro.dataset.table import Cell, Table
+from repro.dataset.table import Table
 from repro.errors.groundtruth import GroundTruth
-from repro.metrics.accuracy import RepairAccuracy, evaluate_repair
+from repro.metrics.accuracy import evaluate_repair
 from repro.metrics.timing import TimingBreakdown
-
-
-@dataclass
-class MinimalRepairReport:
-    """Outcome of the minimality-only repairer."""
-
-    dirty: Table
-    repaired: Table
-    repairs: dict[Cell, str] = field(default_factory=dict)
-    timings: TimingBreakdown = field(default_factory=TimingBreakdown)
-    accuracy: Optional[RepairAccuracy] = None
-
-    @property
-    def f1(self) -> float:
-        return self.accuracy.f1 if self.accuracy is not None else 0.0
-
-    def as_dict(self) -> dict:
-        """JSON-safe summary (how serialized reports carry this drill-down)."""
-        return {"repaired_cells": len(self.repairs)}
-
-    def as_cleaning_report(self) -> CleaningReport:
-        """This run in the unified :class:`~repro.core.report.CleaningReport` shape.
-
-        The repairer only overwrites values (no tuple removal), so
-        ``cleaned`` equals the repaired table; the per-cell repair listing
-        stays reachable through ``report.details``.
-        """
-        return CleaningReport(
-            dirty=self.dirty,
-            repaired=self.repaired,
-            cleaned=self.repaired,
-            timings=self.timings,
-            accuracy=self.accuracy,
-            backend="minimal-repair",
-            details=self,
-        )
 
 
 class MinimalityRepairer:
@@ -74,28 +37,40 @@ class MinimalityRepairer:
         dirty: Table,
         rules: Sequence[Rule],
         ground_truth: Optional[GroundTruth] = None,
-    ) -> MinimalRepairReport:
+    ) -> CleaningReport:
+        """Repair ``dirty`` rule by rule.
+
+        The repairer only overwrites values (no tuple removal), so
+        ``cleaned`` equals the repaired table.
+        """
         repaired = dirty.copy(name=f"{dirty.name}-minimal")
-        report = MinimalRepairReport(dirty=dirty, repaired=repaired)
-        with report.timings.time("repair"):
+        timings = TimingBreakdown()
+        with timings.time("repair"):
             for rule in rules:
-                self._repair_rule(repaired, rule, report)
-        if ground_truth is not None:
-            report.accuracy = evaluate_repair(dirty, repaired, ground_truth)
-        return report
+                self._repair_rule(repaired, rule)
+        return CleaningReport(
+            dirty=dirty,
+            repaired=repaired,
+            cleaned=repaired,
+            timings=timings,
+            accuracy=(
+                evaluate_repair(dirty, repaired, ground_truth)
+                if ground_truth is not None
+                else None
+            ),
+            backend="minimal-repair",
+        )
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _repair_rule(self, table: Table, rule: Rule, report: MinimalRepairReport) -> None:
+    def _repair_rule(self, table: Table, rule: Rule) -> None:
         if isinstance(rule, ConditionalFunctionalDependency):
-            self._repair_cfd(table, rule, report)
+            self._repair_cfd(table, rule)
             return
-        self._repair_dependency(table, rule, report)
+        self._repair_dependency(table, rule)
 
-    def _repair_dependency(
-        self, table: Table, rule: Rule, report: MinimalRepairReport
-    ) -> None:
+    def _repair_dependency(self, table: Table, rule: Rule) -> None:
         """FD / DC repair: within a reason-value group, impose the majority result."""
         reason_attrs = rule.reason_attributes
         result_attrs = rule.result_attributes
@@ -120,18 +95,14 @@ class MinimalityRepairer:
                     continue
                 for attribute, value in zip(result_attrs, majority):
                     table.set_value(tid, attribute, value)
-                    report.repairs[Cell(tid, attribute)] = value
 
     def _repair_cfd(
-        self,
-        table: Table,
-        rule: ConditionalFunctionalDependency,
-        report: MinimalRepairReport,
+        self, table: Table, rule: ConditionalFunctionalDependency
     ) -> None:
         """CFD repair: force the constant consequent on pattern-matching tuples."""
         constant_consequents = rule.constant_consequents
         if not constant_consequents:
-            self._repair_dependency(table, rule, report)
+            self._repair_dependency(table, rule)
             return
         for row in table:
             if not rule.matches_pattern(row.as_dict()):
@@ -139,4 +110,3 @@ class MinimalityRepairer:
             for attribute, value in constant_consequents.items():
                 if row[attribute] != value:
                     table.set_value(row.tid, attribute, value)
-                    report.repairs[Cell(row.tid, attribute)] = value

@@ -99,7 +99,3 @@ class MLNCleanConfig:
     def with_threshold(self, abnormal_threshold: int) -> "MLNCleanConfig":
         """A copy with a different AGP threshold (used by the τ sweeps)."""
         return replace(self, abnormal_threshold=abnormal_threshold)
-
-    def with_metric(self, distance_metric: str) -> "MLNCleanConfig":
-        """A copy with a different distance metric (used by Table 5)."""
-        return replace(self, distance_metric=distance_metric)

@@ -43,7 +43,7 @@ from repro.detect.base import DirtyCells
 from repro.detect.run import CleaningScope, run_detection
 from repro.errors.groundtruth import GroundTruth
 from repro.metrics.accuracy import evaluate_repair
-from repro.metrics.timing import PerfDetails, TimingBreakdown
+from repro.metrics.timing import TimingBreakdown
 from repro.obs import ensure_tracer, span, stage_scope
 
 
@@ -92,8 +92,8 @@ class MLNClean:
         timings = TimingBreakdown()
         instrument = ground_truth is not None
         # One shared distance engine for the whole run: AGP and RSC read and
-        # write the same cache, and its counters end up in the report's
-        # PerfDetails.
+        # write the same cache, and its counters end up in
+        # ``report.details["distance"]``.
         engine = config.engine()
         clean_lookup: Optional[CleanLookup] = None
         dirty_cells: Optional[set[Cell]] = None
@@ -173,6 +173,9 @@ class MLNClean:
         accuracy = None
         if instrument:
             accuracy = evaluate_repair(dirty, repaired, ground_truth)
+        details: dict = {"distance": engine.stats.as_dict()}
+        if detected is not None:
+            details["detection"] = _detection_details(detected, scope)
 
         return CleaningReport(
             dirty=dirty,
@@ -185,11 +188,7 @@ class MLNClean:
             dedup=dedup,
             accuracy=accuracy,
             backend="batch",
-            details=PerfDetails(
-                timings=timings.as_dict(),
-                distance=engine.stats.as_dict(),
-                detection=_detection_details(detected, scope),
-            ),
+            details=details,
         )
 
     def clean_table(self, dirty: Table, rules: Sequence[Rule]) -> Table:
@@ -228,11 +227,9 @@ def _resolve_scoped(
 
 
 def _detection_details(
-    detected: Optional[DirtyCells], scope: Optional[CleaningScope]
-) -> Optional[dict]:
-    """The masked detection drill-down of the run (``None`` without one)."""
-    if detected is None:
-        return None
+    detected: DirtyCells, scope: Optional[CleaningScope]
+) -> dict:
+    """The detection drill-down of the run, with its scope."""
     payload = detected.to_json_dict()
     payload["scoped"] = scope is not None
     if scope is not None:

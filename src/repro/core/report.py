@@ -6,15 +6,30 @@ per phase, and — when the run was instrumented with a ground truth — the
 overall repair accuracy (Eq. 7) and the per-component accuracy of AGP, RSC
 and FSCR (Section 7.3).
 
+Every cleaner and backend returns this one type.  What is specific to a
+producer goes into :attr:`CleaningReport.details`, a plain JSON-safe dict
+that holds only what the report does not already carry:
+
+* ``"distance"`` — the run's :class:`~repro.perf.DistanceStats` counters
+  (batch, distributed and streaming MLNClean),
+* ``"detection"`` — the ``DirtyCells.to_json_dict()`` drill-down when a
+  detector stack ran (batch and streaming),
+* ``"workers"``, ``"partitions"``, ``"sim_runtime_s"``, ``"sequential_s"``,
+  ``"speedup"`` — the distributed simulation,
+* ``"detected_cells"`` (and ``"weights"`` for the factor graph) — the
+  HoloClean-style baselines.
+
+Experiment cells promote every top-level number of ``details`` to a metric,
+so a number that is not a metric belongs in a nested dict.
+
 Reports serialize to JSON (:meth:`CleaningReport.to_json_dict` /
 :meth:`CleaningReport.from_json_dict`) so experiment artifacts can be
 persisted, diffed run-over-run, and gated in CI.  The JSON form captures the
 comparison-relevant surface losslessly — the three tables, timings, repair
 accuracy, per-stage :class:`~repro.metrics.component.StageCounts`, dedup
-listing, backend name — while live drill-down objects (stage merge/repair
-listings, backend-specific reports) are flattened through their ``as_dict``
-when available.  Serializing is idempotent: a deserialized report serializes
-to the same JSON again, bit for bit.
+listing, backend name and ``details``; only the stage merge/repair listings
+are dropped.  Serializing is idempotent: a deserialized report serializes to
+the same JSON again, bit for bit.
 """
 
 from __future__ import annotations
@@ -67,19 +82,9 @@ class StageDrilldown:
     counts: StageCounts = field(default_factory=StageCounts)
 
 
-def _details_to_json(details: Optional[object]) -> Optional[object]:
-    """Flatten backend-/cleaner-specific details into a JSON-safe value."""
-    if details is None or isinstance(details, (dict, str, int, float, bool)):
-        return details
-    as_dict = getattr(details, "as_dict", None)
-    if callable(as_dict):
-        return as_dict()
-    return repr(details)
-
-
 @dataclass
 class CleaningReport:
-    """Everything produced by one MLNClean run."""
+    """Everything produced by one cleaning run, whatever the cleaner or backend."""
 
     #: the input (dirty) table
     dirty: Table
@@ -100,10 +105,9 @@ class CleaningReport:
     #: name of the execution backend that produced the report
     #: ("batch", "distributed", "streaming", ...)
     backend: Optional[str] = None
-    #: backend-specific drill-down (e.g. the full
-    #: :class:`~repro.distributed.driver.DistributedReport` of a distributed
-    #: run); ``None`` for the batch pipeline
-    details: Optional[object] = None
+    #: producer-specific drill-down, a JSON-safe dict (see the module
+    #: docstring for its keys)
+    details: dict = field(default_factory=dict)
 
     @property
     def runtime(self) -> float:
@@ -175,7 +179,7 @@ class CleaningReport:
                 self.accuracy.to_json_dict() if self.accuracy is not None else None
             ),
             "backend": self.backend,
-            "details": _details_to_json(self.details),
+            "details": self.details,
         }
 
     @classmethod
@@ -184,7 +188,7 @@ class CleaningReport:
 
         Tables, timings, accuracy and stage counts come back as full
         objects; stage outcomes come back as :class:`StageDrilldown` (counts
-        only) and ``details`` as whatever JSON value was stored.
+        only) and ``details`` as the stored dict.
         """
         cleaned = table_from_json_dict(data["cleaned"])
         stages = data.get("stages") or {}
@@ -224,7 +228,7 @@ class CleaningReport:
                 else None
             ),
             backend=data.get("backend"),
-            details=data.get("details"),
+            details=data.get("details") or {},
         )
 
     def describe(self) -> str:

@@ -17,13 +17,15 @@ simulated cluster:
 Workers run in-process (sequentially), so reported *parallel* runtimes are
 the simulated makespan (the slowest worker plus the driver phases); the
 sequential total is also reported so the speedup shape of Table 6 can be
-reproduced without a physical cluster.
+reproduced without a physical cluster.  The driver returns the same
+:class:`~repro.core.report.CleaningReport` as every other backend, with the
+simulation in ``report.details``.
 """
 
 from repro.distributed.partition import DataPartitioner, PartitionResult
 from repro.distributed.weights import GlobalWeightStore, fuse_weights
 from repro.distributed.executor import SimulatedCluster, WorkerResult
-from repro.distributed.driver import DistributedMLNClean, DistributedReport
+from repro.distributed.driver import DistributedMLNClean
 
 __all__ = [
     "DataPartitioner",
@@ -33,5 +35,4 @@ __all__ = [
     "SimulatedCluster",
     "WorkerResult",
     "DistributedMLNClean",
-    "DistributedReport",
 ]

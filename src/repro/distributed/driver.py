@@ -21,46 +21,27 @@ parallel makespan are reported, which is what Figure 15 and Table 6 need.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.constraints.rules import Rule
-from repro.core.agp import AbnormalGroupProcessor, AGPOutcome
+from repro.core.agp import AbnormalGroupProcessor
 from repro.core.config import MLNCleanConfig
-from repro.core.dedup import DeduplicationResult, remove_duplicates
+from repro.core.dedup import remove_duplicates
 from repro.core.fscr import FusionScoreResolver
 from repro.core.index import Block, MLNIndex, check_rule_attributes
 from repro.core.report import CleaningReport
-from repro.core.rsc import ReliabilityScoreCleaner, RSCOutcome
+from repro.core.rsc import ReliabilityScoreCleaner
 from repro.dataset.table import Table
 from repro.distributed.executor import SimulatedCluster
-from repro.distributed.partition import DataPartitioner, PartitionResult
+from repro.distributed.partition import DataPartitioner
 from repro.distributed.weights import GammaKey, GlobalWeightStore, fuse_weights
 from repro.errors.groundtruth import GroundTruth
-from repro.metrics.accuracy import RepairAccuracy, evaluate_repair
+from repro.metrics.accuracy import evaluate_repair
 from repro.metrics.timing import TimingBreakdown
 from repro.obs import ensure_tracer, span, stage_scope
 from repro.perf.engine import DistanceEngine
-
-
-def merge_stage_outcomes(
-    agp_outcomes: Iterable[AGPOutcome],
-    rsc_outcomes: Iterable[RSCOutcome],
-) -> tuple[AGPOutcome, RSCOutcome]:
-    """Deterministically fold per-worker Stage-I outcomes.
-
-    The fold order is the iteration order of the inputs, which the driver
-    keeps at partition order, so merged ``StageCounts``, merge lists and
-    repair lists come out the same on every run.
-    """
-    agp_total = AGPOutcome()
-    for outcome in agp_outcomes:
-        agp_total.extend(outcome)
-    rsc_total = RSCOutcome()
-    for outcome in rsc_outcomes:
-        rsc_total.extend(outcome)
-    return agp_total, rsc_total
 
 
 @dataclass
@@ -70,7 +51,6 @@ class _LearnPhaseOutput:
     part_index: int
     blocks: list[Block]
     local_weights: dict[GammaKey, tuple[int, float]]
-    agp: AGPOutcome = field(default_factory=AGPOutcome)
 
 
 @dataclass
@@ -79,89 +59,6 @@ class _CleanPhaseOutput:
 
     part_index: int
     blocks: list[Block]
-    rsc: RSCOutcome = field(default_factory=RSCOutcome)
-
-
-@dataclass
-class DistributedReport:
-    """The outcome of one distributed run."""
-
-    dirty: Table
-    repaired: Table
-    cleaned: Table
-    partition: PartitionResult
-    workers: int
-    driver_timings: TimingBreakdown = field(default_factory=TimingBreakdown)
-    sequential_seconds: float = 0.0
-    makespan_seconds: float = 0.0
-    dedup: Optional[DeduplicationResult] = None
-    accuracy: Optional[RepairAccuracy] = None
-    #: merged Stage-I drill-down across all partitions (uninstrumented: the
-    #: workers run without a ground truth, so the counts stay zero but the
-    #: merge / repair listings are populated)
-    agp: Optional[AGPOutcome] = None
-    rsc: Optional[RSCOutcome] = None
-    #: counters of the run's shared distance engine
-    distance_stats: Optional[dict] = None
-
-    @property
-    def runtime(self) -> float:
-        """Simulated parallel runtime: driver phases plus the worker makespan."""
-        return self.driver_timings.total + self.makespan_seconds
-
-    @property
-    def sequential_runtime(self) -> float:
-        """Single-machine runtime: driver phases plus all worker compute."""
-        return self.driver_timings.total + self.sequential_seconds
-
-    @property
-    def speedup(self) -> float:
-        """Sequential runtime over simulated parallel runtime."""
-        if self.runtime == 0.0:
-            return 1.0
-        return self.sequential_runtime / self.runtime
-
-    @property
-    def f1(self) -> float:
-        return self.accuracy.f1 if self.accuracy is not None else 0.0
-
-    def as_dict(self) -> dict:
-        """JSON-safe summary (how serialized reports carry this drill-down)."""
-        return {
-            "workers": self.workers,
-            "partitions": self.partition.sizes,
-            "runtime": self.runtime,
-            "sequential_runtime": self.sequential_runtime,
-            "speedup": self.speedup,
-            "makespan_seconds": self.makespan_seconds,
-            "sequential_seconds": self.sequential_seconds,
-            "f1": self.f1,
-            "distance_stats": dict(self.distance_stats)
-            if self.distance_stats is not None
-            else None,
-        }
-
-    def as_cleaning_report(self) -> "CleaningReport":
-        """This run in the unified :class:`~repro.core.report.CleaningReport` shape.
-
-        Driver phases keep their names; the simulated worker makespan is
-        recorded as one ``workers`` phase so ``report.runtime`` equals the
-        simulated parallel runtime.  The full distributed drill-down
-        (partitioning, speedup, per-worker numbers) stays reachable through
-        ``report.details``.
-        """
-        timings = TimingBreakdown(dict(self.driver_timings.phases))
-        timings.record("workers", self.makespan_seconds)
-        return CleaningReport(
-            dirty=self.dirty,
-            repaired=self.repaired,
-            cleaned=self.cleaned,
-            timings=timings,
-            dedup=self.dedup,
-            accuracy=self.accuracy,
-            backend="distributed",
-            details=self,
-        )
 
 
 class DistributedMLNClean:
@@ -190,8 +87,17 @@ class DistributedMLNClean:
         dirty: Table,
         rules: Sequence[Rule],
         ground_truth: Optional[GroundTruth] = None,
-    ) -> DistributedReport:
-        """Run the distributed pipeline on ``dirty``."""
+    ) -> CleaningReport:
+        """Run the distributed pipeline on ``dirty``.
+
+        Driver phases keep their names in ``report.timings``; the simulated
+        worker makespan is recorded as one ``workers`` phase, so
+        ``report.runtime`` is the simulated parallel runtime.  ``details``
+        holds ``workers``, the ``partitions`` sizes, ``sim_runtime_s``,
+        ``sequential_s`` (driver phases plus all worker compute), their
+        ``speedup`` and the shared engine's ``distance`` counters.  The
+        workers run uninstrumented, so ``agp`` and ``rsc`` stay ``None``.
+        """
         if not rules:
             raise ValueError("distributed MLNClean needs at least one rule")
         check_rule_attributes(rules, dirty.attributes)
@@ -205,8 +111,8 @@ class DistributedMLNClean:
         dirty: Table,
         rules: Sequence[Rule],
         ground_truth: Optional[GroundTruth],
-    ) -> DistributedReport:
-        driver_timings = TimingBreakdown()
+    ) -> CleaningReport:
+        timings = TimingBreakdown()
         cluster = SimulatedCluster(self.workers)
         # One engine for the whole run: the simulated workers execute
         # in-process, so partitioning, both worker phases and the gather step
@@ -216,13 +122,13 @@ class DistributedMLNClean:
             dirty, rules, engine
         )
 
-        with stage_scope(driver_timings, "distributed", "partition"):
+        with stage_scope(timings, "distributed", "partition"):
             partition = partitioner.partition(dirty)
             part_tables = partition.tables(dirty)
 
-        # The worker phases do not contribute to driver_timings: the report
-        # accounts them through the cluster's makespan (one "workers" phase),
-        # so adding them here would double-count the simulated runtime.  They
+        # The worker phases do not get their own timings: the report accounts
+        # them through the cluster's makespan (one "workers" phase), so
+        # adding them here would double-count the simulated runtime.  They
         # still get spans — one per phase, one per partition.
         with span("phase:learn", partitions=len(part_tables)):
             learn_results = cluster.map(
@@ -232,7 +138,7 @@ class DistributedMLNClean:
             )
         learn_outputs = [result.value for result in learn_results]
 
-        with stage_scope(driver_timings, "distributed", "weight_fusion"):
+        with stage_scope(timings, "distributed", "weight_fusion"):
             store = fuse_weights(output.local_weights for output in learn_outputs)
 
         with span("phase:clean", partitions=len(learn_outputs)):
@@ -247,7 +153,7 @@ class DistributedMLNClean:
         # among them are eliminated "in the same way to stand-alone MLNClean"
         # (Section 6), i.e. FSCR runs over all blocks with a global candidate
         # pool, followed by global duplicate elimination.
-        with stage_scope(driver_timings, "distributed", "gather"):
+        with stage_scope(timings, "distributed", "gather"):
             all_blocks = [
                 block for output in clean_outputs for block in output.blocks
             ]
@@ -260,29 +166,31 @@ class DistributedMLNClean:
             if self.config.remove_duplicates:
                 dedup_result = remove_duplicates(repaired)
                 cleaned = dedup_result.deduplicated
-            agp_total, rsc_total = merge_stage_outcomes(
-                (output.agp for output in learn_outputs),
-                (output.rsc for output in clean_outputs),
-            )
 
         accuracy = None
         if ground_truth is not None:
             accuracy = evaluate_repair(dirty, repaired, ground_truth)
 
-        return DistributedReport(
+        sequential = timings.total + cluster.sequential_seconds
+        timings.record("workers", cluster.makespan_seconds)
+        runtime = timings.total
+        return CleaningReport(
             dirty=dirty,
             repaired=repaired,
             cleaned=cleaned,
-            partition=partition,
-            workers=self.workers,
-            driver_timings=driver_timings,
-            sequential_seconds=cluster.sequential_seconds,
-            makespan_seconds=cluster.makespan_seconds,
+            timings=timings,
             dedup=dedup_result,
             accuracy=accuracy,
-            agp=agp_total,
-            rsc=rsc_total,
-            distance_stats=engine.stats.as_dict(),
+            backend="distributed",
+            details={
+                "workers": self.workers,
+                "partitions": partition.sizes,
+                "sim_runtime_s": runtime,
+                "sequential_s": sequential,
+                # rounded like the Figure 15 table prints it
+                "speedup": round(sequential / runtime, 3) if runtime else 1.0,
+                "distance": engine.stats.as_dict(),
+            },
         )
 
     def _default_partitioner(
@@ -333,8 +241,9 @@ class DistributedMLNClean:
                 1, self.config.abnormal_threshold // self.workers
             )
             partition_config = self.config.with_threshold(partition_threshold)
-            agp = AbnormalGroupProcessor(partition_config, engine=engine)
-            agp_outcome = agp.process_index(index.block_list)
+            AbnormalGroupProcessor(partition_config, engine=engine).process_index(
+                index.block_list
+            )
             rsc = ReliabilityScoreCleaner(self.config, engine=engine)
             local_weights: dict[GammaKey, tuple[int, float]] = {}
             for block in index.block_list:
@@ -347,9 +256,7 @@ class DistributedMLNClean:
                     )
                     support, weight = local_weights.get(key, (0, 0.0))
                     local_weights[key] = (support + piece.support, piece.weight)
-            return _LearnPhaseOutput(
-                part_index, index.block_list, local_weights, agp=agp_outcome
-            )
+            return _LearnPhaseOutput(part_index, index.block_list, local_weights)
 
     def _clean_phase(
         self,
@@ -368,8 +275,7 @@ class DistributedMLNClean:
                         piece.result_values,
                     )
                     piece.weight = store.weight(key)
-            rsc = ReliabilityScoreCleaner(self.config, engine=engine)
-            rsc_outcome = rsc.clean_index(blocks, relearn_weights=False)
-            return _CleanPhaseOutput(
-                learn_output.part_index, blocks, rsc=rsc_outcome
+            ReliabilityScoreCleaner(self.config, engine=engine).clean_index(
+                blocks, relearn_weights=False
             )
+            return _CleanPhaseOutput(learn_output.part_index, blocks)

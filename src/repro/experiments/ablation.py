@@ -164,8 +164,7 @@ class RoundRobinDistributedCleaner:
             config=request.config,
             partitioner=_RoundRobinPartitioner(parts=self.workers),
         )
-        report = driver.clean(request.dirty, request.rules, request.ground_truth)
-        return report.as_cleaning_report()
+        return driver.clean(request.dirty, request.rules, request.ground_truth)
 
 
 register_cleaner("rscore-ablation", RScoreAblationCleaner)
@@ -254,7 +253,7 @@ def render_ablation_partition(artifact: RunArtifact) -> ExperimentResult:
             {
                 "dataset": cell.coords["workload"],
                 "partitioner": cell.coords["system"],
-                "workers": cell.metrics["workers"],
+                "workers": int(cell.metrics["workers"]),
                 "f1": cell.metrics["f1"],
                 "runtime_s": cell.metrics["sim_runtime_s"],
             }

@@ -38,7 +38,8 @@ def distributed_cleaner(workers: int, label: Optional[str] = None) -> CleanerSpe
 
 def render_fig15(artifact: RunArtifact) -> ExperimentResult:
     """Project a fig15-shaped artifact onto the figure's rows."""
-    workers = artifact.cells[0].metrics["workers"] if artifact.cells else 0
+    # cell metrics are floats; the worker count prints as the integer it is
+    workers = int(artifact.cells[0].metrics["workers"]) if artifact.cells else 0
     result = ExperimentResult(
         experiment="fig15",
         description=f"distributed MLNClean ({workers} workers) vs error percentage",
@@ -48,7 +49,7 @@ def render_fig15(artifact: RunArtifact) -> ExperimentResult:
             {
                 "dataset": cell.coords["workload"],
                 "error_rate": cell.coords["error_rate"],
-                "workers": cell.metrics["workers"],
+                "workers": int(cell.metrics["workers"]),
                 "f1": cell.metrics["f1"],
                 "runtime_s": cell.metrics["sim_runtime_s"],
                 "sequential_s": cell.metrics["sequential_s"],
@@ -92,7 +93,7 @@ def render_table06(artifact: RunArtifact) -> ExperimentResult:
         result.add(
             {
                 "dataset": cell.coords["workload"],
-                "workers": cell.metrics["workers"],
+                "workers": int(cell.metrics["workers"]),
                 "runtime_s": runtime,
                 "sequential_s": cell.metrics["sequential_s"],
                 "f1": cell.metrics["f1"],

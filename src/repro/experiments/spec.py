@@ -474,9 +474,9 @@ def _cell_metrics(
     The layout mirrors what the pre-spec harness printed per run: system
     label, precision/recall/F1, wall-clock, then the component metrics when
     the stages were instrumented, plus cleaner-specific extras (duplicates
-    removed, detected cells, the distributed simulation's runtimes).
-    Cleaners can surface additional numeric metrics by returning a plain
-    dict as ``report.details``.
+    removed, detected cells, the distributed simulation's runtimes): every
+    top-level number of ``report.details`` becomes a float metric rounded to
+    4 places.
     """
     accuracy = report.accuracy
     metrics: dict = {
@@ -496,41 +496,22 @@ def _cell_metrics(
         metrics["duplicates_removed"] = float(
             report.dedup.removed_count if report.dedup is not None else 0
         )
-    details = report.details
-    if isinstance(details, dict):
-        for key, value in details.items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                metrics[key] = round(float(value), 4)
-    elif details is not None:
-        detected = getattr(details, "detected_cells", None)
-        if detected is not None:
-            # an int count (PerfDetails) or the distributed driver's cell list
-            metrics["detected_cells"] = float(
-                detected if isinstance(detected, int) else len(detected)
-            )
-        if hasattr(details, "speedup") and hasattr(details, "sequential_runtime"):
-            metrics["workers"] = getattr(details, "workers", 0)
-            metrics["sim_runtime_s"] = round(details.runtime, 4)
-            metrics["sequential_s"] = round(details.sequential_runtime, 4)
-            metrics["speedup"] = round(details.speedup, 3)
+    for key, value in report.details.items():
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            metrics[key] = round(float(value), 4)
     return metrics
 
 
 def _detection_metrics(report: CleaningReport, instance) -> dict:
     """Detector-quality metrics of a detection-enabled cell.
 
-    Pulls the detection drill-down out of the report details (a dict for the
-    baseline cleaners, a ``PerfDetails`` for the MLNClean backends) and
-    scores it against the instance's injected-error ledger: detected-cell
-    count, detection precision/recall/F1.  Cells whose cleaner carries no
-    detection drill-down contribute nothing.
+    Scores ``report.details["detection"]`` against the instance's
+    injected-error ledger: detected-cell count, detection
+    precision/recall/F1.  Cells whose cleaner carries no detection
+    drill-down contribute nothing.
     """
-    details = report.details
-    if isinstance(details, dict):
-        detection = details.get("detection")
-    else:
-        detection = getattr(details, "detection", None)
-    if not isinstance(detection, dict):
+    detection = report.details.get("detection")
+    if detection is None:
         return {}
     detected = DirtyCells.from_json_dict(detection)
     metrics = {"detected_cells": float(detected.count)}

@@ -4,9 +4,7 @@ The paper reports runtimes alongside accuracy (Figures 6, 11, 15 and
 Table 6).  :class:`Stopwatch` measures individual phases and
 :class:`TimingBreakdown` accumulates them per named phase so the harness can
 report, e.g., how much of the total time is spent in weight learning (the
-paper attributes ~95 % of MLNClean's runtime to it).  :class:`PerfDetails`
-bundles the per-stage timings with the run's distance-engine counters; the
-batch pipeline surfaces it as ``CleaningReport.details``.
+paper attributes ~95 % of MLNClean's runtime to it).
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 
 class Stopwatch:
@@ -86,50 +84,3 @@ class TimingBreakdown:
 
     def as_dict(self) -> dict[str, float]:
         return dict(self.phases)
-
-
-@dataclass
-class PerfDetails:
-    """Performance drill-down of one batch cleaning run.
-
-    Attached to :attr:`repro.core.report.CleaningReport.details` by the
-    batch pipeline: wall-clock per pipeline stage plus the shared
-    :class:`~repro.perf.DistanceEngine` counters (pair-distance calls, cache
-    hit rate, raw metric evaluations, prune counts), and the detection
-    drill-down when a detector stack ran.
-    """
-
-    #: per-stage wall-clock seconds (a ``TimingBreakdown.as_dict()``)
-    timings: dict[str, float] = field(default_factory=dict)
-    #: the distance engine's counters (a ``DistanceStats.as_dict()``)
-    distance: dict[str, object] = field(default_factory=dict)
-    #: detection drill-down when a detector stack ran (a
-    #: ``DirtyCells.to_json_dict()`` plus scope info), ``None`` otherwise
-    detection: Optional[dict] = None
-
-    def as_dict(self) -> dict[str, object]:
-        payload: dict[str, object] = {
-            "timings": dict(self.timings),
-            "distance": dict(self.distance),
-        }
-        if self.detection is not None:
-            payload["detection"] = dict(self.detection)
-        return payload
-
-    @property
-    def detected_cells(self) -> Optional[int]:
-        """Detected-cell count (the experiments promote this to a metric)."""
-        if self.detection is None:
-            return None
-        return self.detection.get("count")
-
-    def describe(self) -> str:
-        """One line for logs: total time, distance calls, hit rate."""
-        total = sum(self.timings.values())
-        calls = self.distance.get("calls", 0)
-        hit_rate = self.distance.get("hit_rate", 0.0)
-        raw = self.distance.get("raw_evaluations", 0)
-        return (
-            f"{total:.3f}s over {len(self.timings)} stages | "
-            f"distance calls {calls} (raw {raw}, hit rate {hit_rate})"
-        )

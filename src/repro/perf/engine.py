@@ -164,7 +164,7 @@ class DistanceStats:
 # — counters stay monotone underneath, resets are a subtraction.
 # ----------------------------------------------------------------------
 _ACCUM_LOCK = threading.Lock()
-#: folded counters of engines that were garbage collected or reset
+#: folded counters of engines that were garbage collected
 _RETIRED = DistanceStats()
 #: snapshot subtracted from the raw totals (what "reset" means here)
 _RESET_OFFSET = DistanceStats()
@@ -749,19 +749,6 @@ class DistanceEngine:
             (candidate, value)
             for value, candidate in self._query(query, candidates, cutoff, k)
         ]
-
-    # ------------------------------------------------------------------
-    # statistics
-    # ------------------------------------------------------------------
-    def reset_stats(self) -> None:
-        """Zero the engine-local counters, preserving the global totals.
-
-        The counters are folded into the retired base first, so the derived
-        :func:`global_distance_stats` stays monotone across engine resets.
-        """
-        with _ACCUM_LOCK:
-            _RETIRED.iadd(self.stats)
-            self.stats.zero()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

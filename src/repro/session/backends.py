@@ -120,7 +120,7 @@ class DistributedBackend:
                 request.dirty, request.rules, request.ground_truth
             )
         observe_run(self.name)
-        return report.as_cleaning_report()
+        return report
 
 
 class StreamingBackend:

@@ -24,9 +24,10 @@ Built-in cleaners:
   graph (:mod:`repro.baselines.factor_graph`), the no-training ablation of
   the HoloClean baseline.
 
-Each baseline adapter folds the baseline's private result type into
-``report.details``, so nothing of the original drill-down is lost.  New
-algorithms plug in through :func:`register_cleaner`, mirroring
+Every baseline already returns a :class:`~repro.core.report.CleaningReport`,
+so each adapter only maps the request onto the baseline's ``clean`` call and
+returns that report unchanged.  New algorithms plug in through
+:func:`register_cleaner`, mirroring
 :func:`~repro.session.backends.register_backend`.
 """
 
@@ -95,8 +96,7 @@ class HoloCleanCleaner:
 
     Options are the :class:`~repro.baselines.holoclean.HoloCleanConfig`
     fields (``max_candidates``, ``training_epochs``, ...) plus an optional
-    ``detector``; the original :class:`HoloCleanReport` is preserved under
-    ``report.details``.
+    ``detector``.
     """
 
     name = "holoclean"
@@ -110,13 +110,12 @@ class HoloCleanCleaner:
         self.detector = detector
 
     def run(self, request: CleaningRequest) -> CleaningReport:
-        report = self.baseline.clean(
+        return self.baseline.clean(
             request.dirty,
             request.rules,
             request.ground_truth,
             detector=_request_detector(request, self.detector, self.name),
         )
-        return report.as_cleaning_report()
 
 
 class MinimalRepairCleaner:
@@ -134,10 +133,9 @@ class MinimalRepairCleaner:
                 "detector stacks apply to the mlnclean, holoclean and "
                 "factor-graph cleaners"
             )
-        report = self.repairer.clean(
+        return self.repairer.clean(
             request.dirty, request.rules, request.ground_truth
         )
-        return report.as_cleaning_report()
 
 
 class FactorGraphCleaner:
@@ -156,13 +154,12 @@ class FactorGraphCleaner:
         self.detector = detector
 
     def run(self, request: CleaningRequest) -> CleaningReport:
-        report = self.repairer.clean(
+        return self.repairer.clean(
             request.dirty,
             request.rules,
             request.ground_truth,
             detector=_request_detector(request, self.detector, self.name),
         )
-        return report.as_cleaning_report()
 
 
 def _request_detector(request: CleaningRequest, own_detector, cleaner_name: str):

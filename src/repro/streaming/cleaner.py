@@ -225,7 +225,7 @@ class StreamingMLNClean:
 
     @property
     def detected_cells(self) -> Optional[int]:
-        """Detected-cell count of the last tick (promoted to run metrics)."""
+        """Detected-cell count of the last tick (``None`` without detectors)."""
         return None if self._detected is None else self._detected.count
 
     def __len__(self) -> int:
@@ -378,8 +378,12 @@ class StreamingMLNClean:
 
         Timings accumulate across batches; the stage outcomes aggregate the
         re-cleaning work actually performed (not what a batch run would have
-        done once).
+        done once).  ``details`` holds the persistent engine's distance
+        counters and, with detectors, the last tick's detection.
         """
+        details: dict = {"distance": self._engine.stats.as_dict()}
+        if self._detected is not None:
+            details["detection"] = self._detected.to_json_dict()
         fscr = FSCROutcome(
             repaired=self._repaired,
             fusions=dict(self._fusions),
@@ -396,7 +400,7 @@ class StreamingMLNClean:
             dedup=self._dedup,
             accuracy=self.accuracy(),
             backend="streaming",
-            details=self,
+            details=details,
         )
 
     # ------------------------------------------------------------------

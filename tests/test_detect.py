@@ -418,11 +418,11 @@ def test_scoped_report_carries_detection_provenance():
         ground_truth=instance.ground_truth,
         detectors=["violation"],
     ).run()
-    detection = report.details.detection
+    detection = report.details["detection"]
     assert detection["scoped"] is True
     assert detection["count"] == len(detection["cells"])
     assert detection["scoped_blocks"]
-    assert report.details.detected_cells == detection["count"]
+    assert DirtyCells.from_json_dict(detection).count == detection["count"]
 
 
 def test_distributed_rejects_scoping_but_allows_all_cells():
@@ -639,8 +639,10 @@ def test_experiment_spec_detector_stacks_round_trip():
 
 
 def test_detector_ablation_spec_runs_with_detection_metrics():
+    from dataclasses import replace
+
     from repro.experiments import ExperimentRunner, load_spec
-    from repro.experiments.spec import ExperimentSpec
+    from repro.experiments.spec import CleanerSpec, ExperimentSpec
 
     assert load_spec("detector_ablation").detector_stacks[0] is None
     spec = ExperimentSpec(
@@ -659,3 +661,18 @@ def test_detector_ablation_spec_runs_with_detection_metrics():
     assert perfect.metrics["detect_recall"] == 1.0
     assert "detect_precision" not in plain.metrics
     assert perfect.metrics["f1"] == plain.metrics["f1"]
+
+    # a streaming cell reaches the detection metrics the way a batch one does
+    streamed = replace(
+        spec,
+        cleaners=[
+            CleanerSpec("mlnclean"),
+            CleanerSpec("mlnclean", options={"backend": "streaming", "batch_size": 10}),
+        ],
+        detector_stacks=[["violation"]],
+    )
+    batch, streaming = ExperimentRunner(streamed).run().cells
+    keys = {"detected_cells", "detect_precision", "detect_recall", "detect_f1"}
+    assert keys <= set(batch.metrics)
+    assert keys <= set(streaming.metrics)
+    assert streaming.metrics["detected_cells"] == batch.metrics["detected_cells"]

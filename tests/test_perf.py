@@ -12,6 +12,7 @@ The load-bearing properties:
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
@@ -25,6 +26,7 @@ import repro
 from repro.core.config import MLNCleanConfig
 from repro.core.index import MLNIndex
 from repro.core.pipeline import MLNClean
+from repro.core.report import CleaningReport
 from repro.core.rsc import ReliabilityScoreCleaner
 from repro.dataset.sample import sample_hospital_rules, sample_hospital_table
 from repro.distance import (
@@ -34,10 +36,14 @@ from repro.distance import (
 )
 from repro.distance.fastpath import strip_common_affixes
 from repro.errors.injector import ErrorSpec
-from repro.experiments.harness import session_for_instance
-from repro.metrics.timing import PerfDetails
-from repro.perf import DistanceEngine, DistanceStats
-from repro.session import CleaningRequest, CleaningSession, SessionBuilder, get_backend
+from repro.perf import DistanceEngine, DistanceStats, global_distance_stats
+from repro.session import (
+    CleaningRequest,
+    CleaningSession,
+    SessionBuilder,
+    get_backend,
+    get_cleaner,
+)
 from repro.streaming import DeltaBatch, StreamingMLNClean, TumblingWindow
 from repro.workloads.registry import get_workload_generator
 from test_reference_oracles import reference_levenshtein, unicode_text
@@ -194,23 +200,54 @@ def test_stats_iadd_and_diff():
 # ----------------------------------------------------------------------
 # report surfacing
 # ----------------------------------------------------------------------
-def test_batch_report_surfaces_perf_details():
+@pytest.mark.parametrize(
+    "cleaner, options, detectors",
+    [
+        ("mlnclean", {"backend": "batch"}, None),
+        ("mlnclean", {"backend": "batch"}, ["violation"]),
+        ("mlnclean", {"backend": "distributed", "workers": 2}, None),
+        ("mlnclean", {"backend": "streaming", "batch_size": 12}, None),
+        ("mlnclean", {"backend": "streaming", "batch_size": 12}, ["violation"]),
+        ("holoclean", {}, None),
+        ("minimal-repair", {}, None),
+        ("factor-graph", {}, None),
+    ],
+    ids=[
+        "batch",
+        "batch-violation",
+        "distributed",
+        "streaming",
+        "streaming-violation",
+        "holoclean",
+        "minimal-repair",
+        "factor-graph",
+    ],
+)
+def test_report_details_are_one_json_safe_dict(cleaner, options, detectors):
     instance = small_instance("hospital-sample", tuples=48)
-    report = session_for_instance(instance).run()
-    details = report.details
-    assert isinstance(details, PerfDetails)
-    assert set(details.timings) >= {"index", "agp", "rsc", "fscr"}
-    assert details.distance["calls"] > 0
-    assert "hit rate" in details.describe()
-    assert "parallelism" not in details.as_dict()
-
-
-def test_distributed_report_carries_stage_outcomes_and_stats():
-    instance = small_instance("hospital-sample", tuples=48)
-    report = session_for_instance(instance, backend="distributed", workers=2).run()
-    distributed = report.details
-    assert distributed.distance_stats["calls"] > 0
-    assert distributed.agp is not None and distributed.rsc is not None
+    session = CleaningSession(
+        rules=instance.rules,
+        config=MLNCleanConfig(abnormal_threshold=1),
+        cleaner=get_cleaner(cleaner, **options),
+        table=instance.dirty,
+        ground_truth=instance.ground_truth,
+        detectors=detectors,
+    )
+    before = global_distance_stats()
+    report = session.run()
+    counters = global_distance_stats().diff(before).as_dict()
+    assert isinstance(report.details, dict)
+    text = json.dumps(report.to_json_dict())
+    assert CleaningReport.from_json_dict(json.loads(text)).details == report.details
+    if cleaner == "mlnclean":
+        # the run's one engine did every distance call of the run
+        assert report.details["distance"] == counters
+        assert counters["calls"] > 0
+        if options["backend"] == "streaming":
+            engine = session.cleaner.backend.engine.engine
+            assert report.details["distance"] == engine.stats.as_dict()
+    if detectors is not None:
+        assert report.details["detection"]["count"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -244,7 +281,7 @@ def test_streaming_engine_persists_across_batches_and_stays_equivalent():
     assert tables_equal(engine.cleaned, batch_report.cleaned)
     stats = engine.engine.stats
     assert stats.cache_hits > 0  # the cache carried over between batches
-    assert engine.report().details.engine is engine.engine
+    assert engine.report().details["distance"] == stats.as_dict()
 
 
 def test_forced_memo_flushes_keep_streaming_output_exact(monkeypatch):
