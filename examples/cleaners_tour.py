@@ -1,7 +1,7 @@
 """One workload, four cleaning algorithms, one unified report.
 
 The point of the cleaner protocol: MLNClean and every comparison baseline
-answer the *same* :class:`~repro.session.backends.CleaningRequest` with the
+answer the *same* :class:`~repro.session.CleaningRequest` with the
 *same* :class:`~repro.core.report.CleaningReport` — selecting the algorithm
 is one ``with_cleaner(...)`` call, exactly like selecting MLNClean's
 execution backend is one ``with_backend(...)`` call.

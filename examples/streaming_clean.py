@@ -4,7 +4,7 @@ A :class:`repro.CleaningSession` on the "streaming" backend replays a
 corrupted HAI workload as insert micro-batches through the incremental
 engine — maintaining the MLN index per delta, re-running Stage I only on
 the blocks each batch dirtied and Stage II only for the tuples whose fusion
-inputs changed.  The engine stays alive on the backend after the run, so a
+inputs changed.  The engine stays alive on the cleaner after the run, so a
 late batch of corrections is applied incrementally too.  Finally the
 streamed result is checked against the same session re-run on the "batch"
 backend: the two cleaned tables are identical.
@@ -42,7 +42,7 @@ def main() -> None:
 
     print(f"Streaming {tuples} HAI tuples in micro-batches of {batch_size}:")
     report = session.run()
-    engine = session.backend.engine
+    engine = session.cleaner.engine
     print(f"  batches applied: {engine.batches_applied}")
     print("  " + report.describe().replace("\n", "\n  "))
     print()

@@ -18,18 +18,18 @@ API — one facade over every execution mode::
     report = session.run()
     print(report.describe())
 
-Every backend returns the same :class:`~repro.core.report.CleaningReport`
-(cleaned table, per-stage timings, accuracy when a ground truth is
-attached); new backends plug in through
-:func:`~repro.session.register_backend`.  The pipeline itself runs the
-paper's fixed Algorithm-1 order.
+Every backend and cleaner returns the same
+:class:`~repro.core.report.CleaningReport` (cleaned table, per-stage
+timings, accuracy when a ground truth is attached); new cleaning algorithms
+plug in through :func:`~repro.session.register_cleaner`.  The pipeline
+itself runs the paper's fixed Algorithm-1 order.
 The pre-session entry points (``MLNClean``, ``DistributedMLNClean``,
 ``StreamingMLNClean``) remain available as thin paths onto the same engines.
 
 Sub-packages:
 
-* :mod:`repro.session` — the :class:`CleaningSession` facade, execution
-  backends, and the cleaner registry,
+* :mod:`repro.session` — the :class:`CleaningSession` facade and the
+  cleaner registry (MLNClean on its three engines, and the baselines),
 * :mod:`repro.core` — the MLNClean pipeline (MLN index, AGP, RSC, FSCR),
 * :mod:`repro.constraints` — FD / CFD / DC rules and the rule parser,
 * :mod:`repro.mln` — the MLN weight learner (the grounding is the MLN index
@@ -64,15 +64,12 @@ from repro.metrics.accuracy import evaluate_repair
 from repro.session import (
     Cleaner,
     CleaningSession,
-    ExecutionBackend,
     Session,
     SessionBuilder,
-    available_backends,
     available_cleaners,
     get_cleaner,
     load_rules,
     load_table,
-    register_backend,
     register_cleaner,
 )
 from repro.distributed import DistributedMLNClean
@@ -88,18 +85,15 @@ from repro.streaming import (
     WorkloadStreamSource,
 )
 
-__version__ = "15.0.0"
+__version__ = "16.0.0"
 
 __all__ = [
     "CleaningSession",
     "Session",
     "SessionBuilder",
-    "ExecutionBackend",
     "Cleaner",
     "load_table",
     "load_rules",
-    "register_backend",
-    "available_backends",
     "register_cleaner",
     "available_cleaners",
     "get_cleaner",

@@ -16,18 +16,13 @@ introduction; it is used by the ablation benchmarks.  Every baseline's
 MLNClean.
 """
 
-from repro.baselines.factor_graph import (
-    CellFactorGraph,
-    FactorGraphRepairer,
-    RepairCandidate,
-)
+from repro.baselines.factor_graph import CellFactorGraph, RepairCandidate
 from repro.baselines.holoclean import HoloCleanBaseline, HoloCleanConfig
 from repro.baselines.minimal_repair import MinimalityRepairer
 
 __all__ = [
     "CellFactorGraph",
     "RepairCandidate",
-    "FactorGraphRepairer",
     "HoloCleanBaseline",
     "HoloCleanConfig",
     "MinimalityRepairer",

@@ -23,7 +23,6 @@ import random
 from collections import Counter, defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.constraints.rules import (
     ConditionalFunctionalDependency,
@@ -31,11 +30,7 @@ from repro.constraints.rules import (
     FunctionalDependency,
     Rule,
 )
-from repro.core.report import CleaningReport
 from repro.dataset.table import Cell, Table
-from repro.errors.groundtruth import GroundTruth
-from repro.metrics.accuracy import evaluate_repair
-from repro.metrics.timing import TimingBreakdown
 
 #: names of the candidate features, in vector order
 FEATURE_NAMES = (
@@ -378,99 +373,6 @@ class _ConstraintIndex:
         if applicable == 0:
             return 1.0
         return compatible / applicable
-
-
-class FactorGraphRepairer:
-    """Per-cell MAP repair over the factor graph *without* weight training.
-
-    The ablation that separates HoloClean's model structure from its learned
-    weights: every detected cell is assigned the candidate maximising the
-    uniform-prior score (all feature weights at 1.0, or after
-    ``training_epochs > 0`` SGD epochs when a partially trained variant is
-    wanted).  Everything else — detection, candidate pruning, features —
-    matches :class:`~repro.baselines.holoclean.HoloCleanBaseline`.
-    """
-
-    def __init__(
-        self,
-        max_candidates: int = 20,
-        seed: int = 11,
-        training_epochs: int = 0,
-        training_sample: int = 2000,
-        learning_rate: float = 0.5,
-    ):
-        if training_epochs < 0:
-            raise ValueError("training_epochs must be >= 0")
-        self.max_candidates = max_candidates
-        self.seed = seed
-        self.training_epochs = training_epochs
-        self.training_sample = training_sample
-        self.learning_rate = learning_rate
-
-    def clean(
-        self,
-        dirty: Table,
-        rules: Sequence[Rule],
-        ground_truth: Optional[GroundTruth] = None,
-        detector=None,
-    ) -> CleaningReport:
-        """Detect noisy cells and repair each with the MAP candidate.
-
-        ``detector`` defaults like the HoloClean baseline: perfect detection
-        when a ground truth is supplied, violation-based detection otherwise.
-        ``details`` holds ``detected_cells`` and the graph's feature
-        ``weights`` (empty when nothing was detected).
-        """
-        from repro.detect.builtin import PerfectDetector, ViolationDetector
-
-        timings = TimingBreakdown()
-        if detector is None:
-            detector = (
-                PerfectDetector(ground_truth)
-                if ground_truth is not None
-                else ViolationDetector()
-            )
-        with timings.time("detect"):
-            noisy_cells = detector.detect(dirty, rules)
-
-        repaired = dirty.copy(name=f"{dirty.name}-factorgraph")
-        weights: list[float] = []
-        if noisy_cells:
-            with timings.time("compile"):
-                graph = CellFactorGraph(
-                    dirty,
-                    rules,
-                    noisy_cells,
-                    max_candidates=self.max_candidates,
-                    seed=self.seed,
-                )
-            if self.training_epochs:
-                with timings.time("train"):
-                    graph.train(
-                        graph.training_examples(self.training_sample),
-                        epochs=self.training_epochs,
-                        learning_rate=self.learning_rate,
-                    )
-            with timings.time("repair"):
-                for cell in sorted(noisy_cells, key=lambda c: (c.tid, c.attribute)):
-                    best = graph.map_repair(cell)
-                    if best.value != dirty.cell_value(cell):
-                        repaired.set_cell(cell, best.value)
-            weights = list(graph.weights)
-
-        return CleaningReport(
-            dirty=dirty,
-            repaired=repaired,
-            cleaned=repaired,
-            timings=timings,
-            accuracy=(
-                evaluate_repair(dirty, repaired, ground_truth)
-                if ground_truth is not None
-                else None
-            ),
-            backend="factor-graph",
-            details={"detected_cells": len(noisy_cells), "weights": weights},
-        )
 
 
 def _dot(weights: Sequence[float], features: Sequence[float]) -> float:

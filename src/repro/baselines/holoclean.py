@@ -50,12 +50,21 @@ class HoloCleanConfig:
     #: random seed (sampling of training cells, SGD shuffling)
     seed: int = 11
 
+    def __post_init__(self) -> None:
+        if self.training_epochs < 0:
+            raise ValueError("training_epochs must be >= 0")
+
 
 class HoloCleanBaseline:
-    """Detect-then-repair probabilistic cleaning, one cell at a time."""
+    """Detect-then-repair probabilistic cleaning, one cell at a time.
 
-    def __init__(self, config: Optional[HoloCleanConfig] = None):
+    ``name`` labels the report's ``backend`` and the repaired table; the
+    untrained variant (``training_epochs=0``) runs as ``"factor-graph"``.
+    """
+
+    def __init__(self, config: Optional[HoloCleanConfig] = None, name: str = "holoclean"):
         self.config = config or HoloCleanConfig()
+        self.name = name
 
     def clean(
         self,
@@ -70,7 +79,9 @@ class HoloCleanBaseline:
         ground truth is available (the paper's comparison setting) and a
         :class:`ViolationDetector` otherwise.  HoloClean neither deduplicates
         nor removes tuples, so ``cleaned`` is the repaired table itself;
-        ``details["detected_cells"]`` counts the cells detection marked.
+        ``details["detected_cells"]`` counts the cells detection marked and
+        ``details["weights"]`` holds the graph's feature weights (empty when
+        nothing was detected).
         """
         timings = TimingBreakdown()
         if detector is None:
@@ -83,7 +94,8 @@ class HoloCleanBaseline:
         with timings.time("detect"):
             noisy_cells = detector.detect(dirty, rules)
 
-        repaired = dirty.copy(name=f"{dirty.name}-holoclean")
+        repaired = dirty.copy(name=f"{dirty.name}-{self.name.replace('-', '')}")
+        weights: list[float] = []
         if noisy_cells:
             with timings.time("compile"):
                 graph = CellFactorGraph(
@@ -93,18 +105,19 @@ class HoloCleanBaseline:
                     max_candidates=self.config.max_candidates,
                     seed=self.config.seed,
                 )
-            with timings.time("train"):
-                examples = graph.training_examples(self.config.training_sample)
-                graph.train(
-                    examples,
-                    epochs=self.config.training_epochs,
-                    learning_rate=self.config.learning_rate,
-                )
+            if self.config.training_epochs:
+                with timings.time("train"):
+                    graph.train(
+                        graph.training_examples(self.config.training_sample),
+                        epochs=self.config.training_epochs,
+                        learning_rate=self.config.learning_rate,
+                    )
             with timings.time("repair"):
                 for cell in sorted(noisy_cells, key=lambda c: (c.tid, c.attribute)):
                     best = graph.map_repair(cell)
                     if best.value != dirty.cell_value(cell):
                         repaired.set_cell(cell, best.value)
+            weights = list(graph.weights)
 
         return CleaningReport(
             dirty=dirty,
@@ -116,6 +129,6 @@ class HoloCleanBaseline:
                 if ground_truth is not None
                 else None
             ),
-            backend="holoclean",
-            details={"detected_cells": len(noisy_cells)},
+            backend=self.name,
+            details={"detected_cells": len(noisy_cells), "weights": weights},
         )

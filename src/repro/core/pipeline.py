@@ -40,7 +40,7 @@ from repro.core.report import CleaningReport
 from repro.core.rsc import ReliabilityScoreCleaner
 from repro.dataset.table import Cell, Table
 from repro.detect.base import DirtyCells
-from repro.detect.run import CleaningScope, run_detection
+from repro.detect.run import CleaningScope, detection_details, run_detection
 from repro.errors.groundtruth import GroundTruth
 from repro.metrics.accuracy import evaluate_repair
 from repro.metrics.timing import TimingBreakdown
@@ -175,7 +175,7 @@ class MLNClean:
             accuracy = evaluate_repair(dirty, repaired, ground_truth)
         details: dict = {"distance": engine.stats.as_dict()}
         if detected is not None:
-            details["detection"] = _detection_details(detected, scope)
+            details["detection"] = detection_details(detected, scope)
 
         return CleaningReport(
             dirty=dirty,
@@ -224,15 +224,3 @@ def _resolve_scoped(
                 repaired.set_value(tid, attribute, value)
     outcome.repaired = repaired
     return outcome
-
-
-def _detection_details(
-    detected: DirtyCells, scope: Optional[CleaningScope]
-) -> dict:
-    """The detection drill-down of the run, with its scope."""
-    payload = detected.to_json_dict()
-    payload["scoped"] = scope is not None
-    if scope is not None:
-        payload["scoped_blocks"] = scope.selected_block_names()
-        payload["affected_tuples"] = len(scope.tids)
-    return payload

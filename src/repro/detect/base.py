@@ -166,7 +166,7 @@ DetectorSpec = Union[str, Mapping, Detector]
 def register_detector(name: str, factory: DetectorFactory) -> None:
     """Register a detector factory under ``name`` (case-insensitive).
 
-    Mirrors :func:`repro.session.register_backend`: re-registering the
+    Mirrors :func:`repro.session.register_cleaner`: re-registering the
     same factory is a no-op, rebinding a name to a different factory is an
     error.
     """

@@ -72,7 +72,7 @@ def run_detection(
         for detector in resolved:
             inject_ground_truth(detector, ground_truth)
             found = set(detector.detect(table, rules))
-            label = _provenance_label(by_detector, detector)
+            label = provenance_label(by_detector, detector)
             by_detector[label] = found
             cells |= found
             DETECTOR_CELLS.labels(detector=label).inc(len(found))
@@ -82,13 +82,30 @@ def run_detection(
     return DirtyCells(cells=cells, by_detector=by_detector, seconds=seconds)
 
 
-def _provenance_label(by_detector: dict, detector) -> str:
+def provenance_label(by_detector: dict, detector) -> str:
+    """The detector's name, suffixed ``#2``, ``#3``, ... if already taken."""
     base = getattr(detector, "name", None) or type(detector).__name__.lower()
     label, suffix = base, 2
     while label in by_detector:
         label = f"{base}#{suffix}"
         suffix += 1
     return label
+
+
+def detection_details(
+    detected: DirtyCells, scope: Optional[CleaningScope]
+) -> dict:
+    """The detection drill-down of a run (``report.details["detection"]``).
+
+    ``scoped`` says whether the run was pruned to the detected cells; a
+    scoped run also lists the blocks it selected and its affected tuples.
+    """
+    payload = detected.to_json_dict()
+    payload["scoped"] = scope is not None
+    if scope is not None:
+        payload["scoped_blocks"] = scope.selected_block_names()
+        payload["affected_tuples"] = len(scope.tids)
+    return payload
 
 
 class CleaningScope:

@@ -25,7 +25,7 @@ from typing import Optional
 from repro.constraints.rules import Rule
 from repro.dataset.table import Cell, Table
 from repro.detect.base import DetectorSpec, DirtyCells, resolve_detectors
-from repro.detect.run import inject_ground_truth
+from repro.detect.run import inject_ground_truth, provenance_label
 from repro.errors.groundtruth import GroundTruth
 from repro.obs import DETECTOR_CELLS
 
@@ -82,7 +82,7 @@ class StreamDetection:
                 cells = set(detector.detect(table, self.rules))
                 self._table_cells[index] = cells
                 note = "full"
-            label = _label(by_detector, detector)
+            label = provenance_label(by_detector, detector)
             by_detector[label] = cells
             union |= cells
             self.last_recomputed[label] = note
@@ -123,12 +123,3 @@ class StreamDetection:
             if table.has_tid(tid):
                 cells |= tid_cells
         return cells, len(recompute)
-
-
-def _label(by_detector: dict, detector) -> str:
-    base = getattr(detector, "name", None) or type(detector).__name__.lower()
-    label, suffix = base, 2
-    while label in by_detector:
-        label = f"{base}#{suffix}"
-        suffix += 1
-    return label

@@ -34,6 +34,7 @@ from repro.core.index import Block, MLNIndex, check_rule_attributes
 from repro.core.report import CleaningReport
 from repro.core.rsc import ReliabilityScoreCleaner
 from repro.dataset.table import Table
+from repro.detect.run import detection_details, run_detection
 from repro.distributed.executor import SimulatedCluster
 from repro.distributed.partition import DataPartitioner
 from repro.distributed.weights import GammaKey, GlobalWeightStore, fuse_weights
@@ -62,18 +63,29 @@ class _CleanPhaseOutput:
 
 
 class DistributedMLNClean:
-    """Partitioned MLNClean over a simulated worker pool."""
+    """Partitioned MLNClean over a simulated worker pool.
+
+    ``detectors`` is an optional error-detection stack (detector specs, see
+    :mod:`repro.detect`) run before partitioning, as in
+    :class:`~repro.core.pipeline.MLNClean`.  The driver always cleans
+    full-scope, so a detection that does not cover every cell raises a
+    ``ValueError`` instead of being ignored; a covering one (``all-cells``)
+    only adds its drill-down to ``report.details["detection"]``.
+    """
 
     def __init__(
         self,
         workers: int = 4,
         config: Optional[MLNCleanConfig] = None,
         partitioner: Optional[DataPartitioner] = None,
+        *,
+        detectors: Optional[Sequence] = None,
     ):
         if workers < 1:
             raise ValueError("the distributed driver needs at least one worker")
         self.workers = workers
         self.config = config or MLNCleanConfig()
+        self.detectors = list(detectors) if detectors is not None else None
         #: when no partitioner is supplied, one is built per clean() call so
         #: it can restrict the tuple distance to the rule attributes (rows of
         #: the same entity then co-locate even in small partitions)
@@ -95,7 +107,8 @@ class DistributedMLNClean:
         ``report.runtime`` is the simulated parallel runtime.  ``details``
         holds ``workers``, the ``partitions`` sizes, ``sim_runtime_s``,
         ``sequential_s`` (driver phases plus all worker compute), their
-        ``speedup`` and the shared engine's ``distance`` counters.  The
+        ``speedup``, the shared engine's ``distance`` counters and, with
+        detectors, the ``detection`` drill-down (``scoped: false``).  The
         workers run uninstrumented, so ``agp`` and ``rsc`` stay ``None``.
         """
         if not rules:
@@ -113,6 +126,23 @@ class DistributedMLNClean:
         ground_truth: Optional[GroundTruth],
     ) -> CleaningReport:
         timings = TimingBreakdown()
+        detected = None
+        if self.detectors is not None:
+            detected = run_detection(
+                dirty,
+                rules,
+                self.detectors,
+                ground_truth=ground_truth,
+                backend="distributed",
+                timings=timings,
+            )
+            if not detected.covers(dirty):
+                raise ValueError(
+                    "the distributed backend cleans full-scope; dirty-cell-"
+                    "scoped detectors are batch/streaming-only (use the "
+                    "'all-cells' detector to keep detection metrics without "
+                    "scoping)"
+                )
         cluster = SimulatedCluster(self.workers)
         # One engine for the whole run: the simulated workers execute
         # in-process, so partitioning, both worker phases and the gather step
@@ -174,6 +204,17 @@ class DistributedMLNClean:
         sequential = timings.total + cluster.sequential_seconds
         timings.record("workers", cluster.makespan_seconds)
         runtime = timings.total
+        details = {
+            "workers": self.workers,
+            "partitions": partition.sizes,
+            "sim_runtime_s": runtime,
+            "sequential_s": sequential,
+            # rounded like the Figure 15 table prints it
+            "speedup": round(sequential / runtime, 3) if runtime else 1.0,
+            "distance": engine.stats.as_dict(),
+        }
+        if detected is not None:
+            details["detection"] = detection_details(detected, None)
         return CleaningReport(
             dirty=dirty,
             repaired=repaired,
@@ -182,15 +223,7 @@ class DistributedMLNClean:
             dedup=dedup_result,
             accuracy=accuracy,
             backend="distributed",
-            details={
-                "workers": self.workers,
-                "partitions": partition.sizes,
-                "sim_runtime_s": runtime,
-                "sequential_s": sequential,
-                # rounded like the Figure 15 table prints it
-                "speedup": round(sequential / runtime, 3) if runtime else 1.0,
-                "distance": engine.stats.as_dict(),
-            },
+            details=details,
         )
 
     def _default_partitioner(

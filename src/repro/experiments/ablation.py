@@ -41,7 +41,7 @@ from repro.experiments.spec import (
     load_spec,
 )
 from repro.session import register_cleaner
-from repro.session.backends import CleaningRequest
+from repro.session.cleaners import CleaningRequest
 
 
 # ----------------------------------------------------------------------

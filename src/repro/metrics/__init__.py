@@ -2,19 +2,18 @@
 
 The paper reports repair accuracy as F1 over repaired cells (Eq. 7) and, for
 the in-depth study of Section 7.3, per-component precision/recall for the
-AGP, RSC and FSCR stages.  This package implements both families plus small
-timing helpers used by the experiment harness.
+AGP, RSC and FSCR stages.  This package implements both families plus the
+per-phase timing breakdown every report carries.
 """
 
 from repro.metrics.accuracy import RepairAccuracy, evaluate_repair
 from repro.metrics.component import ComponentAccuracy, StageCounts
-from repro.metrics.timing import Stopwatch, TimingBreakdown
+from repro.metrics.timing import TimingBreakdown
 
 __all__ = [
     "RepairAccuracy",
     "evaluate_repair",
     "ComponentAccuracy",
     "StageCounts",
-    "Stopwatch",
     "TimingBreakdown",
 ]

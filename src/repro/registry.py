@@ -1,11 +1,10 @@
 """The shared name → factory registry behind every pluggable extension point.
 
-Workloads, execution backends, cleaners and detectors all follow the same
-registration idiom: case-insensitive names, idempotent re-registration of
-the same factory, a loud error when a name is rebound to a *different*
-factory, and a lookup error that lists what is available.  This class is
-that idiom, written once; :mod:`repro.workloads.registry`,
-:mod:`repro.session.backends`, :mod:`repro.session.cleaners` and
+Workloads, cleaners and detectors all follow the same registration idiom:
+case-insensitive names, idempotent re-registration of the same factory, a
+loud error when a name is rebound to a *different* factory, and a lookup
+error that lists what is available.  This class is that idiom, written
+once; :mod:`repro.workloads.registry`, :mod:`repro.session.cleaners` and
 :mod:`repro.detect.base` are thin domain-specific wrappers over it.
 """
 
@@ -20,9 +19,10 @@ F = TypeVar("F")
 def unknown_name(kind: str, name: str, available: Sequence[str]) -> str:
     """The shared "unknown name" error message: always lists what exists.
 
-    Every lookup error across the registries (workloads, backends,
-    cleaners, detectors, experiments) goes through this helper so a typo'd name is
-    answered with the registered names instead of a bare ``KeyError``.
+    Every lookup error across the registries (workloads, cleaners,
+    detectors, experiments) and MLNClean's backend names goes through this
+    helper so a typo'd name is answered with the registered names instead
+    of a bare ``KeyError``.
     """
     if available:
         listing = ", ".join(repr(n) for n in available)
@@ -35,7 +35,7 @@ class Registry(Generic[F]):
     """A case-insensitive name → factory mapping with safe registration."""
 
     def __init__(self, kind: str):
-        #: what the registry holds ("workload", "stage", "backend", ...);
+        #: what the registry holds ("workload", "cleaner", ...);
         #: used in error messages
         self.kind = kind
         self._entries: dict[str, F] = {}

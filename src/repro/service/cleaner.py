@@ -1,7 +1,7 @@
 """The service as a registered cleaner: route a request through the queue.
 
 ``with_cleaner("service")`` (or the ``service_replay`` experiment spec) runs
-a normal :class:`~repro.session.backends.CleaningRequest` through a fresh
+a normal :class:`~repro.session.CleaningRequest` through a fresh
 in-process :class:`~repro.service.service.CleaningService` — submission,
 shard routing, executor hop and all — and returns the job's live report.
 Since the whole point of the service layer is that it *changes nothing about
@@ -21,7 +21,7 @@ import asyncio
 from repro.core.report import CleaningReport
 from repro.service.codec import CleanRequestSpec
 from repro.service.service import CleaningService, ServiceConfig
-from repro.session.backends import CleaningRequest
+from repro.session.cleaners import CleaningRequest
 from repro.session.cleaners import register_cleaner
 
 

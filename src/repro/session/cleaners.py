@@ -1,10 +1,8 @@
 """Cleaning algorithms behind one protocol: the `Cleaner` registry.
 
-A *backend* answers "where does MLNClean execute" (batch / distributed /
-streaming); a *cleaner* answers "which algorithm repairs the data".  Every
-cleaner — MLNClean itself and the comparison baselines the paper evaluates
-against — implements the same contract: take a
-:class:`~repro.session.backends.CleaningRequest`, return the unified
+Every cleaner — MLNClean itself and the comparison baselines the paper
+evaluates against — implements the same contract: take a
+:class:`CleaningRequest`, return the unified
 :class:`~repro.core.report.CleaningReport`.  That makes the paper's
 comparative experiments (MLNClean vs HoloClean vs qualitative repair) a pure
 grid over registered names::
@@ -14,38 +12,60 @@ grid over registered names::
 
 Built-in cleaners:
 
-* ``"mlnclean"``       — the paper's pipeline, delegating to any registered
-  execution backend (``with_backend(...)`` configures it),
+* ``"mlnclean"``       — the paper's pipeline on one of its three engines:
+  batch (Algorithm 1), distributed (Section 6) or streaming replay
+  (``with_backend(...)`` picks it),
 * ``"holoclean"``      — the HoloClean-style probabilistic baseline
   (:mod:`repro.baselines.holoclean`),
 * ``"minimal-repair"`` — the qualitative majority-vote repairer
   (:mod:`repro.baselines.minimal_repair`),
-* ``"factor-graph"``   — per-cell MAP repair over the untrained factor
-  graph (:mod:`repro.baselines.factor_graph`), the no-training ablation of
-  the HoloClean baseline.
+* ``"factor-graph"``   — the HoloClean baseline with ``training_epochs=0``
+  by default: per-cell MAP repair over the untrained factor graph, the
+  no-training ablation.
 
 Every baseline already returns a :class:`~repro.core.report.CleaningReport`,
 so each adapter only maps the request onto the baseline's ``clean`` call and
 returns that report unchanged.  New algorithms plug in through
-:func:`register_cleaner`, mirroring
-:func:`~repro.session.backends.register_backend`.
+:func:`register_cleaner`.
 """
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Callable
-from typing import Optional, Protocol, Union, runtime_checkable
+from dataclasses import dataclass, field, replace
+from typing import Optional, Protocol, runtime_checkable
 
-from repro.baselines.factor_graph import FactorGraphRepairer
 from repro.baselines.holoclean import HoloCleanBaseline, HoloCleanConfig
 from repro.baselines.minimal_repair import MinimalityRepairer
+from repro.constraints.rules import Rule
+from repro.core.config import MLNCleanConfig
+from repro.core.pipeline import MLNClean
 from repro.core.report import CleaningReport
-from repro.registry import Registry
-from repro.session.backends import (
-    CleaningRequest,
-    ExecutionBackend,
-    get_backend,
-)
+from repro.dataset.table import Table
+from repro.distributed.driver import DistributedMLNClean
+from repro.errors.groundtruth import GroundTruth
+from repro.obs import observe_run, span
+from repro.registry import Registry, unknown_name
+from repro.streaming.cleaner import StreamingMLNClean
+from repro.streaming.source import TableStreamSource
+
+
+@dataclass
+class CleaningRequest:
+    """Everything a cleaner needs to execute one cleaning run."""
+
+    #: the dirty input table
+    dirty: Table
+    #: the integrity constraints governing it
+    rules: list[Rule]
+    #: the pipeline configuration
+    config: MLNCleanConfig = field(default_factory=MLNCleanConfig)
+    #: injected-error ledger; switches on accuracy instrumentation
+    ground_truth: Optional[GroundTruth] = None
+    #: error-detector stack (specs, see :mod:`repro.detect`); ``None`` runs
+    #: without a detection phase
+    detectors: Optional[list] = None
 
 
 @runtime_checkable
@@ -60,35 +80,92 @@ class Cleaner(Protocol):
         ...  # pragma: no cover - protocol body
 
 
+#: MLNClean's execution backends and the options each takes, with defaults
+BACKEND_OPTIONS: dict[str, dict] = {
+    "batch": {},
+    "distributed": {"workers": 4},
+    "streaming": {"batch_size": 100, "window": None},
+}
+
+
 class MLNCleanCleaner:
-    """The paper's pipeline, executed on any registered backend.
+    """The paper's pipeline, executed on one of its three engines.
+
+    ``backend`` picks the engine, the options are that engine's own:
+
+    * ``"batch"`` — :class:`~repro.core.pipeline.MLNClean`, Algorithm 1 in
+      this process (no options),
+    * ``"distributed"`` — :class:`~repro.distributed.DistributedMLNClean`,
+      the partitioned pipeline of Section 6 on ``workers`` simulated workers,
+    * ``"streaming"`` — the table replayed in ascending-tid insert
+      micro-batches of ``batch_size`` tuples through
+      :class:`~repro.streaming.StreamingMLNClean`, under an optional
+      ``window`` policy.  The engine of the last :meth:`run` stays
+      reachable as :attr:`engine`, so callers can keep feeding it deltas.
 
     This is the default cleaner of every session; ``with_backend(...)``
-    configures which engine it delegates to.  Constructing it directly takes
-    either a backend instance or a backend name plus its options::
+    configures it::
 
         MLNCleanCleaner("distributed", workers=4)
     """
 
     name = "mlnclean"
 
-    def __init__(
-        self,
-        backend: Union[ExecutionBackend, str] = "batch",
-        **backend_options,
-    ):
-        if isinstance(backend, str):
-            self.backend = get_backend(backend, **backend_options)
-        else:
-            if backend_options:
-                raise ValueError(
-                    "backend options only apply when the backend is given "
-                    "by name"
+    def __init__(self, backend: str = "batch", **options):
+        defaults = BACKEND_OPTIONS.get(backend.lower())
+        if defaults is None:
+            raise KeyError(unknown_name("backend", backend, list(BACKEND_OPTIONS)))
+        #: the backend name ("batch", "distributed" or "streaming")
+        self.backend = backend.lower()
+        for option in options:
+            if option not in defaults:
+                raise TypeError(
+                    f"the {self.backend} backend takes no {option!r} option "
+                    f"(its options: {', '.join(defaults) or 'none'})"
                 )
-            self.backend = backend
+        #: the backend's options, defaults filled in
+        self.options = {**defaults, **options}
+        for option in ("workers", "batch_size"):
+            if self.options.get(option, 1) < 1:
+                raise ValueError(f"the {self.backend} backend needs {option} >= 1")
+        #: the streaming engine of the most recent run (None otherwise)
+        self.engine: Optional[StreamingMLNClean] = None
 
     def run(self, request: CleaningRequest) -> CleaningReport:
-        return self.backend.run(request)
+        if self.backend == "streaming":
+            report = self._replay(request)
+        elif self.backend == "distributed":
+            workers = self.options["workers"]
+            driver = DistributedMLNClean(
+                workers=workers, config=request.config, detectors=request.detectors
+            )
+            with span("backend:distributed", workers=workers):
+                report = driver.clean(request.dirty, request.rules, request.ground_truth)
+        else:
+            cleaner = MLNClean(request.config, detectors=request.detectors)
+            with span("backend:batch"):
+                report = cleaner.clean(request.dirty, request.rules, request.ground_truth)
+        observe_run(self.backend)
+        return report
+
+    def _replay(self, request: CleaningRequest) -> CleaningReport:
+        """Stream the dirty table through a fresh incremental engine."""
+        batch_size = self.options["batch_size"]
+        engine = StreamingMLNClean(
+            request.rules,
+            schema=request.dirty.attributes,
+            config=request.config,
+            # a window policy keeps the tids it has seen, so every replay
+            # starts from an unused copy of the configured one
+            window=copy.deepcopy(self.options["window"]),
+            detectors=request.detectors,
+        )
+        source = TableStreamSource(request.dirty, batch_size, request.ground_truth)
+        with span("backend:streaming", batch_size=batch_size) as backend_span:
+            engine.consume(source)
+            backend_span.set(ticks=engine.batches_applied)
+        self.engine = engine
+        return engine.report()
 
 
 class HoloCleanCleaner:
@@ -103,8 +180,6 @@ class HoloCleanCleaner:
 
     def __init__(self, config: Optional[HoloCleanConfig] = None, detector=None, **overrides):
         if overrides:
-            from dataclasses import replace
-
             config = replace(config or HoloCleanConfig(), **overrides)
         self.baseline = HoloCleanBaseline(config)
         self.detector = detector
@@ -116,6 +191,19 @@ class HoloCleanCleaner:
             request.ground_truth,
             detector=_request_detector(request, self.detector, self.name),
         )
+
+
+def _factor_graph_cleaner(detector=None, **overrides) -> HoloCleanCleaner:
+    """The ``"factor-graph"`` cleaner: HoloClean without weight training.
+
+    The ablation that separates HoloClean's model structure from its learned
+    weights: every detected cell gets the candidate maximising the prior
+    score (all feature weights at 1.0).  ``training_epochs`` defaults to 0;
+    the other options are HoloClean's, except ``config``.
+    """
+    cleaner = HoloCleanCleaner(None, detector, **{"training_epochs": 0, **overrides})
+    cleaner.name = cleaner.baseline.name = "factor-graph"
+    return cleaner
 
 
 class MinimalRepairCleaner:
@@ -135,30 +223,6 @@ class MinimalRepairCleaner:
             )
         return self.repairer.clean(
             request.dirty, request.rules, request.ground_truth
-        )
-
-
-class FactorGraphCleaner:
-    """The untrained factor-graph repairer as a registered cleaner.
-
-    Options are forwarded to
-    :class:`~repro.baselines.factor_graph.FactorGraphRepairer`
-    (``max_candidates``, ``seed``, ``training_epochs``) plus an optional
-    ``detector``.
-    """
-
-    name = "factor-graph"
-
-    def __init__(self, detector=None, **options):
-        self.repairer = FactorGraphRepairer(**options)
-        self.detector = detector
-
-    def run(self, request: CleaningRequest) -> CleaningReport:
-        return self.repairer.clean(
-            request.dirty,
-            request.rules,
-            request.ground_truth,
-            detector=_request_detector(request, self.detector, self.name),
         )
 
 
@@ -194,8 +258,8 @@ for _name, _factory in (
     ("holoclean", HoloCleanCleaner),
     ("minimal-repair", MinimalRepairCleaner),
     ("minimal_repair", MinimalRepairCleaner),
-    ("factor-graph", FactorGraphCleaner),
-    ("factor_graph", FactorGraphCleaner),
+    ("factor-graph", _factor_graph_cleaner),
+    ("factor_graph", _factor_graph_cleaner),
 ):
     _CLEANERS.register(_name, _factory)
 
@@ -211,9 +275,8 @@ _DISPLAY_NAMES = {
 def register_cleaner(name: str, factory: CleanerFactory) -> None:
     """Register a cleaner factory under ``name`` (case-insensitive).
 
-    Mirrors :func:`~repro.session.backends.register_backend`: re-registering
-    the same factory is a no-op, rebinding a name to a different factory is
-    an error.
+    Re-registering the same factory is a no-op, rebinding a name to a
+    different factory is an error.
     """
     _CLEANERS.register(name, factory)
 
@@ -258,6 +321,6 @@ def display_name(cleaner: Cleaner) -> str:
     """
     label = _DISPLAY_NAMES.get(cleaner.name.lower(), cleaner.name)
     backend = getattr(cleaner, "backend", None)
-    if cleaner.name == "mlnclean" and backend is not None and backend.name != "batch":
-        return f"{label}[{backend.name}]"
+    if cleaner.name == "mlnclean" and backend is not None and backend != "batch":
+        return f"{label}[{backend}]"
     return label

@@ -15,11 +15,9 @@ pluggable internals of this package::
     session.load_table("hospital.csv")
     report = session.run()
 
-The same session drives any registered backend (``"batch"``,
-``"distributed"``, ``"streaming"``, or anything added through
-:func:`~repro.session.backends.register_backend`) and any registered
-cleaner; the result is always the unified
-:class:`~repro.core.report.CleaningReport`.
+The same session drives MLNClean on any of its three backends (``"batch"``,
+``"distributed"``, ``"streaming"``) or any registered cleaner; the result is
+always the unified :class:`~repro.core.report.CleaningReport`.
 """
 
 from __future__ import annotations
@@ -39,9 +37,9 @@ from repro.dataset.io import read_csv
 from repro.dataset.table import Table
 from repro.errors.groundtruth import GroundTruth
 from repro.obs import ensure_tracer, span
-from repro.session.backends import CleaningRequest, ExecutionBackend
 from repro.session.cleaners import (
     Cleaner,
+    CleaningRequest,
     MLNCleanCleaner,
     cleaner_factory,
     get_cleaner,
@@ -228,7 +226,7 @@ class SessionBuilder:
         return self
 
     def with_backend(self, name: str, **options) -> "SessionBuilder":
-        """Select the execution backend by registry name, with its options.
+        """Select MLNClean's execution backend by name, with its options.
 
         Backend selection configures the (default) ``"mlnclean"`` cleaner —
         the baselines of :mod:`repro.session.cleaners` are stand-alone
@@ -281,7 +279,7 @@ class SessionBuilder:
         return self
 
     def build(self) -> "CleaningSession":
-        """Construct the session (the cleaner and backend are instantiated here)."""
+        """Construct the session (the cleaner is instantiated here)."""
         config = self._config or MLNCleanConfig()
         if self._config_overrides:
             from dataclasses import replace
@@ -359,7 +357,7 @@ class CleaningSession:
         self,
         rules: Optional[Sequence[Rule]] = None,
         config: Optional[MLNCleanConfig] = None,
-        backend: Optional[Union[ExecutionBackend, str]] = None,
+        backend: Optional[str] = None,
         table: Optional[Table] = None,
         ground_truth: Optional[GroundTruth] = None,
         cleaner: Optional[Union[Cleaner, str]] = None,
@@ -391,9 +389,11 @@ class CleaningSession:
         self.last_trace = None
 
     @property
-    def backend(self) -> Optional[ExecutionBackend]:
-        """The execution backend of an MLNClean session (None otherwise)."""
-        return getattr(self.cleaner, "backend", None)
+    def backend(self) -> Optional[str]:
+        """The backend name of an MLNClean session (None otherwise)."""
+        if isinstance(self.cleaner, MLNCleanCleaner):
+            return self.cleaner.backend
+        return None
 
     @staticmethod
     def builder() -> SessionBuilder:
@@ -417,15 +417,17 @@ class CleaningSession:
         training epochs) are not visible from the session; callers routing
         on those fold them in on top (the service's shard keys do).
         """
-        backend = self.backend
+        window = None
+        if isinstance(self.cleaner, MLNCleanCleaner):
+            window = self.cleaner.options.get("window")
         payload = {
             "cleaner": self.cleaner.name,
-            "backend": backend.name if backend is not None else None,
+            "backend": self.backend,
             "rules": rules_to_strings(self.rules),
             # identity_dict, not asdict: observability knobs (config.trace)
             # must not move a session to a different fingerprint/shard
             "config": self.config.identity_dict(),
-            "window": _window_fingerprint(getattr(backend, "window", None)),
+            "window": _window_fingerprint(window),
         }
         if self.detectors:
             # only when a stack is set, so detector-free sessions keep their
@@ -473,7 +475,7 @@ class CleaningSession:
         rules: Optional[RulesLike] = None,
         ground_truth: Optional[GroundTruth] = None,
     ) -> CleaningReport:
-        """Execute one cleaning run on the configured backend.
+        """Execute one cleaning run with the configured cleaner.
 
         Arguments default to the session's attached state; passing them
         explicitly neither requires nor modifies that state.
@@ -496,13 +498,12 @@ class CleaningSession:
             ground_truth=truth,
             detectors=list(self.detectors) if self.detectors is not None else None,
         )
-        backend = self.backend
         with ensure_tracer(self.config.trace) as tracer:
             self.last_trace = tracer
             with span(
                 "session.run",
                 cleaner=self.cleaner.name,
-                backend=backend.name if backend is not None else None,
+                backend=self.backend,
                 tuples=len(dirty),
                 rules=len(run_rules),
             ):
@@ -514,10 +515,9 @@ class CleaningSession:
 
     def describe(self) -> str:
         """One line summarising the session's configuration."""
-        backend = self.backend
         engine = f"cleaner={self.cleaner.name}"
-        if backend is not None:
-            engine += f", backend={backend.name}"
+        if self.backend is not None:
+            engine += f", backend={self.backend}"
         return (
             f"CleaningSession({engine}, "
             f"rules={len(self.rules)}, "

@@ -7,8 +7,7 @@ from repro.baselines.holoclean import HoloCleanBaseline
 from repro.baselines.minimal_repair import MinimalityRepairer
 from repro.core.report import CleaningReport
 from repro.dataset.sample import sample_hospital_rules, sample_hospital_table
-from repro.session.backends import CleaningRequest
-from repro.session.cleaners import MLNCleanCleaner, display_name
+from repro.session.cleaners import CleaningRequest, MLNCleanCleaner, display_name
 
 
 BASELINE_CLEANERS = ("holoclean", "minimal-repair", "factor-graph")
@@ -72,13 +71,15 @@ def test_holoclean_via_session_matches_direct_baseline(sample_ground_truth):
     report = session.run()
     assert isinstance(report, CleaningReport)
     assert report.backend == "holoclean"
-    assert report.details == {
-        "detected_cells": len(sample_ground_truth.dirty_cells)
-    }
 
     direct = HoloCleanBaseline().clean(
         sample_hospital_table(), sample_hospital_rules(), sample_ground_truth
     )
+    assert report.details == {
+        "detected_cells": len(sample_ground_truth.dirty_cells),
+        "weights": direct.details["weights"],
+    }
+    assert len(report.details["weights"]) == 4
     assert report.repaired.equals(direct.repaired)
     assert report.cleaned.equals(direct.repaired)
     assert report.f1 == pytest.approx(direct.f1)
@@ -115,6 +116,36 @@ def test_factor_graph_differs_from_trained_holoclean(sample_ground_truth):
     assert untrained.details["weights"] == [1.0, 1.0, 1.0, 1.0]
 
 
+@pytest.mark.parametrize("epochs", [0, 3])
+def test_factor_graph_is_holoclean_at_equal_epochs(sample_ground_truth, epochs, monkeypatch):
+    from repro.baselines.factor_graph import CellFactorGraph
+
+    if epochs == 0:
+        # no training phase at all: not even its examples are built
+        def no_examples(graph, sample_size=2000):
+            raise AssertionError("built training examples for 0 epochs")
+
+        monkeypatch.setattr(CellFactorGraph, "training_examples", no_examples)
+    graph = build_session("factor-graph", sample_ground_truth, training_epochs=epochs).run()
+    holo = build_session("holoclean", sample_ground_truth, training_epochs=epochs).run()
+    assert graph.repaired.equals(holo.repaired)
+    assert graph.details == holo.details
+    assert (graph.backend, holo.backend) == ("factor-graph", "holoclean")
+    assert graph.repaired.name.endswith("-factorgraph")
+    assert holo.repaired.name.endswith("-holoclean")
+    assert ("train" in graph.timings.phases) == (epochs > 0)
+
+
+def test_negative_training_epochs_are_rejected():
+    from repro.baselines.holoclean import HoloCleanConfig
+
+    with pytest.raises(ValueError, match="training_epochs must be >= 0"):
+        HoloCleanConfig(training_epochs=-1)
+    for name in ("holoclean", "factor-graph"):
+        with pytest.raises(ValueError, match="training_epochs"):
+            get_cleaner(name, training_epochs=-1)
+
+
 # ----------------------------------------------------------------------
 # cross-cleaner CleaningRequest equivalence
 # ----------------------------------------------------------------------
@@ -143,7 +174,7 @@ def test_default_cleaner_is_mlnclean_on_batch():
         CleaningSession.builder().with_rules(sample_hospital_rules()).build()
     )
     assert session.cleaner.name == "mlnclean"
-    assert session.backend is not None and session.backend.name == "batch"
+    assert session.backend == "batch"
     assert "cleaner=mlnclean" in session.describe()
 
 
@@ -155,8 +186,8 @@ def test_with_cleaner_mlnclean_composes_with_backend():
         .with_backend("distributed", workers=2)
         .build()
     )
-    assert session.backend.name == "distributed"
-    assert session.backend.workers == 2
+    assert session.backend == "distributed"
+    assert session.cleaner.options["workers"] == 2
     assert display_name(session.cleaner) == "MLNClean[distributed]"
 
 
@@ -206,8 +237,8 @@ def test_session_for_instance_forwards_mlnclean_cleaner_options(
         cleaner="mlnclean",
         cleaner_options={"backend": "distributed", "workers": 2},
     )
-    assert session.backend.name == "distributed"
-    assert session.backend.workers == 2
+    assert session.backend == "distributed"
+    assert session.cleaner.options["workers"] == 2
 
 
 def test_session_constructor_accepts_cleaner_name(sample_ground_truth):

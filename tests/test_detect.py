@@ -50,7 +50,7 @@ from repro.service.codec import (
 )
 from repro.service.errors import BadRequestError
 from repro.session import CleaningSession
-from repro.session.backends import CleaningRequest, get_backend
+from repro.session.cleaners import CleaningRequest, MLNCleanCleaner
 from repro.session.session import load_rules
 from repro.streaming.cleaner import StreamingMLNClean
 from repro.streaming.delta import DeltaBatch, Insert
@@ -376,7 +376,7 @@ def test_all_cells_detection_is_byte_identical_other_backends(backend_options):
         )
         name = backend_options["backend"]
         options = {k: v for k, v in backend_options.items() if k != "backend"}
-        return get_backend(name, **options).run(request)
+        return MLNCleanCleaner(name, **options).run(request)
 
     assert report_signature(run(None)) == report_signature(run(["all-cells"]))
 
@@ -435,7 +435,7 @@ def test_distributed_rejects_scoping_but_allows_all_cells():
         detectors=["violation"],
     )
     with pytest.raises(ValueError, match="full-scope"):
-        get_backend("distributed", workers=2).run(request)
+        MLNCleanCleaner("distributed", workers=2).run(request)
 
 
 def test_minimal_repair_cleaner_rejects_detectors():
@@ -676,3 +676,44 @@ def test_detector_ablation_spec_runs_with_detection_metrics():
     assert keys <= set(batch.metrics)
     assert keys <= set(streaming.metrics)
     assert streaming.metrics["detected_cells"] == batch.metrics["detected_cells"]
+
+
+def test_distributed_cell_gets_the_batch_cells_detection_metrics():
+    from repro.experiments import ExperimentRunner
+    from repro.experiments.spec import CleanerSpec, ExperimentSpec
+
+    spec = ExperimentSpec(
+        name="distributed-detection",
+        workloads=["hospital-sample"],
+        cleaners=[
+            CleanerSpec("mlnclean"),
+            CleanerSpec("mlnclean", options={"backend": "distributed", "workers": 2}),
+        ],
+        detector_stacks=[["all-cells"]],
+        tuples=40,
+        error_rates=[0.1],
+        store_reports=False,
+    )
+    batch, distributed = ExperimentRunner(spec).run().cells
+    assert distributed.coords["system"] == "MLNClean[distributed]"
+    keys = ("detected_cells", "detect_precision", "detect_recall", "detect_f1")
+    assert {key: distributed.metrics[key] for key in keys} == {
+        key: batch.metrics[key] for key in keys
+    }
+
+
+def test_distributed_detection_details_are_unscoped():
+    instance = hospital_instance()
+    report = MLNCleanCleaner("distributed", workers=2).run(
+        CleaningRequest(
+            dirty=instance.dirty,
+            rules=instance.rules,
+            config=recommended_config("hospital-sample"),
+            ground_truth=instance.ground_truth,
+            detectors=["all-cells"],
+        )
+    )
+    detection = report.details["detection"]
+    assert detection["scoped"] is False
+    assert detection["count"] == len(instance.dirty) * len(instance.dirty.attributes)
+    assert "detect" in report.timings.phases

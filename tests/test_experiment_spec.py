@@ -24,8 +24,7 @@ from repro.experiments import (
     load_spec,
     render_fig06,
 )
-from repro.session.backends import CleaningRequest
-from repro.session.cleaners import get_cleaner
+from repro.session.cleaners import CleaningRequest, get_cleaner
 
 SMALL = 200
 

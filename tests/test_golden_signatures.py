@@ -26,7 +26,7 @@ import pytest
 from repro.core.report import table_to_json_dict
 from repro.experiments.harness import prepare_instance
 from repro.service.codec import canonical_json, report_signature
-from repro.session.backends import CleaningRequest, get_backend
+from repro.session.cleaners import CleaningRequest, MLNCleanCleaner
 from repro.workloads.registry import recommended_config
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "signatures.json"
@@ -69,7 +69,7 @@ def fingerprints(workload: str, backend: str, options: dict, detectors) -> dict:
         ground_truth=instance.ground_truth,
         detectors=detectors,
     )
-    report = get_backend(backend, **options).run(request)
+    report = MLNCleanCleaner(backend, **options).run(request)
     cleaned = canonical_json(table_to_json_dict(report.cleaned))
     return {
         "signature": report_signature(report),

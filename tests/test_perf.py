@@ -40,8 +40,8 @@ from repro.perf import DistanceEngine, DistanceStats, global_distance_stats
 from repro.session import (
     CleaningRequest,
     CleaningSession,
+    MLNCleanCleaner,
     SessionBuilder,
-    get_backend,
     get_cleaner,
 )
 from repro.streaming import DeltaBatch, StreamingMLNClean, TumblingWindow
@@ -244,7 +244,7 @@ def test_report_details_are_one_json_safe_dict(cleaner, options, detectors):
         assert report.details["distance"] == counters
         assert counters["calls"] > 0
         if options["backend"] == "streaming":
-            engine = session.cleaner.backend.engine.engine
+            engine = session.cleaner.engine.engine
             assert report.details["distance"] == engine.stats.as_dict()
     if detectors is not None:
         assert report.details["detection"]["count"] > 0
@@ -339,7 +339,7 @@ def test_config_engine_honours_cache_knobs():
     with pytest.raises(TypeError, match="parallelism"):
         MLNClean(parallelism=2)
     with pytest.raises(TypeError, match="parallelism"):
-        get_backend("batch", parallelism=2)
+        MLNCleanCleaner("batch", parallelism=2)
     with pytest.raises(TypeError, match="parallelism"):
         CleaningSession.builder().with_backend("batch", parallelism=2).build()
     # and the removed custom stage-order option

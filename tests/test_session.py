@@ -10,14 +10,10 @@ from repro.core.report import CleaningReport
 from repro.dataset.sample import sample_hospital_rules, sample_hospital_table
 from repro.errors.injector import ErrorSpec
 from repro.session import (
-    BatchBackend,
     CleaningRequest,
-    StreamingBackend,
-    available_backends,
-    get_backend,
+    MLNCleanCleaner,
     load_rules,
     load_table,
-    register_backend,
 )
 from repro.session.session import Session, SessionBuilder
 from repro.streaming.cleaner import StreamingMLNClean as CoreStreamingMLNClean
@@ -55,8 +51,8 @@ def test_builder_constructs_configured_session():
     assert [rule.name for rule in session.rules] == ["r1", "r2"]
     assert session.config.abnormal_threshold == 3
     assert session.config.distance_metric == "cosine"
-    assert session.backend.name == "streaming"
-    assert session.backend.batch_size == 7
+    assert session.backend == "streaming"
+    assert session.cleaner.options["batch_size"] == 7
     assert "backend=streaming" in session.describe()
 
 
@@ -155,7 +151,7 @@ def test_unknown_name_errors_list_registered_names():
     from repro.workloads.registry import get_workload_generator
 
     cases = (
-        (lambda: get_backend("nope"), "backend", "'batch'"),
+        (lambda: MLNCleanCleaner("nope"), "backend", "'batch'"),
         (lambda: get_cleaner("nope"), "cleaner", "'mlnclean'"),
         (lambda: get_workload_generator("nope"), "workload", "'hai'"),
     )
@@ -235,13 +231,32 @@ def test_run_requires_table_and_rules():
 # ----------------------------------------------------------------------
 # backends
 # ----------------------------------------------------------------------
-def test_available_backends_lists_builtins():
-    assert {"batch", "distributed", "streaming"} <= set(available_backends())
-
-
 def test_unknown_backend_raises():
+    with pytest.raises(KeyError, match="unknown backend 'spark'") as excinfo:
+        MLNCleanCleaner("spark")
+    for name in ("'batch'", "'distributed'", "'streaming'"):
+        assert name in str(excinfo.value)
     with pytest.raises(KeyError, match="unknown backend"):
-        get_backend("spark")
+        CleaningSession.builder().with_backend("spark").build()
+
+
+@pytest.mark.parametrize(
+    "backend,option",
+    [("batch", {"workers": 2}), ("distributed", {"batch_size": 5}), ("streaming", {"workers": 2})],
+)
+def test_misplaced_backend_option_raises_naming_it(backend, option):
+    (name,) = option
+    with pytest.raises(TypeError, match=f"'{name}'"):
+        MLNCleanCleaner(backend, **option)
+
+
+@pytest.mark.parametrize(
+    "backend,option", [("distributed", {"workers": 0}), ("streaming", {"batch_size": 0})]
+)
+def test_out_of_range_backend_option_raises_at_construction(backend, option):
+    (name,) = option
+    with pytest.raises(ValueError, match=f"{name} >= 1"):
+        MLNCleanCleaner(backend, **option)
 
 
 def test_batch_backend_matches_direct_mlnclean():
@@ -276,25 +291,35 @@ def test_streaming_backend_exposes_engine():
     session = sample_session("streaming", batch_size=2)
     report = session.run()
     assert report.backend == "streaming"
-    engine = session.backend.engine
+    engine = session.cleaner.engine
     assert isinstance(engine, CoreStreamingMLNClean)
     assert engine.batches_applied == 3
     assert engine.cleaned.equals(report.cleaned)
 
 
-def test_custom_backend_registration():
-    class EchoBackend:
-        name = "echo"
+def test_windowed_streaming_session_reruns_like_a_fresh_one():
+    from repro.streaming import SlidingWindow
 
-        def run(self, request):
-            return BatchBackend().run(request)
+    instance = hospital_sample_instance()
 
-    register_backend("echo", EchoBackend)
-    register_backend("echo", EchoBackend)  # same factory: no-op
-    session = sample_session("echo")
-    assert session.run().cleaned.equals(sample_session().run().cleaned)
-    with pytest.raises(ValueError, match="already registered"):
-        register_backend("echo", BatchBackend)
+    def session():
+        return (
+            CleaningSession.builder()
+            .with_rules(instance.rules)
+            .for_workload("hospital-sample")
+            .with_backend("streaming", batch_size=10, window=SlidingWindow(size=30))
+            .build()
+        )
+
+    reused = session()
+    first = reused.run(instance.dirty.copy())
+    second = reused.run(instance.dirty.copy())
+    fresh = session().run(instance.dirty.copy())
+    assert len(first.dirty) == 30
+    for report in (first, second):
+        assert report.cleaned.equals(fresh.cleaned)
+        assert report.dirty.equals(fresh.dirty)
+    assert reused.cleaner.options["window"].retained == []
 
 
 @pytest.mark.parametrize(
@@ -383,19 +408,40 @@ def test_legacy_imports_still_work():
     assert isinstance(report, CleaningReport)
 
 
+def test_public_exports_resolve():
+    import importlib
+    import pkgutil
+
+    modules = [repro] + [
+        importlib.import_module(f"repro.{info.name}")
+        for info in pkgutil.iter_modules(repro.__path__)
+        if info.ispkg
+    ]
+    assert len(modules) > 10
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    removed = {"ExecutionBackend", "register_backend", "available_backends", "get_backend"}
+    assert removed.isdisjoint(repro.__all__)
+    assert removed.isdisjoint(repro.session.__all__)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.session.backends")
+
+
 def test_shims_construct_same_objects_as_session_path():
-    # the batch backend drives the very class the legacy import exposes ...
+    # the batch cleaner drives the very class the legacy import exposes ...
     request = CleaningRequest(
         dirty=sample_hospital_table(), rules=sample_hospital_rules()
     )
-    backend_report = BatchBackend().run(request)
+    cleaner_report = MLNCleanCleaner().run(request)
     legacy_report = MLNClean().clean(sample_hospital_table(), sample_hospital_rules())
-    assert type(backend_report) is type(legacy_report) is CleaningReport
-    assert backend_report.cleaned.equals(legacy_report.cleaned)
+    assert type(cleaner_report) is type(legacy_report) is CleaningReport
+    assert cleaner_report.cleaned.equals(legacy_report.cleaned)
 
-    # ... and the streaming backend builds the legacy StreamingMLNClean
-    engine = StreamingBackend(batch_size=3).build_engine(request)
-    assert isinstance(engine, StreamingMLNClean)
+    # ... and the streaming replay runs the legacy StreamingMLNClean
+    streaming = MLNCleanCleaner("streaming", batch_size=3)
+    streaming.run(request)
+    assert isinstance(streaming.engine, StreamingMLNClean)
 
 
 # ----------------------------------------------------------------------
