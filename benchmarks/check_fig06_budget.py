@@ -21,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.experiments import fig06_error_percentage
+from repro.experiments import run_experiment
 from repro.perf import global_distance_stats
 
 BASELINE_PATH = Path(__file__).parent / "baselines" / "fig06_distance_budget.json"
@@ -33,7 +33,7 @@ SEED = 7
 
 def measure() -> dict:
     before = global_distance_stats()
-    result = fig06_error_percentage(tuples=TUPLES, seed=SEED)
+    result = run_experiment("fig06", tuples=TUPLES, seed=SEED)
     delta = global_distance_stats().diff(before)
     f1: dict = {}
     for row in result.rows:

@@ -1,13 +1,14 @@
 """Ablation: fusion score with and without the minimality factor."""
 
-from repro.experiments import ablation_fscr_minimality
+from repro.experiments import run_experiment
 
 
 def test_ablation_fscr_minimality(benchmark, bench_tuples, report_experiment):
     result = report_experiment(
         benchmark,
-        ablation_fscr_minimality,
-        datasets=("car", "hai"),
+        run_experiment,
+        name="ablation_fscr",
+        workloads=["car", "hai"],
         tuples=bench_tuples,
     )
     rows = {(row["dataset"], row["variant"]): row["f1"] for row in result.rows}

@@ -1,13 +1,14 @@
 """Ablation: reliability score vs its weight-only / distance-only variants."""
 
-from repro.experiments import ablation_reliability_score
+from repro.experiments import run_experiment
 
 
 def test_ablation_reliability_score(benchmark, bench_tuples, report_experiment):
     result = report_experiment(
         benchmark,
-        ablation_reliability_score,
-        datasets=("car", "hai"),
+        run_experiment,
+        name="ablation_rscore",
+        workloads=["car", "hai"],
         tuples=bench_tuples,
     )
     full = {row["dataset"]: row["precision_r"] for row in result.rows if row["variant"] == "full"}

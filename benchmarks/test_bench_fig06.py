@@ -1,14 +1,15 @@
 """Figure 6: F1 and runtime vs error percentage, MLNClean vs HoloClean."""
 
-from repro.experiments import fig06_error_percentage
+from repro.experiments import run_experiment
 
 
 def test_fig06_error_percentage(benchmark, bench_tuples, report_experiment):
     result = report_experiment(
         benchmark,
-        fig06_error_percentage,
-        datasets=("car", "hai"),
-        error_rates=(0.05, 0.15, 0.30),
+        run_experiment,
+        name="fig06",
+        workloads=["car", "hai"],
+        error_rates=[0.05, 0.15, 0.30],
         tuples=bench_tuples,
     )
     mlnclean_rows = [row for row in result.rows if row["system"] == "MLNClean"]

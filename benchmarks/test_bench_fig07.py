@@ -1,14 +1,15 @@
 """Figure 7: F1 vs the error type ratio Rret."""
 
-from repro.experiments import fig07_error_type_ratio
+from repro.experiments import run_experiment
 
 
 def test_fig07_error_type_ratio(benchmark, bench_tuples, report_experiment):
     result = report_experiment(
         benchmark,
-        fig07_error_type_ratio,
-        datasets=("car", "hai"),
-        ratios=(0.0, 0.5, 1.0),
+        run_experiment,
+        name="fig07",
+        workloads=["car", "hai"],
+        replacement_ratios=[0.0, 0.5, 1.0],
         tuples=bench_tuples,
     )
     # the paper's key qualitative claim: on sparse CAR with typo-only errors

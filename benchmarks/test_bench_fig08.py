@@ -1,14 +1,18 @@
 """Figure 8: AGP precision/recall and #dag vs the threshold tau."""
 
-from repro.experiments import fig08_agp_threshold
+from repro.experiments import run_experiment
 
 
 def test_fig08_agp_threshold(benchmark, bench_tuples, report_experiment):
     result = report_experiment(
         benchmark,
-        fig08_agp_threshold,
-        datasets=("car", "hai"),
-        thresholds={"car": (0, 1, 3, 5), "hai": (0, 10, 30, 50)},
+        run_experiment,
+        name="fig08",
+        workloads=["car", "hai"],
+        config_grid={
+            "car": [{"abnormal_threshold": t} for t in (0, 1, 3, 5)],
+            "hai": [{"abnormal_threshold": t} for t in (0, 10, 30, 50)],
+        },
         tuples=bench_tuples,
     )
     for dataset, optimal in (("car", 1), ("hai", 10)):

@@ -1,14 +1,18 @@
 """Figure 9: RSC precision/recall vs the threshold tau."""
 
-from repro.experiments import fig09_rsc_threshold
+from repro.experiments import run_experiment
 
 
 def test_fig09_rsc_threshold(benchmark, bench_tuples, report_experiment):
     result = report_experiment(
         benchmark,
-        fig09_rsc_threshold,
-        datasets=("car", "hai"),
-        thresholds={"car": (0, 1, 5), "hai": (0, 10, 50)},
+        run_experiment,
+        name="fig09",
+        workloads=["car", "hai"],
+        config_grid={
+            "car": [{"abnormal_threshold": t} for t in (0, 1, 5)],
+            "hai": [{"abnormal_threshold": t} for t in (0, 10, 50)],
+        },
         tuples=bench_tuples,
     )
     for dataset, optimal, extreme in (("car", 1, 5), ("hai", 10, 50)):

@@ -1,14 +1,18 @@
 """Figure 11: overall MLNClean F1 and runtime vs the threshold tau."""
 
-from repro.experiments import fig11_overall_threshold
+from repro.experiments import run_experiment
 
 
 def test_fig11_overall_threshold(benchmark, bench_tuples, report_experiment):
     result = report_experiment(
         benchmark,
-        fig11_overall_threshold,
-        datasets=("car", "hai"),
-        thresholds={"car": (0, 1, 5), "hai": (0, 10, 50)},
+        run_experiment,
+        name="fig11",
+        workloads=["car", "hai"],
+        config_grid={
+            "car": [{"abnormal_threshold": t} for t in (0, 1, 5)],
+            "hai": [{"abnormal_threshold": t} for t in (0, 10, 50)],
+        },
         tuples=bench_tuples,
     )
     for dataset, optimal in (("car", 1), ("hai", 10)):

@@ -1,14 +1,15 @@
 """Figure 12: AGP accuracy vs error percentage."""
 
-from repro.experiments import fig12_agp_error_rate
+from repro.experiments import run_experiment
 
 
 def test_fig12_agp_error_rate(benchmark, bench_tuples, report_experiment):
     result = report_experiment(
         benchmark,
-        fig12_agp_error_rate,
-        datasets=("car", "hai"),
-        error_rates=(0.05, 0.15, 0.30),
+        run_experiment,
+        name="fig12",
+        workloads=["car", "hai"],
+        error_rates=[0.05, 0.15, 0.30],
         tuples=bench_tuples,
     )
     for dataset in ("car", "hai"):

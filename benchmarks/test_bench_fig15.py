@@ -1,15 +1,15 @@
 """Figure 15: distributed MLNClean F1 and runtime vs error percentage."""
 
-from repro.experiments import fig15_distributed
+from repro.experiments import run_experiment
 
 
 def test_fig15_distributed(benchmark, bench_tuples, report_experiment):
     result = report_experiment(
         benchmark,
-        fig15_distributed,
-        datasets=("hai", "tpch"),
-        error_rates=(0.05, 0.15, 0.30),
-        workers=4,
+        run_experiment,
+        name="fig15",
+        workloads=["hai", "tpch"],
+        error_rates=[0.05, 0.15, 0.30],
         tuples=bench_tuples,
     )
     for dataset in ("hai", "tpch"):

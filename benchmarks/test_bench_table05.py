@@ -1,13 +1,14 @@
 """Table 5: MLNClean F1 under the Levenshtein vs cosine distance."""
 
-from repro.experiments import table05_distance_metrics
+from repro.experiments import run_experiment
 
 
 def test_table05_distance_metrics(benchmark, bench_tuples, report_experiment):
     result = report_experiment(
         benchmark,
-        table05_distance_metrics,
-        datasets=("car", "hai"),
+        run_experiment,
+        name="table05",
+        workloads=["car", "hai"],
         tuples=bench_tuples,
     )
     by_key = {(row["dataset"], row["metric"]): row["f1"] for row in result.rows}

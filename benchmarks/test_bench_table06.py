@@ -1,14 +1,18 @@
 """Table 6: distributed MLNClean runtime vs the number of workers."""
 
-from repro.experiments import table06_worker_scaling
+from repro.experiments import run_experiment
 
 
 def test_table06_worker_scaling(benchmark, bench_tuples, report_experiment):
     result = report_experiment(
         benchmark,
-        table06_worker_scaling,
-        dataset="tpch",
-        worker_counts=(2, 4, 8),
+        run_experiment,
+        name="table06",
+        workloads=["tpch"],
+        cleaners=[
+            {"cleaner": "mlnclean", "options": {"backend": "distributed", "workers": n}}
+            for n in (2, 4, 8)
+        ],
         tuples=bench_tuples,
     )
     assert [row["workers"] for row in result.rows] == [2, 4, 8]

@@ -14,15 +14,12 @@ Run with::
 
 import sys
 
-from repro.experiments import fig07_error_type_ratio
+from repro.experiments import run_experiment
 
 
 def main(tuples: int = 1500) -> None:
-    result = fig07_error_type_ratio(
-        datasets=("car",),
-        ratios=(0.0, 0.25, 0.5, 0.75, 1.0),
-        tuples=tuples,
-    )
+    # the checked-in fig07 spec already sweeps Rret over 0, 0.25, ..., 1
+    result = run_experiment("fig07", workloads=["car"], tuples=tuples)
     print(result.render())
     print()
     mlnclean_at_typos = [

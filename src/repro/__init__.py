@@ -51,7 +51,8 @@ Sub-packages:
   :class:`~repro.experiments.ExperimentSpec` grids, the
   :class:`~repro.experiments.ExperimentRunner`, JSON-lossless
   :class:`~repro.experiments.RunArtifact` results, and one thin renderer
-  per figure/table of the paper.
+  per figure/table of the paper, run by id with
+  :func:`~repro.experiments.run_experiment`.
 """
 
 from repro.core.config import MLNCleanConfig
@@ -85,7 +86,7 @@ from repro.streaming import (
     WorkloadStreamSource,
 )
 
-__version__ = "16.0.0"
+__version__ = "17.0.0"
 
 __all__ = [
     "CleaningSession",

@@ -20,20 +20,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from repro.cli import common_parent, configure_logging
-from repro.experiments import RENDERERS, available_specs
+from repro.experiments import EXPERIMENTS, available_specs
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.spec import ExperimentRunner, RunArtifact, load_spec
 
 
 def _render(artifact: RunArtifact) -> str:
-    """Render an artifact: its spec's dedicated renderer, else generic rows."""
-    renderer = RENDERERS.get(artifact.spec.name)
-    if renderer is not None:
-        return renderer(artifact).render()
+    """Render an artifact: the experiment named like its spec, else generic rows.
+
+    Shared sweeps (``threshold_sweep``, ``error_rate_sweep``) feed several
+    figures and so print all their columns.
+    """
+    if artifact.spec.name in EXPERIMENTS:
+        _spec_name, render = EXPERIMENTS[artifact.spec.name]
+        return render(artifact).render()
     result = ExperimentResult(
         experiment=artifact.spec.name, description=artifact.spec.description
     )
@@ -60,11 +63,9 @@ def cmd_list(_args) -> int:
 
 
 def cmd_run(args) -> int:
-    spec = load_spec(args.spec)
-    if args.tuples is not None:
-        spec = replace(spec, tuples=args.tuples)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
+    given = {"tuples": args.tuples, "seed": args.seed}
+    overrides = {key: value for key, value in given.items() if value is not None}
+    spec = load_spec(args.spec).override(**overrides)
     runner = ExperimentRunner(spec)
     if args.trace:
         from repro.obs import Tracer, to_chrome, use_tracer

@@ -3,13 +3,13 @@ fidelity item (item 2).
 
 These go beyond the paper's own evaluation:
 
-* :func:`ablation_reliability_score` — what happens when the reliability
-  score drops its distance factor (weight-only) or its weight factor
-  (distance-only, i.e. pure minimality),
-* :func:`ablation_fscr_minimality` — the fusion score with and without the
-  minimality factor this reproduction adds,
-* :func:`ablation_partitioner` — Algorithm-3 partitioning vs naive
-  round-robin partitioning for the distributed runner.
+* ``ablation_rscore`` — what happens when the reliability score drops its
+  distance factor (weight-only) or its weight factor (distance-only, i.e.
+  pure minimality),
+* ``ablation_fscr`` — the fusion score with and without the minimality
+  factor this reproduction adds,
+* ``ablation_partition`` — Algorithm-3 partitioning vs naive round-robin
+  partitioning for the distributed runner.
 
 Each ablation is a checked-in spec over registered cleaners: the score
 variants are the ``"rscore-ablation"`` cleaner (one per ``variant`` option)
@@ -21,10 +21,6 @@ cleaners is the intended extension path — a new ablation is a
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import replace
-from typing import Optional
-
 from repro.core.config import MLNCleanConfig
 from repro.core.index import MLNIndex
 from repro.core.agp import AbnormalGroupProcessor
@@ -33,13 +29,7 @@ from repro.core.rsc import ReliabilityScoreCleaner
 from repro.distributed.driver import DistributedMLNClean
 from repro.distributed.partition import DataPartitioner, hash_partition
 from repro.experiments.harness import ExperimentResult
-from repro.experiments.spec import (
-    CleanerSpec,
-    ConfigCell,
-    ExperimentRunner,
-    RunArtifact,
-    load_spec,
-)
+from repro.experiments.spec import RunArtifact
 from repro.session import register_cleaner
 from repro.session.cleaners import CleaningRequest
 
@@ -172,7 +162,7 @@ register_cleaner("roundrobin-distributed", RoundRobinDistributedCleaner)
 
 
 # ----------------------------------------------------------------------
-# the ablation experiments (spec + renderer each)
+# the ablation renderers (one per checked-in spec)
 # ----------------------------------------------------------------------
 def render_ablation_fscr(artifact: RunArtifact) -> ExperimentResult:
     result = ExperimentResult(
@@ -192,23 +182,6 @@ def render_ablation_fscr(artifact: RunArtifact) -> ExperimentResult:
     return result
 
 
-def ablation_fscr_minimality(
-    datasets: Sequence[str] = ("car", "hai"),
-    error_rate: float = 0.05,
-    tuples: Optional[int] = None,
-    seed: int = 7,
-) -> ExperimentResult:
-    """Fusion score with / without the minimality factor."""
-    spec = replace(
-        load_spec("ablation_fscr"),
-        workloads=list(datasets),
-        error_rates=[error_rate],
-        tuples=tuples,
-        seed=seed,
-    )
-    return render_ablation_fscr(ExperimentRunner(spec).run())
-
-
 def render_ablation_rscore(artifact: RunArtifact) -> ExperimentResult:
     result = ExperimentResult(
         experiment="ablation_rscore",
@@ -224,23 +197,6 @@ def render_ablation_rscore(artifact: RunArtifact) -> ExperimentResult:
             }
         )
     return result
-
-
-def ablation_reliability_score(
-    datasets: Sequence[str] = ("car", "hai"),
-    error_rate: float = 0.05,
-    tuples: Optional[int] = None,
-    seed: int = 7,
-) -> ExperimentResult:
-    """Reliability score vs its two degenerate forms, measured on Stage I."""
-    spec = replace(
-        load_spec("ablation_rscore"),
-        workloads=list(datasets),
-        error_rates=[error_rate],
-        tuples=tuples,
-        seed=seed,
-    )
-    return render_ablation_rscore(ExperimentRunner(spec).run())
 
 
 def render_ablation_partition(artifact: RunArtifact) -> ExperimentResult:
@@ -260,40 +216,3 @@ def render_ablation_partition(artifact: RunArtifact) -> ExperimentResult:
         )
     return result
 
-
-def ablation_partitioner(
-    dataset: str = "tpch",
-    workers: int = 4,
-    error_rate: float = 0.05,
-    tuples: Optional[int] = None,
-    seed: int = 7,
-) -> ExperimentResult:
-    """Algorithm-3 partitioning vs round-robin partitioning."""
-    spec = replace(
-        load_spec("ablation_partition"),
-        workloads=[dataset],
-        error_rates=[error_rate],
-        cleaners=[
-            CleanerSpec(
-                cleaner="mlnclean",
-                label="algorithm3",
-                options={"backend": "distributed", "workers": int(workers)},
-            ),
-            CleanerSpec(
-                cleaner="roundrobin-distributed",
-                label="round_robin",
-                options={"workers": int(workers)},
-            ),
-        ],
-        tuples=tuples,
-        seed=seed,
-    )
-    return render_ablation_partition(ExperimentRunner(spec).run())
-
-
-# referenced by the checked-in spec defaults (kept here so a bare
-# `load_spec("ablation_fscr")` renders with the same labels)
-FSCR_VARIANTS: list[ConfigCell] = [
-    ConfigCell(overrides={}, label="weights_and_minimality"),
-    ConfigCell(overrides={"fscr_minimality_bias": 0.0}, label="weights_only (Eq.5)"),
-]

@@ -7,9 +7,8 @@
   100 % (all replacements).
 
 The grids live in ``specs/fig06.json`` and ``specs/fig07.json``; the
-functions here override the checked-in spec with any keyword arguments, run
-it through the :class:`~repro.experiments.spec.ExperimentRunner`, and render
-the resulting :class:`~repro.experiments.spec.RunArtifact` into the familiar
+renderers here project a :class:`~repro.experiments.spec.RunArtifact` of
+either spec onto the familiar
 :class:`~repro.experiments.harness.ExperimentResult` rows.  Rendering is a
 pure projection of the artifact, so a deserialized artifact re-renders the
 identical figure.
@@ -17,12 +16,8 @@ identical figure.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import replace
-from typing import Optional
-
-from repro.experiments.harness import ExperimentResult, default_error_rates
-from repro.experiments.spec import ExperimentRunner, RunArtifact, load_spec
+from repro.experiments.harness import ExperimentResult
+from repro.experiments.spec import RunArtifact
 
 
 def render_fig06(artifact: RunArtifact) -> ExperimentResult:
@@ -38,30 +33,6 @@ def render_fig06(artifact: RunArtifact) -> ExperimentResult:
     return result
 
 
-def fig06_error_percentage(
-    datasets: Sequence[str] = ("car", "hai"),
-    error_rates: Optional[Sequence[float]] = None,
-    tuples: Optional[int] = None,
-    seed: int = 7,
-    include_holoclean: bool = True,
-) -> ExperimentResult:
-    """F1 and runtime vs error percentage for MLNClean and HoloClean."""
-    rates = error_rates if error_rates is not None else default_error_rates()
-    spec = replace(
-        load_spec("fig06"),
-        workloads=list(datasets),
-        error_rates=list(rates),
-        tuples=tuples,
-        seed=seed,
-    )
-    if not include_holoclean:
-        spec = replace(
-            spec,
-            cleaners=[c for c in spec.cleaners if c.cleaner == "mlnclean"],
-        )
-    return render_fig06(ExperimentRunner(spec).run())
-
-
 def render_fig07(artifact: RunArtifact) -> ExperimentResult:
     """Project a fig07-shaped artifact onto the figure's rows."""
     result = ExperimentResult(
@@ -74,27 +45,3 @@ def render_fig07(artifact: RunArtifact) -> ExperimentResult:
         result.add(row)
     return result
 
-
-def fig07_error_type_ratio(
-    datasets: Sequence[str] = ("car", "hai"),
-    ratios: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
-    error_rate: float = 0.05,
-    tuples: Optional[int] = None,
-    seed: int = 7,
-    include_holoclean: bool = True,
-) -> ExperimentResult:
-    """F1 vs the proportion of replacement errors (Rret) at a fixed 5 % rate."""
-    spec = replace(
-        load_spec("fig07"),
-        workloads=list(datasets),
-        error_rates=[error_rate],
-        replacement_ratios=list(ratios),
-        tuples=tuples,
-        seed=seed,
-    )
-    if not include_holoclean:
-        spec = replace(
-            spec,
-            cleaners=[c for c in spec.cleaners if c.cleaner == "mlnclean"],
-        )
-    return render_fig07(ExperimentRunner(spec).run())

@@ -12,25 +12,8 @@ operation rather than mixing in preprocessing differences.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import replace
-from typing import Optional
-
 from repro.experiments.harness import ExperimentResult
-from repro.experiments.spec import (
-    ConfigCell,
-    ExperimentRunner,
-    RunArtifact,
-    load_spec,
-)
-
-
-def metric_grid(metrics: Sequence[str]) -> list[ConfigCell]:
-    """A distance-metric grid as configuration cells."""
-    return [
-        ConfigCell(overrides={"distance_metric": metric}, label=metric)
-        for metric in metrics
-    ]
+from repro.experiments.spec import RunArtifact
 
 
 def render_table05(artifact: RunArtifact) -> ExperimentResult:
@@ -52,21 +35,3 @@ def render_table05(artifact: RunArtifact) -> ExperimentResult:
         )
     return result
 
-
-def table05_distance_metrics(
-    datasets: Sequence[str] = ("car", "hai"),
-    metrics: Sequence[str] = ("levenshtein", "damerau", "cosine"),
-    error_rate: float = 0.05,
-    tuples: Optional[int] = None,
-    seed: int = 7,
-) -> ExperimentResult:
-    """F1 of MLNClean under each distance metric (Table 5)."""
-    spec = replace(
-        load_spec("table05"),
-        workloads=list(datasets),
-        error_rates=[error_rate],
-        config_grid=metric_grid(metrics),
-        tuples=tuples,
-        seed=seed,
-    )
-    return render_table05(ExperimentRunner(spec).run())

@@ -14,26 +14,8 @@ each cell); the sequential runtime is included so speedups can be derived.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import replace
-from typing import Optional
-
-from repro.experiments.harness import ExperimentResult, default_error_rates
-from repro.experiments.spec import (
-    CleanerSpec,
-    ExperimentRunner,
-    RunArtifact,
-    load_spec,
-)
-
-
-def distributed_cleaner(workers: int, label: Optional[str] = None) -> CleanerSpec:
-    """MLNClean on the distributed backend with ``workers`` workers."""
-    return CleanerSpec(
-        cleaner="mlnclean",
-        label=label,
-        options={"backend": "distributed", "workers": int(workers)},
-    )
+from repro.experiments.harness import ExperimentResult
+from repro.experiments.spec import RunArtifact
 
 
 def render_fig15(artifact: RunArtifact) -> ExperimentResult:
@@ -59,37 +41,17 @@ def render_fig15(artifact: RunArtifact) -> ExperimentResult:
     return result
 
 
-def fig15_distributed(
-    datasets: Sequence[str] = ("hai", "tpch"),
-    error_rates: Optional[Sequence[float]] = None,
-    workers: int = 4,
-    tuples: Optional[int] = None,
-    seed: int = 7,
-) -> ExperimentResult:
-    """Distributed F1 and runtime vs error percentage (Figure 15)."""
-    rates = error_rates if error_rates is not None else default_error_rates()
-    spec = replace(
-        load_spec("fig15"),
-        workloads=list(datasets),
-        error_rates=list(rates),
-        cleaners=[distributed_cleaner(workers)],
-        tuples=tuples,
-        seed=seed,
-    )
-    return render_fig15(ExperimentRunner(spec).run())
-
-
 def render_table06(artifact: RunArtifact) -> ExperimentResult:
     """Project a table06-shaped artifact onto the table's rows."""
     result = ExperimentResult(
         experiment="table06",
         description="distributed MLNClean runtime vs number of workers",
     )
-    baseline_runtime: Optional[float] = None
+    # each dataset's speedup is against that dataset's first cell
+    baselines: dict[str, float] = {}
     for cell in artifact.cells:
         runtime = cell.metrics["sim_runtime_s"]
-        if baseline_runtime is None:
-            baseline_runtime = runtime
+        baseline_runtime = baselines.setdefault(cell.coords["workload"], runtime)
         result.add(
             {
                 "dataset": cell.coords["workload"],
@@ -104,21 +66,3 @@ def render_table06(artifact: RunArtifact) -> ExperimentResult:
         )
     return result
 
-
-def table06_worker_scaling(
-    dataset: str = "tpch",
-    worker_counts: Sequence[int] = (2, 4, 6, 8, 10),
-    error_rate: float = 0.05,
-    tuples: Optional[int] = None,
-    seed: int = 7,
-) -> ExperimentResult:
-    """Distributed runtime vs number of workers (Table 6)."""
-    spec = replace(
-        load_spec("table06"),
-        workloads=[dataset],
-        error_rates=[error_rate],
-        cleaners=[distributed_cleaner(workers) for workers in worker_counts],
-        tuples=tuples,
-        seed=seed,
-    )
-    return render_table06(ExperimentRunner(spec).run())

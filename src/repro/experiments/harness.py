@@ -8,15 +8,17 @@ the paper's figures plot.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.config import MLNCleanConfig
 from repro.errors.injector import ErrorSpec
 from repro.session import CleaningSession
 from repro.workloads.base import Workload, WorkloadInstance
 from repro.workloads.registry import get_workload_generator, recommended_config
+
+if TYPE_CHECKING:
+    from repro.experiments.spec import RunArtifact
 
 #: default scaled-down workload sizes used when the caller does not override
 #: them; the paper's datasets are orders of magnitude larger, but the shapes
@@ -66,6 +68,37 @@ class ExperimentResult:
     def series(self, key: str) -> list[object]:
         """The values of one column across all rows."""
         return [row.get(key) for row in self.rows]
+
+
+@dataclass(frozen=True)
+class Projection:
+    """A figure drawn from a shared sweep: its x axis and the columns it plots.
+
+    Figures 8-11 share the τ sweep and Figures 12-14 the error-rate sweep;
+    each figure is the same cells with fewer columns.  ``axis`` is
+    ``"threshold"`` (the cell's ``abnormal_threshold`` override) or a
+    coordinate key such as ``"error_rate"``.
+    """
+
+    experiment: str
+    description: str
+    axis: str
+    columns: tuple
+
+    def __call__(self, artifact: RunArtifact) -> ExperimentResult:
+        result = ExperimentResult(self.experiment, self.description)
+        for cell in artifact.cells:
+            coords = cell.coords
+            if self.axis == "threshold":
+                x = coords["config"]["overrides"]["abnormal_threshold"]
+            else:
+                x = coords[self.axis]
+            row: dict = {"dataset": coords["workload"], self.axis: x}
+            for column in self.columns:
+                if column in cell.metrics:
+                    row[column] = cell.metrics[column]
+            result.add(row)
+        return result
 
 
 # ----------------------------------------------------------------------
@@ -137,14 +170,3 @@ def session_for_instance(
         builder = builder.with_backend(backend, **backend_options)
     return builder.build()
 
-
-def default_error_rates() -> Sequence[float]:
-    """The error percentages of the paper's sweeps (5 % ... 30 %)."""
-    return (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
-
-
-def default_thresholds(dataset: str) -> Sequence[int]:
-    """The τ sweep used for a dataset (CAR 0-5, HAI/TPC-H 0-50)."""
-    if dataset.lower() == "car":
-        return (0, 1, 2, 3, 4, 5)
-    return (0, 10, 20, 30, 40, 50)

@@ -14,32 +14,14 @@ the equivalence without re-running anything.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import replace
-from typing import Optional
-
 import repro.service  # noqa: F401 - registers the "service" cleaner
 from repro.experiments.harness import ExperimentResult
-from repro.experiments.spec import ExperimentRunner, RunArtifact, load_spec
+from repro.experiments.spec import RunArtifact
+from repro.experiments.streaming import is_batch_reference, replay_grid_key
 
 #: per-cell metric keys that name the system or measure wall-clock — the
 #: only metrics allowed to differ between the batch and service cells
 _INCOMPARABLE_METRICS = ("system", "runtime_s")
-
-
-def _grid_key(cell) -> tuple:
-    """The full non-cleaner grid position of a cell."""
-    coords = cell.coords
-    return (
-        coords["workload"],
-        coords["error_rate"],
-        coords["replacement_ratio"],
-        repr(sorted(coords["config"]["overrides"].items())),
-    )
-
-
-def _is_batch_reference(cell) -> bool:
-    return cell.coords["cleaner"] == "mlnclean"
 
 
 def _comparable_metrics(cell) -> dict:
@@ -58,8 +40,8 @@ def render_service_replay(artifact: RunArtifact) -> ExperimentResult:
     )
     references: dict[tuple, object] = {}
     for cell in artifact.cells:
-        if _is_batch_reference(cell):
-            references[_grid_key(cell)] = cell
+        if is_batch_reference(cell):
+            references[replay_grid_key(cell)] = cell
     for cell in artifact.cells:
         row = {
             "dataset": cell.coords["workload"],
@@ -67,8 +49,8 @@ def render_service_replay(artifact: RunArtifact) -> ExperimentResult:
             "f1": cell.metrics["f1"],
             "runtime_s": cell.metrics["runtime_s"],
         }
-        if not _is_batch_reference(cell):
-            reference = references.get(_grid_key(cell))
+        if not is_batch_reference(cell):
+            reference = references.get(replay_grid_key(cell))
             if reference is not None:
                 row["metrics_equal"] = _comparable_metrics(
                     cell
@@ -80,20 +62,3 @@ def render_service_replay(artifact: RunArtifact) -> ExperimentResult:
         result.add(row)
     return result
 
-
-def service_replay(
-    datasets: Sequence[str] = ("hospital-sample",),
-    error_rate: float = 0.1,
-    tuples: Optional[int] = None,
-    seed: int = 7,
-) -> ExperimentResult:
-    """Run the checked-in spec (with overrides) and render the equality table."""
-    spec = load_spec("service_replay")
-    spec = replace(
-        spec,
-        workloads=list(datasets),
-        error_rates=[error_rate],
-        tuples=tuples if tuples is not None else spec.tuples,
-        seed=seed,
-    )
-    return render_service_replay(ExperimentRunner(spec).run())

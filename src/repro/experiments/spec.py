@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Union
 
@@ -46,6 +46,17 @@ from repro.workloads.registry import recommended_config
 
 #: where the checked-in experiment specs live (one JSON file per figure)
 SPEC_DIR = Path(__file__).parent / "specs"
+
+
+def _check_keys(cls, data: dict, what: str) -> None:
+    """Reject keys that are not fields of ``cls``, naming them.
+
+    A spec file, a ``run_experiment`` keyword and the CLI all decode through
+    here, so a mistyped key is an error instead of a silent default.
+    """
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
 
 
 # ----------------------------------------------------------------------
@@ -80,6 +91,7 @@ class ConfigCell:
         if "overrides" not in data and "label" not in data:
             # shorthand: a bare override mapping
             return cls(overrides=dict(data))
+        _check_keys(cls, data, "config cell")
         return cls(
             overrides=dict(data.get("overrides") or {}),
             label=data.get("label"),
@@ -115,6 +127,7 @@ class CleanerSpec:
         if isinstance(data, str):
             # shorthand: just the registered cleaner name
             return cls(cleaner=data)
+        _check_keys(cls, data, "cleaner spec")
         return cls(
             cleaner=data.get("cleaner", "mlnclean"),
             label=data.get("label"),
@@ -126,6 +139,16 @@ class CleanerSpec:
 #: shared config axis (one list) or a per-workload mapping (τ grids differ
 #: per dataset in the paper)
 ConfigGrid = Union[list[ConfigCell], dict[str, list[ConfigCell]]]
+
+#: the spec fields that are grid axes; each must list at least one point
+_AXES = (
+    "workloads",
+    "cleaners",
+    "error_rates",
+    "replacement_ratios",
+    "config_grid",
+    "detector_stacks",
+)
 
 
 @dataclass
@@ -161,11 +184,15 @@ class ExperimentSpec:
         """The configuration axis applying to ``workload``.
 
         Dataset names are case-insensitive everywhere else (the workload
-        registry lowercases), so the per-workload grid lookup is too.
+        registry lowercases), so the per-workload grid lookup is too.  A
+        workload the per-workload grid does not name is an error rather
+        than a silent default configuration.
         """
         if isinstance(self.config_grid, dict):
             by_name = {name.lower(): cells for name, cells in self.config_grid.items()}
-            return by_name.get(workload.lower(), [ConfigCell()])
+            if workload.lower() not in by_name:
+                raise ValueError(f"config_grid has no entry for workload {workload!r}")
+            return by_name[workload.lower()]
         return self.config_grid
 
     # ------------------------------------------------------------------
@@ -203,8 +230,15 @@ class ExperimentSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentSpec":
+        _check_keys(cls, data, "experiment spec")
+        empty = [axis for axis in _AXES if axis in data and not data[axis]]
+        if empty:
+            # an empty axis would otherwise run a default or an empty grid
+            raise ValueError(f"empty experiment spec axis: {', '.join(map(repr, empty))}")
         raw_grid = data.get("config_grid", [{}])
         if isinstance(raw_grid, dict):
+            if not all(raw_grid.values()):
+                raise ValueError("empty experiment spec axis: 'config_grid'")
             grid: ConfigGrid = {
                 workload: [ConfigCell.from_json_dict(cell) for cell in cells]
                 for workload, cells in raw_grid.items()
@@ -214,23 +248,32 @@ class ExperimentSpec:
         return cls(
             name=data["name"],
             description=data.get("description", ""),
-            workloads=list(data.get("workloads") or []),
+            workloads=list(data.get("workloads", [])),
             cleaners=[
                 CleanerSpec.from_json_dict(cleaner)
-                for cleaner in data.get("cleaners") or [{}]
+                for cleaner in data.get("cleaners", [{}])
             ],
-            error_rates=list(data.get("error_rates") or [0.05]),
-            replacement_ratios=list(data.get("replacement_ratios") or [0.5]),
+            error_rates=list(data.get("error_rates", [0.05])),
+            replacement_ratios=list(data.get("replacement_ratios", [0.5])),
             config_grid=grid,
             detector_stacks=[
                 None if stack is None else list(stack)
-                for stack in data.get("detector_stacks") or [None]
+                for stack in data.get("detector_stacks", [None])
             ],
             tuples=data.get("tuples"),
             seed=int(data.get("seed", 7)),
             error_seed=int(data.get("error_seed", 42)),
             store_reports=bool(data.get("store_reports", True)),
         )
+
+    def override(self, **overrides) -> "ExperimentSpec":
+        """This spec with fields replaced, given in the spec file's JSON names.
+
+        The result goes through :meth:`from_json_dict`, so an override is
+        decoded and checked exactly like a spec file: an unknown key or an
+        empty axis raises :class:`ValueError`.
+        """
+        return ExperimentSpec.from_json_dict({**self.to_json_dict(), **overrides})
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=1) + "\n"
@@ -366,9 +409,11 @@ class ExperimentRunner:
         from repro.experiments.harness import prepare_instance
 
         spec = self.spec
+        # every workload's grid is resolved before any cell runs
+        grids = {workload: spec.grid_for(workload) for workload in spec.workloads}
         cells: list[CellResult] = []
         for workload in spec.workloads:
-            grid = spec.grid_for(workload)
+            grid = grids[workload]
             for error_rate in spec.error_rates:
                 for ratio in spec.replacement_ratios:
                     instance = prepare_instance(

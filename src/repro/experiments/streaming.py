@@ -5,13 +5,14 @@ natural next question for a deployed cleaner: when data keeps arriving, how
 much does incremental maintenance save over re-running MLNClean from
 scratch on every micro-batch, and does it give the same answer?
 
-Two harnesses:
+Two experiments:
 
-* :func:`streaming_replay` — declarative (``specs/streaming_replay.json``):
+* ``streaming_replay`` — declarative (``specs/streaming_replay.json``):
   the same workload through the batch and streaming backends as one
-  :class:`~repro.experiments.spec.ExperimentSpec` grid, with the renderer
-  checking the cleaned tables agree cell for cell (the artifact round-trips
-  the tables, so the check also works on a deserialized artifact),
+  :class:`~repro.experiments.spec.ExperimentSpec` grid, with
+  :func:`render_streaming_replay` checking the cleaned tables agree cell for
+  cell (the artifact round-trips the tables, so the check also works on a
+  deserialized artifact),
 * :func:`streaming_incremental` — imperative by necessity: it interleaves
   the incremental engine and a naive full re-clean batch by batch and times
   both paths per micro-batch, a time-series the per-cell grid model does
@@ -36,22 +37,20 @@ from __future__ import annotations
 
 import random
 import time
-from collections.abc import Sequence
-from dataclasses import replace
 from typing import Optional
 
 from repro.core.config import MLNCleanConfig
 from repro.core.pipeline import MLNClean
 from repro.errors.injector import ErrorSpec
 from repro.experiments.harness import ExperimentResult
-from repro.experiments.spec import ExperimentRunner, RunArtifact, load_spec
+from repro.experiments.spec import RunArtifact
 from repro.streaming.cleaner import StreamingMLNClean
 from repro.streaming.delta import DeltaBatch, Update
 from repro.streaming.source import WorkloadStreamSource
 from repro.workloads.registry import recommended_config
 
 
-def _replay_grid_key(cell) -> tuple:
+def replay_grid_key(cell) -> tuple:
     """The full non-cleaner grid position of a cell (what "same run" means)."""
     coords = cell.coords
     return (
@@ -62,7 +61,7 @@ def _replay_grid_key(cell) -> tuple:
     )
 
 
-def _is_batch_reference(cell) -> bool:
+def is_batch_reference(cell) -> bool:
     """True for the MLNClean-on-batch cell every other cell is checked against."""
     coords = cell.coords
     return (
@@ -86,8 +85,8 @@ def render_streaming_replay(artifact: RunArtifact) -> ExperimentResult:
     )
     batch_cleaned: dict[tuple, object] = {}
     for cell in artifact.cells:
-        if _is_batch_reference(cell) and cell.report is not None:
-            batch_cleaned[_replay_grid_key(cell)] = cell.report.cleaned
+        if is_batch_reference(cell) and cell.report is not None:
+            batch_cleaned[replay_grid_key(cell)] = cell.report.cleaned
     for cell in artifact.cells:
         row = {
             "dataset": cell.coords["workload"],
@@ -95,36 +94,12 @@ def render_streaming_replay(artifact: RunArtifact) -> ExperimentResult:
             "f1": cell.metrics["f1"],
             "runtime_s": cell.metrics["runtime_s"],
         }
-        if not _is_batch_reference(cell):
-            reference = batch_cleaned.get(_replay_grid_key(cell))
+        if not is_batch_reference(cell):
+            reference = batch_cleaned.get(replay_grid_key(cell))
             if reference is not None and cell.report is not None:
                 row["matches_batch"] = cell.report.cleaned.equals(reference)
         result.add(row)
     return result
-
-
-def streaming_replay(
-    datasets: Sequence[str] = ("hai",),
-    error_rate: float = 0.05,
-    batch_size: int = 100,
-    tuples: Optional[int] = None,
-    seed: int = 7,
-) -> ExperimentResult:
-    """Batch vs streaming-replay equivalence and runtime, declaratively."""
-    spec = load_spec("streaming_replay")
-    cleaners = list(spec.cleaners)
-    for cleaner in cleaners:
-        if cleaner.options.get("backend") == "streaming":
-            cleaner.options = {**cleaner.options, "batch_size": int(batch_size)}
-    spec = replace(
-        spec,
-        workloads=list(datasets),
-        error_rates=[error_rate],
-        cleaners=cleaners,
-        tuples=tuples,
-        seed=seed,
-    )
-    return render_streaming_replay(ExperimentRunner(spec).run())
 
 
 def _update_attribute(source: WorkloadStreamSource) -> str:

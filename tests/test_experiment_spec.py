@@ -14,7 +14,7 @@ from repro.core.report import (
 from repro.dataset.sample import sample_hospital_rules, sample_hospital_table
 from repro.experiments import (
     EXPERIMENTS,
-    RENDERERS,
+    CellResult,
     CleanerSpec,
     ConfigCell,
     ExperimentRunner,
@@ -23,7 +23,9 @@ from repro.experiments import (
     available_specs,
     load_spec,
     render_fig06,
+    run_experiment,
 )
+from repro.experiments.distributed import render_table06
 from repro.session.cleaners import CleaningRequest, get_cleaner
 
 SMALL = 200
@@ -109,10 +111,21 @@ def test_grid_for_is_case_insensitive_like_the_workload_registry():
     assert lowered.grid_for("CAR")[0].overrides == {"abnormal_threshold": 3}
 
 
-def test_streaming_replay_checks_each_grid_point_against_its_own_batch_run():
-    from repro.experiments import streaming_replay
+def test_workload_missing_from_a_per_workload_grid_fails_before_running():
+    spec = ExperimentSpec(
+        name="missing", workloads=["car"], config_grid={"hai": [ConfigCell()]}
+    )
+    with pytest.raises(ValueError, match="no entry for workload 'car'"):
+        spec.grid_for("car")
+    # fails up front, not as a KeyError in the renderer after the car cells
+    with pytest.raises(ValueError, match="no entry for workload 'tpch'"):
+        run_experiment("fig08", workloads=["car", "tpch"], tuples=40)
 
-    result = streaming_replay(datasets=("hospital-sample",), tuples=48)
+
+def test_streaming_replay_checks_each_grid_point_against_its_own_batch_run():
+    result = run_experiment(
+        "streaming_replay", workloads=["hospital-sample"], tuples=48
+    )
     by_system = {row["system"]: row for row in result.rows}
     # the batch reference row carries no self-comparison column
     assert "matches_batch" not in by_system["MLNClean"]
@@ -122,7 +135,66 @@ def test_streaming_replay_checks_each_grid_point_against_its_own_batch_run():
 def test_experiments_registry_covers_all_figures_and_renderers():
     expected = {f"fig{i:02d}" for i in range(6, 16)} | {"table05", "table06"}
     assert expected <= set(EXPERIMENTS)
-    assert set(RENDERERS) <= set(available_specs())
+    assert {spec for spec, _render in EXPERIMENTS.values()} <= set(available_specs())
+
+
+def test_mistyped_spec_file_key_is_an_error(tmp_path):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({"name": "typo", "error_rate": [0.3], "tupels": 40}))
+    with pytest.raises(ValueError, match="'error_rate', 'tupels'"):
+        load_spec(path)
+
+
+def test_mistyped_run_experiment_keyword_is_an_error():
+    with pytest.raises(ValueError, match="'datasets'"):
+        run_experiment("fig06", datasets=["car"], tuples=40)
+    with pytest.raises(KeyError, match="unknown experiment 'fig99'"):
+        run_experiment("fig99")
+
+
+@pytest.mark.parametrize(
+    "axis", ["workloads", "cleaners", "error_rates", "replacement_ratios", "config_grid"]
+)
+def test_explicitly_empty_axis_is_an_error(axis):
+    with pytest.raises(ValueError, match=f"empty experiment spec axis: '{axis}'"):
+        load_spec("fig06").override(**{axis: []})
+
+
+def test_empty_per_workload_grid_is_an_error():
+    with pytest.raises(ValueError, match="'config_grid'"):
+        load_spec("threshold_sweep").override(config_grid={"car": [], "hai": [{}]})
+
+
+def test_long_form_cleaner_and_config_cell_reject_unknown_keys():
+    with pytest.raises(ValueError, match="unknown cleaner spec key.*'option'"):
+        CleanerSpec.from_json_dict({"cleaner": "mlnclean", "option": {"workers": 2}})
+    with pytest.raises(ValueError, match="unknown config cell key.*'overide'"):
+        ConfigCell.from_json_dict({"label": "tau", "overide": {"abnormal_threshold": 1}})
+
+
+def test_table06_speedup_is_per_dataset():
+    def cell(workload, workers, runtime):
+        return CellResult(
+            coords={"workload": workload},
+            metrics={
+                "workers": float(workers),
+                "sim_runtime_s": runtime,
+                "sequential_s": 4.0,
+                "f1": 0.5,
+            },
+        )
+
+    artifact = RunArtifact(
+        spec=ExperimentSpec(name="table06"),
+        cells=[
+            cell("tpch", 2, 1.0),
+            cell("tpch", 4, 0.5),
+            cell("hai", 2, 4.0),
+            cell("hai", 4, 2.0),
+        ],
+    )
+    speedups = [row["speedup_vs_first"] for row in render_table06(artifact).rows]
+    assert speedups == [1.0, 2.0, 1.0, 2.0]
 
 
 # ----------------------------------------------------------------------

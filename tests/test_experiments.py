@@ -1,22 +1,8 @@
 """Smoke tests for the experiment harnesses (tiny workload sizes)."""
 
-from repro.experiments import (
-    EXPERIMENTS,
-    ablation_fscr_minimality,
-    ablation_partitioner,
-    ablation_reliability_score,
-    fig06_error_percentage,
-    fig07_error_type_ratio,
-    fig08_agp_threshold,
-    fig11_overall_threshold,
-    fig12_agp_error_rate,
-    fig15_distributed,
-    table05_distance_metrics,
-    table06_worker_scaling,
-)
+from repro.experiments import EXPERIMENTS, run_experiment
 from repro.experiments.harness import (
     ExperimentResult,
-    default_thresholds,
     prepare_instance,
     session_for_instance,
 )
@@ -50,14 +36,9 @@ def test_experiment_result_rendering():
     assert result.series("a") == [1, 2]
 
 
-def test_default_thresholds():
-    assert default_thresholds("car") == (0, 1, 2, 3, 4, 5)
-    assert default_thresholds("hai")[-1] == 50
-
-
 def test_fig06_rows_cover_grid():
-    result = fig06_error_percentage(
-        datasets=("car",), error_rates=(0.05, 0.10), tuples=SMALL
+    result = run_experiment(
+        "fig06", workloads=["car"], error_rates=[0.05, 0.10], tuples=SMALL
     )
     assert len(result.rows) == 4  # 2 rates x 2 systems
     assert {row["system"] for row in result.rows} == {"MLNClean", "HoloClean"}
@@ -65,44 +46,66 @@ def test_fig06_rows_cover_grid():
 
 
 def test_fig07_rows(car_workload):
-    result = fig07_error_type_ratio(
-        datasets=("car",), ratios=(0.0, 1.0), tuples=SMALL, include_holoclean=False
+    result = run_experiment(
+        "fig07",
+        workloads=["car"],
+        replacement_ratios=[0.0, 1.0],
+        cleaners=["mlnclean"],
+        tuples=SMALL,
     )
     assert len(result.rows) == 2
     assert {row["replacement_ratio"] for row in result.rows} == {0.0, 1.0}
 
 
 def test_threshold_figures_share_columns():
-    fig08 = fig08_agp_threshold(datasets=("car",), thresholds={"car": (0, 1)}, tuples=SMALL)
+    fig08 = run_experiment(
+        "fig08",
+        workloads=["car"],
+        config_grid={"car": [{"abnormal_threshold": 0}, {"abnormal_threshold": 1}]},
+        tuples=SMALL,
+    )
     assert {row["threshold"] for row in fig08.rows} == {0, 1}
     assert all("precision_a" in row and "dag" in row for row in fig08.rows)
-    fig11 = fig11_overall_threshold(
-        datasets=("car",), thresholds={"car": (1,)}, tuples=SMALL
+    fig11 = run_experiment(
+        "fig11",
+        workloads=["car"],
+        config_grid={"car": [{"abnormal_threshold": 1}]},
+        tuples=SMALL,
     )
     assert all("f1" in row and "runtime_s" in row for row in fig11.rows)
 
 
 def test_error_rate_figures():
-    result = fig12_agp_error_rate(datasets=("car",), error_rates=(0.05, 0.2), tuples=SMALL)
+    result = run_experiment(
+        "fig12", workloads=["car"], error_rates=[0.05, 0.2], tuples=SMALL
+    )
     assert len(result.rows) == 2
     assert all("recall_a" in row for row in result.rows)
 
 
 def test_fig15_and_table06():
-    fig15 = fig15_distributed(
-        datasets=("tpch",), error_rates=(0.05,), workers=2, tuples=SMALL
+    fig15 = run_experiment(
+        "fig15",
+        workloads=["tpch"],
+        error_rates=[0.05],
+        cleaners=[{"options": {"backend": "distributed", "workers": 2}}],
+        tuples=SMALL,
     )
     assert len(fig15.rows) == 1
     assert fig15.rows[0]["workers"] == 2
-    table06 = table06_worker_scaling(
-        dataset="tpch", worker_counts=(2, 4), tuples=SMALL
+    table06 = run_experiment(
+        "table06",
+        cleaners=[
+            {"options": {"backend": "distributed", "workers": n}} for n in (2, 4)
+        ],
+        tuples=SMALL,
     )
     assert [row["workers"] for row in table06.rows] == [2, 4]
     assert all(row["runtime_s"] > 0 for row in table06.rows)
 
 
 def test_table05_metrics():
-    result = table05_distance_metrics(datasets=("car",), tuples=SMALL)
+    result = run_experiment("table05", workloads=["car"], tuples=SMALL)
     # the ablation now includes the Damerau variant, which shares the
     # Levenshtein fast-path preprocessing (like-with-like comparison)
     assert {row["metric"] for row in result.rows} == {
@@ -113,15 +116,29 @@ def test_table05_metrics():
 
 
 def test_ablations_run():
-    rscore = ablation_reliability_score(datasets=("car",), tuples=SMALL)
+    rscore = run_experiment("ablation_rscore", workloads=["car"], tuples=SMALL)
     assert {row["variant"] for row in rscore.rows} == {
         "full",
         "weight_only",
         "distance_only",
     }
-    fscr = ablation_fscr_minimality(datasets=("car",), tuples=SMALL)
+    fscr = run_experiment("ablation_fscr", workloads=["car"], tuples=SMALL)
     assert len(fscr.rows) == 2
-    partition = ablation_partitioner(dataset="tpch", workers=2, tuples=SMALL)
+    partition = run_experiment(
+        "ablation_partition",
+        cleaners=[
+            {
+                "label": "algorithm3",
+                "options": {"backend": "distributed", "workers": 2},
+            },
+            {
+                "cleaner": "roundrobin-distributed",
+                "label": "round_robin",
+                "options": {"workers": 2},
+            },
+        ],
+        tuples=SMALL,
+    )
     assert {row["partitioner"] for row in partition.rows} == {
         "algorithm3",
         "round_robin",
