@@ -25,10 +25,10 @@ from repro.experiments.harness import prepare_instance
 from repro.service import (
     ServiceClient,
     ServiceError,
+    canonical_json,
     report_signature,
     report_signature_dict,
 )
-from repro.service.codec import canonical_json
 from repro.session import CleaningSession
 from repro.workloads.registry import recommended_config
 

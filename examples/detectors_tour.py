@@ -23,7 +23,7 @@ import sys
 
 from repro.detect import available_detectors, data_path, load_dc_file, run_detection
 from repro.experiments.harness import prepare_instance
-from repro.service.codec import report_signature
+from repro.core.report import report_signature
 from repro.session import CleaningSession
 from repro.workloads.registry import recommended_config
 

@@ -86,7 +86,7 @@ from repro.streaming import (
     WorkloadStreamSource,
 )
 
-__version__ = "17.0.0"
+__version__ = "18.0.0"
 
 __all__ = [
     "CleaningSession",

@@ -10,7 +10,10 @@ is the distance between the groups' representative γ*s.
 The complexity is ``O(|B| × |Ga| × |G − Ga|)`` per the paper.  AGP is also the
 stage with "the biggest propagated impact to the final cleaning accuracy",
 which is why the experiments of Figures 8 and 12 track its precision/recall
-explicitly; the optional instrumentation hooks here feed those metrics.
+explicitly.  AGP itself reads no ground truth: it counts the abnormal groups
+and γs it detects in ``counts``, and
+:func:`~repro.metrics.component.score_stages` derives the rest of those
+metrics from its :class:`GroupMerge` records after the run.
 """
 
 from __future__ import annotations
@@ -22,10 +25,6 @@ from repro.core.config import MLNCleanConfig
 from repro.core.index import Block
 from repro.metrics.component import StageCounts
 from repro.perf.engine import CandidateSet, DistanceEngine
-
-#: maps a tuple id to its clean values (attribute → value); only available in
-#: instrumented runs where a ground truth exists
-CleanLookup = Callable[[int], dict[str, str]]
 
 
 @dataclass
@@ -44,16 +43,12 @@ class AGPOutcome:
     """Result of running AGP on one block (or on a whole index)."""
 
     merges: list[GroupMerge] = field(default_factory=list)
-    detected_abnormal_groups: int = 0
-    detected_abnormal_gammas: int = 0
     skipped_without_target: int = 0
     counts: StageCounts = field(default_factory=StageCounts)
 
     def extend(self, other: "AGPOutcome") -> None:
         """Fold another outcome into this one (used across blocks)."""
         self.merges.extend(other.merges)
-        self.detected_abnormal_groups += other.detected_abnormal_groups
-        self.detected_abnormal_gammas += other.detected_abnormal_gammas
         self.skipped_without_target += other.skipped_without_target
         self.counts = self.counts.merge(other.counts)
 
@@ -79,13 +74,9 @@ class AbnormalGroupProcessor:
     def process_block(
         self,
         block: Block,
-        clean_lookup: Optional[CleanLookup] = None,
         group_filter: Optional[Callable] = None,
     ) -> AGPOutcome:
         """Run AGP on one block, mutating it in place.
-
-        ``clean_lookup`` enables the Precision-A / Recall-A instrumentation:
-        it must return the ground-truth clean values of a tuple.
 
         ``group_filter`` restricts the merge candidates to the abnormal
         groups it accepts (dirty-cell-scoped cleaning): merging an abnormal
@@ -116,15 +107,8 @@ class AbnormalGroupProcessor:
             for key in (normal_keys if abnormal_keys else ())
         )
 
-        if clean_lookup is not None:
-            outcome.counts.real_abnormal_groups = self._count_real_abnormal(
-                block, clean_lookup
-            )
-
         for key in abnormal_keys:
             group = block.groups[key]
-            outcome.detected_abnormal_groups += 1
-            outcome.detected_abnormal_gammas += group.size
             outcome.counts.detected_abnormal_groups += 1
             outcome.counts.detected_abnormal_gammas += group.size
             position = self._nearest_normal_group(
@@ -144,22 +128,17 @@ class AbnormalGroupProcessor:
                 block.groups[target_key].representative().values,
             )
             outcome.merges.append(merge)
-            if clean_lookup is not None and self._merge_is_correct(
-                block, merge, clean_lookup
-            ):
-                outcome.counts.correctly_merged_groups += 1
         return outcome
 
     def process_index(
         self,
         blocks: list[Block],
-        clean_lookup: Optional[CleanLookup] = None,
         group_filter: Optional[Callable] = None,
     ) -> AGPOutcome:
         """Run AGP on every block of an index."""
         outcome = AGPOutcome()
         for block in blocks:
-            outcome.extend(self.process_block(block, clean_lookup, group_filter))
+            outcome.extend(self.process_block(block, group_filter))
         return outcome
 
     # ------------------------------------------------------------------
@@ -201,54 +180,3 @@ class AbnormalGroupProcessor:
             gamma_count=abnormal_group.size,
             tuple_count=abnormal_group.tuple_count,
         )
-
-    def _count_real_abnormal(self, block: Block, clean_lookup: CleanLookup) -> int:
-        """Groups that exist only because of reason-part errors.
-
-        A group is *really* abnormal when the clean reason values of every
-        tuple it holds differ from the group key, i.e. the group would not
-        exist in the clean data.
-        """
-        reason_attrs = block.rule.reason_attributes
-        real = 0
-        for key, group in block.groups.items():
-            tids = group.tids
-            if not tids:
-                continue
-            clean_keys = {
-                tuple(clean_lookup(tid)[a] for a in reason_attrs) for tid in tids
-            }
-            if key not in clean_keys:
-                real += 1
-        return real
-
-    def _merge_is_correct(
-        self, block: Block, merge: GroupMerge, clean_lookup: CleanLookup
-    ) -> bool:
-        """Whether the abnormal group landed in the group it truly belongs to.
-
-        The merge is correct when the target group's key matches the clean
-        reason values of the majority of the merged tuples.
-        """
-        reason_attrs = block.rule.reason_attributes
-        target_group = block.groups.get(merge.target_key)
-        if target_group is None:
-            return False
-        merged_tids = [
-            tid
-            for piece in target_group.gammas
-            for tid in piece.tids
-            if tuple(piece.reason_values) == merge.abnormal_key
-            or piece.key[0] == merge.abnormal_key
-        ]
-        if not merged_tids:
-            # The abnormal γs were merged into an existing identical γ; fall
-            # back to checking all target tuples whose dirty reason values
-            # match the abnormal key.
-            merged_tids = target_group.tids
-        matches = 0
-        for tid in merged_tids:
-            clean_reason = tuple(clean_lookup(tid)[a] for a in reason_attrs)
-            if clean_reason == merge.target_key:
-                matches += 1
-        return matches * 2 >= len(merged_tids) and bool(merged_tids)

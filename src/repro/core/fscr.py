@@ -48,14 +48,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from collections.abc import Iterable
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.config import MLNCleanConfig
 from repro.core.index import Block, DataPiece
-from repro.dataset.table import Cell, Table
+from repro.dataset.table import Table
 from repro.metrics.component import StageCounts
-
-CleanLookup = Callable[[int], dict[str, str]]
 
 #: learned weights are capped here before exponentiation so the fusion-score
 #: product cannot overflow even for tuples covered by many rules.
@@ -221,18 +219,10 @@ class FusionScoreResolver:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def resolve(
-        self,
-        dirty: Table,
-        blocks: list[Block],
-        clean_lookup: Optional[CleanLookup] = None,
-        dirty_cells: Optional[set[Cell]] = None,
-    ) -> FSCROutcome:
+    def resolve(self, dirty: Table, blocks: list[Block]) -> FSCROutcome:
         """Fuse the data versions of every tuple and apply them to a copy.
 
         Only cells whose value the fusion changes are written.
-        ``clean_lookup`` and ``dirty_cells`` (the injected cells) enable the
-        Precision-F / Recall-F instrumentation.
         """
         repaired = dirty.copy(name=f"{dirty.name}-repaired")
         outcome = FSCROutcome(repaired=repaired)
@@ -277,9 +267,6 @@ class FusionScoreResolver:
             for attribute, value in assignment.items():
                 if current.get(attribute) != value:
                     repaired.set_value(tid, attribute, value)
-
-        if clean_lookup is not None and dirty_cells is not None:
-            self._instrument(outcome, dirty, repaired, clean_lookup, dirty_cells)
         return outcome
 
     # ------------------------------------------------------------------
@@ -395,34 +382,3 @@ class FusionScoreResolver:
                         if tids is None or tid in tids:
                             versions.setdefault(tid, []).append((block, piece))
         return versions
-
-    # ------------------------------------------------------------------
-    # instrumentation
-    # ------------------------------------------------------------------
-    def _instrument(
-        self,
-        outcome: FSCROutcome,
-        dirty: Table,
-        repaired: Table,
-        clean_lookup: CleanLookup,
-        dirty_cells: set[Cell],
-    ) -> None:
-        """Fill the Precision-F / Recall-F counters (Section 7.3)."""
-        counts = outcome.counts
-        for cell in dirty_cells:
-            if not repaired.has_tid(cell.tid):
-                continue
-            counts.total_erroneous_values += 1
-            clean_value = clean_lookup(cell.tid)[cell.attribute]
-            repaired_value = repaired.value(cell.tid, cell.attribute)
-            is_correct = repaired_value == clean_value
-            if is_correct:
-                counts.fscr_correct_values += 1
-            fusion = outcome.fusions.get(cell.tid)
-            involved_in_conflict = (
-                fusion is not None and cell.attribute in fusion.conflicted_attributes
-            )
-            if involved_in_conflict:
-                counts.conflict_erroneous_values += 1
-                if is_correct:
-                    counts.conflict_correct_values += 1

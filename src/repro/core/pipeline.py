@@ -20,9 +20,10 @@ elimination when ``config.remove_duplicates`` is set.  A partial pipeline
 
 The pipeline can run *instrumented*: when the caller supplies the ground
 truth of the injected errors, the per-stage component metrics (Figures 8-14)
-and the overall repair accuracy (Eq. 7) are computed alongside the cleaning
-itself.  Instrumentation never influences any cleaning decision — the ground
-truth is only read by the metric counters.
+and the overall repair accuracy (Eq. 7) are derived after the run, from the
+stage records (:func:`~repro.metrics.component.score_stages`) and the
+repaired table (:func:`~repro.metrics.accuracy.evaluate_repair`).  The stages
+never see the ground truth, so it cannot influence a cleaning decision.
 """
 
 from __future__ import annotations
@@ -34,15 +35,16 @@ from repro.constraints.rules import Rule
 from repro.core.agp import AbnormalGroupProcessor
 from repro.core.config import MLNCleanConfig
 from repro.core.dedup import remove_duplicates
-from repro.core.fscr import CleanLookup, FSCROutcome, FusionScoreResolver
+from repro.core.fscr import FSCROutcome, FusionScoreResolver
 from repro.core.index import Block, MLNIndex
 from repro.core.report import CleaningReport
 from repro.core.rsc import ReliabilityScoreCleaner
-from repro.dataset.table import Cell, Table
+from repro.dataset.table import Table
 from repro.detect.base import DirtyCells
 from repro.detect.run import CleaningScope, detection_details, run_detection
 from repro.errors.groundtruth import GroundTruth
 from repro.metrics.accuracy import evaluate_repair
+from repro.metrics.component import score_stages
 from repro.metrics.timing import TimingBreakdown
 from repro.obs import ensure_tracer, span, stage_scope
 
@@ -90,21 +92,10 @@ class MLNClean:
             raise ValueError("MLNClean needs at least one integrity constraint")
         config = self.config
         timings = TimingBreakdown()
-        instrument = ground_truth is not None
         # One shared distance engine for the whole run: AGP and RSC read and
         # write the same cache, and its counters end up in
         # ``report.details["distance"]``.
         engine = config.engine()
-        clean_lookup: Optional[CleanLookup] = None
-        dirty_cells: Optional[set[Cell]] = None
-        if instrument:
-            clean_reference = ground_truth.clean_table(dirty)
-
-            def clean_lookup(tid: int) -> dict[str, str]:
-                return clean_reference.row(tid).as_dict()
-
-            dirty_cells = ground_truth.dirty_cells
-
         detected: Optional[DirtyCells] = None
         # ``None`` means full-scope: either no detectors ran or the detection
         # covered every cell, which is exactly the unscoped code path
@@ -147,22 +138,20 @@ class MLNClean:
             group_filter = None if scope is None else scope.selects_group
             with stage_scope(timings, "batch", "agp"):
                 agp = AbnormalGroupProcessor(config, engine=engine).process_index(
-                    stage_blocks, clean_lookup, group_filter=group_filter
+                    stage_blocks, group_filter=group_filter
                 )
             with stage_scope(timings, "batch", "rsc"):
                 rsc = ReliabilityScoreCleaner(config, engine=engine).clean_index(
-                    stage_blocks, clean_lookup, group_filter=group_filter
+                    stage_blocks, group_filter=group_filter
                 )
 
             # Stage II (line 18): fusion, then duplicate elimination.
             with stage_scope(timings, "batch", "fscr"):
                 resolver = FusionScoreResolver(config)
                 if scope is None:
-                    fscr = resolver.resolve(dirty, blocks, clean_lookup, dirty_cells)
+                    fscr = resolver.resolve(dirty, blocks)
                 else:
-                    fscr = _resolve_scoped(
-                        resolver, dirty, blocks, scope, clean_lookup, dirty_cells
-                    )
+                    fscr = _resolve_scoped(resolver, dirty, blocks, scope)
             repaired = fscr.repaired
             cleaned = repaired
             if config.remove_duplicates:
@@ -171,7 +160,9 @@ class MLNClean:
                 cleaned = dedup.deduplicated
 
         accuracy = None
-        if instrument:
+        if ground_truth is not None:
+            fused = None if scope is None else scope.tids
+            score_stages(dirty, ground_truth, stage_blocks, agp, rsc, fscr, fused)
             accuracy = evaluate_repair(dirty, repaired, ground_truth)
         details: dict = {"distance": engine.stats.as_dict()}
         if detected is not None:
@@ -201,8 +192,6 @@ def _resolve_scoped(
     dirty: Table,
     blocks: list[Block],
     scope: CleaningScope,
-    clean_lookup: Optional[CleanLookup],
-    dirty_cells: Optional[set[Cell]],
 ) -> FSCROutcome:
     """Fuse only the affected tuples and patch them into a full copy.
 
@@ -215,9 +204,7 @@ def _resolve_scoped(
     if not live:
         return FSCROutcome(repaired=repaired)
     subset = dirty.subset(live, name=dirty.name)
-    outcome = resolver.resolve(
-        subset, scope.select_blocks(blocks), clean_lookup, dirty_cells
-    )
+    outcome = resolver.resolve(subset, scope.select_blocks(blocks))
     for tid, fusion in outcome.fusions.items():
         for attribute, value in fusion.assignment.items():
             if repaired.value(tid, attribute) != value:

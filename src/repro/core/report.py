@@ -30,12 +30,22 @@ accuracy, per-stage :class:`~repro.metrics.component.StageCounts`, dedup
 listing, backend name and ``details``; only the stage merge/repair listings
 are dropped.  Serializing is idempotent: a deserialized report serializes to
 the same JSON again, bit for bit.
+
+The module also defines the **deterministic report signature** the golden
+matrix, the equivalence tests and the service compare: the report JSON minus
+its wall-clock surface.  Cleaning output (tables, stage counts, dedup
+listing, accuracy, backend) is bit-reproducible; wall-clock timings and the
+drill-down under ``details`` are not, so :func:`report_signature_dict` masks
+exactly those two keys and nothing else.  Two reports with equal signatures
+repaired the data identically.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 from repro.core.agp import AGPOutcome
 from repro.core.dedup import DeduplicationResult
@@ -253,3 +263,33 @@ class CleaningReport:
         if self.dedup is not None:
             lines.append(f"duplicates removed: {self.dedup.removed_count}")
         return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# deterministic report signatures
+# ----------------------------------------------------------------------
+#: the wall-clock surface of a report JSON — everything else is reproducible
+MASKED_REPORT_KEYS = ("timings", "details")
+
+
+def canonical_json(value: object) -> str:
+    """Canonical JSON: sorted keys, no whitespace — byte-comparable."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def report_signature_dict(report: Union[CleaningReport, dict]) -> dict:
+    """The deterministic projection of a report's JSON form.
+
+    Drops exactly :data:`MASKED_REPORT_KEYS` (wall-clock timings and the
+    perf/backend drill-down, the only non-reproducible parts); the tables,
+    stage counts, dedup listing, accuracy counters and backend name all
+    remain, byte for byte.
+    """
+    data = report.to_json_dict() if isinstance(report, CleaningReport) else dict(report)
+    return {key: value for key, value in data.items() if key not in MASKED_REPORT_KEYS}
+
+
+def report_signature(report: Union[CleaningReport, dict]) -> str:
+    """SHA-256 over the canonical JSON of the deterministic projection."""
+    blob = canonical_json(report_signature_dict(report))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -31,8 +31,6 @@ from repro.metrics.component import StageCounts
 from repro.mln.weights import learn_group_weights
 from repro.perf.engine import DistanceEngine
 
-CleanLookup = Callable[[int], dict[str, str]]
-
 
 @dataclass
 class GammaRepair:
@@ -107,7 +105,6 @@ class ReliabilityScoreCleaner:
     def clean_block(
         self,
         block: Block,
-        clean_lookup: Optional[CleanLookup] = None,
         relearn_weights: bool = True,
         group_filter: Optional[Callable[[Group], bool]] = None,
     ) -> RSCOutcome:
@@ -132,22 +129,19 @@ class ReliabilityScoreCleaner:
             if group_filter is not None and not group_filter(group):
                 outcome.skipped_groups += 1
                 continue
-            outcome.extend(self._clean_group(block, group, clean_lookup))
+            outcome.repairs.extend(self._clean_group(block, group))
             outcome.cleaned_groups += 1
         return outcome
 
     def clean_index(
         self,
         blocks: list[Block],
-        clean_lookup: Optional[CleanLookup] = None,
         relearn_weights: bool = True,
         group_filter: Optional[Callable[[Group], bool]] = None,
     ) -> RSCOutcome:
         outcome = RSCOutcome()
         for block in blocks:
-            outcome.extend(
-                self.clean_block(block, clean_lookup, relearn_weights, group_filter)
-            )
+            outcome.extend(self.clean_block(block, relearn_weights, group_filter))
         return outcome
 
     # ------------------------------------------------------------------
@@ -188,70 +182,25 @@ class ReliabilityScoreCleaner:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _clean_group(
-        self,
-        block: Block,
-        group: Group,
-        clean_lookup: Optional[CleanLookup],
-    ) -> RSCOutcome:
-        outcome = RSCOutcome()
+    def _clean_group(self, block: Block, group: Group) -> list[GammaRepair]:
+        """Overwrite every γ of the group but its winner; one record per loser."""
         scores = self.reliability_scores(group)
         winner = max(
             group.gammas, key=lambda piece: (scores[piece], piece.support, piece.values)
         )
-        attributes = block.attributes
-        losers = [piece for piece in group.gammas if piece is not winner]
-
-        if clean_lookup is not None:
-            for piece in group.gammas:
-                if self._gamma_is_erroneous(piece, attributes, clean_lookup):
-                    outcome.counts.erroneous_gammas += 1
-
-        for piece in losers:
-            repair = GammaRepair(
-                block_name=block.name,
-                group_key=group.key,
-                original_values=piece.values,
-                repaired_values=winner.values,
-                tids=list(piece.tids),
+        repairs = []
+        for piece in group.gammas:
+            if piece is winner:
+                continue
+            repairs.append(
+                GammaRepair(
+                    block_name=block.name,
+                    group_key=group.key,
+                    original_values=piece.values,
+                    repaired_values=winner.values,
+                    tids=list(piece.tids),
+                )
             )
-            outcome.repairs.append(repair)
-            if clean_lookup is not None:
-                outcome.counts.repaired_gammas += 1
-                if self._repair_is_correct(piece, winner, attributes, clean_lookup):
-                    outcome.counts.correctly_repaired_gammas += 1
             winner.tids.extend(piece.tids)
             del group.pieces[piece.key]
-        return outcome
-
-    @staticmethod
-    def _gamma_is_erroneous(
-        piece: DataPiece, attributes: list[str], clean_lookup: CleanLookup
-    ) -> bool:
-        """Whether the γ's values disagree with the clean values of any tuple."""
-        for tid in piece.tids:
-            clean = clean_lookup(tid)
-            if tuple(clean[a] for a in attributes) != piece.values:
-                return True
-        return False
-
-    @staticmethod
-    def _repair_is_correct(
-        piece: DataPiece,
-        winner: DataPiece,
-        attributes: list[str],
-        clean_lookup: CleanLookup,
-    ) -> bool:
-        """Whether replacing the γ with the winner restores its tuples.
-
-        The repair is counted correct when the winner's values match the
-        clean values of the majority of the rewritten tuples.
-        """
-        if not piece.tids:
-            return False
-        matches = sum(
-            1
-            for tid in piece.tids
-            if tuple(clean_lookup(tid)[a] for a in attributes) == winner.values
-        )
-        return matches * 2 >= len(piece.tids)
+        return repairs

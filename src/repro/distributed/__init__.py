@@ -9,7 +9,7 @@ simulated cluster:
 * :mod:`repro.distributed.weights` — the Eq.-6 global weight adjustment that
   combines per-partition learned weights,
 * :mod:`repro.distributed.executor` — a worker pool that runs the
-  stand-alone Stage I on each partition and reports per-worker timings,
+  stand-alone Stage I on each partition and times it per worker slot,
 * :mod:`repro.distributed.driver` — the end-to-end distributed pipeline:
   partition → per-worker Stage I → global weight fusion → Stage II
   (FSCR + dedup) on the gathered result.
@@ -24,7 +24,7 @@ simulation in ``report.details``.
 
 from repro.distributed.partition import DataPartitioner, PartitionResult
 from repro.distributed.weights import GlobalWeightStore, fuse_weights
-from repro.distributed.executor import SimulatedCluster, WorkerResult
+from repro.distributed.executor import SimulatedCluster
 from repro.distributed.driver import DistributedMLNClean
 
 __all__ = [
@@ -33,6 +33,5 @@ __all__ = [
     "GlobalWeightStore",
     "fuse_weights",
     "SimulatedCluster",
-    "WorkerResult",
     "DistributedMLNClean",
 ]

@@ -161,23 +161,19 @@ class DistributedMLNClean:
         # adding them here would double-count the simulated runtime.  They
         # still get spans — one per phase, one per partition.
         with span("phase:learn", partitions=len(part_tables)):
-            learn_results = cluster.map(
-                "learn",
+            learn_outputs = cluster.map(
                 lambda part: self._learn_phase(part[0], part[1], rules, engine),
                 list(enumerate(part_tables)),
             )
-        learn_outputs = [result.value for result in learn_results]
 
         with stage_scope(timings, "distributed", "weight_fusion"):
             store = fuse_weights(output.local_weights for output in learn_outputs)
 
         with span("phase:clean", partitions=len(learn_outputs)):
-            clean_results = cluster.map(
-                "clean",
+            clean_outputs = cluster.map(
                 lambda output: self._clean_phase(output, store, engine),
                 learn_outputs,
             )
-        clean_outputs = [result.value for result in clean_results]
 
         # Gather: the per-part data versions are combined and the conflicts
         # among them are eliminated "in the same way to stand-alone MLNClean"

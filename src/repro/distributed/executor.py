@@ -17,36 +17,10 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
-from typing import Generic, TypeVar
+from typing import TypeVar
 
 TaskInput = TypeVar("TaskInput")
 TaskOutput = TypeVar("TaskOutput")
-
-
-@dataclass
-class WorkerResult(Generic[TaskOutput]):
-    """The output and wall-clock time of one worker task."""
-
-    worker_index: int
-    value: TaskOutput
-    elapsed_seconds: float
-
-
-@dataclass
-class PhaseTiming:
-    """Aggregate timing of one map phase across all workers."""
-
-    name: str
-    per_worker_seconds: list[float] = field(default_factory=list)
-
-    @property
-    def sequential_seconds(self) -> float:
-        return sum(self.per_worker_seconds)
-
-    @property
-    def makespan_seconds(self) -> float:
-        return max(self.per_worker_seconds, default=0.0)
 
 
 class SimulatedCluster:
@@ -56,49 +30,28 @@ class SimulatedCluster:
         if workers < 1:
             raise ValueError("a cluster needs at least one worker")
         self.workers = workers
-        self.phases: list[PhaseTiming] = []
+        #: total compute across all phases and workers
+        self.sequential_seconds = 0.0
+        #: simulated parallel runtime: per-phase slowest worker, summed
+        self.makespan_seconds = 0.0
 
     def map(
         self,
-        name: str,
         task: Callable[[TaskInput], TaskOutput],
         inputs: Sequence[TaskInput],
-    ) -> list[WorkerResult[TaskOutput]]:
+    ) -> list[TaskOutput]:
         """Apply ``task`` to every input, timing each application.
 
         Inputs beyond the worker count still run (they model multiple tasks
         queued on the same worker); the makespan accounts for that by summing
         the times of tasks assigned to the same worker slot round-robin.
         """
-        results: list[WorkerResult[TaskOutput]] = []
+        outputs: list[TaskOutput] = []
         slot_times = [0.0] * self.workers
         for index, item in enumerate(inputs):
             started = time.perf_counter()
-            value = task(item)
-            elapsed = time.perf_counter() - started
-            slot_times[index % self.workers] += elapsed
-            results.append(WorkerResult(index, value, elapsed))
-        self.phases.append(PhaseTiming(name, per_worker_seconds=list(slot_times)))
-        return results
-
-    # ------------------------------------------------------------------
-    # aggregate timings
-    # ------------------------------------------------------------------
-    @property
-    def sequential_seconds(self) -> float:
-        """Total compute across all phases and workers."""
-        return sum(phase.sequential_seconds for phase in self.phases)
-
-    @property
-    def makespan_seconds(self) -> float:
-        """Simulated parallel runtime: per-phase slowest worker, summed."""
-        return sum(phase.makespan_seconds for phase in self.phases)
-
-    def phase(self, name: str) -> PhaseTiming:
-        for phase in self.phases:
-            if phase.name == name:
-                return phase
-        raise KeyError(f"no phase named {name!r}")
-
-    def reset(self) -> None:
-        self.phases = []
+            outputs.append(task(item))
+            slot_times[index % self.workers] += time.perf_counter() - started
+        self.sequential_seconds += sum(slot_times)
+        self.makespan_seconds += max(slot_times)
+        return outputs

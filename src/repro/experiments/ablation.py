@@ -30,6 +30,7 @@ from repro.distributed.driver import DistributedMLNClean
 from repro.distributed.partition import DataPartitioner, hash_partition
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.spec import RunArtifact
+from repro.metrics.component import ComponentAccuracy, score_stages
 from repro.session import register_cleaner
 from repro.session.cleaners import CleaningRequest
 
@@ -61,26 +62,12 @@ class RScoreAblationCleaner:
                 "the rscore-ablation cleaner measures RSC accuracy and "
                 "therefore needs a ground truth"
             )
-        clean_reference = request.ground_truth.clean_table(request.dirty)
-        lookup = clean_reference.row  # used via .as_dict below
-
         index = MLNIndex.build(request.dirty, request.rules)
         AbnormalGroupProcessor(request.config).process_index(index.block_list)
         cleaner = _variant_cleaner(request.config, self.variant)
-        outcome = cleaner.clean_index(
-            index.block_list, lambda tid: lookup(tid).as_dict()
-        )
-        counts = outcome.counts
-        precision = (
-            counts.correctly_repaired_gammas / counts.repaired_gammas
-            if counts.repaired_gammas
-            else 1.0
-        )
-        recall = (
-            counts.correctly_repaired_gammas / counts.erroneous_gammas
-            if counts.erroneous_gammas
-            else 1.0
-        )
+        outcome = cleaner.clean_index(index.block_list)
+        score_stages(request.dirty, request.ground_truth, index.block_list, rsc=outcome)
+        accuracy = ComponentAccuracy(outcome.counts)
         # Stage-I only: no repaired table is derived, so the report carries
         # the dirty table and the measured scores ride in `details`
         return CleaningReport(
@@ -91,8 +78,8 @@ class RScoreAblationCleaner:
             backend=self.name,
             details={
                 "variant": self.variant,
-                "precision_r": round(precision, 4),
-                "recall_r": round(recall, 4),
+                "precision_r": round(accuracy.precision_r, 4),
+                "recall_r": round(accuracy.recall_r, 4),
             },
         )
 

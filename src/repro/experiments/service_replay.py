@@ -14,7 +14,6 @@ the equivalence without re-running anything.
 
 from __future__ import annotations
 
-import repro.service  # noqa: F401 - registers the "service" cleaner
 from repro.experiments.harness import ExperimentResult
 from repro.experiments.spec import RunArtifact
 from repro.experiments.streaming import is_batch_reference, replay_grid_key

@@ -461,6 +461,9 @@ class ExperimentRunner:
         overrides = {**config_cell.overrides, **cleaner_spec.config}
         if overrides:
             config = replace(config, **overrides)
+        if cleaner_spec.cleaner.lower() == "service":
+            # registers the "service" cleaner; only its specs load the service
+            import repro.service  # noqa: F401
         cleaner = get_cleaner(cleaner_spec.cleaner, **cleaner_spec.options)
         session = CleaningSession(
             rules=instance.rules,

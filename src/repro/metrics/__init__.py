@@ -7,7 +7,7 @@ per-phase timing breakdown every report carries.
 """
 
 from repro.metrics.accuracy import RepairAccuracy, evaluate_repair
-from repro.metrics.component import ComponentAccuracy, StageCounts
+from repro.metrics.component import ComponentAccuracy, StageCounts, score_stages
 from repro.metrics.timing import TimingBreakdown
 
 __all__ = [
@@ -15,5 +15,6 @@ __all__ = [
     "evaluate_repair",
     "ComponentAccuracy",
     "StageCounts",
+    "score_stages",
     "TimingBreakdown",
 ]

@@ -14,14 +14,27 @@ The paper defines dedicated metrics for the three components:
   conflicts, and ``Recall-F`` the same numerator over all erroneous attribute
   values.
 
-The pipeline fills a :class:`StageCounts` instance per stage when it runs in
-instrumented mode (a ground truth is supplied); :class:`ComponentAccuracy`
+Every stage outcome carries a :class:`StageCounts`.  The stages read no
+ground truth: AGP counts only the abnormal groups and γs it detects, and
+:func:`score_stages` fills every other counter once, after the run, from the
+records the stages emit (AGP's merges, RSC's γ repairs, FSCR's fusions and
+repaired table) and the injected-error ledger.  :class:`ComponentAccuracy`
 derives the ratios.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:
+    from repro.core.agp import AGPOutcome
+    from repro.core.fscr import FSCROutcome
+    from repro.core.index import Block
+    from repro.core.rsc import GammaRepair, RSCOutcome
+    from repro.dataset.table import Table
+    from repro.errors.groundtruth import GroundTruth
 
 
 @dataclass
@@ -47,7 +60,7 @@ class StageCounts:
     total_erroneous_values: int = 0
 
     def merge(self, other: "StageCounts") -> "StageCounts":
-        """Sum two counter sets (used by the distributed driver)."""
+        """Sum two counter sets (stage outcomes fold their blocks' counts)."""
         merged = StageCounts()
         for name in vars(self):
             setattr(merged, name, getattr(self, name) + getattr(other, name))
@@ -61,6 +74,106 @@ class StageCounts:
     def from_dict(cls, data: dict[str, int]) -> "StageCounts":
         """Rebuild the counters from :meth:`as_dict` output."""
         return cls(**{key: int(value) for key, value in data.items()})
+
+
+def score_stages(
+    dirty: Table,
+    ground_truth: GroundTruth,
+    blocks: list[Block],
+    agp: Optional[AGPOutcome] = None,
+    rsc: Optional[RSCOutcome] = None,
+    fscr: Optional[FSCROutcome] = None,
+    fused: Optional[Iterable[int]] = None,
+) -> None:
+    """Fill the ground-truth counters of the stage outcomes (Section 7.3).
+
+    ``blocks`` are the blocks Stage I ran on, in their post-run state, and
+    ``fused`` the tuples FSCR fused (default: every tuple of ``dirty``).
+    Each outcome given is scored from its records:
+
+    * **AGP** — a group of a fresh index of the blocks' rules over ``dirty``
+      (the groups AGP started from) is *really* abnormal when no tuple's
+      clean reason values equal its key; a merge is correct when at least
+      half of the abnormal group's tuples have clean reason values equal to
+      the target key.
+    * **RSC** — a repair is correct when at least half of the loser γ's
+      tuples have clean values equal to the winner; a γ is erroneous when
+      some tuple of it has other clean values.  A winner γ's own tuples are
+      its group's final tuples minus the group's loser tuples.
+    * **FSCR** — every injected error on a fused tuple is counted, as
+      correct when the repaired table holds its clean value, and as a
+      conflict when its attribute is among the tuple's conflicted ones.
+    """
+    clean = ground_truth.clean_table(dirty)
+
+    def clean_values(tid: int, attributes: list[str]) -> tuple[str, ...]:
+        return clean.row(tid).values_for(attributes)
+
+    def majority(tids: list[int], attributes: list[str], values: tuple) -> bool:
+        hits = sum(clean_values(tid, attributes) == values for tid in tids)
+        return bool(tids) and hits * 2 >= len(tids)
+
+    if agp is not None:
+        # the core package imports this module, so its index comes late
+        from repro.core.index import MLNIndex
+
+        fresh = MLNIndex.build(dirty, [block.rule for block in blocks]).blocks
+        agp.counts.real_abnormal_groups = sum(
+            all(
+                clean_values(tid, block.rule.reason_attributes) != key
+                for tid in group.tids
+            )
+            for block in fresh.values()
+            for key, group in block.groups.items()
+        )
+        agp.counts.correctly_merged_groups = sum(
+            majority(
+                fresh[merge.block_name].groups[merge.abnormal_key].tids,
+                fresh[merge.block_name].rule.reason_attributes,
+                merge.target_key,
+            )
+            for merge in agp.merges
+        )
+
+    if rsc is not None:
+        by_name = {block.name: block for block in blocks}
+        by_group: dict[tuple, list[GammaRepair]] = {}
+        for repair in rsc.repairs:
+            by_group.setdefault((repair.block_name, repair.group_key), []).append(repair)
+        counts = rsc.counts
+        counts.repaired_gammas = len(rsc.repairs)
+        counts.correctly_repaired_gammas = counts.erroneous_gammas = 0
+        for (name, key), repairs in by_group.items():
+            block = by_name[name]
+            losers = {tid for repair in repairs for tid in repair.tids}
+            own = [tid for tid in block.groups[key].tids if tid not in losers]
+            gammas = [(own, repairs[0].repaired_values)]
+            gammas += [(repair.tids, repair.original_values) for repair in repairs]
+            counts.erroneous_gammas += sum(
+                any(clean_values(tid, block.attributes) != values for tid in tids)
+                for tids, values in gammas
+            )
+            counts.correctly_repaired_gammas += sum(
+                majority(repair.tids, block.attributes, repair.repaired_values)
+                for repair in repairs
+            )
+
+    if fscr is not None:
+        fused = set(dirty.tids if fused is None else fused)
+        counts = fscr.counts
+        counts.total_erroneous_values = counts.fscr_correct_values = 0
+        counts.conflict_erroneous_values = counts.conflict_correct_values = 0
+        for error in ground_truth:
+            tid, attribute = error.cell.tid, error.cell.attribute
+            if tid not in fused or not dirty.has_tid(tid):
+                continue
+            correct = fscr.repaired.value(tid, attribute) == error.clean_value
+            fusion = fscr.fusions.get(tid)
+            conflicted = fusion is not None and attribute in fusion.conflicted_attributes
+            counts.total_erroneous_values += 1
+            counts.fscr_correct_values += correct
+            counts.conflict_erroneous_values += conflicted
+            counts.conflict_correct_values += conflicted and correct
 
 
 @dataclass

@@ -12,8 +12,9 @@ sub-package turns them into something that can take traffic::
 
 Module map:
 
-* :mod:`repro.service.codec`     — wire format: request specs, JSON codecs,
-  deterministic report signatures,
+* :mod:`repro.service.codec`     — wire format: request specs, JSON codecs
+  (the deterministic report signatures live beside the report, in
+  :mod:`repro.core.report`, and are re-exported here),
 * :mod:`repro.service.jobs`      — jobs, statuses, the bounded job store,
 * :mod:`repro.service.pool`      — shard keys and the warm session pool,
 * :mod:`repro.service.coalescer` — micro-batch folding + demultiplexing,
@@ -32,6 +33,12 @@ non-wall-clock byte of ``CleaningReport.to_json_dict()``) to the same N
 requests run serially through standalone sessions.
 """
 
+from repro.core.report import (
+    MASKED_REPORT_KEYS,
+    canonical_json,
+    report_signature,
+    report_signature_dict,
+)
 from repro.service.cleaner import ServiceCleaner
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.codec import (
@@ -39,8 +46,6 @@ from repro.service.codec import (
     DeltaRequestSpec,
     decode_clean_request,
     decode_delta_request,
-    report_signature,
-    report_signature_dict,
 )
 from repro.service.coalescer import TickPlan, plan_tick
 from repro.service.errors import (
@@ -61,6 +66,7 @@ __all__ = [
     "Job",
     "JobStatus",
     "JobStore",
+    "MASKED_REPORT_KEYS",
     "PoolExhaustedError",
     "ServiceCleaner",
     "ServiceClient",
@@ -73,6 +79,7 @@ __all__ = [
     "Shard",
     "ShardKey",
     "TickPlan",
+    "canonical_json",
     "decode_clean_request",
     "decode_delta_request",
     "plan_tick",

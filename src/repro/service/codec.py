@@ -1,4 +1,4 @@
-"""The service's wire format: request specs, JSON codecs, report signatures.
+"""The service's wire format: request specs and JSON codecs.
 
 Everything that crosses the HTTP boundary is decoded here into typed specs
 (:class:`CleanRequestSpec`, :class:`DeltaRequestSpec`) before it reaches the
@@ -6,27 +6,15 @@ queue, so shard workers only ever see validated domain objects — a malformed
 field answers ``400`` at the front door instead of crashing a worker.  The
 same specs are also constructed directly (no JSON) by in-process callers
 such as :class:`repro.service.cleaner.ServiceCleaner`.
-
-The module also defines the **deterministic report signature** the
-equivalence tests and the CI smoke driver compare: a
-:class:`~repro.core.report.CleaningReport` minus its wall-clock surface.
-Cleaning output (tables, stage counts, dedup listing, accuracy, backend) is
-bit-reproducible; wall-clock timings and the perf drill-down under
-``details`` are not, so :func:`report_signature_dict` masks exactly those
-two keys and nothing else.  Two reports with equal signatures repaired the
-data identically.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from repro.constraints.rules import Rule
 from repro.core.config import MLNCleanConfig
-from repro.core.report import CleaningReport
 from repro.dataset.table import Cell, Table, cell_text
 from repro.errors.groundtruth import ErrorType, GroundTruth, InjectedError
 from repro.registry import unknown_name
@@ -371,33 +359,3 @@ def ground_truth_from_json(data: Optional[object]) -> Optional[GroundTruth]:
         except (KeyError, ValueError) as exc:
             raise BadRequestError(f"bad ground-truth entry {entry!r}: {exc}") from exc
     return GroundTruth(errors)
-
-
-# ----------------------------------------------------------------------
-# deterministic report signatures
-# ----------------------------------------------------------------------
-#: the wall-clock surface of a report JSON — everything else is reproducible
-MASKED_REPORT_KEYS = ("timings", "details")
-
-
-def canonical_json(value: object) -> str:
-    """Canonical JSON: sorted keys, no whitespace — byte-comparable."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-def report_signature_dict(report: Union[CleaningReport, dict]) -> dict:
-    """The deterministic projection of a report's JSON form.
-
-    Drops exactly :data:`MASKED_REPORT_KEYS` (wall-clock timings and the
-    perf/backend drill-down, the only non-reproducible parts); the tables,
-    stage counts, dedup listing, accuracy counters and backend name all
-    remain, byte for byte.
-    """
-    data = report.to_json_dict() if isinstance(report, CleaningReport) else dict(report)
-    return {key: value for key, value in data.items() if key not in MASKED_REPORT_KEYS}
-
-
-def report_signature(report: Union[CleaningReport, dict]) -> str:
-    """SHA-256 over the canonical JSON of the deterministic projection."""
-    blob = canonical_json(report_signature_dict(report))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()

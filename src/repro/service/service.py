@@ -32,7 +32,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from repro.core.report import table_to_json_dict
+from repro.core.report import report_signature, table_to_json_dict
 from repro.obs import (
     REGISTRY,
     MetricsRegistry,
@@ -44,11 +44,7 @@ from repro.obs import (
 )
 from repro.perf import LatencyWindow, global_distance_stats
 from repro.service.coalescer import plan_tick
-from repro.service.codec import (
-    CleanRequestSpec,
-    DeltaRequestSpec,
-    report_signature,
-)
+from repro.service.codec import CleanRequestSpec, DeltaRequestSpec
 from repro.service.errors import ServiceDrainingError, ServiceOverloadedError
 from repro.service.jobs import Job, JobStore
 from repro.service.pool import SessionPool, Shard

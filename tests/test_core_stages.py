@@ -3,9 +3,9 @@
 The worked examples of the paper (Sections 4-5) serve as the reference: the
 abnormal group G12 merges into G11, the γ {CT: BOAZ, ST: AL} wins group G13,
 tuple t3 fuses to {ELIZA, BOAZ, AL, 2567688400}, and the duplicates collapse.
+The stage counts are pinned exactly on the same sample with its 4-error
+ledger, scored from the stage records by ``score_stages``.
 """
-
-import pytest
 
 from repro.core.agp import AbnormalGroupProcessor
 from repro.core.config import MLNCleanConfig
@@ -15,11 +15,7 @@ from repro.core.index import MLNIndex
 from repro.core.rsc import ReliabilityScoreCleaner
 from repro.dataset.sample import sample_hospital_clean_table
 from repro.dataset.table import Table
-
-
-@pytest.fixture
-def clean_lookup(sample_clean_table):
-    return lambda tid: sample_clean_table.row(tid).as_dict()
+from repro.metrics.component import StageCounts, score_stages
 
 
 def build_index(sample_table, sample_rules):
@@ -47,14 +43,14 @@ def test_agp_detects_expected_abnormal_groups(sample_table, sample_rules, sample
     assert ("DOTH",) in abnormal_keys  # G12
     assert ("2567638410",) in abnormal_keys  # G22
     assert ("ELIZA", "DOTHAN") in abnormal_keys  # G31
-    assert outcome.detected_abnormal_groups == 3
+    assert outcome.counts.detected_abnormal_groups == 3
 
 
 def test_agp_threshold_zero_detects_nothing(sample_table, sample_rules):
     index = build_index(sample_table, sample_rules)
     agp = AbnormalGroupProcessor(MLNCleanConfig(abnormal_threshold=0))
     outcome = agp.process_index(index.block_list)
-    assert outcome.detected_abnormal_groups == 0
+    assert outcome.counts.detected_abnormal_groups == 0
     assert outcome.merges == []
 
 
@@ -63,17 +59,21 @@ def test_agp_large_threshold_leaves_groups_without_target(sample_table, sample_r
     index = build_index(sample_table, sample_rules)
     agp = AbnormalGroupProcessor(MLNCleanConfig(abnormal_threshold=10))
     outcome = agp.process_index(index.block_list)
-    assert outcome.skipped_without_target == outcome.detected_abnormal_groups
+    assert outcome.skipped_without_target == outcome.counts.detected_abnormal_groups
     assert outcome.merges == []
 
 
-def test_agp_instrumentation_counts(sample_table, sample_rules, sample_config, clean_lookup):
+def test_agp_stage_counts(sample_table, sample_rules, sample_config, sample_ground_truth):
+    """G12, G22 and G31 exist only because of errors, and all three merge right."""
     index = build_index(sample_table, sample_rules)
-    agp = AbnormalGroupProcessor(sample_config)
-    outcome = agp.process_index(index.block_list, clean_lookup)
-    assert outcome.counts.detected_abnormal_groups == 3
-    assert outcome.counts.correctly_merged_groups >= 2
-    assert outcome.counts.real_abnormal_groups >= 2
+    outcome = AbnormalGroupProcessor(sample_config).process_index(index.block_list)
+    score_stages(sample_table, sample_ground_truth, index.block_list, agp=outcome)
+    assert outcome.counts == StageCounts(
+        detected_abnormal_groups=3,
+        real_abnormal_groups=3,
+        correctly_merged_groups=3,
+        detected_abnormal_gammas=3,
+    )
 
 
 def test_agp_is_idempotent(sample_table, sample_rules, sample_config):
@@ -126,16 +126,15 @@ def test_rsc_skips_resolved_groups(sample_table, sample_rules, sample_config):
     assert outcome.cleaned_groups >= 1
 
 
-def test_rsc_instrumentation(sample_table, sample_rules, sample_config, clean_lookup):
+def test_rsc_stage_counts(sample_table, sample_rules, sample_config, sample_ground_truth):
+    """Five losers repaired right; six γs erroneous, one of them a winner."""
     index = build_index(sample_table, sample_rules)
-    AbnormalGroupProcessor(sample_config).process_index(index.block_list, clean_lookup)
-    outcome = ReliabilityScoreCleaner(sample_config).clean_index(
-        index.block_list, clean_lookup
-    )
-    assert outcome.counts.repaired_gammas > 0
-    assert outcome.counts.correctly_repaired_gammas > 0
-    assert (
-        outcome.counts.correctly_repaired_gammas <= outcome.counts.repaired_gammas
+    AbnormalGroupProcessor(sample_config).process_index(index.block_list)
+    outcome = ReliabilityScoreCleaner(sample_config).clean_index(index.block_list)
+    score_stages(sample_table, sample_ground_truth, index.block_list, rsc=outcome)
+    assert len(outcome.repairs) == 5
+    assert outcome.counts == StageCounts(
+        repaired_gammas=5, correctly_repaired_gammas=5, erroneous_gammas=6
     )
 
 
@@ -203,6 +202,19 @@ def test_fscr_fusions_cover_every_version_attribute(sample_table, sample_rules, 
             outcome.repaired.value(tid, attribute) == value
             for attribute, value in fusion.assignment.items()
         )
+
+
+def test_fscr_stage_counts(sample_table, sample_rules, sample_config, sample_ground_truth):
+    """All 4 injected errors end clean; only t3's CT was in a conflict."""
+    index = stage_one(sample_table, sample_rules, sample_config)
+    outcome = FusionScoreResolver(sample_config).resolve(sample_table, index.block_list)
+    score_stages(sample_table, sample_ground_truth, index.block_list, fscr=outcome)
+    assert outcome.counts == StageCounts(
+        fscr_correct_values=4,
+        conflict_erroneous_values=1,
+        conflict_correct_values=1,
+        total_erroneous_values=4,
+    )
 
 
 def test_dedup_removes_exact_duplicates():

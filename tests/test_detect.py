@@ -21,6 +21,7 @@ from repro.constraints.dcfile import (
     parse_dc_text,
 )
 from repro.constraints.parser import RuleParseError, parse_rule
+from repro.core.report import report_signature
 from repro.dataset.sample import sample_hospital_rules, sample_hospital_table
 from repro.dataset.table import Cell
 from repro.detect import (
@@ -44,10 +45,7 @@ from repro.detect import (
 )
 from repro.errors.groundtruth import ErrorType, GroundTruth, InjectedError
 from repro.experiments.harness import prepare_instance
-from repro.service.codec import (
-    decode_clean_request,
-    report_signature,
-)
+from repro.service.codec import decode_clean_request
 from repro.service.errors import BadRequestError
 from repro.session import CleaningSession
 from repro.session.cleaners import CleaningRequest, MLNCleanCleaner

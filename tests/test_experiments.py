@@ -1,5 +1,11 @@
 """Smoke tests for the experiment harnesses (tiny workload sizes)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
 from repro.experiments import EXPERIMENTS, run_experiment
 from repro.experiments.harness import (
     ExperimentResult,
@@ -24,6 +30,28 @@ def test_prepare_instance_and_runners():
     assert 0.0 <= mlnclean.accuracy.f1 <= 1.0
     assert 0.0 <= holoclean.accuracy.f1 <= 1.0
     assert "precision_a" in mlnclean.component_accuracy.as_dict()
+
+
+def test_importing_experiments_does_not_load_the_service():
+    """Only a spec naming the ``service`` cleaner imports ``repro.service``."""
+    script = (
+        "import sys, repro.experiments\n"
+        "loaded = [m for m in sys.modules if m.startswith('repro.service')]\n"
+        "assert not loaded, loaded\n"
+    )
+    source_root = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (source_root, env.get("PYTHONPATH")) if path
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
 
 
 def test_experiment_result_rendering():

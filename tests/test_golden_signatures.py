@@ -4,7 +4,7 @@ Each case cleans one workload instance (160 tuples, 15% errors, workload
 seed 7, error seed 42, the workload's recommended configuration) on one
 backend and compares two fingerprints with ``tests/golden/signatures.json``:
 
-* the masked :func:`~repro.service.codec.report_signature` (the whole report
+* the masked :func:`~repro.core.report.report_signature` (the whole report
   JSON minus its wall-clock parts), and
 * a SHA-256 digest of the cleaned table alone.
 
@@ -23,9 +23,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.report import table_to_json_dict
+from repro.core.report import canonical_json, report_signature, table_to_json_dict
 from repro.experiments.harness import prepare_instance
-from repro.service.codec import canonical_json, report_signature
 from repro.session.cleaners import CleaningRequest, MLNCleanCleaner
 from repro.workloads.registry import recommended_config
 

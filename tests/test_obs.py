@@ -49,9 +49,9 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
     ServiceServer,
+    canonical_json,
     report_signature,
 )
-from repro.service.codec import canonical_json
 from repro.service.pool import SessionPool
 from repro.session import CleaningSession
 from repro.workloads.registry import recommended_config

@@ -5,7 +5,7 @@ The headline property (the PR's acceptance criterion): N requests submitted
 every non-wall-clock byte of ``CleaningReport.to_json_dict()`` — to the same
 N requests run *serially* through standalone sessions, on all four
 registered workloads.  Wall-clock (``timings`` and the perf drill-down under
-``details``) is masked by :func:`repro.service.codec.report_signature_dict`;
+``details``) is masked by :func:`repro.core.report.report_signature_dict`;
 everything else (tables, stage counts, dedup listing, accuracy counters,
 backend) is compared bit for bit.
 
@@ -52,15 +52,12 @@ from repro.service import (
     ServiceServer,
     decode_clean_request,
     decode_delta_request,
+    canonical_json,
     plan_tick,
     report_signature,
     report_signature_dict,
 )
-from repro.service.codec import (
-    canonical_json,
-    ground_truth_from_json,
-    ground_truth_to_json,
-)
+from repro.service.codec import ground_truth_from_json, ground_truth_to_json
 from repro.service.client import _parse_retry_after
 from repro.service.http import _failure_status, _parse_deadline_header
 from repro.session import CleaningSession
