@@ -48,7 +48,7 @@ def measure() -> dict:
         ErrorSpec(error_rate=ERROR_RATE, seed=ERROR_SEED)
     )
     before = global_distance_stats()
-    report = session_for_instance(instance, backend="batch").run()
+    report = session_for_instance(instance).run()
     delta = global_distance_stats().diff(before)
     return {
         "workload": "hospital-sample",

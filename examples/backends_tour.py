@@ -2,8 +2,8 @@
 
 The point of the session API: the *same* rules/config/table drive the
 stand-alone batch pipeline, the partitioned (simulated-cluster) driver, and
-the incremental streaming engine — only the ``with_backend(...)`` call
-changes, and every run comes back as the same
+the incremental streaming engine — only the session's ``cleaner=``
+argument changes, and every run comes back as the same
 :class:`~repro.core.report.CleaningReport` shape.
 
 Run with::
@@ -13,9 +13,9 @@ Run with::
 
 import sys
 
-from repro import CleaningSession
+from repro import CleaningSession, MLNCleanCleaner
 from repro.errors import ErrorSpec
-from repro.workloads import get_workload_generator
+from repro.workloads import get_workload_generator, recommended_config
 
 BACKENDS = (
     ("batch", {}),
@@ -37,14 +37,12 @@ def main(tuples: int = 48) -> None:
     print("-" * len(header))
     cleaned = {}
     for backend, options in BACKENDS:
-        session = (
-            CleaningSession.builder()
-            .with_rules(instance.rules)
-            .for_workload("hospital-sample")
-            .with_backend(backend, **options)
-            .with_table(instance.dirty.copy())
-            .with_ground_truth(instance.ground_truth)
-            .build()
+        session = CleaningSession(
+            rules=instance.rules,
+            config=recommended_config("hospital-sample"),
+            cleaner=MLNCleanCleaner(backend, **options),
+            table=instance.dirty.copy(),
+            ground_truth=instance.ground_truth,
         )
         report = session.run()
         cleaned[backend] = report.cleaned

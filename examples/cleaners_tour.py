@@ -3,8 +3,8 @@
 The point of the cleaner protocol: MLNClean and every comparison baseline
 answer the *same* :class:`~repro.session.CleaningRequest` with the
 *same* :class:`~repro.core.report.CleaningReport` — selecting the algorithm
-is one ``with_cleaner(...)`` call, exactly like selecting MLNClean's
-execution backend is one ``with_backend(...)`` call.
+is the session's one ``cleaner=`` argument, exactly like selecting MLNClean's
+execution backend (``cleaner=MLNCleanCleaner("distributed")``).
 
 The second half runs the same comparison declaratively: an inline
 :class:`~repro.experiments.ExperimentSpec` through the
@@ -27,7 +27,7 @@ from repro.experiments import (
     ExperimentSpec,
     RunArtifact,
 )
-from repro.workloads import get_workload_generator
+from repro.workloads import get_workload_generator, recommended_config
 
 CLEANERS = ("mlnclean", "holoclean", "minimal-repair", "factor-graph")
 
@@ -45,14 +45,12 @@ def main(tuples: int = 60) -> None:
     print(header)
     print("-" * len(header))
     for name in CLEANERS:
-        session = (
-            CleaningSession.builder()
-            .with_rules(instance.rules)
-            .for_workload("hospital-sample")
-            .with_cleaner(name)
-            .with_table(instance.dirty.copy())
-            .with_ground_truth(instance.ground_truth)
-            .build()
+        session = CleaningSession(
+            rules=instance.rules,
+            config=recommended_config("hospital-sample"),
+            cleaner=name,
+            table=instance.dirty.copy(),
+            ground_truth=instance.ground_truth,
         )
         report = session.run()
         print(

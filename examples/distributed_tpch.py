@@ -15,9 +15,9 @@ Run with::
 
 import sys
 
-from repro import CleaningSession
+from repro import CleaningSession, MLNCleanCleaner
 from repro.errors import ErrorSpec
-from repro.workloads import TPCHWorkloadGenerator
+from repro.workloads import TPCHWorkloadGenerator, recommended_config
 
 
 def main(tuples: int = 3000) -> None:
@@ -30,14 +30,12 @@ def main(tuples: int = 3000) -> None:
     print(header)
     print("-" * len(header))
     for workers in (2, 4, 8):
-        session = (
-            CleaningSession.builder()
-            .with_rules(instance.rules)
-            .for_workload("tpch")
-            .with_backend("distributed", workers=workers)
-            .with_table(instance.dirty)
-            .with_ground_truth(instance.ground_truth)
-            .build()
+        session = CleaningSession(
+            rules=instance.rules,
+            config=recommended_config("tpch"),
+            cleaner=MLNCleanCleaner("distributed", workers=workers),
+            table=instance.dirty,
+            ground_truth=instance.ground_truth,
         )
         report = session.run()
         details = report.details

@@ -16,7 +16,7 @@ import sys
 from repro import CleaningSession
 from repro.baselines import HoloCleanBaseline
 from repro.errors import ErrorSpec
-from repro.workloads import HAIWorkloadGenerator
+from repro.workloads import HAIWorkloadGenerator, recommended_config
 
 
 def main(tuples: int = 2000) -> None:
@@ -32,14 +32,11 @@ def main(tuples: int = 2000) -> None:
         f"({instance.error_rate:.1%} of all attribute values)\n"
     )
 
-    session = (
-        CleaningSession.builder()
-        .with_rules(instance.rules)
-        .for_workload("hai")
-        .with_backend("batch")
-        .with_table(instance.dirty)
-        .with_ground_truth(instance.ground_truth)
-        .build()
+    session = CleaningSession(
+        rules=instance.rules,
+        config=recommended_config("hai"),
+        table=instance.dirty,
+        ground_truth=instance.ground_truth,
     )
     print(f"Running MLNClean (tau={session.config.abnormal_threshold}) ...")
     report = session.run()

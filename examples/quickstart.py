@@ -11,18 +11,15 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import CleaningSession
+from repro import CleaningSession, MLNCleanConfig
 from repro.dataset.sample import sample_hospital_rules, sample_hospital_table
 
 
 def main() -> None:
-    session = (
-        CleaningSession.builder()
-        .with_rules(sample_hospital_rules())
-        .with_config(abnormal_threshold=1)
-        .with_backend("batch")
-        .build()
-    )
+    # cleaner=MLNCleanCleaner("distributed" | "streaming", ...) would pick
+    # another engine; the default is MLNClean's batch pipeline
+    session = CleaningSession(config=MLNCleanConfig(abnormal_threshold=1))
+    session.load_rules(sample_hospital_rules())
     dirty = session.load_table(sample_hospital_table())
 
     print(session.describe())

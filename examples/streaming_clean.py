@@ -16,8 +16,15 @@ Run with::
 
 import sys
 
-from repro import CleaningSession, DeltaBatch, Update, WorkloadStreamSource
+from repro import (
+    CleaningSession,
+    DeltaBatch,
+    MLNCleanCleaner,
+    Update,
+    WorkloadStreamSource,
+)
 from repro.errors.injector import ErrorSpec
+from repro.workloads import recommended_config
 
 
 def main() -> None:
@@ -30,14 +37,12 @@ def main() -> None:
         batch_size=batch_size,
         error_spec=ErrorSpec(error_rate=0.05),
     )
-    session = (
-        CleaningSession.builder()
-        .with_rules(source.rules)
-        .for_workload("hai")
-        .with_backend("streaming", batch_size=batch_size)
-        .with_table(source.dirty)
-        .with_ground_truth(source.ground_truth)
-        .build()
+    session = CleaningSession(
+        rules=source.rules,
+        config=recommended_config("hai"),
+        cleaner=MLNCleanCleaner("streaming", batch_size=batch_size),
+        table=source.dirty,
+        ground_truth=source.ground_truth,
     )
 
     print(f"Streaming {tuples} HAI tuples in micro-batches of {batch_size}:")
@@ -53,9 +58,7 @@ def main() -> None:
     print("  " + engine.apply_batch(correction).describe())
     print()
 
-    batch_session = CleaningSession(
-        rules=session.rules, config=session.config, backend="batch"
-    )
+    batch_session = CleaningSession(rules=session.rules, config=session.config)
     reference = batch_session.run(engine.dirty.copy())
     same = engine.cleaned.equals(reference.cleaned)
     print(f"Streamed result matches batch MLNClean: {same}")

@@ -30,14 +30,11 @@ from repro.workloads import get_workload_generator, recommended_config
 
 def run(instance, trace: bool):
     config = replace(recommended_config("hospital-sample"), trace=trace)
-    session = (
-        CleaningSession.builder()
-        .with_rules(instance.rules)
-        .with_config(config)
-        .with_backend("batch")
-        .with_table(instance.dirty.copy())
-        .with_ground_truth(instance.ground_truth)
-        .build()
+    session = CleaningSession(
+        rules=instance.rules,
+        config=config,
+        table=instance.dirty.copy(),
+        ground_truth=instance.ground_truth,
     )
     return session, session.run()
 

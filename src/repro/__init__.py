@@ -5,15 +5,13 @@ Networks" (Gao et al., ICDE 2021 / arXiv:1903.05826) and grows it toward a
 production-style system.  The recommended entry point is the unified session
 API — one facade over every execution mode::
 
-    from repro import CleaningSession
+    from repro import CleaningSession, MLNCleanCleaner, MLNCleanConfig
 
-    session = (
-        CleaningSession.builder()
-        .with_rules("CT -> ST", "HN, PN -> CT")
-        .with_config(abnormal_threshold=1)
-        .with_backend("batch")        # or "distributed" / "streaming"
-        .build()
+    session = CleaningSession(
+        config=MLNCleanConfig(abnormal_threshold=1),
+        cleaner=MLNCleanCleaner("batch"),  # or "distributed" / "streaming"
     )
+    session.load_rules("CT -> ST", "HN, PN -> CT")
     session.load_table(dirty_rows)    # Table, dict rows, or a CSV path
     report = session.run()
     print(report.describe())
@@ -65,8 +63,7 @@ from repro.metrics.accuracy import evaluate_repair
 from repro.session import (
     Cleaner,
     CleaningSession,
-    Session,
-    SessionBuilder,
+    MLNCleanCleaner,
     available_cleaners,
     get_cleaner,
     load_rules,
@@ -86,13 +83,12 @@ from repro.streaming import (
     WorkloadStreamSource,
 )
 
-__version__ = "18.0.0"
+__version__ = "19.0.0"
 
 __all__ = [
     "CleaningSession",
-    "Session",
-    "SessionBuilder",
     "Cleaner",
+    "MLNCleanCleaner",
     "load_table",
     "load_rules",
     "register_cleaner",

@@ -182,10 +182,6 @@ class MLNClean:
             details=details,
         )
 
-    def clean_table(self, dirty: Table, rules: Sequence[Rule]) -> Table:
-        """Convenience wrapper returning only the cleaned table."""
-        return self.clean(dirty, rules).cleaned
-
 
 def _resolve_scoped(
     resolver: FusionScoreResolver,

@@ -137,6 +137,18 @@ class CleaningReport:
         return ComponentAccuracy(counts)
 
     @property
+    def stages_scored(self) -> bool:
+        """Whether the stage counts were scored against a ground truth.
+
+        Only a batch MLNClean run with a ground truth scores its stage
+        records (:func:`~repro.metrics.component.score_stages`); any other
+        report's component metrics would be unscored zero-count defaults, so
+        :meth:`summary`, :meth:`describe` and the experiment cells leave
+        them out.
+        """
+        return self.backend == "batch" and self.accuracy is not None
+
+    @property
     def f1(self) -> float:
         """Overall F1 (0.0 when the run was not instrumented)."""
         return self.accuracy.f1 if self.accuracy is not None else 0.0
@@ -156,6 +168,7 @@ class CleaningReport:
                     "f1": self.accuracy.f1,
                 }
             )
+        if self.stages_scored:
             summary.update(self.component_accuracy.as_dict())
         return summary
 
@@ -254,6 +267,7 @@ class CleaningReport:
                 f"accuracy: precision={self.accuracy.precision:.3f} "
                 f"recall={self.accuracy.recall:.3f} f1={self.accuracy.f1:.3f}"
             )
+        if self.stages_scored:
             component = self.component_accuracy
             lines.append(
                 f"components: AGP P/R={component.precision_a:.3f}/{component.recall_a:.3f} "

@@ -9,11 +9,11 @@ the paper's figures plot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.core.config import MLNCleanConfig
 from repro.errors.injector import ErrorSpec
-from repro.session import CleaningSession
+from repro.session import Cleaner, CleaningSession
 from repro.workloads.base import Workload, WorkloadInstance
 from repro.workloads.registry import get_workload_generator, recommended_config
 
@@ -137,36 +137,20 @@ def prepare_instance(
 # ----------------------------------------------------------------------
 def session_for_instance(
     instance: WorkloadInstance,
+    cleaner: Optional[Union[Cleaner, str]] = None,
     config: Optional[MLNCleanConfig] = None,
-    backend: str = "batch",
-    cleaner: Optional[str] = None,
-    cleaner_options: Optional[dict] = None,
-    **backend_options,
 ) -> CleaningSession:
     """A ready-to-run :class:`CleaningSession` over a workload instance.
 
     The session carries the instance's rules, dirty table and ground truth;
-    ``config`` defaults to the workload's recommended configuration from the
-    registry.  ``cleaner`` selects a registered cleaning algorithm (the
-    default is MLNClean on ``backend``); ``backend``/``backend_options``
-    only apply to the MLNClean cleaner.
+    ``cleaner`` is a :class:`~repro.session.Cleaner` or a registered name
+    (default: MLNClean on its batch engine), and ``config`` defaults to the
+    workload's recommended configuration from the registry.
     """
-    if config is None:
-        config = recommended_config(instance.name)
-    builder = (
-        CleaningSession.builder()
-        .with_rules(instance.rules)
-        .with_config(config)
-        .with_table(instance.dirty)
-        .with_ground_truth(instance.ground_truth)
+    return CleaningSession(
+        rules=instance.rules,
+        config=config if config is not None else recommended_config(instance.name),
+        cleaner=cleaner,
+        table=instance.dirty,
+        ground_truth=instance.ground_truth,
     )
-    if cleaner is not None:
-        builder = builder.with_cleaner(cleaner, **(cleaner_options or {}))
-        if backend != "batch" or backend_options:
-            # the builder rejects the combination for non-mlnclean cleaners
-            # and for doubly-selected backends
-            builder = builder.with_backend(backend, **backend_options)
-    else:
-        builder = builder.with_backend(backend, **backend_options)
-    return builder.build()
-

@@ -521,10 +521,10 @@ def _cell_metrics(
 
     The layout mirrors what the pre-spec harness printed per run: system
     label, precision/recall/F1, wall-clock, then the component metrics when
-    the stages were instrumented, plus cleaner-specific extras (duplicates
-    removed, detected cells, the distributed simulation's runtimes): every
-    top-level number of ``report.details`` becomes a float metric rounded to
-    4 places.
+    the stages were scored (:attr:`CleaningReport.stages_scored`), plus
+    cleaner-specific extras (duplicates removed, detected cells, the
+    distributed simulation's runtimes): every top-level number of
+    ``report.details`` becomes a float metric rounded to 4 places.
     """
     accuracy = report.accuracy
     metrics: dict = {
@@ -534,7 +534,7 @@ def _cell_metrics(
         "f1": round(accuracy.f1, 4) if accuracy else 0.0,
         "runtime_s": round(wall_seconds, 4),
     }
-    if any(o is not None for o in (report.agp, report.rsc, report.fscr)):
+    if report.stages_scored:
         for key, value in report.component_accuracy.as_dict().items():
             metrics[key] = round(value, 4)
     # Cleaners that *route to* MLNClean (the service cleaner's default) get

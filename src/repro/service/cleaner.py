@@ -1,7 +1,7 @@
 """The service as a registered cleaner: route a request through the queue.
 
-``with_cleaner("service")`` (or the ``service_replay`` experiment spec) runs
-a normal :class:`~repro.session.CleaningRequest` through a fresh
+``CleaningSession(cleaner="service")`` (or the ``service_replay`` experiment
+spec) runs a normal :class:`~repro.session.CleaningRequest` through a fresh
 in-process :class:`~repro.service.service.CleaningService` — submission,
 shard routing, executor hop and all — and returns the job's live report.
 Since the whole point of the service layer is that it *changes nothing about
@@ -11,7 +11,7 @@ same grid position bit for bit (modulo wall-clock).
 
 Options: ``cleaner`` (the algorithm the service routes to, default
 ``"mlnclean"``) and its factory options, e.g.
-``with_cleaner("service", cleaner="mlnclean", backend="streaming")``.
+``ServiceCleaner(cleaner="mlnclean", backend="streaming")``.
 """
 
 from __future__ import annotations

@@ -5,13 +5,13 @@ The package used to expose three divergent entry points — batch
 ``StreamingMLNClean`` — each with its own config plumbing and report type.
 :class:`CleaningSession` replaces the three-way fork with one facade:
 
-* :mod:`repro.session.session` — the :class:`CleaningSession` /
-  :class:`SessionBuilder` facade plus :func:`load_table` (Table / dict rows /
-  CSV) and :func:`load_rules` (strings / Rule objects / rule files),
+* :mod:`repro.session.session` — the :class:`CleaningSession` facade plus
+  :func:`load_table` (Table / dict rows / CSV) and :func:`load_rules`
+  (strings / Rule objects / rule files),
 * :mod:`repro.session.cleaners` — the :class:`CleaningRequest`, the
   :class:`Cleaner` protocol and registry (:func:`register_cleaner`):
   MLNClean on its batch, distributed or streaming engine, and every
-  comparison baseline, behind one ``with_cleaner(name)`` call.
+  comparison baseline, behind the session's one ``cleaner=`` argument.
 
 Every cleaner returns the same unified
 :class:`~repro.core.report.CleaningReport`.
@@ -27,18 +27,10 @@ from repro.session.cleaners import (
     get_cleaner,
     register_cleaner,
 )
-from repro.session.session import (
-    CleaningSession,
-    Session,
-    SessionBuilder,
-    load_rules,
-    load_table,
-)
+from repro.session.session import CleaningSession, load_rules, load_table
 
 __all__ = [
     "CleaningSession",
-    "Session",
-    "SessionBuilder",
     "load_table",
     "load_rules",
     "CleaningRequest",

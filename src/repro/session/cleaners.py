@@ -7,14 +7,14 @@ evaluates against — implements the same contract: take a
 comparative experiments (MLNClean vs HoloClean vs qualitative repair) a pure
 grid over registered names::
 
-    session = CleaningSession.builder().with_cleaner("holoclean").build()
+    session = CleaningSession(rules=rules, cleaner="holoclean")
     report = session.run(dirty)           # same CleaningReport as MLNClean
 
 Built-in cleaners:
 
 * ``"mlnclean"``       — the paper's pipeline on one of its three engines:
   batch (Algorithm 1), distributed (Section 6) or streaming replay
-  (``with_backend(...)`` picks it),
+  (:class:`MLNCleanCleaner`'s ``backend`` argument picks it),
 * ``"holoclean"``      — the HoloClean-style probabilistic baseline
   (:mod:`repro.baselines.holoclean`),
 * ``"minimal-repair"`` — the qualitative majority-vote repairer
@@ -103,10 +103,10 @@ class MLNCleanCleaner:
       ``window`` policy.  The engine of the last :meth:`run` stays
       reachable as :attr:`engine`, so callers can keep feeding it deltas.
 
-    This is the default cleaner of every session; ``with_backend(...)``
-    configures it::
+    This is the default cleaner of every session; pass one to pick another
+    engine::
 
-        MLNCleanCleaner("distributed", workers=4)
+        CleaningSession(cleaner=MLNCleanCleaner("distributed", workers=4))
     """
 
     name = "mlnclean"
@@ -295,11 +295,6 @@ def available_cleaners() -> list[str]:
         seen.add(factory)
         names.append(name)
     return names
-
-
-def cleaner_factory(name: str) -> CleanerFactory:
-    """The factory registered under ``name`` (raises on unknown names)."""
-    return _CLEANERS.get(name)
 
 
 def get_cleaner(name: str, **options) -> Cleaner:

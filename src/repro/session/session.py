@@ -3,21 +3,18 @@
 HoloClean-style session idiom (``load data → load rules → clean``) over the
 pluggable internals of this package::
 
-    from repro.session import CleaningSession
+    from repro import CleaningSession, MLNCleanConfig
 
-    session = (
-        CleaningSession.builder()
-        .with_rules("CT -> ST", "HN, PN -> CT")
-        .with_config(abnormal_threshold=1)
-        .with_backend("batch")
-        .build()
-    )
+    session = CleaningSession(config=MLNCleanConfig(abnormal_threshold=1))
+    session.load_rules("CT -> ST", "HN, PN -> CT")
     session.load_table("hospital.csv")
     report = session.run()
 
-The same session drives MLNClean on any of its three backends (``"batch"``,
-``"distributed"``, ``"streaming"``) or any registered cleaner; the result is
-always the unified :class:`~repro.core.report.CleaningReport`.
+The ``cleaner`` argument picks the algorithm: MLNClean on one of its three
+engines (``MLNCleanCleaner("distributed", workers=4)``,
+``MLNCleanCleaner("streaming", batch_size=100)``; batch by default) or any
+registered cleaner by name (``cleaner="holoclean"``).  The result is always
+the unified :class:`~repro.core.report.CleaningReport`.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from repro.session.cleaners import (
     Cleaner,
     CleaningRequest,
     MLNCleanCleaner,
-    cleaner_factory,
     get_cleaner,
 )
 
@@ -176,150 +172,6 @@ def load_table(
     )
 
 
-class SessionBuilder:
-    """Fluent construction of a :class:`CleaningSession`.
-
-    Every ``with_*`` method returns the builder, so calls chain::
-
-        session = (
-            CleaningSession.builder()
-            .with_rules("CT -> ST")
-            .with_config(abnormal_threshold=10)
-            .with_backend("streaming", batch_size=50)
-            .build()
-        )
-    """
-
-    def __init__(self) -> None:
-        self._rules: list[Rule] = []
-        self._config: Optional[MLNCleanConfig] = None
-        self._config_overrides: dict[str, object] = {}
-        self._backend_name: str = "batch"
-        self._backend_options: dict[str, object] = {}
-        self._backend_selected: bool = False
-        self._cleaner_name: Optional[str] = None
-        self._cleaner_options: dict[str, object] = {}
-        self._detectors: Optional[list] = None
-        self._table: Optional[Table] = None
-        self._ground_truth: Optional[GroundTruth] = None
-
-    def with_rules(self, *sources: RulesLike) -> "SessionBuilder":
-        """Add rules from any mix of strings, Rule objects, and files."""
-        for source in sources:
-            _extend_rules(self._rules, source)
-        return self
-
-    def with_config(
-        self, config: Optional[MLNCleanConfig] = None, **overrides
-    ) -> "SessionBuilder":
-        """Set the pipeline configuration (an instance, field overrides, or both)."""
-        if config is not None:
-            self._config = config
-        self._config_overrides.update(overrides)
-        return self
-
-    def for_workload(self, dataset: str, **overrides) -> "SessionBuilder":
-        """Start from the registered workload's recommended configuration."""
-        from repro.workloads.registry import recommended_config
-
-        self._config = recommended_config(dataset, **overrides)
-        return self
-
-    def with_backend(self, name: str, **options) -> "SessionBuilder":
-        """Select MLNClean's execution backend by name, with its options.
-
-        Backend selection configures the (default) ``"mlnclean"`` cleaner —
-        the baselines of :mod:`repro.session.cleaners` are stand-alone
-        algorithms with no execution backend.
-        """
-        self._backend_name = name
-        self._backend_options = dict(options)
-        self._backend_selected = True
-        return self
-
-    def with_cleaner(self, name: str, **options) -> "SessionBuilder":
-        """Select the cleaning algorithm by registry name, with its options.
-
-        ``with_cleaner("holoclean")`` swaps the whole algorithm the same way
-        ``with_backend("distributed")`` swaps MLNClean's execution engine;
-        every cleaner returns the unified
-        :class:`~repro.core.report.CleaningReport`.
-        """
-        self._cleaner_name = name
-        self._cleaner_options = dict(options)
-        return self
-
-    def with_detectors(self, *specs) -> "SessionBuilder":
-        """Select the error-detection stack (detector specs, in order).
-
-        Specs are registered names (``"violation"``), mappings
-        (``{"name": "violation", "options": {"dc_file": ...}}``), or
-        :class:`~repro.detect.Detector` instances — see :mod:`repro.detect`.
-        Runs then detect first and clean dirty-scoped (exact-or-prune).
-        """
-        from repro.detect.base import resolve_detectors
-
-        resolve_detectors(specs)  # validate eagerly: fail at build time
-        self._detectors = list(specs)
-        return self
-
-    def with_table(
-        self,
-        source: TableLike,
-        attributes: Optional[Sequence[str]] = None,
-        name: Optional[str] = None,
-    ) -> "SessionBuilder":
-        """Attach the dirty table up front (same sources as ``load_table``)."""
-        self._table = load_table(source, attributes=attributes, name=name)
-        return self
-
-    def with_ground_truth(self, ground_truth: GroundTruth) -> "SessionBuilder":
-        """Attach an injected-error ledger: runs report repair accuracy."""
-        self._ground_truth = ground_truth
-        return self
-
-    def build(self) -> "CleaningSession":
-        """Construct the session (the cleaner is instantiated here)."""
-        config = self._config or MLNCleanConfig()
-        if self._config_overrides:
-            from dataclasses import replace
-
-            config = replace(config, **self._config_overrides)
-        return CleaningSession(
-            rules=list(self._rules),
-            config=config,
-            cleaner=self._build_cleaner(),
-            detectors=self._detectors,
-            table=self._table,
-            ground_truth=self._ground_truth,
-        )
-
-    def _build_cleaner(self) -> Cleaner:
-        """Resolve the cleaner/backend selections into one cleaner instance."""
-        if self._cleaner_name is None:
-            return MLNCleanCleaner(self._backend_name, **self._backend_options)
-        factory = cleaner_factory(self._cleaner_name)
-        if factory is MLNCleanCleaner:
-            options = dict(self._cleaner_options)
-            if self._backend_selected:
-                if "backend" in options:
-                    raise ValueError(
-                        "the execution backend was selected twice: drop "
-                        "either with_backend(...) or the cleaner's "
-                        "backend=... option"
-                    )
-                options["backend"] = self._backend_name
-                options.update(self._backend_options)
-            return factory(**options)
-        if self._backend_selected:
-            raise ValueError(
-                f"the {self._cleaner_name!r} cleaner is a stand-alone "
-                f"algorithm; with_backend(...) configures the 'mlnclean' "
-                f"cleaner only"
-            )
-        return factory(**self._cleaner_options)
-
-
 def _extend_rules(existing: list[Rule], source: RulesLike, prefix: str = "r") -> None:
     """Load ``source`` and append to ``existing`` with collision-free names.
 
@@ -345,40 +197,41 @@ def _extend_rules(existing: list[Rule], source: RulesLike, prefix: str = "r") ->
 
 
 class CleaningSession:
-    """One configured cleaning context: rules + config + cleaner/backend.
+    """One configured cleaning context: rules + config + cleaner.
+
+    ``cleaner`` is a :class:`Cleaner` instance or a registered name and
+    defaults to MLNClean on its batch engine.  ``detectors`` is an
+    error-detection stack (see :mod:`repro.detect`), resolved here so an
+    unknown detector fails at construction.
 
     Sessions are reusable: :meth:`run` can be called repeatedly, with the
     attached table or with an explicit one per call.  The attached state can
-    be (re)loaded through :meth:`load_table` / :meth:`load_rules` /
-    :meth:`attach_ground_truth` between runs.
+    be (re)loaded through :meth:`load_table` / :meth:`load_rules` between
+    runs.
     """
 
     def __init__(
         self,
         rules: Optional[Sequence[Rule]] = None,
         config: Optional[MLNCleanConfig] = None,
-        backend: Optional[str] = None,
-        table: Optional[Table] = None,
-        ground_truth: Optional[GroundTruth] = None,
         cleaner: Optional[Union[Cleaner, str]] = None,
         detectors: Optional[Sequence] = None,
+        table: Optional[Table] = None,
+        ground_truth: Optional[GroundTruth] = None,
     ):
         self.rules: list[Rule] = list(rules) if rules is not None else []
         self.config = config or MLNCleanConfig()
         if cleaner is None:
-            # the historic constructor shape: MLNClean on the given backend
-            self.cleaner: Cleaner = MLNCleanCleaner(
-                backend if backend is not None else "batch"
-            )
-        else:
-            if backend is not None:
-                raise ValueError(
-                    "pass either cleaner or backend, not both: the backend "
-                    "configures the default mlnclean cleaner (use "
-                    "cleaner=MLNCleanCleaner(backend, ...) to combine them)"
-                )
-            self.cleaner = get_cleaner(cleaner) if isinstance(cleaner, str) else cleaner
-        self.detectors = list(detectors) if detectors is not None else None
+            cleaner = MLNCleanCleaner()
+        elif isinstance(cleaner, str):
+            cleaner = get_cleaner(cleaner)
+        self.cleaner: Cleaner = cleaner
+        if detectors is not None:
+            from repro.detect.base import resolve_detectors
+
+            resolve_detectors(detectors)  # an unknown detector fails here
+            detectors = list(detectors)
+        self.detectors = detectors
         self.table = table
         self.ground_truth = ground_truth
         #: the report of the most recent run (None before the first run)
@@ -394,11 +247,6 @@ class CleaningSession:
         if isinstance(self.cleaner, MLNCleanCleaner):
             return self.cleaner.backend
         return None
-
-    @staticmethod
-    def builder() -> SessionBuilder:
-        """Start a fluent :class:`SessionBuilder`."""
-        return SessionBuilder()
 
     def fingerprint(self) -> str:
         """A stable hex digest of the session's cleaning behaviour.
@@ -462,10 +310,6 @@ class CleaningSession:
             _extend_rules(self.rules, source)
         return self.rules
 
-    def attach_ground_truth(self, ground_truth: GroundTruth) -> None:
-        """Attach the injected-error ledger; later runs report accuracy."""
-        self.ground_truth = ground_truth
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -510,9 +354,6 @@ class CleaningSession:
                 self.last_report = self.cleaner.run(request)
         return self.last_report
 
-    #: HoloClean-style alias: ``session.clean()`` == ``session.run()``
-    clean = run
-
     def describe(self) -> str:
         """One line summarising the session's configuration."""
         engine = f"cleaner={self.cleaner.name}"
@@ -541,7 +382,3 @@ def _window_fingerprint(window: Optional[object]) -> Optional[dict]:
         if not key.startswith("_") and isinstance(value, (int, float, str, bool))
     }
     return {"kind": type(window).__name__, **state}
-
-
-#: short alias used throughout the docs: ``Session.builder()...``
-Session = CleaningSession

@@ -31,6 +31,7 @@ from repro.experiments.harness import session_for_instance
 from repro.perf import DistanceEngine, build_profile, global_distance_stats
 from repro.perf import engine as engine_module
 from repro.perf.qgram import lower_bound
+from repro.session import MLNCleanCleaner
 from repro.workloads.registry import (
     available_workloads,
     get_workload_generator,
@@ -327,9 +328,8 @@ def test_count_filter_never_changes_a_run_on_every_workload(
             reports[metric] = cleaner.cleaned
         else:
             options = {"workers": 2} if backend == "distributed" else {}
-            session = session_for_instance(
-                instance, config=config, backend=backend, **options
-            )
+            cleaner = MLNCleanCleaner(backend, **options)
+            session = session_for_instance(instance, cleaner, config)
             reports[metric] = session.run().cleaned
         filtered[metric] = global_distance_stats().diff(before).qgram_filtered
     # the filter did prune on this run, and the plain scan never does

@@ -5,6 +5,7 @@ import pytest
 from repro import CleaningSession, available_cleaners, get_cleaner, register_cleaner
 from repro.baselines.holoclean import HoloCleanBaseline
 from repro.baselines.minimal_repair import MinimalityRepairer
+from repro.core.config import MLNCleanConfig
 from repro.core.report import CleaningReport
 from repro.dataset.sample import sample_hospital_rules, sample_hospital_table
 from repro.session.cleaners import CleaningRequest, MLNCleanCleaner, display_name
@@ -14,16 +15,13 @@ BASELINE_CLEANERS = ("holoclean", "minimal-repair", "factor-graph")
 
 
 def build_session(cleaner, ground_truth=None, **options):
-    builder = (
-        CleaningSession.builder()
-        .with_rules(sample_hospital_rules())
-        .with_config(abnormal_threshold=1)
-        .with_cleaner(cleaner, **options)
-        .with_table(sample_hospital_table())
+    return CleaningSession(
+        rules=sample_hospital_rules(),
+        config=MLNCleanConfig(abnormal_threshold=1),
+        cleaner=get_cleaner(cleaner, **options),
+        table=sample_hospital_table(),
+        ground_truth=ground_truth,
     )
-    if ground_truth is not None:
-        builder = builder.with_ground_truth(ground_truth)
-    return builder.build()
 
 
 # ----------------------------------------------------------------------
@@ -166,29 +164,52 @@ def test_every_cleaner_accepts_the_same_request(sample_ground_truth):
         assert request.dirty.equals(sample_hospital_table()), name
 
 
+COMPONENT_KEYS = (
+    "precision_a", "recall_a", "dag",
+    "precision_r", "recall_r", "precision_f", "recall_f",
+)
+
+
+def test_only_scored_runs_report_component_metrics():
+    """Section 7.3's component metrics appear only where score_stages ran.
+
+    A batch MLNClean run with a ground truth is scored; streaming,
+    distributed and the baselines would otherwise print unscored zero-count
+    defaults (precision 0.0, recall 1.0) as if they were measurements.
+    """
+    from repro.experiments.harness import prepare_instance, session_for_instance
+
+    instance = prepare_instance("hai", tuples=160, error_rate=0.15)
+    batch = session_for_instance(instance).run()
+    summary = batch.summary()
+    assert (summary["precision_a"], summary["recall_a"]) == pytest.approx(
+        (0.609, 0.726), abs=1e-3
+    )
+    assert summary["dag"] == 135
+    assert set(COMPONENT_KEYS) <= set(summary)
+    assert "components:" in batch.describe()
+    assert batch.stages_scored
+    for cleaner in (
+        MLNCleanCleaner("streaming"),
+        MLNCleanCleaner("distributed"),
+        "holoclean",
+        "minimal-repair",
+    ):
+        report = session_for_instance(instance, cleaner=cleaner).run()
+        assert report.accuracy is not None
+        assert set(COMPONENT_KEYS).isdisjoint(report.summary()), report.backend
+        assert "components:" not in report.describe(), report.backend
+        assert not report.stages_scored, report.backend
+
+
 # ----------------------------------------------------------------------
-# session/builder integration
+# session integration
 # ----------------------------------------------------------------------
 def test_default_cleaner_is_mlnclean_on_batch():
-    session = (
-        CleaningSession.builder().with_rules(sample_hospital_rules()).build()
-    )
+    session = CleaningSession(rules=sample_hospital_rules())
     assert session.cleaner.name == "mlnclean"
     assert session.backend == "batch"
     assert "cleaner=mlnclean" in session.describe()
-
-
-def test_with_cleaner_mlnclean_composes_with_backend():
-    session = (
-        CleaningSession.builder()
-        .with_rules(sample_hospital_rules())
-        .with_cleaner("mlnclean")
-        .with_backend("distributed", workers=2)
-        .build()
-    )
-    assert session.backend == "distributed"
-    assert session.cleaner.options["workers"] == 2
-    assert display_name(session.cleaner) == "MLNClean[distributed]"
 
 
 def test_baseline_cleaner_has_no_backend(sample_ground_truth):
@@ -196,31 +217,6 @@ def test_baseline_cleaner_has_no_backend(sample_ground_truth):
     assert session.backend is None
     assert "backend=" not in session.describe()
     assert "cleaner=holoclean" in session.describe()
-
-
-def test_with_backend_conflicts_with_baseline_cleaner():
-    with pytest.raises(ValueError, match="'mlnclean' cleaner only"):
-        (
-            CleaningSession.builder()
-            .with_cleaner("holoclean")
-            .with_backend("distributed", workers=2)
-            .build()
-        )
-
-
-def test_backend_selected_twice_is_rejected():
-    with pytest.raises(ValueError, match="selected twice"):
-        (
-            CleaningSession.builder()
-            .with_cleaner("mlnclean", backend="streaming")
-            .with_backend("distributed")
-            .build()
-        )
-
-
-def test_session_constructor_rejects_cleaner_plus_backend():
-    with pytest.raises(ValueError, match="either cleaner or backend"):
-        CleaningSession(backend="distributed", cleaner="mlnclean")
 
 
 def test_session_for_instance_forwards_mlnclean_cleaner_options(
@@ -233,12 +229,13 @@ def test_session_for_instance_forwards_mlnclean_cleaner_options(
     workload = get_workload_generator("hospital-sample", tuples=24).build()
     instance = workload.make_instance(ErrorSpec(error_rate=0.05, seed=42))
     session = session_for_instance(
-        instance,
-        cleaner="mlnclean",
-        cleaner_options={"backend": "distributed", "workers": 2},
+        instance, cleaner=MLNCleanCleaner("distributed", workers=2)
     )
     assert session.backend == "distributed"
     assert session.cleaner.options["workers"] == 2
+    assert display_name(session.cleaner) == "MLNClean[distributed]"
+    named = session_for_instance(instance, cleaner="minimal-repair")
+    assert named.cleaner.name == "minimal-repair" and named.backend is None
 
 
 def test_session_constructor_accepts_cleaner_name(sample_ground_truth):

@@ -73,13 +73,6 @@ def test_pipeline_summary_and_describe(
     assert "duplicates removed" in text
 
 
-def test_pipeline_clean_table_convenience(sample_table, sample_rules):
-    cleaned = MLNClean(MLNCleanConfig(abnormal_threshold=1)).clean_table(
-        sample_table, sample_rules
-    )
-    assert len(cleaned) <= len(sample_table)
-
-
 def test_pipeline_on_hai_workload(hai_instance):
     """MLNClean fixes a substantial share of the injected errors on HAI."""
     from repro.constraints.violations import detect_violations

@@ -48,7 +48,7 @@ from repro.experiments.harness import prepare_instance
 from repro.service.codec import decode_clean_request
 from repro.service.errors import BadRequestError
 from repro.session import CleaningSession
-from repro.session.cleaners import CleaningRequest, MLNCleanCleaner
+from repro.session.cleaners import CleaningRequest, MLNCleanCleaner, get_cleaner
 from repro.session.session import load_rules
 from repro.streaming.cleaner import StreamingMLNClean
 from repro.streaming.delta import DeltaBatch, Insert
@@ -438,12 +438,8 @@ def test_distributed_rejects_scoping_but_allows_all_cells():
 
 def test_minimal_repair_cleaner_rejects_detectors():
     instance = hospital_instance()
-    session = (
-        CleaningSession.builder()
-        .with_rules(instance.rules)
-        .with_cleaner("minimal-repair")
-        .with_detectors("violation")
-        .build()
+    session = CleaningSession(
+        rules=instance.rules, cleaner="minimal-repair", detectors=["violation"]
     )
     with pytest.raises(ValueError, match="no detection phase"):
         session.run(table=instance.dirty)
@@ -451,13 +447,11 @@ def test_minimal_repair_cleaner_rejects_detectors():
 
 def test_holoclean_cleaner_accepts_session_detectors():
     instance = hospital_instance(tuples=40)
-    session = (
-        CleaningSession.builder()
-        .with_rules(instance.rules)
-        .with_config(recommended_config("hospital-sample"))
-        .with_cleaner("holoclean", training_epochs=1)
-        .with_detectors("perfect")
-        .build()
+    session = CleaningSession(
+        rules=instance.rules,
+        config=recommended_config("hospital-sample"),
+        cleaner=get_cleaner("holoclean", training_epochs=1),
+        detectors=["perfect"],
     )
     report = session.run(table=instance.dirty, ground_truth=instance.ground_truth)
     assert report.accuracy is not None
@@ -467,19 +461,15 @@ def test_holoclean_cleaner_accepts_session_detectors():
 # session integration
 # ----------------------------------------------------------------------
 def test_with_detectors_validates_eagerly():
-    builder = CleaningSession.builder().with_rules(["CT -> ST"])
+    # an unknown detector fails when the session is built, not at its run
     with pytest.raises(KeyError, match="nope"):
-        builder.with_detectors("nope")
+        CleaningSession(rules=load_rules("CT -> ST"), detectors=["nope"])
 
 
 def test_fingerprint_covers_detector_stack():
-    base = CleaningSession.builder().with_rules(["CT -> ST"]).build()
-    detecting = (
-        CleaningSession.builder()
-        .with_rules(["CT -> ST"])
-        .with_detectors("violation")
-        .build()
-    )
+    rules = load_rules("CT -> ST")
+    base = CleaningSession(rules=rules)
+    detecting = CleaningSession(rules=rules, detectors=["violation"])
     assert base.fingerprint() != detecting.fingerprint()
 
 

@@ -53,7 +53,7 @@ from repro.service import (
     report_signature,
 )
 from repro.service.pool import SessionPool
-from repro.session import CleaningSession
+from repro.session import CleaningSession, MLNCleanCleaner
 from repro.workloads.registry import recommended_config
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
@@ -360,7 +360,9 @@ def test_stage_scope_fans_out_to_timings_counter_and_span():
 def _run(workload, tuples, backend, trace):
     instance = prepare_instance(workload, tuples=tuples, error_rate=0.1)
     config = replace(recommended_config(workload), trace=trace)
-    session = CleaningSession(rules=instance.rules, config=config, backend=backend)
+    session = CleaningSession(
+        rules=instance.rules, config=config, cleaner=MLNCleanCleaner(backend)
+    )
     report = session.run(table=instance.dirty, ground_truth=instance.ground_truth)
     return session, report
 

@@ -41,7 +41,6 @@ from repro.session import (
     CleaningRequest,
     CleaningSession,
     MLNCleanCleaner,
-    SessionBuilder,
     get_cleaner,
 )
 from repro.streaming import DeltaBatch, StreamingMLNClean, TumblingWindow
@@ -340,8 +339,6 @@ def test_config_engine_honours_cache_knobs():
         MLNClean(parallelism=2)
     with pytest.raises(TypeError, match="parallelism"):
         MLNCleanCleaner("batch", parallelism=2)
-    with pytest.raises(TypeError, match="parallelism"):
-        CleaningSession.builder().with_backend("batch", parallelism=2).build()
     # and the removed custom stage-order option
     with pytest.raises(TypeError, match="stages"):
         MLNClean(stages=["agp", "rsc"])
@@ -351,7 +348,6 @@ def test_config_engine_honours_cache_knobs():
         CleaningRequest(
             sample_hospital_table(), sample_hospital_rules(), stages=["agp", "rsc"]
         )
-    assert not hasattr(SessionBuilder, "with_stages")
 
 
 @settings(deadline=None)

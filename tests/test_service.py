@@ -33,6 +33,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.config import MLNCleanConfig
 from repro.core.report import table_to_json_dict
 from repro.dataset.sample import (
     SAMPLE_ATTRIBUTES,
@@ -60,8 +61,14 @@ from repro.service import (
 from repro.service.codec import ground_truth_from_json, ground_truth_to_json
 from repro.service.client import _parse_retry_after
 from repro.service.http import _failure_status, _parse_deadline_header
-from repro.session import CleaningSession
-from repro.streaming import DeltaBatch, Insert, StreamingMLNClean, Update
+from repro.session import CleaningSession, MLNCleanCleaner
+from repro.streaming import (
+    DeltaBatch,
+    Insert,
+    SlidingWindow,
+    StreamingMLNClean,
+    Update,
+)
 from repro.workloads.registry import (
     available_workloads,
     get_workload_generator,
@@ -229,8 +236,6 @@ def test_interleaved_deltas_for_two_shards_stay_isolated():
 
     per_shard = run_async(main())
     for tau in (1, 2):
-        from repro.core.config import MLNCleanConfig
-
         standalone = StreamingMLNClean(
             sample_hospital_rules(),
             list(SAMPLE_ATTRIBUTES),
@@ -620,12 +625,38 @@ def test_session_fingerprint_tracks_behaviour():
     base = session().fingerprint()
     assert base == session().fingerprint()  # deterministic
     assert len(base) == 16
-    from repro.core.config import MLNCleanConfig
-
     assert session(config=MLNCleanConfig(abnormal_threshold=3)).fingerprint() != base
     assert session(cleaner="minimal-repair").fingerprint() != base
-    assert session(backend="streaming").fingerprint() != base
+    assert session(cleaner=MLNCleanCleaner("streaming")).fingerprint() != base
     assert session(rules=sample_hospital_rules()[:1]).fingerprint() != base
+
+
+@pytest.mark.parametrize(
+    "options, expected",
+    [
+        ({}, "92e46a063b766dee"),
+        ({"cleaner": MLNCleanCleaner("distributed", workers=2)}, "2190d4e0ada8191b"),
+        (
+            {
+                "cleaner": MLNCleanCleaner(
+                    "streaming", batch_size=50, window=SlidingWindow(30)
+                )
+            },
+            "07949315387787ab",
+        ),
+        ({"cleaner": "holoclean"}, "362725c71658b7a9"),
+        ({"detectors": ["violation"]}, "41ee798eeef1e2e2"),
+    ],
+    ids=["batch", "distributed", "streaming-window", "holoclean", "violation"],
+)
+def test_session_fingerprints_are_pinned(options, expected):
+    """The shard-routing digests stay put: a payload drift fails here."""
+    session = CleaningSession(
+        rules=sample_hospital_rules(),
+        config=MLNCleanConfig(abnormal_threshold=1),
+        **options,
+    )
+    assert session.fingerprint() == expected
 
 
 # ----------------------------------------------------------------------
@@ -813,14 +844,9 @@ def test_service_cleaner_changes_nothing(sample_table, sample_rules, sample_conf
     direct = CleaningSession(rules=sample_rules, config=sample_config).run(
         table=sample_table.copy()
     )
-    through_service = (
-        CleaningSession.builder()
-        .with_rules(sample_rules)
-        .with_config(sample_config)
-        .with_cleaner("service")
-        .build()
-        .run(table=sample_table.copy())
-    )
+    through_service = CleaningSession(
+        rules=sample_rules, config=sample_config, cleaner="service"
+    ).run(table=sample_table.copy())
     assert through_service.cleaned.equals(direct.cleaned)
     assert masked(through_service) == masked(direct)
 

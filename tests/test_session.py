@@ -1,4 +1,4 @@
-"""The unified session API: builder, loaders, registries, backends, shims."""
+"""The unified session API: constructor, loaders, registries, backends, shims."""
 
 import pytest
 
@@ -15,21 +15,17 @@ from repro.session import (
     load_rules,
     load_table,
 )
-from repro.session.session import Session, SessionBuilder
 from repro.streaming.cleaner import StreamingMLNClean as CoreStreamingMLNClean
 from repro.workloads import get_workload_generator, recommended_config
 
 
 def sample_session(backend="batch", **options):
-    session = (
-        CleaningSession.builder()
-        .with_rules(sample_hospital_rules())
-        .with_config(abnormal_threshold=1)
-        .with_backend(backend, **options)
-        .build()
+    return CleaningSession(
+        rules=sample_hospital_rules(),
+        config=MLNCleanConfig(abnormal_threshold=1),
+        cleaner=MLNCleanCleaner(backend, **options),
+        table=sample_hospital_table(),
     )
-    session.load_table(sample_hospital_table())
-    return session
 
 
 def hospital_sample_instance(tuples=48, seed=42):
@@ -38,43 +34,20 @@ def hospital_sample_instance(tuples=48, seed=42):
 
 
 # ----------------------------------------------------------------------
-# builder and loaders
+# constructor and loaders
 # ----------------------------------------------------------------------
-def test_builder_constructs_configured_session():
-    session = (
-        CleaningSession.builder()
-        .with_rules("CT -> ST", "HN, PN -> CT")
-        .with_config(abnormal_threshold=3, distance_metric="cosine")
-        .with_backend("streaming", batch_size=7)
-        .build()
+def test_constructor_builds_configured_session():
+    session = CleaningSession(
+        config=MLNCleanConfig(abnormal_threshold=3, distance_metric="cosine"),
+        cleaner=MLNCleanCleaner("streaming", batch_size=7),
     )
+    session.load_rules("CT -> ST", "HN, PN -> CT")
     assert [rule.name for rule in session.rules] == ["r1", "r2"]
     assert session.config.abnormal_threshold == 3
     assert session.config.distance_metric == "cosine"
     assert session.backend == "streaming"
     assert session.cleaner.options["batch_size"] == 7
     assert "backend=streaming" in session.describe()
-
-
-def test_builder_session_alias_and_staticmethod():
-    assert Session is CleaningSession
-    assert isinstance(Session.builder(), SessionBuilder)
-
-
-def test_builder_config_instance_with_overrides():
-    base = MLNCleanConfig(abnormal_threshold=10)
-    session = (
-        CleaningSession.builder()
-        .with_config(base, distance_metric="cosine")
-        .build()
-    )
-    assert session.config.abnormal_threshold == 10
-    assert session.config.distance_metric == "cosine"
-
-
-def test_builder_for_workload_uses_registry_config():
-    session = CleaningSession.builder().for_workload("hai").build()
-    assert session.config.abnormal_threshold == 10
 
 
 def test_load_rules_from_strings_rules_and_mixed():
@@ -105,8 +78,9 @@ def test_rule_names_never_collide_silently():
     session.load_rules("A -> C")
     assert [rule.name for rule in session.rules] == ["r2", "r3"]
 
-    builder = CleaningSession.builder().with_rules(named, "A -> C")
-    assert [rule.name for rule in builder.build().rules] == ["r2", "r3"]
+    fresh = CleaningSession()
+    fresh.load_rules(named, "A -> C")
+    assert [rule.name for rule in fresh.rules] == ["r2", "r3"]
 
     # explicitly named duplicates are rejected loudly
     with pytest.raises(ValueError, match="duplicate rule name"):
@@ -206,13 +180,7 @@ def test_a_null_cell_loads_as_the_empty_string_like_a_csv_cell(tmp_path):
 def test_null_cells_never_become_the_text_none(backend, options):
     records = [row.as_dict() for row in sample_hospital_table()]
     records[1]["ST"] = None
-    session = (
-        CleaningSession.builder()
-        .with_rules(sample_hospital_rules())
-        .with_config(abnormal_threshold=1)
-        .with_backend(backend, **options)
-        .build()
-    )
+    session = sample_session(backend, **options)
     report = session.run(records)
     assert report.dirty.value(1, "ST") == ""
     for table in (report.dirty, report.repaired, report.cleaned):
@@ -236,8 +204,6 @@ def test_unknown_backend_raises():
         MLNCleanCleaner("spark")
     for name in ("'batch'", "'distributed'", "'streaming'"):
         assert name in str(excinfo.value)
-    with pytest.raises(KeyError, match="unknown backend"):
-        CleaningSession.builder().with_backend("spark").build()
 
 
 @pytest.mark.parametrize(
@@ -270,9 +236,10 @@ def test_batch_backend_matches_direct_mlnclean():
     assert via_session.backend == "batch"
 
 
-def test_session_clean_alias_and_last_report():
+def test_session_run_records_last_report():
     session = sample_session()
-    report = session.clean()
+    assert session.last_report is None
+    report = session.run()
     assert isinstance(report, CleaningReport)
     assert session.last_report is report
 
@@ -303,12 +270,12 @@ def test_windowed_streaming_session_reruns_like_a_fresh_one():
     instance = hospital_sample_instance()
 
     def session():
-        return (
-            CleaningSession.builder()
-            .with_rules(instance.rules)
-            .for_workload("hospital-sample")
-            .with_backend("streaming", batch_size=10, window=SlidingWindow(size=30))
-            .build()
+        return CleaningSession(
+            rules=instance.rules,
+            config=recommended_config("hospital-sample"),
+            cleaner=MLNCleanCleaner(
+                "streaming", batch_size=10, window=SlidingWindow(size=30)
+            ),
         )
 
     reused = session()
@@ -330,14 +297,12 @@ def test_windowed_streaming_session_reruns_like_a_fresh_one():
 @pytest.mark.parametrize("backend", ["batch", "distributed", "streaming"])
 def test_rule_naming_a_missing_attribute_is_rejected(backend, records):
     table = Table.from_records(records, attributes=["A", "B"])
-    session = (
-        CleaningSession.builder()
-        .with_rules(FunctionalDependency(["A"], ["Z", "B", "Y"], name="r-missing"))
-        .with_config(abnormal_threshold=1)
-        .with_backend(backend)
-        .build()
+    session = CleaningSession(
+        rules=[FunctionalDependency(["A"], ["Z", "B", "Y"], name="r-missing")],
+        config=MLNCleanConfig(abnormal_threshold=1),
+        cleaner=MLNCleanCleaner(backend),
+        table=table,
     )
-    session.load_table(table)
     with pytest.raises(ValueError, match=r"'r-missing' .* missing from the table: Z, Y$"):
         session.run()
 
@@ -346,13 +311,11 @@ def test_rule_naming_a_missing_attribute_is_rejected(backend, records):
 # duplicate elimination switch
 # ----------------------------------------------------------------------
 def test_disabling_dedup_stage_keeps_duplicates():
-    session = (
-        CleaningSession.builder()
-        .with_rules(sample_hospital_rules())
-        .with_config(abnormal_threshold=1, remove_duplicates=False)
-        .build()
+    session = CleaningSession(
+        rules=sample_hospital_rules(),
+        config=MLNCleanConfig(abnormal_threshold=1, remove_duplicates=False),
+        table=sample_hospital_table(),
     )
-    session.load_table(sample_hospital_table())
     report = session.run()
     assert report.dedup is None
     assert report.cleaned.equals(report.repaired)
@@ -374,14 +337,12 @@ def test_cross_backend_equivalence_on_hospital_sample():
         ("distributed", {"workers": 2}),
         ("streaming", {"batch_size": 10}),
     ):
-        session = (
-            CleaningSession.builder()
-            .with_rules(instance.rules)
-            .for_workload("hospital-sample")
-            .with_backend(backend, **options)
-            .with_table(instance.dirty.copy())
-            .with_ground_truth(instance.ground_truth)
-            .build()
+        session = CleaningSession(
+            rules=instance.rules,
+            config=recommended_config("hospital-sample"),
+            cleaner=MLNCleanCleaner(backend, **options),
+            table=instance.dirty.copy(),
+            ground_truth=instance.ground_truth,
         )
         reports[backend] = session.run()
 
@@ -421,9 +382,19 @@ def test_public_exports_resolve():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
-    removed = {"ExecutionBackend", "register_backend", "available_backends", "get_backend"}
+    removed = {
+        "ExecutionBackend",
+        "register_backend",
+        "available_backends",
+        "get_backend",
+        "SessionBuilder",
+        "Session",
+    }
     assert removed.isdisjoint(repro.__all__)
     assert removed.isdisjoint(repro.session.__all__)
+    for name in ("builder", "attach_ground_truth", "clean"):
+        assert not hasattr(CleaningSession, name), name
+    assert not hasattr(repro.MLNClean, "clean_table")
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.session.backends")
 
