@@ -8,7 +8,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="19.0.0",
+    version="19.1.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",

@@ -83,7 +83,7 @@ from repro.streaming import (
     WorkloadStreamSource,
 )
 
-__version__ = "19.0.0"
+__version__ = "19.1.0"
 
 __all__ = [
     "CleaningSession",

@@ -72,6 +72,16 @@ class DistanceMetric(ABC):
         """Convenience: ``1 - normalized distance``."""
         return 1.0 - self.normalized(left, right)
 
+    def distance_rows(
+        self, values: Sequence[str], others: Sequence[str]
+    ) -> "list[list[float]]":
+        """``rows[i][j]`` is ``distance(values[i], others[j])``.
+
+        The default loops over :meth:`distance`; a metric with a
+        multi-pattern kernel measures every value in one run per other.
+        """
+        return [[self.distance(value, other) for other in others] for value in values]
+
     # ------------------------------------------------------------------
     # distances between value tuples (pieces of data)
     # ------------------------------------------------------------------

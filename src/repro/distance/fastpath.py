@@ -19,11 +19,25 @@ identical preprocessing:
   operations instead of a row of the matrix.  Python ints are the bit
   vectors, so the pattern length is unbounded.  Under a cutoff the kernel
   exits early once the score can no longer come back within it.
+* **multi-pattern kernel** — :func:`levenshtein_rows` packs many patterns
+  into one word (H. Hyyrö, K. Fredriksson and G. Navarro, "Increased
+  bit-parallelism for approximate and multiple string matching", JEA 2006)
+  and runs the same step once per text character for all of them.  Each
+  pattern owns a lane of ``len(p)`` bits followed by one guard bit.  The
+  guard is never set in the vertical +1 vector ``P`` (it is masked with
+  ``full``, the lane bits), so the carry of the step's add stops there, and
+  the shifted horizontal −1 vector, built from ``D0 & P``, brings a 0 into
+  each lane's bit 0.  The shifted horizontal +1 vector gets the row-0
+  boundary, a 1 in each lane's bit 0, ORed in.  Every other operation is
+  bitwise, so whatever the guards collect never reaches a lane, and the
+  loop does no per-lane work.  One run measures all the distinct values of
+  an attribute against one other value.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 
 def strip_common_affixes(left: str, right: str) -> "tuple[str, str]":
@@ -110,3 +124,60 @@ def levenshtein(
         if bound > cutoff:
             return float(bound), False
     return float(bound), True
+
+
+def levenshtein_rows(
+    patterns: "Sequence[str]", texts: "Sequence[str]"
+) -> "list[list[float]]":
+    """``rows[i][j]`` is the Levenshtein distance of ``patterns[i]`` and ``texts[j]``.
+
+    The non-empty patterns are packed into lanes of one word; each text then
+    makes one pass of the step of :func:`levenshtein` over all lanes at once.
+    Lane ``i`` ends as ``len(text) + popcount(P_i) − popcount(N_i)``: the
+    top-row score plus the lane's vertical deltas.  An empty pattern is
+    ``len(text)`` away from every text, and an empty text leaves each lane
+    at ``len(pattern)``.
+    """
+    rows = [[float(len(text)) for text in texts] for _ in patterns]
+    lanes = [index for index, pattern in enumerate(patterns) if pattern]
+    if not lanes:
+        return rows
+    lows = full = 0
+    offset = 0
+    for index in lanes:
+        lows |= 1 << offset
+        full |= ((1 << len(patterns[index])) - 1) << offset
+        offset += len(patterns[index]) + 1
+    width = offset
+    # The packed word as a binary string, most significant bit first: lane 0
+    # comes last, each lane reversed and preceded by its guard ("\0", whose
+    # mask may set guard bits; they never reach a lane).  One translate per
+    # character gives its peq mask.
+    packed = "\0" + "\0".join(patterns[index][::-1] for index in reversed(lanes))
+    alphabet = set(packed)
+    digits = dict.fromkeys(map(ord, alphabet), "0")
+    peq: dict = {}
+    for char in alphabet:
+        digits[ord(char)] = "1"
+        peq[char] = int(packed.translate(digits), 2)
+        digits[ord(char)] = "0"
+    for column, text in enumerate(texts):
+        positive, negative = full, 0
+        for char in text:
+            eq = peq.get(char, 0)
+            diagonal = (((eq & positive) + positive) ^ positive) | eq | negative
+            horizontal_pos = (negative | ~(diagonal | positive)) << 1 | lows
+            horizontal_neg = (diagonal & positive) << 1
+            positive = (horizontal_neg | ~(diagonal | horizontal_pos)) & full
+            negative = horizontal_pos & diagonal
+        # lane spans exclude the guards, so ``negative`` needs no mask
+        ones = format(positive, f"0{width}b")
+        minus = format(negative, f"0{width}b")
+        end = width
+        for index in lanes:
+            start = end - len(patterns[index])
+            rows[index][column] = float(
+                len(text) + ones.count("1", start, end) - minus.count("1", start, end)
+            )
+            end = start - 1
+    return rows

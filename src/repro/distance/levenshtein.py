@@ -9,16 +9,19 @@ Both edit-distance variants strip common affixes with
 :mod:`repro.distance.fastpath` first, so the distance-metric ablation
 compares like with like.  Levenshtein then runs the bit-parallel kernel of
 that module, the same one the :class:`repro.perf.DistanceEngine` runs under
-a cutoff; restricted Damerau keeps its full-matrix dynamic program.
+a cutoff, and its batched rows run the module's multi-pattern kernel;
+restricted Damerau keeps its full-matrix dynamic program.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 from repro.distance.base import DistanceMetric, register_metric
 from repro.distance.fastpath import (
     levenshtein,
+    levenshtein_rows,
     strip_common_affixes,
     trivial_edit_distance,
 )
@@ -40,6 +43,11 @@ class LevenshteinDistance(DistanceMetric):
         self, left: str, right: str, cutoff: float = math.inf
     ) -> "tuple[float, bool]":
         return levenshtein(left, right, cutoff)
+
+    def distance_rows(
+        self, values: Sequence[str], others: Sequence[str]
+    ) -> "list[list[float]]":
+        return levenshtein_rows(values, others)
 
     def max_distance(self, left: str, right: str) -> float:
         return float(max(len(left), len(right), 1))

@@ -9,7 +9,11 @@ part's farthest member (the top of the part's max-heap) is displaced to its
 closest non-full part.
 
 The per-part max-heaps keyed by distance-to-centroid give the
-``O(|T| · lg s)`` insertion cost the paper quotes.
+``O(|T| · lg s)`` insertion cost the paper quotes.  The distances themselves
+are measured up front: per attribute, every distinct value against every
+centroid's value in one batched run (for Levenshtein, the packed
+multi-pattern kernel of :mod:`repro.distance.fastpath`: one pass per
+centroid over all the values at once).
 """
 
 from __future__ import annotations
@@ -71,8 +75,9 @@ class DataPartitioner:
 
     Tuple-to-centroid distances go through a :class:`DistanceEngine`: the
     distributed driver passes the run's shared engine; without one the
-    partitioner builds its own Levenshtein engine.  Each distinct value of
-    an attribute is measured against the centroids once, and a tuple's
+    partitioner builds its own Levenshtein engine.  Before any tuple is
+    placed, :meth:`DistanceEngine.distance_rows` measures each attribute's
+    distinct values against the centroids in one call, and a tuple's
     distance to every centroid sums its values' rows left to right, which
     is :meth:`DistanceEngine.values_distance` bit for bit.
     """
@@ -106,22 +111,20 @@ class DataPartitioner:
         values = {tid: table.row(tid).values_for(attributes) for tid in tids}
 
         centroid_tids = rng.sample(tids, parts)
-        centroid_columns = list(zip(*(values[tid] for tid in centroid_tids)))
-        # per attribute: value → its distance to each centroid's value
-        rows: list[dict[str, list[float]]] = [{} for _ in attributes]
-        distance = self.engine.distance
+        centroid_columns = zip(*(values[tid] for tid in centroid_tids))
+        # per attribute: each distinct value → its distance to each
+        # centroid's value, all measured in one batched engine run
+        rows: list[dict[str, list[float]]] = []
+        for position, centroid_values in enumerate(centroid_columns):
+            distinct = list(dict.fromkeys(entry[position] for entry in values.values()))
+            rows.append(
+                dict(zip(distinct, self.engine.distance_rows(distinct, centroid_values)))
+            )
 
         def centroid_distances(tid: int) -> list[float]:
             totals = [0.0] * parts
-            for row_memo, centroid_values, value in zip(
-                rows, centroid_columns, values[tid]
-            ):
-                row = row_memo.get(value)
-                if row is None:
-                    row = row_memo[value] = [
-                        distance(value, centroid) for centroid in centroid_values
-                    ]
-                totals = [total + part for total, part in zip(totals, row)]
+            for row_memo, value in zip(rows, values[tid]):
+                totals = [total + part for total, part in zip(totals, row_memo[value])]
             return totals
 
         partitions = [

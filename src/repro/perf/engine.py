@@ -32,6 +32,12 @@ micro-batches and partitions.  :class:`DistanceEngine` wraps any registered
   position`` keys, popped until a bound exceeds the running cutoff.
   :meth:`~DistanceEngine.pairwise` bounds each unordered pair once, sorts
   the pairs by bound and evaluates a pair once for both of its items.
+* **batched rows** (:meth:`~DistanceEngine.distance_rows`) for the
+  Algorithm-3 partitioner, which needs every distinct value of an
+  attribute against a few centroid values: the metric measures them all in
+  one run (for Levenshtein the packed multi-pattern kernel of
+  :mod:`repro.distance.fastpath`, one pass per centroid), and the engine
+  stores the pairs in its memo and counts them as ``row_pairs``.
 
 Every candidate is settled by one scalar exact-or-prune evaluation: it
 returns the **exact** distance whenever that is ``≤`` the running cutoff,
@@ -108,6 +114,9 @@ class DistanceStats:
     #: candidates batch queries never evaluated exactly: unigram lower bound
     #: above the running cutoff
     qgram_filtered: int = 0
+    #: pairs settled by batched rows (:meth:`DistanceEngine.distance_rows`),
+    #: which are not among ``calls``
+    row_pairs: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -412,6 +421,27 @@ class DistanceEngine:
             self.stats.band_prunes += 1
         return value
 
+    def distance_rows(
+        self, values: "Sequence[str]", others: "Sequence[str]"
+    ) -> "list[list[float]]":
+        """``rows[i][j]`` is :meth:`distance` of ``values[i]`` and ``others[j]``.
+
+        One run of the metric's batched form (for Levenshtein the packed
+        multi-pattern kernel), bit for bit the per-pair values.  The pair
+        memo is not read, but every pair of unequal strings is stored in it,
+        so later scalar calls hit as they would after per-pair
+        :meth:`distance` calls.
+        """
+        self.stats.row_pairs += len(values) * len(others)
+        rows = self.metric.distance_rows(values, others)
+        others = [self.intern(other) for other in others]
+        for value, row in zip(values, rows):
+            value = self.intern(value)
+            for other, distance in zip(others, row):
+                if value != other:
+                    self._store_exact(self._exact_key(value, other), distance)
+        return rows
+
     # ------------------------------------------------------------------
     # value tuples (pieces of data)
     # ------------------------------------------------------------------
@@ -422,7 +452,8 @@ class DistanceEngine:
 
         Equals :meth:`repro.distance.base.DistanceMetric.values_distance` bit
         for bit (same per-pair values, same left-to-right summation order),
-        as do the distributed partitioner's per-column centroid sums.
+        as do the distributed partitioner's per-column centroid sums over
+        :meth:`distance_rows`.
         """
         if len(left) != len(right):
             raise ValueError("value tuples must have the same length")

@@ -204,6 +204,9 @@ class CleaningSession:
     error-detection stack (see :mod:`repro.detect`), resolved here so an
     unknown detector fails at construction.
 
+    ``rules`` and ``table`` take every shape :meth:`load_rules` and
+    :meth:`load_table` take, and go through them.
+
     Sessions are reusable: :meth:`run` can be called repeatedly, with the
     attached table or with an explicit one per call.  The attached state can
     be (re)loaded through :meth:`load_table` / :meth:`load_rules` between
@@ -212,14 +215,16 @@ class CleaningSession:
 
     def __init__(
         self,
-        rules: Optional[Sequence[Rule]] = None,
+        rules: Optional[RulesLike] = None,
         config: Optional[MLNCleanConfig] = None,
         cleaner: Optional[Union[Cleaner, str]] = None,
         detectors: Optional[Sequence] = None,
-        table: Optional[Table] = None,
+        table: Optional[TableLike] = None,
         ground_truth: Optional[GroundTruth] = None,
     ):
-        self.rules: list[Rule] = list(rules) if rules is not None else []
+        self.rules: list[Rule] = []
+        if rules is not None:
+            self.load_rules(rules)
         self.config = config or MLNCleanConfig()
         if cleaner is None:
             cleaner = MLNCleanCleaner()
@@ -232,7 +237,7 @@ class CleaningSession:
             resolve_detectors(detectors)  # an unknown detector fails here
             detectors = list(detectors)
         self.detectors = detectors
-        self.table = table
+        self.table = load_table(table) if table is not None else None
         self.ground_truth = ground_truth
         #: the report of the most recent run (None before the first run)
         self.last_report: Optional[CleaningReport] = None

@@ -44,7 +44,7 @@ from repro.core.index import Block, DataPiece, MLNIndex
 from repro.core.rsc import ReliabilityScoreCleaner
 from repro.dataset.table import Table
 from repro.distance import get_metric
-from repro.distance.fastpath import levenshtein
+from repro.distance.fastpath import levenshtein, levenshtein_rows
 from repro.distributed.partition import DataPartitioner
 from repro.errors.injector import ErrorSpec
 from repro.mln.weights import WeightLearningConfig, learn_group_weights
@@ -624,6 +624,42 @@ def test_levenshtein_kernel_bounded_contract(pair, cutoff):
         assert exact
 
 
+@st.composite
+def row_inputs(draw):
+    """Kernel inputs: a wide pack of short patterns, or a few long ones.
+
+    Patterns may be empty, repeat each other and hold "\0", the packing's
+    guard character.
+    """
+    short_text = st.text(alphabet=_SMALL_ALPHABET + "\0", max_size=12)
+    if draw(st.booleans()):
+        patterns = draw(st.lists(short_text, min_size=200, max_size=240))
+        texts = draw(st.lists(short_text, max_size=3))
+    else:
+        patterns = draw(st.lists(st.one_of(short_text, unicode_text), max_size=8))
+        texts = draw(st.lists(st.one_of(short_text, unicode_text), max_size=3))
+    if patterns:
+        patterns += draw(st.lists(st.sampled_from(patterns), max_size=3))
+    return patterns, texts
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_inputs())
+@example(([], ["abc"]))
+@example((["abc"], []))
+@example((["", "ab", ""], ["", "b"]))
+@example((["\u00e9" * 70, "a"], ["\u00e9" * 65 + "a", "\u00e9"]))
+@example(([f"v{number}" for number in range(230)], ["v7", "", "v1000"]))
+def test_levenshtein_rows_equal_reference(inputs):
+    patterns, texts = inputs
+    assert levenshtein_rows(patterns, texts) == [
+        [reference_levenshtein(pattern, text) for text in texts] for pattern in patterns
+    ]
+    assert levenshtein_rows(texts, patterns) == [
+        [reference_levenshtein(text, pattern) for pattern in patterns] for text in texts
+    ]
+
+
 # ----------------------------------------------------------------------
 # reference unigram bound: (position, char) → count dicts
 # ----------------------------------------------------------------------
@@ -872,3 +908,28 @@ def test_partition_equals_reference(metric_name, table, parts, seed):
         # a part nothing was inserted into still holds only its centroid
         heap = heaps.get(index, [(0.0, partition.centroid_tid)])
         assert heap == expected_heaps[index]
+
+
+@st.composite
+def long_value_tables(draw):
+    """Tables of long Unicode values: kernel lanes span several int digits."""
+    cell = st.text(alphabet=_SMALL_ALPHABET, max_size=70)
+    pool = draw(st.lists(st.tuples(cell, cell), min_size=1, max_size=6))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=24))
+    return Table.from_records([{"A": a, "B": b} for a, b in rows])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    long_value_tables(),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=1000),
+)
+def test_partition_of_long_unicode_values_equals_reference(table, parts, seed):
+    metric = get_metric("levenshtein")
+    partitioner = DataPartitioner(
+        parts, engine=engine_module.DistanceEngine(metric), seed=seed
+    )
+    result = partitioner.partition(table)
+    members, _ = reference_partition(table, parts, seed, metric)
+    assert [partition.member_tids for partition in result.partitions] == members

@@ -6,7 +6,7 @@ import repro
 from repro import CleaningSession, MLNClean, MLNCleanConfig, StreamingMLNClean, Table
 from repro.constraints.rules import FunctionalDependency
 from repro.core.pipeline import MLNClean as CoreMLNClean
-from repro.core.report import CleaningReport
+from repro.core.report import CleaningReport, report_signature
 from repro.dataset.sample import sample_hospital_rules, sample_hospital_table
 from repro.errors.injector import ErrorSpec
 from repro.session import (
@@ -145,6 +145,27 @@ def test_session_load_rules_accumulates_and_replaces():
     assert [rule.name for rule in session.rules] == ["r1", "r2"]
     session.load_rules("B -> C", replace=True)
     assert [rule.name for rule in session.rules] == ["r1"]
+
+
+def test_constructor_loads_a_rule_string_like_load_rules():
+    constructed = CleaningSession(rules="CT -> ST")
+    loaded = CleaningSession()
+    loaded.load_rules("CT -> ST")
+    assert [rule.name for rule in constructed.rules] == ["r1"]
+    assert constructed.rules[0].reason_attributes == ["CT"]
+    assert constructed.fingerprint() == loaded.fingerprint()
+
+
+def test_constructor_loads_dict_rows_like_load_table():
+    records = [row.as_dict() for row in sample_hospital_table()]
+    session = CleaningSession(
+        rules=sample_hospital_rules(),
+        config=MLNCleanConfig(abnormal_threshold=1),
+        table=records,
+    )
+    assert session.table.equals(load_table(records))
+    expected = sample_session().run(records)
+    assert report_signature(session.run()) == report_signature(expected)
 
 
 def test_load_table_passthrough_records_and_csv(tmp_path):
